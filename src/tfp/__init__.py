@@ -1,6 +1,6 @@
 """Common positive definite solutions of paired nonlinear matrix equations.
 
-The package couples a self-contained complex Hermitian matrix algebra with
+The package couples a complex Hermitian matrix algebra on LAPACK with
 the Thompson metric on the positive definite cone and a generic alternating
 fixed-point engine, and exposes a solver plus CLI for the two supported
 equation families.

@@ -63,11 +63,28 @@ def _require_key(data: dict, key: str, path: str):
     return data[key]
 
 
-def _number(data: dict, key: str, path: str) -> float:
-    value = _require_key(data, key, path)
+def _as_float(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProblemFormatError(f"{path}: key '{key}' must be a number, got {value!r}")
+        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _as_int(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ProblemFormatError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _number(data: dict, key: str, path: str) -> float:
+    return _as_float(_require_key(data, key, path), f"{path}: key '{key}'")
 
 
 def _matrix(data: dict, key: str, path: str):
@@ -111,8 +128,8 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
     kind = _require_key(data, "kind", where)
     if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
         raise ProblemFormatError(f"{where}: key 'kind' must be 'type1' or 'type2', got {kind!r}")
-    n = int(_number(data, "n", where))
-    m = int(_number(data, "m", where))
+    n = _as_int(_require_key(data, "n", where), f"{where}: key 'n'")
+    m = _as_int(_require_key(data, "m", where), f"{where}: key 'm'")
     a_value = _require_key(data, "A", where)
     if not isinstance(a_value, list) or len(a_value) != m:
         raise ProblemFormatError(f"{where}: key 'A' must list exactly m={m} matrices")
@@ -166,22 +183,19 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
     if not isinstance(raw_options, dict):
         raise ProblemFormatError(f"{where}: key 'options' must be an object")
     known = {
-        "gap_tol": float,
-        "residual_tol": float,
-        "max_iter": int,
-        "seed": int,
-        "samples": int,
-        "force": bool,
-        "exp_radius": bool,
+        "gap_tol": _as_float,
+        "residual_tol": _as_float,
+        "max_iter": _as_int,
+        "seed": _as_int,
+        "samples": _as_int,
+        "force": _as_bool,
+        "exp_radius": _as_bool,
     }
     kwargs = {}
     for key, value in raw_options.items():
         if key not in known:
             raise ProblemFormatError(f"{where}: unknown option '{key}'")
-        try:
-            kwargs[key] = known[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"{where}: option '{key}': {exc}") from exc
+        kwargs[key] = known[key](value, f"{where}: option '{key}'")
     env_seed = os.environ.get("TFP_SEED")
     if env_seed is not None:
         try:

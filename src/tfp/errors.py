@@ -18,7 +18,7 @@ class NotPositiveDefinite(TfpError):
 
 
 class ConvergenceFailure(TfpError):
-    """The eigensolver exhausted its sweep budget."""
+    """LAPACK ``eigh`` failed to converge on an eigendecomposition."""
 
 
 class NotInPsiAlpha(TfpError):

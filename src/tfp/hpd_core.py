@@ -1,14 +1,15 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
-Matrices are plain ``numpy`` arrays of ``complex128``.  Every operation
-validates its input against the Hermitian tolerance and re-symmetrizes its
-output with ``(M + M*) / 2`` so that round-off never accumulates into a
-symmetry defect across long iteration runs.
+Matrices are plain ``numpy`` arrays of ``complex128``.  The public
+operations validate their input against the Hermitian tolerance once, on
+entry; the private ``_power`` and ``_congruence`` skip that check and
+serve callers whose operands are already validated.  Outputs are
+re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
+into a symmetry defect across long iteration runs.
 
-The eigensolver is a cyclic Jacobi sweep specialised to complex Hermitian
-matrices.  It is unconditionally stable and has no dependency beyond basic
-array arithmetic, which keeps the whole algebra self-contained and easy to
-cross-check against independent oracles.
+Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
+LAPACK ``eigh`` (``numpy.linalg.eigh``).  The tests cross-check it against
+an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ from .errors import (
 ComplexMatrix = NDArray[np.complex128]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# Off-diagonal convergence threshold of the Jacobi sweep, relative to the
-# Frobenius norm of the input.
-_JACOBI_OFF_TOL = 1e-14
-
-# Sweep budget: 30 * n**2 full cyclic sweeps before giving up.
-_JACOBI_SWEEP_FACTOR = 30
 
 
 class EigenDecomposition(NamedTuple):
@@ -97,52 +91,10 @@ def require_hermitian(m, name: str = "matrix") -> ComplexMatrix:
     return arr
 
 
-def _off_diagonal_norm(a: ComplexMatrix) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(a: ComplexMatrix, v: ComplexMatrix, p: int, q: int) -> None:
-    """Zero the (p, q) entry of ``a`` by a unitary plane rotation.
-
-    The rotation first absorbs the phase of a[p, q] so the 2x2 pivot block
-    becomes real symmetric, then applies the stable Jacobi tangent formula.
-    ``a`` and ``v`` are updated in place (``a`` stays Hermitian, ``v``
-    accumulates the eigenvector basis).
-    """
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    root = math.sqrt(1.0 + tau * tau)
-    t = 1.0 / (tau + root) if tau >= 0.0 else -1.0 / (-tau + root)
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    cp = phase * c
-    sp = phase * s
-
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = cp * colp - s * colq
-    a[:, q] = sp * colp + c * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = np.conj(cp) * rowp - s * rowq
-    a[q, :] = np.conj(sp) * rowp + c * rowq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = cp * vp - s * vq
-    v[:, q] = sp * vp + c * vq
-
-
 def eig_hermitian(m) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK ``eigh``.
+
+    Every eigensolve in the package goes through this function.
 
     Parameters
     ----------
@@ -157,36 +109,16 @@ def eig_hermitian(m) -> EigenDecomposition:
     Raises
     ------
     NonHermitianInput
-        If the symmetry tolerance is violated.
+        If the symmetry tolerance is violated or an entry is not finite.
     ConvergenceFailure
-        If the sweep budget is exhausted (does not happen for finite
-        Hermitian input; kept as a hard safety net).
+        If LAPACK reports that the decomposition did not converge.
     """
     arr = require_hermitian(m)
-    n = arr.shape[0]
-    a = symmetrize(arr)
-    v = identity(n)
-    if n == 1:
-        return EigenDecomposition(np.array([a[0, 0].real]), v)
-
-    off_tol = _JACOBI_OFF_TOL * float(np.linalg.norm(a))
-    skip_tol = off_tol / (2.0 * n)
-    for _ in range(_JACOBI_SWEEP_FACTOR * n * n):
-        if _off_diagonal_norm(a) <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip_tol:
-                    _rotate(a, v, p, q)
-    else:
-        raise ConvergenceFailure(
-            f"Jacobi eigensolver did not reach off-diagonal tolerance "
-            f"{off_tol:.3e} within {_JACOBI_SWEEP_FACTOR * n * n} sweeps"
-        )
-
-    lam = np.diagonal(a).real.copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomposition(lam[order], np.ascontiguousarray(v[:, order]))
+    try:
+        lam, vectors = np.linalg.eigh(symmetrize(arr))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
+    return EigenDecomposition(lam, vectors)
 
 
 def pd_floor(eigenvalues: NDArray[np.float64]) -> float:
@@ -223,6 +155,11 @@ def matrix_power(m, p: float) -> ComplexMatrix:
     p = float(p)
     if p == 0.0 or not math.isfinite(p):
         raise ValueError(f"exponent must be finite and nonzero, got {p}")
+    return _power(m, p)
+
+
+def _power(m, p: float) -> ComplexMatrix:
+    """``matrix_power`` for an exponent known to be finite and nonzero."""
     dec = eig_hermitian(m)
     lam = dec.eigenvalues
     if lam[0] <= pd_floor(lam):
@@ -230,8 +167,7 @@ def matrix_power(m, p: float) -> ComplexMatrix:
             f"matrix_power requires a positive definite input "
             f"(min eigenvalue {lam[0]:.3e}, floor {pd_floor(lam):.3e})"
         )
-    powered = (dec.vectors * lam**p) @ dec.vectors.conj().T
-    return symmetrize(powered)
+    return symmetrize((dec.vectors * lam**p) @ dec.vectors.conj().T)
 
 
 def congruence(a, m) -> ComplexMatrix:
@@ -245,31 +181,13 @@ def congruence(a, m) -> ComplexMatrix:
         raise DimensionMismatch(
             f"congruence shapes differ: {a_arr.shape} vs {m_arr.shape}"
         )
-    return symmetrize(a_arr.conj().T @ m_arr @ a_arr)
+    return _congruence(a_arr, m_arr)
 
 
-def add(m1, m2) -> ComplexMatrix:
-    """Entrywise sum of two Hermitian matrices."""
-    a = require_hermitian(m1, "left addend")
-    b = require_hermitian(m2, "right addend")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"add shapes differ: {a.shape} vs {b.shape}")
-    return symmetrize(a + b)
-
-
-def subtract(m1, m2) -> ComplexMatrix:
-    """Entrywise difference of two Hermitian matrices."""
-    a = require_hermitian(m1, "minuend")
-    b = require_hermitian(m2, "subtrahend")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"subtract shapes differ: {a.shape} vs {b.shape}")
-    return symmetrize(a - b)
-
-
-def scale(c: float, m) -> ComplexMatrix:
-    """Real scalar multiple of a Hermitian matrix."""
-    arr = require_hermitian(m, "scale argument")
-    return symmetrize(float(c) * arr)
+def _congruence(a: ComplexMatrix, m: ComplexMatrix) -> ComplexMatrix:
+    """``congruence`` of a square factor and a Hermitian argument of the
+    same size, both already validated."""
+    return symmetrize(a.conj().T @ m @ a)
 
 
 def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:

@@ -54,14 +54,14 @@ from .errors import (
 from .fixpoint_engine import IterationTrace, MetricSpace, StoppingRule, iterate_pair
 from .hpd_core import (
     ComplexMatrix,
+    _congruence,
+    _power,
     as_square_matrix,
-    congruence,
     eig_hermitian,
     frobenius_norm,
     identity,
     is_positive_definite,
     matrix_from_literal,
-    matrix_power,
     matrix_to_literal,
     random_pd_in_ball,
     require_hermitian,
@@ -127,7 +127,7 @@ def function_from_dict(data: dict) -> MatrixFunctionSpec:
 def apply_F(spec: MatrixFunctionSpec, x) -> ComplexMatrix:
     """Evaluate a matrix function spec at a positive definite point."""
     if spec.kind == "power":
-        return matrix_power(x, spec.exponent)
+        return _power(x, spec.exponent)
     if spec.kind == "constant":
         return spec.value
     raise ValueError(f"unknown matrix function kind {spec.kind!r}")
@@ -183,7 +183,7 @@ def _validate_coefficients(a_list, n: int) -> tuple[ComplexMatrix, ...]:
 
 
 def _require_nonsingular(a_i: ComplexMatrix, name: str) -> None:
-    gram = eig_hermitian(congruence(a_i, identity(a_i.shape[0])))
+    gram = eig_hermitian(_congruence(a_i, identity(a_i.shape[0])))
     sq_floor = (a_i.shape[0] * np.finfo(float).eps) ** 2 * max(gram.eigenvalues[-1], 0.0)
     if gram.eigenvalues[0] <= sq_floor:
         raise ValueError(f"{name} is singular to working precision")
@@ -266,10 +266,12 @@ def sum_congruences(a_list, value: ComplexMatrix) -> ComplexMatrix:
 
     In the Thompson metric this sum is no farther from sum_i A_i* N A_i
     than M is from N, which is what makes the iteration maps contract.
+    The operands are not validated: the A_i come from a validated problem
+    and M from a matrix function of a validated point.
     """
-    acc = congruence(a_list[0], value)
+    acc = _congruence(a_list[0], value)
     for a_i in a_list[1:]:
-        acc = acc + congruence(a_i, value)
+        acc = acc + _congruence(a_i, value)
     return symmetrize(acc)
 
 
@@ -280,7 +282,7 @@ def build_map_type1(q, a_list, f_spec: MatrixFunctionSpec, s: float) -> Callable
 
     def t(x):
         rhs = symmetrize(q_arr + sum_congruences(a_list, apply_F(f_spec, x)))
-        return matrix_power(rhs, 1.0 / s)
+        return _power(rhs, 1.0 / s)
 
     return t
 
@@ -290,7 +292,7 @@ def build_map_type2(a_list, f_spec: MatrixFunctionSpec, rho: float) -> Callable:
     rho = float(rho)
 
     def t(x):
-        return matrix_power(sum_congruences(a_list, apply_F(f_spec, x)), 1.0 / rho)
+        return _power(sum_congruences(a_list, apply_F(f_spec, x)), 1.0 / rho)
 
     return t
 
@@ -318,12 +320,12 @@ def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
     fx = apply_F(problem.F, x_arr)
     gx = apply_F(problem.G, x_arr)
     if problem.kind == TYPE1:
-        lhs1 = lhs2 = matrix_power(x_arr, problem.s)
+        lhs1 = lhs2 = _power(x_arr, problem.s)
         rhs1 = symmetrize(problem.Q1 + sum_congruences(problem.A, fx))
         rhs2 = symmetrize(problem.Q2 + sum_congruences(problem.A, gx))
     else:
-        lhs1 = matrix_power(x_arr, problem.r)
-        lhs2 = matrix_power(x_arr, problem.s)
+        lhs1 = _power(x_arr, problem.r)
+        lhs2 = _power(x_arr, problem.s)
         rhs1 = sum_congruences(problem.A, fx)
         rhs2 = sum_congruences(problem.A, gx)
     r1 = frobenius_norm(lhs1 - rhs1) / max(1.0, frobenius_norm(lhs1))
@@ -434,8 +436,8 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     stat_c = ConditionStat("C")
     t1, t2 = maps_for(problem)
 
-    w_q2q1 = thompson.w_ratio(problem.Q2, problem.Q1)
-    w_q1q2 = thompson.w_ratio(problem.Q1, problem.Q2)
+    w_q2q1 = thompson._w_ratio(problem.Q2, problem.Q1)
+    w_q1q2 = thompson._w_ratio(problem.Q1, problem.Q2)
     d_q = max(math.log(w_q2q1), math.log(w_q1q2), 0.0)
 
     rng = np.random.default_rng(seed)
@@ -444,11 +446,11 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
         y = random_pd_in_ball(problem.n, radius, rng)
         fx = apply_F(problem.F, x)
         gy = apply_F(problem.G, y)
-        w_gf = thompson.w_ratio(gy, fx)
-        w_fg = thompson.w_ratio(fx, gy)
+        w_gf = thompson._w_ratio(gy, fx)
+        w_fg = thompson._w_ratio(fx, gy)
         d_fg = max(math.log(w_gf), math.log(w_fg), 0.0)
-        w_yx = thompson.w_ratio(y, x)
-        w_xy = thompson.w_ratio(x, y)
+        w_yx = thompson._w_ratio(y, x)
+        w_xy = thompson._w_ratio(x, y)
         d_xy = max(math.log(w_yx), math.log(w_xy), 0.0)
 
         stat_a.record(d_q - d_fg, _witness(i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y))
@@ -544,8 +546,8 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
         label, lhs, rhs = max(terms_a, key=lambda item: item[1] - item[2])
         stat_a.record(lhs - rhs, _witness(i, label, lhs, rhs, x))
 
-        w_xy = thompson.w_ratio(x, y)
-        w_yx = thompson.w_ratio(y, x)
+        w_xy = thompson._w_ratio(x, y)
+        w_yx = thompson._w_ratio(y, x)
         terms_b = [
             ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
             ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),
@@ -652,7 +654,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
 
     t1, t2 = maps_for(problem)
     alpha = alpha_for(problem)
-    space = MetricSpace(thompson.distance)
+    space = MetricSpace(thompson._distance)
     stop = StoppingRule(gap_tol=options.gap_tol, max_iter=options.max_iter, bound_tol=options.bound_tol)
     try:
         trace = iterate_pair(space, t1, t2, alpha, x0, stop)

@@ -4,6 +4,10 @@ The metric is d(A, B) = max(log W(A/B), log W(B/A)) where the order-ratio
 functional W(A/B) is the largest eigenvalue of B^{-1/2} A B^{-1/2}.  Both
 ratios are computed independently through one code path; at the dimensions
 this package targets the extra eigensolve is irrelevant next to clarity.
+
+``w_ratio`` and ``distance`` validate their operands; ``_w_ratio`` and
+``_distance`` skip that for callers whose operands are already validated
+Hermitian arrays of one size.
 """
 
 from __future__ import annotations
@@ -23,22 +27,37 @@ def w_ratio(a, b) -> float:
     """The ratio functional W(A/B) = lambda_max(B^{-1/2} A B^{-1/2}).
 
     Equals inf{delta > 0 : A <= delta * B} for positive definite A and B.
+    Only B must be positive definite: W reads just the top eigenvalue, so
+    a numerator whose smallest eigenvalue underflows the relative floor
+    still has a well-defined ratio.
     """
-    a_arr = hpd_core.require_hermitian(a, "w_ratio numerator")
-    b_arr = hpd_core.require_hermitian(b, "w_ratio denominator")
-    if a_arr.shape != b_arr.shape:
-        raise DimensionMismatch(f"w_ratio shapes differ: {a_arr.shape} vs {b_arr.shape}")
-    b_inv_half = hpd_core.matrix_power(b_arr, -0.5)
-    dec = hpd_core.eig_hermitian(hpd_core.congruence(b_inv_half, a_arr))
-    top = float(dec.eigenvalues[-1])
-    if dec.eigenvalues[0] <= hpd_core.pd_floor(dec.eigenvalues):
-        raise NotPositiveDefinite("w_ratio numerator is not positive definite")
-    return top
+    return _w_ratio(*_validated_pair(a, b, "w_ratio"))
+
+
+def _w_ratio(a, b) -> float:
+    b_inv_half = hpd_core._power(b, -0.5)
+    return float(hpd_core.eig_hermitian(hpd_core._congruence(b_inv_half, a)).eigenvalues[-1])
 
 
 def distance(a, b) -> float:
     """Thompson distance between two positive definite matrices."""
-    return max(math.log(w_ratio(a, b)), math.log(w_ratio(b, a)), 0.0)
+    return _distance(*_validated_pair(a, b, "distance"))
+
+
+def _distance(a, b) -> float:
+    # Both ratios come first: each one's power rejects a non-PD denominator
+    # before a log of a non-positive numerator ratio can fail.
+    w_ab = _w_ratio(a, b)
+    w_ba = _w_ratio(b, a)
+    return max(math.log(w_ab), math.log(w_ba), 0.0)
+
+
+def _validated_pair(a, b, name: str):
+    a_arr = hpd_core.require_hermitian(a, f"{name} first argument")
+    b_arr = hpd_core.require_hermitian(b, f"{name} second argument")
+    if a_arr.shape != b_arr.shape:
+        raise DimensionMismatch(f"{name} shapes differ: {a_arr.shape} vs {b_arr.shape}")
+    return a_arr, b_arr
 
 
 def distance_to_identity(a) -> float:

@@ -155,9 +155,9 @@ def test_criterion_3_thompson_metric_suite():
                 worst["power"] = max(worst["power"], d_r - abs(r) * dab)
             worst["sum"] = max(
                 worst["sum"],
-                thompson.distance(hpd_core.add(a, b), hpd_core.add(c, d))
+                thompson.distance(a + b, c + d)
                 - max(thompson.distance(a, c), thompson.distance(b, d)),
-                thompson.distance(hpd_core.add(a, b), hpd_core.add(a, d))
+                thompson.distance(a + b, a + d)
                 - thompson.distance(b, d),
             )
             diag_a = np.exp(rng.uniform(-2, 2, n))

@@ -68,6 +68,27 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match=r"Q2.*\[1\]\[0\]"):
             cli.load_problem(write_problem(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("options", "force", "false"),
+            ("options", "max_iter", 2.9),
+            ("options", "gap_tol", True),
+            (None, "n", 2.7),
+        ],
+    )
+    def test_inexact_value_types_exit_two_naming_the_key(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        (doc if section is None else doc[section])[key] = value
+        assert cli.main(["check", str(write_problem(tmp_path, doc))]) == 2
+        assert f"'{key}' must be" in capsys.readouterr().err
+
+    def test_integral_float_reads_as_integer(self, tmp_path):
+        doc = json.loads(fixture_path("example_4_2.json").read_text())
+        doc["options"]["max_iter"] = 200.0
+        _, _, options = cli.load_problem(write_problem(tmp_path, doc))
+        assert options.max_iter == 200 and isinstance(options.max_iter, int)
+
     def test_tfp_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TFP_SEED", "321")
         _, _, options = cli.load_problem(fixture_path("quadratic_pass.json"))
@@ -107,6 +128,15 @@ class TestCheckCommand:
         code = cli.main(["check", str(bad)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [10, 16, 26, 28, 35, 37])
+    def test_wide_ball_seeds_report_instead_of_crashing(self, tmp_path, seed):
+        # On example_4_1's radius-10 ball the ratio congruences span about
+        # e^40, so their smallest eigenvalues fall below the relative floor.
+        out = tmp_path / "report.json"
+        code = cli.main(["check", str(fixture_path("example_4_1.json")), "--seed", str(seed), "--out", str(out)])
+        assert code == 3
+        assert json.loads(out.read_text())["seed"] == seed
 
     def test_report_bytes_stable(self, tmp_path):
         out1 = tmp_path / "r1.json"

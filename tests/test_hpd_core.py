@@ -1,8 +1,8 @@
 """Hermitian/PD algebra tests.
 
-The eigensolver is checked against construction oracles (matrices built
-from known factors) and against numpy.linalg.eigh as an independent
-reference implementation.
+The eigensolver (LAPACK eigh) is checked against construction oracles
+(matrices built from known factors) and against the cyclic Jacobi solver
+in ``jacobi.py`` as an independent reference implementation.
 """
 
 import numpy as np
@@ -11,8 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hermitian, random_nonsingular, random_pd
+from jacobi import jacobi_eig
 from tfp import hpd_core, thompson
-from tfp.errors import DimensionMismatch, NonHermitianInput, NotPositiveDefinite
+from tfp.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, NotPositiveDefinite
+
+
+def _spectral_projectors(lam, vectors, gap):
+    """Orthogonal projectors onto the eigenspaces of clusters of eigenvalues
+    separated by more than ``gap``; independent of the basis chosen inside
+    a degenerate eigenspace."""
+    starts = [0] + [i for i in range(1, len(lam)) if lam[i] - lam[i - 1] > gap] + [len(lam)]
+    return [vectors[:, a:b] @ vectors[:, a:b].conj().T for a, b in zip(starts, starts[1:])]
 
 
 class TestEigHermitian:
@@ -47,14 +56,33 @@ class TestEigHermitian:
             dec = hpd_core.eig_hermitian(random_hermitian(rng, 5))
             assert all(np.diff(dec.eigenvalues) >= 0)
 
-    def test_against_numpy(self):
-        rng = np.random.default_rng(17)
-        for n in (2, 3, 4, 5, 6):
-            for _ in range(8):
-                m = random_hermitian(rng, n)
-                ours = hpd_core.eig_hermitian(m).eigenvalues
-                ref = np.linalg.eigvalsh(m)
-                np.testing.assert_allclose(ours, ref, atol=1e-10 * max(1, np.linalg.norm(m)))
+    def test_against_jacobi_oracle(self):
+        for n in (1, 2, 3, 8, 16):
+            rng = np.random.default_rng(17 + n)
+            u = hpd_core.random_unitary(n, 100 + n)
+            spectrum = np.array([-1.5] * (n // 4) + [2.0] * (n - n // 4 - n // 3) + [7.0] * (n // 3))
+            degenerate = hpd_core.symmetrize((u * spectrum) @ u.conj().T)
+            for m in (random_hermitian(rng, n), degenerate):
+                norm = np.linalg.norm(m)
+                dec = hpd_core.eig_hermitian(m)
+                ref_lam, ref_vectors = jacobi_eig(m)
+                np.testing.assert_allclose(dec.eigenvalues, ref_lam, rtol=0, atol=1e-10 * norm)
+                ours = _spectral_projectors(dec.eigenvalues, dec.vectors, 1e-6 * norm)
+                refs = _spectral_projectors(ref_lam, ref_vectors, 1e-6 * norm)
+                assert len(ours) == len(refs)
+                for p_ours, p_ref in zip(ours, refs):
+                    assert np.linalg.norm(p_ours - p_ref) <= 1e-8
+                for lam, vectors in ((dec.eigenvalues, dec.vectors), (ref_lam, ref_vectors)):
+                    assert np.linalg.norm((vectors * lam) @ vectors.conj().T - m) <= 1e-10 * max(1.0, norm)
+                    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 1e-10
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            hpd_core.eig_hermitian(np.eye(2))
 
     def test_reconstruction_200_seeded(self):
         rng = np.random.default_rng(99)
@@ -170,21 +198,6 @@ class TestCongruence:
 class TestElementwiseOps:
     def test_frobenius_norm_identity(self):
         assert hpd_core.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
-
-    def test_add(self):
-        np.testing.assert_allclose(hpd_core.add(np.eye(2), np.eye(2)), 2 * np.eye(2))
-
-    def test_subtract_self_is_zero(self):
-        rng = np.random.default_rng(2)
-        m = random_hermitian(rng, 3)
-        assert np.abs(hpd_core.subtract(m, m)).max() == 0.0
-
-    def test_scale(self):
-        np.testing.assert_allclose(hpd_core.scale(-2.0, np.eye(2)), -2 * np.eye(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hpd_core.add(np.eye(2), np.eye(3))
 
 
 class TestRandomUnitary:

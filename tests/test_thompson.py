@@ -12,7 +12,7 @@ import pytest
 
 from helpers import random_nonsingular, random_pd
 from tfp import hpd_core, thompson
-from tfp.errors import DimensionMismatch
+from tfp.errors import DimensionMismatch, NotPositiveDefinite
 
 
 def diag_distance(a_diag, b_diag):
@@ -35,6 +35,13 @@ class TestWRatio:
         with pytest.raises(DimensionMismatch):
             thompson.w_ratio(np.eye(2), np.eye(3))
 
+    def test_only_the_denominator_must_be_positive_definite(self):
+        # W reads only the top eigenvalue, so a numerator spanning far more
+        # than the relative floor still gives the exact ratio
+        assert thompson.w_ratio(np.diag([1e-40, 3.0]), np.eye(2)) == pytest.approx(3.0, abs=1e-12)
+        with pytest.raises(NotPositiveDefinite):
+            thompson.w_ratio(np.eye(2), np.diag([1.0, -1.0]))
+
 
 class TestDistance:
     def test_self_distance_zero(self):
@@ -49,6 +56,12 @@ class TestDistance:
     def test_diagonal_closed_form(self):
         got = thompson.distance(np.diag([1.0, 4.0]), np.diag([2.0, 1.0]))
         assert got == pytest.approx(math.log(4), abs=1e-12)
+
+    @pytest.mark.parametrize("indefinite", [np.diag([2.0, -1.0]), -np.eye(2)])
+    def test_rejects_a_non_positive_definite_argument_either_side(self, indefinite):
+        for pair in ((indefinite, np.eye(2)), (np.eye(2), indefinite)):
+            with pytest.raises(NotPositiveDefinite):
+                thompson.distance(*pair)
 
     def test_distance_to_identity_shortcut(self):
         rng = np.random.default_rng(6)
@@ -103,9 +116,9 @@ class TestInvarianceProperties:
         for i in range(12):
             n = 2 + i % 3
             a, b, c, d = (random_pd(rng, n) for _ in range(4))
-            lhs = thompson.distance(hpd_core.add(a, b), hpd_core.add(c, d))
+            lhs = thompson.distance(a + b, c + d)
             assert lhs <= max(thompson.distance(a, c), thompson.distance(b, d)) + 1e-9
-            lhs2 = thompson.distance(hpd_core.add(a, b), hpd_core.add(a, d))
+            lhs2 = thompson.distance(a + b, a + d)
             assert lhs2 <= thompson.distance(b, d) + 1e-9
 
     def test_diagonal_closed_form_random(self):
