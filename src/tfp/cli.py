@@ -7,7 +7,8 @@ from one or more traces.  All outputs are byte-deterministic for fixed
 inputs: no timestamps, stable key order, shortest-round-trip floats.
 
 Exit codes: 0 success, 2 parse or schema error, 3 condition check failed,
-4 no residual-certified convergence, 5 starting point outside the ball.
+4 no residual-certified convergence, 5 starting point not positive
+definite or outside the ball.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     TfpError,
     X0DomainError,
 )
-from .hpd_core import identity, matrix_from_literal, matrix_to_literal
+from .hpd_core import identity, matrix_from_literal, matrix_to_literal, require_hermitian
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -64,17 +65,23 @@ def _require_key(data: dict, key: str, path: str):
 
 
 def _as_float(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ProblemFormatError(f"{what} must be at least {minimum}, got {value}")
     return value
+
+
+def _as_seed(value, what: str) -> int:
+    return _as_int(value, what, minimum=0)
 
 
 def _as_bool(value, what: str) -> bool:
@@ -93,6 +100,17 @@ def _matrix(data: dict, key: str, path: str):
         return matrix_from_literal(value, key)
     except TfpError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
+
+
+def _x0(literal, n: int, where: str):
+    """A starting point from its literal: a Hermitian n-by-n matrix."""
+    try:
+        x0 = require_hermitian(matrix_from_literal(literal, "x0"), "x0")
+    except TfpError as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
+    if x0.shape[0] != n:
+        raise ProblemFormatError(f"{where}: x0 has shape {x0.shape}, expected ({n}, {n})")
+    return x0
 
 
 def _function_spec(data: dict, key: str, path: str) -> matrix_solver.MatrixFunctionSpec:
@@ -142,42 +160,22 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
 
     f_spec = _function_spec(data, "F", where)
     g_spec = _function_spec(data, "G", where)
-    radius = _number(data, "a", where)
-    exponent_l = _number(data, "l", where)
-
+    # Read outside the try below: these errors already name the file.
+    fields = {key: _number(data, key, where) for key in ("a", "l", "s")}
+    if kind == matrix_solver.TYPE1:
+        build = matrix_solver.problem_type1
+        fields.update(Q1=_matrix(data, "Q1", where), Q2=_matrix(data, "Q2", where))
+    else:
+        build = matrix_solver.problem_type2
+        fields.update(r=_number(data, "r", where))
     try:
-        if kind == matrix_solver.TYPE1:
-            problem = matrix_solver.problem_type1(
-                n=n,
-                A=mats,
-                Q1=_matrix(data, "Q1", where),
-                Q2=_matrix(data, "Q2", where),
-                s=_number(data, "s", where),
-                F=f_spec,
-                G=g_spec,
-                a=radius,
-                l=exponent_l,
-            )
-        else:
-            problem = matrix_solver.problem_type2(
-                n=n,
-                A=mats,
-                r=_number(data, "r", where),
-                s=_number(data, "s", where),
-                F=f_spec,
-                G=g_spec,
-                a=radius,
-                l=exponent_l,
-            )
+        problem = build(n=n, A=mats, F=f_spec, G=g_spec, **fields)
     except (TfpError, ValueError) as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
 
     x0 = None
     if "x0" in data and data["x0"] != "identity":
-        try:
-            x0 = matrix_from_literal(data["x0"], "x0")
-        except TfpError as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from exc
+        x0 = _x0(data["x0"], n, where)
 
     raw_options = data.get("options", {})
     if not isinstance(raw_options, dict):
@@ -186,10 +184,9 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         "gap_tol": _as_float,
         "residual_tol": _as_float,
         "max_iter": _as_int,
-        "seed": _as_int,
+        "seed": _as_seed,
         "samples": _as_int,
         "force": _as_bool,
-        "exp_radius": _as_bool,
     }
     kwargs = {}
     for key, value in raw_options.items():
@@ -199,9 +196,10 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
     env_seed = os.environ.get("TFP_SEED")
     if env_seed is not None:
         try:
-            kwargs["seed"] = int(env_seed)
+            seed = int(env_seed)
         except ValueError as exc:
             raise ProblemFormatError(f"TFP_SEED must be an integer, got {env_seed!r}") from exc
+        kwargs["seed"] = _as_seed(seed, "TFP_SEED")
     return problem, x0, matrix_solver.SolveOptions(**kwargs)
 
 
@@ -233,7 +231,6 @@ def serialize_problem(problem: matrix_solver.ProblemSpec, x0=None, options=None)
             "seed": options.seed,
             "samples": options.samples,
             "force": options.force,
-            "exp_radius": options.exp_radius,
         }
     return out
 
@@ -416,8 +413,8 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
 
 def cmd_check(args) -> int:
     problem, _, options = load_problem(args.problem)
-    samples = args.samples if args.samples is not None else options.samples
-    seed = args.seed if args.seed is not None else options.seed
+    samples = options.samples if args.samples is None else _as_int(args.samples, "--samples")
+    seed = options.seed if args.seed is None else _as_seed(args.seed, "--seed")
     report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
 
     out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
@@ -452,10 +449,7 @@ def _resolve_x0(args, file_x0, n):
         raise ProblemFormatError(
             f"{args.x0}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    try:
-        return matrix_from_literal(literal, "x0")
-    except TfpError as exc:
-        raise ProblemFormatError(f"{args.x0}: {exc}") from exc
+    return _x0(literal, n, args.x0)
 
 
 def cmd_solve(args) -> int:

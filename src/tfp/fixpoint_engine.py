@@ -7,7 +7,8 @@ common fixed point, with the a-priori error bound
 
     d(u_n, z) <= alpha**(n-1) / (1 - alpha) * d(u0, u1).
 
-The engine takes alpha as data; it never derives it.
+The engine takes alpha as data; it never derives it.  A metric space is
+given by its distance function alone.
 """
 
 from __future__ import annotations
@@ -21,22 +22,7 @@ from .errors import MaxIterationsExceeded
 T = TypeVar("T")
 
 STOP_GAP_TOL = "gap_tol"
-STOP_BOUND_TOL = "bound_tol"
 STOP_MAX_ITER = "max_iter"
-
-
-@dataclass(frozen=True)
-class MetricSpace(Generic[T]):
-    """A point type together with its distance function."""
-
-    distance: Callable[[T, T], float]
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    gap_tol: float = 1e-12
-    max_iter: int = 500
-    bound_tol: float | None = None
 
 
 @dataclass
@@ -70,14 +56,15 @@ def error_bound(alpha: float, d01: float, n: int) -> float:
 
 
 def iterate_pair(
-    space: MetricSpace[T],
+    distance: Callable[[T, T], float],
     t1: Callable[[T], T],
     t2: Callable[[T], T],
     alpha: float,
     u0: T,
-    stop: StoppingRule = StoppingRule(),
+    gap_tol: float = 1e-12,
+    max_iter: int = 500,
 ) -> IterationTrace[T]:
-    """Run the alternating scheme until the gap or bound tolerance is met.
+    """Run the alternating scheme until a gap d(u_k, u_{k+1}) <= gap_tol.
 
     Raises ``MaxIterationsExceeded`` (carrying the partial trace) when the
     step budget runs out first; ``MapDomainError`` raised by a map
@@ -85,28 +72,25 @@ def iterate_pair(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if stop.max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {stop.max_iter}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     trace: IterationTrace[T] = IterationTrace(points=[u0])
     u = u0
-    for k in range(1, stop.max_iter + 1):
+    for k in range(1, max_iter + 1):
         u_next = t1(u) if k % 2 == 1 else t2(u)
-        gap = space.distance(u, u_next)
+        gap = distance(u, u_next)
         trace.points.append(u_next)
         trace.gaps.append(gap)
         trace.bounds.append(error_bound(alpha, trace.gaps[0], k))
         u = u_next
-        if gap <= stop.gap_tol:
+        if gap <= gap_tol:
             trace.stop_reason = STOP_GAP_TOL
-            return trace
-        if stop.bound_tol is not None and trace.bounds[-1] <= stop.bound_tol:
-            trace.stop_reason = STOP_BOUND_TOL
             return trace
     trace.stop_reason = STOP_MAX_ITER
     raise MaxIterationsExceeded(
-        f"no convergence within {stop.max_iter} iterations "
-        f"(last gap {trace.gaps[-1]:.3e}, gap tolerance {stop.gap_tol:.3e})",
+        f"no convergence within {max_iter} iterations "
+        f"(last gap {trace.gaps[-1]:.3e}, gap tolerance {gap_tol:.3e})",
         trace=trace,
     )
 
@@ -126,7 +110,7 @@ class ContractionReport:
 
 
 def verify_contraction(
-    space: MetricSpace[T],
+    distance: Callable[[T, T], float],
     t1: Callable[[T], T],
     t2: Callable[[T], T],
     psi: psi_family.PsiSpec,
@@ -146,10 +130,8 @@ def verify_contraction(
     for x, y in sample_pairs:
         t1x = t1(x)
         t2y = t2(y)
-        lhs = space.distance(t1x, t2y)
-        rhs = psi_family.evaluate(
-            psi, space.distance(x, y), space.distance(x, t1x), space.distance(y, t2y)
-        )
+        lhs = distance(t1x, t2y)
+        rhs = psi_family.evaluate(psi, distance(x, y), distance(x, t1x), distance(y, t2y))
         margin = lhs - rhs
         if margin > worst_margin:
             worst_margin = margin

@@ -8,10 +8,13 @@ matrix functions F and G, and exponents above 1:
 * type2:  X**r = sum_i A_i* F(X) A_i        and   X**s = sum_i A_i* G(X) A_i
           (A_i unitary, 3l < rs / (r + s))
 
-Each pair is solved by the alternating fixed-point engine with the maps
+Both families share the form X**e_j = Q_j + sum_i A_i* F_j(X) A_i with
+F_1 = F and F_2 = G: type1 has e_1 = e_2 = s, type2 has (e_1, e_2) = (r, s)
+and no Q_j.  ``ProblemSpec.equations`` lists (e_j, Q_j or None, F_j), and
+the maps and the residuals are built from it by one code path.  Each pair
+is solved by the alternating fixed-point engine with the maps
 
-    T1(X) = (Q1 + sum_i A_i* F(X) A_i) ** (1/s)     [type2: no Q, power 1/r]
-    T2(X) = (Q2 + sum_i A_i* G(X) A_i) ** (1/s)
+    T_j(X) = (Q_j + sum_i A_i* F_j(X) A_i) ** (1/e_j)
 
 on the Thompson ball {X : d(X, I) <= a} (radius r*a for type2), with the
 contraction constant alpha = l/s (type1) or alpha = 3l(1/r + 1/s) (type2).
@@ -25,9 +28,8 @@ and (B) are judged in their metric (proof-level) form
 
 with the stricter one-sided ratio inequalities recorded per pair as a
 secondary diagnostic; condition (C) is the pair of ball constraints
-d(T1(X), I) <= a and d(T2(X), I) <= a, with the literal four-term variant
-available separately.  Type2 conditions are checked exactly as stated,
-eigenvalue bound by eigenvalue bound.
+d(T1(X), I) <= a and d(T2(X), I) <= a.  Type2 conditions are checked
+exactly as stated, eigenvalue bound by eigenvalue bound.
 
 The returned solution is certified by the relative equation residuals,
 which are the ground truth of correctness independent of any printed
@@ -51,7 +53,7 @@ from .errors import (
     ResidualToleranceExceeded,
     X0DomainError,
 )
-from .fixpoint_engine import IterationTrace, MetricSpace, StoppingRule, iterate_pair
+from .fixpoint_engine import IterationTrace, iterate_pair
 from .hpd_core import (
     ComplexMatrix,
     _congruence,
@@ -106,13 +108,7 @@ def power(exponent: float) -> MatrixFunctionSpec:
 
 def constant(value) -> MatrixFunctionSpec:
     """The constant map X -> value for a fixed positive definite value."""
-    arr = require_hermitian(value, "constant function value")
-    ok, min_eig = is_positive_definite(arr)
-    if not ok:
-        raise NotPositiveDefinite(
-            f"constant function value must be positive definite (min eigenvalue {min_eig:.3e})"
-        )
-    return MatrixFunctionSpec("constant", value=arr)
+    return MatrixFunctionSpec("constant", value=_require_pd(value, "constant function value"))
 
 
 def function_from_dict(data: dict) -> MatrixFunctionSpec:
@@ -160,6 +156,16 @@ class ProblemSpec:
     Q1: ComplexMatrix | None = None
     Q2: ComplexMatrix | None = None
     r: float | None = None
+
+    @property
+    def equations(self) -> tuple[tuple[float, ComplexMatrix | None, MatrixFunctionSpec], ...]:
+        """(e_j, Q_j, F_j) of each equation X**e_j = Q_j + sum_i A_i* F_j(X) A_i.
+
+        Q_j is None for type2, whose equations have no constant term.
+        """
+        if self.kind == TYPE1:
+            return ((self.s, self.Q1, self.F), (self.s, self.Q2, self.G))
+        return ((self.r, None, self.F), (self.s, None, self.G))
 
 
 def _require_pd(m, name: str) -> ComplexMatrix:
@@ -239,15 +245,10 @@ def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
     return ProblemSpec(kind=TYPE2, n=n, m=len(mats), A=mats, s=s, F=F, G=G, a=a, l=l, r=r)
 
 
-def ball_radius(problem: ProblemSpec, exponentiated: bool = False) -> float:
-    """Admissible Thompson-ball radius around the identity.
-
-    The default follows the self-map construction: radius a for type1 and
-    r*a for type2.  ``exponentiated=True`` selects the looser exp(a) /
-    exp(r*a) reading of the hypothesis instead.
-    """
-    base = problem.a if problem.kind == TYPE1 else problem.r * problem.a
-    return math.exp(base) if exponentiated else base
+def ball_radius(problem: ProblemSpec) -> float:
+    """Admissible Thompson-ball radius around the identity: a for type1,
+    r*a for type2, as the self-map construction requires."""
+    return problem.a if problem.kind == TYPE1 else problem.r * problem.a
 
 
 def alpha_for(problem: ProblemSpec) -> float:
@@ -275,62 +276,44 @@ def sum_congruences(a_list, value: ComplexMatrix) -> ComplexMatrix:
     return symmetrize(acc)
 
 
-def build_map_type1(q, a_list, f_spec: MatrixFunctionSpec, s: float) -> Callable:
-    """X -> (Q + sum_i A_i* F(X) A_i) ** (1/s)."""
-    q_arr = _require_pd(q, "constant term")
-    s = float(s)
+def _rhs(q, a_list, f_value: ComplexMatrix) -> ComplexMatrix:
+    """Q + sum_i A_i* F(X) A_i from F(X); no Q when ``q`` is None."""
+    acc = sum_congruences(a_list, f_value)
+    return acc if q is None else symmetrize(q + acc)
+
+
+def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callable:
+    """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent); no Q when ``q`` is None.
+
+    The operands come from a validated problem and are not checked again.
+    """
+    root = 1.0 / exponent
 
     def t(x):
-        rhs = symmetrize(q_arr + sum_congruences(a_list, apply_F(f_spec, x)))
-        return _power(rhs, 1.0 / s)
-
-    return t
-
-
-def build_map_type2(a_list, f_spec: MatrixFunctionSpec, rho: float) -> Callable:
-    """X -> (sum_i A_i* F(X) A_i) ** (1/rho)."""
-    rho = float(rho)
-
-    def t(x):
-        return _power(sum_congruences(a_list, apply_F(f_spec, x)), 1.0 / rho)
+        return _power(_rhs(q, a_list, apply_F(f_spec, x)), root)
 
     return t
 
 
 def maps_for(problem: ProblemSpec) -> tuple[Callable, Callable]:
     """The pair (T1, T2) realizing the problem's equations as fixed points."""
-    if problem.kind == TYPE1:
-        return (
-            build_map_type1(problem.Q1, problem.A, problem.F, problem.s),
-            build_map_type1(problem.Q2, problem.A, problem.G, problem.s),
-        )
-    return (
-        build_map_type2(problem.A, problem.F, problem.r),
-        build_map_type2(problem.A, problem.G, problem.s),
-    )
+    return tuple(build_map(q, problem.A, f_spec, e) for e, q, f_spec in problem.equations)
 
 
 def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
     """Relative residuals of both equations at a candidate solution.
 
-    r_j = ||X**s_j - RHS_j(X)||_F / max(1, ||X**s_j||_F), with s_1 = s_2 = s
-    for type1 and (s_1, s_2) = (r, s) for type2.
+    r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Type1's shared
+    exponent s is raised to once.
     """
     x_arr = require_hermitian(x, "candidate solution")
-    fx = apply_F(problem.F, x_arr)
-    gx = apply_F(problem.G, x_arr)
-    if problem.kind == TYPE1:
-        lhs1 = lhs2 = _power(x_arr, problem.s)
-        rhs1 = symmetrize(problem.Q1 + sum_congruences(problem.A, fx))
-        rhs2 = symmetrize(problem.Q2 + sum_congruences(problem.A, gx))
-    else:
-        lhs1 = _power(x_arr, problem.r)
-        lhs2 = _power(x_arr, problem.s)
-        rhs1 = sum_congruences(problem.A, fx)
-        rhs2 = sum_congruences(problem.A, gx)
-    r1 = frobenius_norm(lhs1 - rhs1) / max(1.0, frobenius_norm(lhs1))
-    r2 = frobenius_norm(lhs2 - rhs2) / max(1.0, frobenius_norm(lhs2))
-    return r1, r2
+    powers = {e: _power(x_arr, e) for e in {e for e, _, _ in problem.equations}}
+    out = []
+    for e, q, f_spec in problem.equations:
+        lhs = powers[e]
+        rhs = _rhs(q, problem.A, apply_F(f_spec, x_arr))
+        out.append(frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,35 +455,6 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     return report
 
 
-def check_condition_c_literal(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionStat:
-    """Secondary diagnostic: the four-term eigenvalue form of condition (C).
-
-    For each sampled X it checks lambda_max(T_j(X)) <= exp(a) and
-    lambda_max(T_j(X) ** (-1/4)) <= exp(a) for j = 1, 2, which is the
-    stated form of the ball constraint before it collapses to the pair of
-    Thompson-ball memberships.
-    """
-    if problem.kind != TYPE1:
-        raise ValueError(f"expected a type1 problem, got {problem.kind}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    radius = ball_radius(problem)
-    bound = math.exp(problem.a)
-    stat = ConditionStat("C_literal")
-    t1, t2 = maps_for(problem)
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, rng)
-        terms = []
-        for j, t in enumerate((t1, t2), start=1):
-            lam = eig_hermitian(t(x)).eigenvalues
-            terms.append((f"lambda_max(T{j}(X))", float(lam[-1])))
-            terms.append((f"lambda_max(T{j}(X)^(-1/4))", float(lam[0] ** -0.25)))
-        label, lhs = max(terms, key=lambda item: item[1])
-        stat.record(lhs - bound, _witness(i, f"{label} <= exp(a)", lhs, bound, x))
-    return stat
-
-
 def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the type2 sufficiency conditions over the radius r*a ball.
 
@@ -580,8 +534,6 @@ class SolveOptions:
     samples: int = 200
     seed: int = 0
     force: bool = False
-    exp_radius: bool = False
-    bound_tol: float | None = None
 
 
 @dataclass(eq=False)
@@ -620,7 +572,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     Raises
     ------
     X0DomainError
-        Starting point outside the admissible ball.
+        Starting point not positive definite or outside the admissible ball.
     ConditionsNotVerified
         Condition report failed and the solve was not forced (the report
         is attached to the exception).
@@ -631,11 +583,14 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         certification tolerance; the uncertified result is attached.
     """
     options = options or SolveOptions()
-    radius = ball_radius(problem, options.exp_radius)
+    radius = ball_radius(problem)
     x0 = identity(problem.n) if x0 is None else require_hermitian(x0, "starting point")
     if x0.shape[0] != problem.n:
         raise DimensionMismatch(f"starting point has shape {x0.shape}, expected ({problem.n}, {problem.n})")
-    d0 = thompson.distance_to_identity(x0)
+    try:
+        d0 = thompson.distance_to_identity(x0)
+    except NotPositiveDefinite as exc:
+        raise X0DomainError(f"starting point must be positive definite: {exc}") from exc
     if d0 > radius + 1e-12:
         raise X0DomainError(
             f"starting point lies outside the admissible ball: d(X0, I) = {d0:.6g} > {radius:.6g}"
@@ -654,10 +609,8 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
 
     t1, t2 = maps_for(problem)
     alpha = alpha_for(problem)
-    space = MetricSpace(thompson._distance)
-    stop = StoppingRule(gap_tol=options.gap_tol, max_iter=options.max_iter, bound_tol=options.bound_tol)
     try:
-        trace = iterate_pair(space, t1, t2, alpha, x0, stop)
+        trace = iterate_pair(thompson._distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
     except MaxIterationsExceeded as exc:
         exc.result = _result_from(problem, exc.trace, alpha, report)
         raise

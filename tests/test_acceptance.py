@@ -19,7 +19,7 @@ import pytest
 from helpers import random_nonsingular, random_pd
 from tfp import cli, hpd_core, matrix_solver, psi_family, thompson
 from tfp.errors import MaxIterationsExceeded
-from tfp.fixpoint_engine import MetricSpace, error_bound, iterate_pair
+from tfp.fixpoint_engine import error_bound, iterate_pair
 from tfp.fixtures import fixture_path
 
 REFERENCE_SOLUTION_4_1 = np.array(
@@ -180,9 +180,8 @@ def test_criterion_3_thompson_metric_suite():
 
 
 def test_criterion_4_engine_oracle_equivalence():
-    space = MetricSpace(distance=lambda x, y: abs(x - y))
     alpha = psi_family.alpha_effective(psi_family.linear(0.0, 1 / 3, 1 / 4))
-    trace = iterate_pair(space, lambda x: x / 4, lambda x: x / 5, alpha, 1.0)
+    trace = iterate_pair(lambda x, y: abs(x - y), lambda x: x / 4, lambda x: x / 5, alpha, 1.0)
     value = 1.0
     step_err = 0.0
     for k in range(1, len(trace.points)):

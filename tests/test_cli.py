@@ -51,16 +51,20 @@ class TestProblemFiles:
         assert back_options == options
 
     def test_missing_key_names_key(self, tmp_path):
-        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
-        del doc["Q1"]
-        with pytest.raises(ProblemFormatError, match="Q1"):
-            cli.load_problem(write_problem(tmp_path, doc))
+        for key in ("Q1", "s"):
+            doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+            del doc[key]
+            path = write_problem(tmp_path, doc)
+            with pytest.raises(ProblemFormatError) as excinfo:
+                cli.load_problem(path)
+            assert str(excinfo.value) == f"{path}: missing required key '{key}'"
 
     def test_unknown_option_rejected(self, tmp_path):
-        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
-        doc["options"]["turbo"] = True
-        with pytest.raises(ProblemFormatError, match="turbo"):
-            cli.load_problem(write_problem(tmp_path, doc))
+        for key in ("turbo", "exp_radius", "bound_tol"):
+            doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+            doc["options"][key] = True
+            with pytest.raises(ProblemFormatError, match=f"unknown option '{key}'"):
+                cli.load_problem(write_problem(tmp_path, doc))
 
     def test_bad_matrix_entry_is_located(self, tmp_path):
         doc = json.loads(fixture_path("quadratic_pass.json").read_text())
@@ -75,6 +79,13 @@ class TestProblemFiles:
             ("options", "max_iter", 2.9),
             ("options", "gap_tol", True),
             (None, "n", 2.7),
+            ("options", "samples", 0),
+            ("options", "max_iter", 0),
+            ("options", "seed", -1),
+            (None, "a", math.nan),
+            (None, "s", math.inf),
+            ("options", "gap_tol", math.nan),
+            ("options", "residual_tol", math.nan),
         ],
     )
     def test_inexact_value_types_exit_two_naming_the_key(self, tmp_path, capsys, section, key, value):
@@ -82,6 +93,11 @@ class TestProblemFiles:
         (doc if section is None else doc[section])[key] = value
         assert cli.main(["check", str(write_problem(tmp_path, doc))]) == 2
         assert f"'{key}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--samples", "0"), ("--seed", "-1")])
+    def test_out_of_range_flags_exit_two_naming_the_flag(self, capsys, flag, value):
+        assert cli.main(["check", str(fixture_path("quadratic_pass.json")), flag, value]) == 2
+        assert f"{flag} must be at least" in capsys.readouterr().err
 
     def test_integral_float_reads_as_integer(self, tmp_path):
         doc = json.loads(fixture_path("example_4_2.json").read_text())
@@ -93,9 +109,10 @@ class TestProblemFiles:
         monkeypatch.setenv("TFP_SEED", "321")
         _, _, options = cli.load_problem(fixture_path("quadratic_pass.json"))
         assert options.seed == 321
-        monkeypatch.setenv("TFP_SEED", "noise")
-        with pytest.raises(ProblemFormatError, match="TFP_SEED"):
-            cli.load_problem(fixture_path("quadratic_pass.json"))
+        for bad in ("noise", "-1"):
+            monkeypatch.setenv("TFP_SEED", bad)
+            with pytest.raises(ProblemFormatError, match="TFP_SEED"):
+                cli.load_problem(fixture_path("quadratic_pass.json"))
 
 
 class TestCheckCommand:
@@ -202,6 +219,22 @@ class TestSolveCommand:
             ["solve", str(fixture_path("example_4_2.json")), "--x0", str(x0), "--out", str(tmp_path / "t.csv")]
         )
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "x0",
+        [[[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        ids=["non-hermitian", "wrong-size"],
+    )
+    def test_bad_x0_exit_two_naming_x0(self, tmp_path, capsys, x0):
+        problem = fixture_path("example_4_2.json")
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(x0))
+        doc = json.loads(problem.read_text())
+        doc["x0"] = x0
+        out = str(tmp_path / "t.csv")
+        for argv in (["solve", str(problem), "--x0", str(start)], ["solve", str(write_problem(tmp_path, doc))]):
+            assert cli.main(argv + ["--out", out]) == 2
+            assert ": x0 " in capsys.readouterr().err
 
     def test_default_output_paths_in_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

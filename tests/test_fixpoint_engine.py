@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 from tfp import psi_family
 from tfp.errors import MapDomainError, MaxIterationsExceeded
-from tfp.fixpoint_engine import (
-    MetricSpace,
-    StoppingRule,
-    error_bound,
-    iterate_pair,
-    verify_contraction,
-)
+from tfp.fixpoint_engine import error_bound, iterate_pair, verify_contraction
 
-REAL_LINE = MetricSpace(distance=lambda x, y: abs(x - y))
+
+def real_line(x, y):
+    return abs(x - y)
 
 
 class TestErrorBound:
@@ -47,14 +43,14 @@ class TestErrorBound:
 
 class TestIteratePair:
     def test_constant_maps(self):
-        trace = iterate_pair(REAL_LINE, lambda x: 3.0, lambda x: 3.0, 0.0, 10.0)
+        trace = iterate_pair(real_line, lambda x: 3.0, lambda x: 3.0, 0.0, 10.0)
         assert trace.points[1] == 3.0
         assert trace.points[-1] == 3.0
         assert trace.stop_reason == "gap_tol"
         assert trace.gaps[-1] == 0.0
 
     def test_halving_maps_geometric(self):
-        trace = iterate_pair(REAL_LINE, lambda x: x / 2, lambda x: x / 2, 0.5, 1.0)
+        trace = iterate_pair(real_line, lambda x: x / 2, lambda x: x / 2, 0.5, 1.0)
         for k, point in enumerate(trace.points):
             assert point == pytest.approx(2.0**-k)
         # a-priori bound: d(u_n, 0) <= 2**-(n-1)
@@ -65,18 +61,18 @@ class TestIteratePair:
     def test_alternation_order(self):
         calls = []
         trace = iterate_pair(
-            REAL_LINE,
+            real_line,
             lambda x: calls.append("t1") or x / 4,
             lambda x: calls.append("t2") or x / 5,
             0.5,
             1.0,
-            StoppingRule(gap_tol=1e-4),
+            gap_tol=1e-4,
         )
         assert calls[:4] == ["t1", "t2", "t1", "t2"]
         assert trace.points[1] == 0.25
 
     def test_matches_brute_force_simulation(self):
-        trace = iterate_pair(REAL_LINE, lambda x: x / 4, lambda x: x / 5, 7 / 12, 1.0)
+        trace = iterate_pair(real_line, lambda x: x / 4, lambda x: x / 5, 7 / 12, 1.0)
         value = 1.0
         for k in range(1, len(trace.points)):
             value = value / 4 if k % 2 == 1 else value / 5
@@ -84,57 +80,46 @@ class TestIteratePair:
         assert trace.points[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_shape_invariants(self):
-        trace = iterate_pair(REAL_LINE, lambda x: x / 3, lambda x: x / 2, 0.5, 8.0)
+        trace = iterate_pair(real_line, lambda x: x / 3, lambda x: x / 2, 0.5, 8.0)
         assert len(trace.gaps) == len(trace.points) - 1
         assert len(trace.bounds) == len(trace.gaps)
         assert all(b2 <= b1 for b1, b2 in zip(trace.bounds, trace.bounds[1:]))
 
     def test_gap_contraction_with_certified_alpha(self):
         alpha = psi_family.alpha_effective(psi_family.linear(0.0, 1 / 3, 1 / 4))
-        trace = iterate_pair(REAL_LINE, lambda x: x / 4, lambda x: x / 5, alpha, 1.0)
+        trace = iterate_pair(real_line, lambda x: x / 4, lambda x: x / 5, alpha, 1.0)
         for g1, g2 in zip(trace.gaps, trace.gaps[1:]):
             assert g2 <= alpha * g1 + 1e-12
 
     def test_max_iterations_carries_partial_trace(self):
         with pytest.raises(MaxIterationsExceeded) as excinfo:
             iterate_pair(
-                REAL_LINE,
+                real_line,
                 lambda x: x * 0.99,
                 lambda x: x * 0.99,
                 0.99,
                 1.0,
-                StoppingRule(gap_tol=1e-12, max_iter=5),
+                gap_tol=1e-12,
+                max_iter=5,
             )
         trace = excinfo.value.trace
         assert trace.stop_reason == "max_iter"
         assert len(trace.points) == 6
-
-    def test_bound_tol_stop(self):
-        trace = iterate_pair(
-            REAL_LINE,
-            lambda x: x / 2,
-            lambda x: x / 2,
-            0.5,
-            1.0,
-            StoppingRule(gap_tol=0.0, max_iter=200, bound_tol=1e-3),
-        )
-        assert trace.stop_reason == "bound_tol"
-        assert trace.bounds[-1] <= 1e-3
 
     def test_map_domain_error_propagates(self):
         def rejecting(x):
             raise MapDomainError("outside domain")
 
         with pytest.raises(MapDomainError):
-            iterate_pair(REAL_LINE, rejecting, lambda x: x, 0.5, 1.0)
+            iterate_pair(real_line, rejecting, lambda x: x, 0.5, 1.0)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            iterate_pair(REAL_LINE, lambda x: x, lambda x: x, 1.0, 1.0)
+            iterate_pair(real_line, lambda x: x, lambda x: x, 1.0, 1.0)
 
     def test_order_identity_on_toy(self):
-        fwd = iterate_pair(REAL_LINE, lambda x: x / 4, lambda x: x / 5, 0.6, 1.0)
-        rev = iterate_pair(REAL_LINE, lambda x: x / 5, lambda x: x / 4, 0.6, 1.0)
+        fwd = iterate_pair(real_line, lambda x: x / 4, lambda x: x / 5, 0.6, 1.0)
+        rev = iterate_pair(real_line, lambda x: x / 5, lambda x: x / 4, 0.6, 1.0)
         assert abs(fwd.points[-1] - rev.points[-1]) <= 1e-9
 
 
@@ -142,7 +127,7 @@ class TestVerifyContraction:
     def test_constant_maps_pass_any_psi(self):
         pairs = [(float(x), float(y)) for x in range(3) for y in range(3)]
         report = verify_contraction(
-            REAL_LINE, lambda x: 2.0, lambda x: 2.0, psi_family.scaled_first(0.0), pairs
+            real_line, lambda x: 2.0, lambda x: 2.0, psi_family.scaled_first(0.0), pairs
         )
         assert report.passed
         assert report.checked == 9
@@ -153,7 +138,7 @@ class TestVerifyContraction:
         rng = np.random.default_rng(44)
         pairs = [tuple(rng.uniform(-10, 10, 2)) for _ in range(1000)]
         report = verify_contraction(
-            REAL_LINE,
+            real_line,
             lambda x: x / 4,
             lambda x: x / 5,
             psi_family.linear(0.0, 1 / 3, 1 / 4),
@@ -163,7 +148,7 @@ class TestVerifyContraction:
 
     def test_expanding_map_fails_with_witness(self):
         report = verify_contraction(
-            REAL_LINE,
+            real_line,
             lambda x: 2 * x,
             lambda x: x,
             psi_family.scaled_first(0.9),
@@ -179,4 +164,4 @@ class TestVerifyContraction:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            verify_contraction(REAL_LINE, lambda x: x, lambda x: x, psi_family.scaled_first(0.5), [])
+            verify_contraction(real_line, lambda x: x, lambda x: x, psi_family.scaled_first(0.5), [])
