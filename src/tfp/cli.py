@@ -203,44 +203,16 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
     return problem, x0, matrix_solver.SolveOptions(**kwargs)
 
 
-def serialize_problem(problem: matrix_solver.ProblemSpec, x0=None, options=None) -> dict:
-    """Problem back to its file form; parsing the result reproduces it."""
-    out = {
-        "kind": problem.kind,
-        "n": problem.n,
-        "m": problem.m,
-        "A": [matrix_to_literal(a_i) for a_i in problem.A],
-        "s": problem.s,
-        "F": problem.F.to_dict(),
-        "G": problem.G.to_dict(),
-        "a": problem.a,
-        "l": problem.l,
-    }
-    if problem.kind == matrix_solver.TYPE1:
-        out["Q1"] = matrix_to_literal(problem.Q1)
-        out["Q2"] = matrix_to_literal(problem.Q2)
-    else:
-        out["r"] = problem.r
-    if x0 is not None:
-        out["x0"] = matrix_to_literal(x0)
-    if options is not None:
-        out["options"] = {
-            "gap_tol": options.gap_tol,
-            "residual_tol": options.residual_tol,
-            "max_iter": options.max_iter,
-            "seed": options.seed,
-            "samples": options.samples,
-            "force": options.force,
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Trace files
 
 
 def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
-    """Expand a trace into CSV rows: one per iteration, k starting at 1."""
+    """Expand a trace into CSV rows: one per iteration, k starting at 1.
+
+    The residuals and d(X, I) read each point's known spectrum: no
+    eigensolve.
+    """
     rows = []
     for k in range(1, len(trace.points)):
         point = trace.points[k]

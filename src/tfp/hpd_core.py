@@ -2,10 +2,17 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The public
 operations validate their input against the Hermitian tolerance once, on
-entry; the private ``_power`` and ``_congruence`` skip that check and
-serve callers whose operands are already validated.  Outputs are
-re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
-into a symmetry defect across long iteration runs.
+entry; the private ``_congruence`` skips that check and serves callers
+whose operands are already validated.  Outputs are re-symmetrized with
+``(M + M*) / 2`` so that round-off never accumulates into a symmetry
+defect across long iteration runs.
+
+A ``PDPoint`` is a positive definite matrix carried with its
+eigendecomposition.  ``pd_point`` decomposes a matrix once and applies the
+positive-definiteness floor there; powers, ratio spectra and distances
+then read the known spectrum.  X**p is a point with X's eigenvectors and
+eigenvalues lambda_i**p.  A point converts to its matrix wherever numpy
+expects an array.
 
 Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
 LAPACK ``eigh`` (``numpy.linalg.eigh``).  The tests cross-check it against
@@ -41,6 +48,36 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: NDArray[np.float64]
     vectors: ComplexMatrix
+
+
+class PDPoint:
+    """A positive definite matrix carried with its eigendecomposition.
+
+    ``matrix`` is the Hermitian array and ``dec`` its spectral
+    factorization, eigenvalues ascending and above the relative floor.
+    Build one with ``pd_point`` (one eigensolve) or as a power of another
+    point (none).  Treat both fields as read-only: the decomposition
+    describes the matrix only while neither changes.
+    """
+
+    __slots__ = ("matrix", "dec")
+
+    def __init__(self, matrix: ComplexMatrix, dec: EigenDecomposition) -> None:
+        self.matrix = matrix
+        self.dec = dec
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype) if copy else np.asarray(self.matrix, dtype=dtype)
+
+    def powered(self, p: float) -> "PDPoint":
+        """X**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
+        negative p the decomposition is reversed back to ascending order."""
+        lam, vectors = self.dec
+        mu = lam**p
+        matrix = symmetrize((vectors * mu) @ vectors.conj().T)
+        if p < 0.0:
+            mu, vectors = mu[::-1], vectors[:, ::-1]
+        return PDPoint(matrix, EigenDecomposition(mu, vectors))
 
 
 def identity(n: int) -> ComplexMatrix:
@@ -127,19 +164,33 @@ def pd_floor(eigenvalues: NDArray[np.float64]) -> float:
     return len(eigenvalues) * _EPS * max(lam_max, 0.0)
 
 
-def is_positive_definite(m) -> tuple[bool, float]:
-    """Whether the smallest eigenvalue clears the relative floor.
+def pd_point(m, name: str = "matrix") -> PDPoint:
+    """The positive definite point of a Hermitian matrix: one eigensolve.
 
-    Returns the verdict together with the smallest eigenvalue, which is
-    reported either way.
+    A ``PDPoint`` is returned as it is.  Raises ``NonHermitianInput`` or,
+    when the smallest eigenvalue does not clear the relative floor,
+    ``NotPositiveDefinite``; ``name`` labels the matrix in the message.
     """
-    dec = eig_hermitian(m)
-    min_eig = float(dec.eigenvalues[0])
-    return min_eig > pd_floor(dec.eigenvalues), min_eig
+    if isinstance(m, PDPoint):
+        return m
+    return _point(require_hermitian(m, name), name)
+
+
+def _point(arr: ComplexMatrix, name: str = "matrix") -> PDPoint:
+    """``pd_point`` of an array the caller has not named or validated;
+    ``eig_hermitian`` still checks its symmetry."""
+    dec = eig_hermitian(arr)
+    lam = dec.eigenvalues
+    floor = pd_floor(lam)
+    if lam[0] <= floor:
+        raise NotPositiveDefinite(
+            f"{name} must be positive definite (min eigenvalue {lam[0]:.3e}, floor {floor:.3e})"
+        )
+    return PDPoint(arr, dec)
 
 
 def matrix_power(m, p: float) -> ComplexMatrix:
-    """Real matrix power of a positive definite matrix.
+    """Real matrix power of a positive definite matrix or point.
 
     Computed as V diag(lambda_i ** p) V* from the eigendecomposition and
     re-symmetrized.  Any finite nonzero real exponent is accepted; the
@@ -155,19 +206,7 @@ def matrix_power(m, p: float) -> ComplexMatrix:
     p = float(p)
     if p == 0.0 or not math.isfinite(p):
         raise ValueError(f"exponent must be finite and nonzero, got {p}")
-    return _power(m, p)
-
-
-def _power(m, p: float) -> ComplexMatrix:
-    """``matrix_power`` for an exponent known to be finite and nonzero."""
-    dec = eig_hermitian(m)
-    lam = dec.eigenvalues
-    if lam[0] <= pd_floor(lam):
-        raise NotPositiveDefinite(
-            f"matrix_power requires a positive definite input "
-            f"(min eigenvalue {lam[0]:.3e}, floor {pd_floor(lam):.3e})"
-        )
-    return symmetrize((dec.vectors * lam**p) @ dec.vectors.conj().T)
+    return pd_point(m).powered(p).matrix
 
 
 def congruence(a, m) -> ComplexMatrix:
@@ -242,23 +281,13 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> ComplexMatrix:
     return np.ascontiguousarray(q * (d / np.abs(d)))
 
 
-def random_unitary(n: int, seed) -> ComplexMatrix:
-    """Seeded random n-by-n unitary matrix.
-
-    Deterministic for a fixed seed; ``seed`` may also be an existing
-    ``numpy.random.Generator``.
-    """
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {n}")
-    return _haar_unitary(np.random.default_rng(seed), n)
-
-
-def random_pd_in_ball(n: int, radius: float, seed) -> ComplexMatrix:
-    """Seeded random positive definite matrix within a log-eigenvalue bound.
+def random_pd_in_ball(n: int, radius: float, seed) -> PDPoint:
+    """Seeded random positive definite point within a log-eigenvalue bound.
 
     Returns X = U diag(exp(t_1), ..., exp(t_n)) U* with each t_i uniform in
     [-radius, radius] and U a seeded random unitary, so every eigenvalue of
-    X lies in [exp(-radius), exp(radius)] by construction.
+    X lies in [exp(-radius), exp(radius)] by construction.  The point keeps
+    that construction, sorted, as its decomposition: no eigensolve.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be positive, got {n}")
@@ -268,4 +297,6 @@ def random_pd_in_ball(n: int, radius: float, seed) -> ComplexMatrix:
     rng = np.random.default_rng(seed)
     t = rng.uniform(-radius, radius, size=n)
     u = _haar_unitary(rng, n)
-    return symmetrize((u * np.exp(t)) @ u.conj().T)
+    lam = np.exp(t)
+    order = np.argsort(t)
+    return PDPoint(symmetrize((u * lam) @ u.conj().T), EigenDecomposition(lam[order], u[:, order]))

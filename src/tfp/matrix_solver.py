@@ -18,6 +18,9 @@ is solved by the alternating fixed-point engine with the maps
 
 on the Thompson ball {X : d(X, I) <= a} (radius r*a for type2), with the
 contraction constant alpha = l/s (type1) or alpha = 3l(1/r + 1/s) (type2).
+The iterates are ``PDPoint``s: F_j(X), X**e_j and d(X, I) read the known
+spectrum, and T_j's one eigensolve, of its right-hand side, decomposes
+the new point.
 
 Sufficiency conditions are verified by seeded sampling, never exhaustively:
 the quantifier ranges over an uncountable ball.  For type1, conditions (A)
@@ -56,17 +59,17 @@ from .errors import (
 from .fixpoint_engine import IterationTrace, iterate_pair
 from .hpd_core import (
     ComplexMatrix,
+    PDPoint,
     _congruence,
-    _power,
+    _point,
     as_square_matrix,
     eig_hermitian,
     frobenius_norm,
     identity,
-    is_positive_definite,
     matrix_from_literal,
     matrix_to_literal,
+    pd_point,
     random_pd_in_ball,
-    require_hermitian,
     symmetrize,
 )
 
@@ -90,7 +93,7 @@ class MatrixFunctionSpec:
 
     kind: str
     exponent: float | None = None
-    value: ComplexMatrix | None = None
+    value: PDPoint | None = None
 
     def to_dict(self) -> dict:
         if self.kind == "power":
@@ -108,7 +111,7 @@ def power(exponent: float) -> MatrixFunctionSpec:
 
 def constant(value) -> MatrixFunctionSpec:
     """The constant map X -> value for a fixed positive definite value."""
-    return MatrixFunctionSpec("constant", value=_require_pd(value, "constant function value"))
+    return MatrixFunctionSpec("constant", value=pd_point(value, "constant function value"))
 
 
 def function_from_dict(data: dict) -> MatrixFunctionSpec:
@@ -120,10 +123,11 @@ def function_from_dict(data: dict) -> MatrixFunctionSpec:
     raise ValueError(f"unknown matrix function kind {kind!r}")
 
 
-def apply_F(spec: MatrixFunctionSpec, x) -> ComplexMatrix:
-    """Evaluate a matrix function spec at a positive definite point."""
+def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
+    """F(X) as a point; a power reads X's spectrum (a matrix X costs one
+    eigensolve, a ``PDPoint`` none)."""
     if spec.kind == "power":
-        return _power(x, spec.exponent)
+        return pd_point(x).powered(spec.exponent)
     if spec.kind == "constant":
         return spec.value
     raise ValueError(f"unknown matrix function kind {spec.kind!r}")
@@ -139,9 +143,9 @@ class ProblemSpec:
 
     ``A`` holds the m coefficient matrices, ``a`` the Thompson ball radius
     and ``l`` the contraction exponent from the sufficiency conditions.
-    Type1 problems carry the constant terms Q1 and Q2 and a single
-    equation exponent s; type2 problems have no constant terms and two
-    exponents r and s.
+    Type1 problems carry the constant terms Q1 and Q2, as points, and a
+    single equation exponent s; type2 problems have no constant terms and
+    two exponents r and s.
     """
 
     kind: str
@@ -153,12 +157,12 @@ class ProblemSpec:
     G: MatrixFunctionSpec
     a: float
     l: float
-    Q1: ComplexMatrix | None = None
-    Q2: ComplexMatrix | None = None
+    Q1: PDPoint | None = None
+    Q2: PDPoint | None = None
     r: float | None = None
 
     @property
-    def equations(self) -> tuple[tuple[float, ComplexMatrix | None, MatrixFunctionSpec], ...]:
+    def equations(self) -> tuple[tuple[float, PDPoint | None, MatrixFunctionSpec], ...]:
         """(e_j, Q_j, F_j) of each equation X**e_j = Q_j + sum_i A_i* F_j(X) A_i.
 
         Q_j is None for type2, whose equations have no constant term.
@@ -166,14 +170,6 @@ class ProblemSpec:
         if self.kind == TYPE1:
             return ((self.s, self.Q1, self.F), (self.s, self.Q2, self.G))
         return ((self.r, None, self.F), (self.s, None, self.G))
-
-
-def _require_pd(m, name: str) -> ComplexMatrix:
-    arr = require_hermitian(m, name)
-    ok, min_eig = is_positive_definite(arr)
-    if not ok:
-        raise NotPositiveDefinite(f"{name} must be positive definite (min eigenvalue {min_eig:.3e})")
-    return arr
 
 
 def _validate_coefficients(a_list, n: int) -> tuple[ComplexMatrix, ...]:
@@ -218,8 +214,8 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
         n=n,
         m=len(mats),
         A=mats,
-        Q1=_require_pd(Q1, "Q1"),
-        Q2=_require_pd(Q2, "Q2"),
+        Q1=pd_point(Q1, "Q1"),
+        Q2=pd_point(Q2, "Q2"),
         s=s,
         F=F,
         G=G,
@@ -276,21 +272,23 @@ def sum_congruences(a_list, value: ComplexMatrix) -> ComplexMatrix:
     return symmetrize(acc)
 
 
-def _rhs(q, a_list, f_value: ComplexMatrix) -> ComplexMatrix:
+def _rhs(q: PDPoint | None, a_list, f_value: PDPoint) -> ComplexMatrix:
     """Q + sum_i A_i* F(X) A_i from F(X); no Q when ``q`` is None."""
-    acc = sum_congruences(a_list, f_value)
-    return acc if q is None else symmetrize(q + acc)
+    acc = sum_congruences(a_list, f_value.matrix)
+    return acc if q is None else symmetrize(q.matrix + acc)
 
 
 def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callable:
     """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent); no Q when ``q`` is None.
 
+    Maps points to points with one eigensolve, of the right-hand side; the
+    root's decomposition is that one's with eigenvalues ** (1/exponent).
     The operands come from a validated problem and are not checked again.
     """
     root = 1.0 / exponent
 
-    def t(x):
-        return _power(_rhs(q, a_list, apply_F(f_spec, x)), root)
+    def t(x: PDPoint) -> PDPoint:
+        return _point(_rhs(q, a_list, apply_F(f_spec, x)), "map right-hand side").powered(root)
 
     return t
 
@@ -303,15 +301,16 @@ def maps_for(problem: ProblemSpec) -> tuple[Callable, Callable]:
 def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
     """Relative residuals of both equations at a candidate solution.
 
-    r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Type1's shared
-    exponent s is raised to once.
+    r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Every term
+    reads X's spectrum: a ``PDPoint`` costs no eigensolve and a matrix
+    one.  Type1's shared exponent s is raised to once.
     """
-    x_arr = require_hermitian(x, "candidate solution")
-    powers = {e: _power(x_arr, e) for e in {e for e, _, _ in problem.equations}}
+    x = pd_point(x, "candidate solution")
+    powers = {e: x.powered(e).matrix for e in {e for e, _, _ in problem.equations}}
     out = []
     for e, q, f_spec in problem.equations:
         lhs = powers[e]
-        rhs = _rhs(q, problem.A, apply_F(f_spec, x_arr))
+        rhs = _rhs(q, problem.A, apply_F(f_spec, x))
         out.append(frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs)))
     return tuple(out)
 
@@ -419,21 +418,16 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     stat_c = ConditionStat("C")
     t1, t2 = maps_for(problem)
 
-    w_q2q1 = thompson._w_ratio(problem.Q2, problem.Q1)
-    w_q1q2 = thompson._w_ratio(problem.Q1, problem.Q2)
+    w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = max(math.log(w_q2q1), math.log(w_q1q2), 0.0)
 
     rng = np.random.default_rng(seed)
     for i in range(samples):
         x = random_pd_in_ball(problem.n, radius, rng)
         y = random_pd_in_ball(problem.n, radius, rng)
-        fx = apply_F(problem.F, x)
-        gy = apply_F(problem.G, y)
-        w_gf = thompson._w_ratio(gy, fx)
-        w_fg = thompson._w_ratio(fx, gy)
+        w_fg, w_gf = thompson._ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = max(math.log(w_gf), math.log(w_fg), 0.0)
-        w_yx = thompson._w_ratio(y, x)
-        w_xy = thompson._w_ratio(x, y)
+        w_xy, w_yx = thompson._ratios(x, y)
         d_xy = max(math.log(w_yx), math.log(w_xy), 0.0)
 
         stat_a.record(d_q - d_fg, _witness(i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y))
@@ -486,8 +480,8 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
     for i in range(samples):
         x = random_pd_in_ball(problem.n, radius, rng)
         y = random_pd_in_ball(problem.n, radius, rng)
-        lam_f = eig_hermitian(apply_F(problem.F, x)).eigenvalues
-        lam_g = eig_hermitian(apply_F(problem.G, x)).eigenvalues
+        lam_f = apply_F(problem.F, x).dec.eigenvalues
+        lam_g = apply_F(problem.G, x).dec.eigenvalues
         max_f, inv_f = float(lam_f[-1]), float(1.0 / lam_f[0])
         max_g, inv_g = float(lam_g[-1]), float(1.0 / lam_g[0])
 
@@ -500,8 +494,7 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
         label, lhs, rhs = max(terms_a, key=lambda item: item[1] - item[2])
         stat_a.record(lhs - rhs, _witness(i, label, lhs, rhs, x))
 
-        w_xy = thompson._w_ratio(x, y)
-        w_yx = thompson._w_ratio(y, x)
+        w_xy, w_yx = thompson._ratios(x, y)
         terms_b = [
             ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
             ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),
@@ -548,14 +541,17 @@ class SolveResult:
 
 
 def _result_from(problem, trace, alpha, report) -> SolveResult:
-    solution = trace.points[-1]
-    r1, r2 = residuals(problem, solution)
+    # A fresh decomposition certifies the returned matrix itself, so the
+    # certificate depends only on the solution that is written out.
+    solution = trace.points[-1].matrix
+    certified = pd_point(solution, "solution")
+    r1, r2 = residuals(problem, certified)
     return SolveResult(
         solution=solution,
         trace=trace,
         residual1=r1,
         residual2=r2,
-        dist_to_identity=thompson.distance_to_identity(solution),
+        dist_to_identity=thompson.distance_to_identity(certified),
         alpha_used=alpha,
         report=report,
     )
@@ -564,9 +560,11 @@ def _result_from(problem, trace, alpha, report) -> SolveResult:
 def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) -> SolveResult:
     """Run the alternating iteration from an admissible starting point.
 
-    The start defaults to the identity.  Unless ``options.force`` is set,
-    the sampled condition report must pass before iteration begins.  The
-    returned result carries the full trace and is residual-certified to
+    The start, a matrix or a ``PDPoint``, defaults to the identity; it is
+    decomposed once, for d(X0, I) and the iteration.  Unless
+    ``options.force`` is set, the sampled condition report must pass
+    before iteration begins.  The returned result carries the full trace,
+    whose points are ``PDPoint``s, and is residual-certified to
     ``options.residual_tol``.
 
     Raises
@@ -584,13 +582,15 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     """
     options = options or SolveOptions()
     radius = ball_radius(problem)
-    x0 = identity(problem.n) if x0 is None else require_hermitian(x0, "starting point")
-    if x0.shape[0] != problem.n:
-        raise DimensionMismatch(f"starting point has shape {x0.shape}, expected ({problem.n}, {problem.n})")
     try:
-        d0 = thompson.distance_to_identity(x0)
+        x0 = pd_point(identity(problem.n) if x0 is None else x0, "starting point")
     except NotPositiveDefinite as exc:
         raise X0DomainError(f"starting point must be positive definite: {exc}") from exc
+    if x0.matrix.shape[0] != problem.n:
+        raise DimensionMismatch(
+            f"starting point has shape {x0.matrix.shape}, expected ({problem.n}, {problem.n})"
+        )
+    d0 = thompson.distance_to_identity(x0)
     if d0 > radius + 1e-12:
         raise X0DomainError(
             f"starting point lies outside the admissible ball: d(X0, I) = {d0:.6g} > {radius:.6g}"

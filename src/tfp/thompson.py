@@ -1,13 +1,18 @@
 """Thompson metric on the positive definite cone.
 
-The metric is d(A, B) = max(log W(A/B), log W(B/A)) where the order-ratio
-functional W(A/B) is the largest eigenvalue of B^{-1/2} A B^{-1/2}.  Both
-ratios are computed independently through one code path; at the dimensions
-this package targets the extra eigensolve is irrelevant next to clarity.
+d(A, B) = max(log W(A/B), log W(B/A)), where the order-ratio functional
+W(B/A) is the largest eigenvalue mu_max of A^{-1/2} B A^{-1/2}, and
+W(A/B) = 1/mu_min of the same pencil.  A^{-1/2} comes from A's known
+spectrum, so a distance between two points costs one eigensolve.  As
+mu_min carries an absolute error of about n * eps * mu_max, a pencil too
+wide for 1/mu_min to hold ``_ONE_SOLVE_REL_TOL`` (far-apart points, as on
+a wide sampling ball) takes W(A/B) from a second eigensolve, the top of
+B^{-1/2} A B^{-1/2}.  The pencil is taken relative to the
+better-conditioned point, so swapped arguments take the same path unless
+the condition numbers tie.
 
-``w_ratio`` and ``distance`` validate their operands; ``_w_ratio`` and
-``_distance`` skip that for callers whose operands are already validated
-Hermitian arrays of one size.
+The public functions validate their operands, matrices or points; the
+private ones take points (``_w_ratio``'s numerator any Hermitian array).
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import math
 import numpy as np
 
 from . import hpd_core
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
+from .hpd_core import PDPoint
 
-# Distances below this are reported as exact equality by the test oracles.
-ZERO_TOL = 1e-10
+# Largest relative error accepted in 1/mu_min before W(A/B) is recomputed.
+_ONE_SOLVE_REL_TOL = 1e-12
 
 
 def w_ratio(a, b) -> float:
@@ -31,43 +37,61 @@ def w_ratio(a, b) -> float:
     a numerator whose smallest eigenvalue underflows the relative floor
     still has a well-defined ratio.
     """
-    return _w_ratio(*_validated_pair(a, b, "w_ratio"))
+    a_arr = hpd_core.require_hermitian(a, "w_ratio first argument")
+    b_point = hpd_core.pd_point(b, "w_ratio second argument")
+    _require_same_shape(a_arr, b_point.matrix, "w_ratio")
+    return _w_ratio(a_arr, b_point)
 
 
-def _w_ratio(a, b) -> float:
-    b_inv_half = hpd_core._power(b, -0.5)
-    return float(hpd_core.eig_hermitian(hpd_core._congruence(b_inv_half, a)).eigenvalues[-1])
+def _ratio_spectrum(base: PDPoint, m) -> np.ndarray:
+    """Eigenvalues, ascending, of base^{-1/2} M base^{-1/2}: one eigensolve
+    (of the congruence in base's eigenbasis, which has the same spectrum)."""
+    lam, vectors = base.dec
+    return hpd_core.eig_hermitian(hpd_core._congruence(vectors * lam**-0.5, m)).eigenvalues
+
+
+def _w_ratio(a, b: PDPoint) -> float:
+    return float(_ratio_spectrum(b, a)[-1])
+
+
+def _ratios(a: PDPoint, b: PDPoint) -> tuple[float, float]:
+    """(W(A/B), W(B/A)) from one eigensolve, or two on a very wide pencil.
+
+    Equal matrices have both ratios exactly 1, with no eigensolve.
+    """
+    if a is b or np.array_equal(a.matrix, b.matrix):
+        return 1.0, 1.0
+    lam_a, lam_b = a.dec.eigenvalues, b.dec.eigenvalues
+    swap = lam_b[-1] / lam_b[0] < lam_a[-1] / lam_a[0]
+    base, other = (b, a) if swap else (a, b)
+    mu = _ratio_spectrum(base, other.matrix)
+    w_other = float(mu[-1])
+    if hpd_core.pd_floor(mu) <= _ONE_SOLVE_REL_TOL * mu[0]:
+        w_base = float(1.0 / mu[0])
+    else:
+        w_base = _w_ratio(base.matrix, other)
+    return (w_other, w_base) if swap else (w_base, w_other)
 
 
 def distance(a, b) -> float:
-    """Thompson distance between two positive definite matrices."""
-    return _distance(*_validated_pair(a, b, "distance"))
+    """Thompson distance between two positive definite matrices or points."""
+    a_point = hpd_core.pd_point(a, "distance first argument")
+    b_point = hpd_core.pd_point(b, "distance second argument")
+    _require_same_shape(a_point.matrix, b_point.matrix, "distance")
+    return _distance(a_point, b_point)
 
 
-def _distance(a, b) -> float:
-    # Both ratios come first: each one's power rejects a non-PD denominator
-    # before a log of a non-positive numerator ratio can fail.
-    w_ab = _w_ratio(a, b)
-    w_ba = _w_ratio(b, a)
+def _distance(a: PDPoint, b: PDPoint) -> float:
+    w_ab, w_ba = _ratios(a, b)
     return max(math.log(w_ab), math.log(w_ba), 0.0)
 
 
-def _validated_pair(a, b, name: str):
-    a_arr = hpd_core.require_hermitian(a, f"{name} first argument")
-    b_arr = hpd_core.require_hermitian(b, f"{name} second argument")
+def _require_same_shape(a_arr, b_arr, name: str) -> None:
     if a_arr.shape != b_arr.shape:
         raise DimensionMismatch(f"{name} shapes differ: {a_arr.shape} vs {b_arr.shape}")
-    return a_arr, b_arr
 
 
 def distance_to_identity(a) -> float:
-    """d(A, I), computed directly as max(|log lambda_i(A)|).
-
-    One eigendecomposition instead of the four the generic path needs;
-    the ball-membership checks lean on this heavily.
-    """
-    dec = hpd_core.eig_hermitian(a)
-    lam = dec.eigenvalues
-    if lam[0] <= hpd_core.pd_floor(lam):
-        raise NotPositiveDefinite("distance_to_identity requires a positive definite input")
+    """d(A, I) = max(|log lambda_i(A)|): no eigensolve on a point, one on a matrix."""
+    lam = hpd_core.pd_point(a, "distance_to_identity argument").dec.eigenvalues
     return float(np.abs(np.log(lam)).max())

@@ -1,5 +1,6 @@
 """CLI tests: file formats, exit codes, determinism, and the SVG plotter."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tfp import cli, matrix_solver
+from tfp.hpd_core import matrix_to_literal
 from tfp.errors import ProblemFormatError
 from tfp.fixtures import fixture_path, list_fixtures
 
@@ -25,6 +27,29 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return path
 
 
+def problem_document(problem, x0, options):
+    """A loaded problem written back in the problem-file form."""
+    doc = {
+        "kind": problem.kind,
+        "n": problem.n,
+        "m": problem.m,
+        "A": [matrix_to_literal(a_i) for a_i in problem.A],
+        "s": problem.s,
+        "F": problem.F.to_dict(),
+        "G": problem.G.to_dict(),
+        "a": problem.a,
+        "l": problem.l,
+        "options": dataclasses.asdict(options),
+    }
+    if problem.kind == matrix_solver.TYPE1:
+        doc.update(Q1=matrix_to_literal(problem.Q1), Q2=matrix_to_literal(problem.Q2))
+    else:
+        doc["r"] = problem.r
+    if x0 is not None:
+        doc["x0"] = matrix_to_literal(x0)
+    return doc
+
+
 class TestProblemFiles:
     def test_fixture_listing(self):
         assert list_fixtures() == ALL_FIXTURES
@@ -32,7 +57,7 @@ class TestProblemFiles:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_round_trip(self, tmp_path, name):
         problem, x0, options = cli.load_problem(fixture_path(name))
-        doc = cli.serialize_problem(problem, x0=x0, options=options)
+        doc = problem_document(problem, x0, options)
         back, back_x0, back_options = cli.load_problem(write_problem(tmp_path, doc))
         assert back.kind == problem.kind
         assert back.n == problem.n and back.m == problem.m

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_nonsingular, random_pd
+from helpers import random_hermitian, random_nonsingular, random_pd, random_unitary
 from jacobi import jacobi_eig
 from tfp import hpd_core, thompson
 from tfp.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, NotPositiveDefinite
@@ -37,13 +37,13 @@ class TestEigHermitian:
 
     def test_constructed_spectrum(self):
         # oracle is the construction itself: M = U diag(1,2,5) U*
-        u = hpd_core.random_unitary(3, 2024)
+        u = random_unitary(3, 2024)
         m = hpd_core.symmetrize((u * np.array([1.0, 2.0, 5.0])) @ u.conj().T)
         dec = hpd_core.eig_hermitian(m)
         np.testing.assert_allclose(dec.eigenvalues, [1, 2, 5], atol=1e-10)
 
     def test_degenerate_spectrum(self):
-        u = hpd_core.random_unitary(4, 31)
+        u = random_unitary(4, 31)
         m = hpd_core.symmetrize((u * np.array([2.0, 2.0, 2.0, 7.0])) @ u.conj().T)
         dec = hpd_core.eig_hermitian(m)
         np.testing.assert_allclose(dec.eigenvalues, [2, 2, 2, 7], atol=1e-10)
@@ -59,7 +59,7 @@ class TestEigHermitian:
     def test_against_jacobi_oracle(self):
         for n in (1, 2, 3, 8, 16):
             rng = np.random.default_rng(17 + n)
-            u = hpd_core.random_unitary(n, 100 + n)
+            u = random_unitary(n, 100 + n)
             spectrum = np.array([-1.5] * (n // 4) + [2.0] * (n - n // 4 - n // 3) + [7.0] * (n // 3))
             degenerate = hpd_core.symmetrize((u * spectrum) @ u.conj().T)
             for m in (random_hermitian(rng, n), degenerate):
@@ -111,22 +111,43 @@ class TestEigHermitian:
 
 
 class TestPositiveDefinite:
+    """``pd_point`` decomposes once and applies the relative floor."""
+
     def test_identity(self):
-        ok, min_eig = hpd_core.is_positive_definite(np.eye(2))
-        assert ok and min_eig == pytest.approx(1.0)
+        point = hpd_core.pd_point(np.eye(2))
+        assert point.dec.eigenvalues[0] == pytest.approx(1.0)
+        assert hpd_core.pd_point(point) is point
 
     def test_indefinite(self):
-        ok, min_eig = hpd_core.is_positive_definite(np.diag([1.0, -1.0]))
-        assert not ok and min_eig == pytest.approx(-1.0)
+        with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue -1\.000e\+00"):
+            hpd_core.pd_point(np.diag([1.0, -1.0]))
 
     def test_relative_floor(self):
         # floor = n * eps * lambda_max, computed explicitly
         m = np.diag([1e-20, 1.0])
         floor = 2 * np.finfo(float).eps * 1.0
         assert 1e-20 < floor
-        ok, min_eig = hpd_core.is_positive_definite(m)
-        assert not ok
-        assert min_eig == pytest.approx(1e-20, rel=1e-6)
+        with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue 1\.000e-20"):
+            hpd_core.pd_point(m)
+
+    def test_point_keeps_matrix_and_ascending_decomposition(self):
+        rng = np.random.default_rng(40)
+        m = random_pd(rng, 4)
+        point = hpd_core.pd_point(m)
+        assert point.matrix is m
+        assert np.asarray(point) is m
+        lam, vectors = point.dec
+        assert all(np.diff(lam) >= 0)
+        assert np.linalg.norm((vectors * lam) @ vectors.conj().T - m) <= 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5, 1 / 3, 0.5, 2.0])
+    def test_powered_point_decomposes_its_own_matrix(self, p):
+        point = hpd_core.pd_point(random_pd(np.random.default_rng(41), 4))
+        out = point.powered(p)
+        lam, vectors = out.dec
+        assert all(np.diff(lam) > 0)
+        assert np.linalg.norm((vectors * lam) @ vectors.conj().T - out.matrix) <= 1e-12 * np.linalg.norm(out.matrix)
+        np.testing.assert_allclose(out.matrix, hpd_core.matrix_power(point.matrix, p), atol=1e-12)
 
 
 class TestMatrixPower:
@@ -173,7 +194,7 @@ class TestCongruence:
         np.testing.assert_allclose(hpd_core.congruence(np.eye(3), m), m, atol=1e-14)
 
     def test_unitary_on_scalar(self):
-        u = hpd_core.random_unitary(4, 7)
+        u = random_unitary(4, 7)
         out = hpd_core.congruence(u, 2.5 * np.eye(4))
         np.testing.assert_allclose(out, 2.5 * np.eye(4), atol=1e-12)
 
@@ -191,8 +212,8 @@ class TestCongruence:
         for n in (2, 3, 4):
             a = random_nonsingular(rng, n)
             p = random_pd(rng, n)
-            ok, _ = hpd_core.is_positive_definite(hpd_core.congruence(a, p))
-            assert ok
+            # pd_point raises NotPositiveDefinite below the relative floor
+            assert hpd_core.pd_point(hpd_core.congruence(a, p)).dec.eigenvalues[0] > 0
 
 
 class TestElementwiseOps:
@@ -202,14 +223,14 @@ class TestElementwiseOps:
 
 class TestRandomUnitary:
     def test_scalar_case(self):
-        u = hpd_core.random_unitary(1, 0)
+        u = random_unitary(1, 0)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-14
 
     def test_deterministic(self):
-        assert np.array_equal(hpd_core.random_unitary(3, 42), hpd_core.random_unitary(3, 42))
+        assert np.array_equal(random_unitary(3, 42), random_unitary(3, 42))
 
     def test_orthonormal(self):
-        u = hpd_core.random_unitary(3, 42)
+        u = random_unitary(3, 42)
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-10
 
 
@@ -222,7 +243,7 @@ class TestRandomPdInBall:
         for i in range(25):
             radius = 0.25 * (1 + i % 8)
             x = hpd_core.random_pd_in_ball(2 + i % 3, radius, rng)
-            assert thompson.distance(x, np.eye(x.shape[0])) <= radius + 1e-9
+            assert thompson.distance(x, np.eye(x.matrix.shape[0])) <= radius + 1e-9
 
     def test_eigenvalue_range(self):
         x = hpd_core.random_pd_in_ball(2, 1.0, 77)
@@ -234,6 +255,18 @@ class TestRandomPdInBall:
         assert np.array_equal(
             hpd_core.random_pd_in_ball(3, 2.0, 5), hpd_core.random_pd_in_ball(3, 2.0, 5)
         )
+
+    def test_point_keeps_its_construction_sorted(self):
+        # the same draws and matrix bytes as U diag(exp(t)) U*, with exp(t)
+        # ascending and U's columns in the same order as the decomposition
+        x = hpd_core.random_pd_in_ball(5, 2.0, 11)
+        rng = np.random.default_rng(11)
+        t = rng.uniform(-2.0, 2.0, size=5)
+        u = random_unitary(5, rng)
+        assert np.array_equal(x.matrix, hpd_core.symmetrize((u * np.exp(t)) @ u.conj().T))
+        order = np.argsort(t)
+        assert np.array_equal(x.dec.eigenvalues, np.exp(t)[order])
+        assert np.array_equal(x.dec.vectors, u[:, order])
 
 
 class TestMatrixLiterals:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_nonsingular, random_pd
+from helpers import random_nonsingular, random_pd, random_unitary
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.errors import (
     ConditionsNotVerified,
@@ -137,7 +137,7 @@ class TestMaps:
         np.testing.assert_allclose(t2(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_type2_unitary_power_one(self):
-        u = hpd_core.random_unitary(3, 9)
+        u = random_unitary(3, 9)
         t = matrix_solver.build_map(None, [u], matrix_solver.power(1), 2.0)
         np.testing.assert_allclose(t(np.eye(3)), np.eye(3), atol=1e-12)
 
@@ -168,14 +168,8 @@ class TestResiduals:
 class TestEigensolveBudget:
     """Every eigensolve is a call to ``hpd_core.eig_hermitian``."""
 
-    @pytest.mark.parametrize("name, residual_eigs", [("example_4_1.json", 3), ("example_4_2.json", 4)])
-    def test_maps_build_without_eigensolves_and_residuals_decompose_once_per_power(
-        self, monkeypatch, name, residual_eigs
-    ):
-        # type1 with power F and G: F(X), G(X) and the shared X**s;
-        # type2: F(X), G(X), X**r and X**s
-        problem, _, _ = load(name)
-        x = hpd_core.random_pd_in_ball(problem.n, 0.5, 4)
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
         calls = []
         eig = hpd_core.eig_hermitian
 
@@ -185,10 +179,60 @@ class TestEigensolveBudget:
 
         monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
         monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["example_4_1.json", "example_4_2.json"])
+    def test_maps_build_without_eigensolves_and_residuals_decompose_a_matrix_once(self, eig_calls, name):
+        # every term of both residuals reads X's spectrum
+        problem, _, _ = load(name)
+        x = hpd_core.random_pd_in_ball(problem.n, 0.5, 4)
+        eig_calls.clear()  # problem validation decomposes Q1, Q2 and A* A
         matrix_solver.maps_for(problem)
-        assert len(calls) == 0
+        assert len(eig_calls) == 0
+        matrix_solver.residuals(problem, x.matrix)
+        assert len(eig_calls) == 1
         matrix_solver.residuals(problem, x)
-        assert len(calls) == residual_eigs
+        assert len(eig_calls) == 1
+
+    @pytest.mark.parametrize("name, max_iter", [("example_4_1.json", 20), ("example_4_2.json", 200)])
+    def test_two_eigensolves_per_iteration(self, eig_calls, name, max_iter):
+        # one for the map's root and one for the gap, plus one decomposition
+        # of x0 and one that certifies the solution
+        problem, x0, options = load(name)
+        options = dataclasses.replace(options, force=True, max_iter=max_iter)
+        eig_calls.clear()
+        try:
+            result = matrix_solver.solve(problem, x0=x0, options=options)
+        except MaxIterationsExceeded as exc:
+            result = exc.result
+        assert result.trace.iterations > 1
+        assert len(eig_calls) == 2 * result.trace.iterations + 2
+
+    def test_trace_rows_decompose_nothing(self, eig_calls):
+        problem, x0, options = load("example_4_2.json")
+        result = matrix_solver.solve(problem, x0=x0, options=options)
+        before = len(eig_calls)
+        rows = cli.trace_rows(problem, result.trace)
+        assert len(rows) == result.trace.iterations
+        assert len(eig_calls) == before
+
+    @pytest.mark.parametrize("kind, per_sample", [("type1", 4), ("type2", 1)])
+    def test_condition_sample_costs(self, eig_calls, kind, per_sample):
+        # type1: d(F(X), G(Y)), d(X, Y) and the roots of T1(X) and T2(X);
+        # type2: d(X, Y), with F(X) and G(X) read from X's spectrum
+        if kind == "type1":
+            problem = load("quadratic_pass.json")[0]
+        else:
+            problem = matrix_solver.problem_type2(
+                n=3, A=[random_unitary(3, 5)], r=2, s=3,
+                F=matrix_solver.power(0.5), G=matrix_solver.power(-0.25), a=0.5, l=0.3,
+            )
+        counts = []
+        for samples in (15, 30):
+            eig_calls.clear()
+            matrix_solver.check_conditions(problem, samples=samples, seed=8)
+            counts.append(len(eig_calls))
+        assert counts[1] - counts[0] == per_sample * 15
 
 
 class TestConditionChecker:
