@@ -11,7 +11,6 @@ from .errors import (
     ConditionsNotVerified,
     ConvergenceFailure,
     DimensionMismatch,
-    MapDomainError,
     MaxIterationsExceeded,
     NonHermitianInput,
     NotInPsiAlpha,
@@ -53,7 +52,6 @@ __all__ = [
     "NotPositiveDefinite",
     "ConvergenceFailure",
     "NotInPsiAlpha",
-    "MapDomainError",
     "MaxIterationsExceeded",
     "ResidualToleranceExceeded",
     "X0DomainError",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -263,6 +264,8 @@ def read_trace_csv(path) -> list[dict]:
             if not math.isfinite(value):
                 raise ProblemFormatError(f"{path}: row at line {line_no}: non-finite '{col}'")
             row[col] = value
+        if not row["k"].is_integer():
+            raise ProblemFormatError(f"{path}: row at line {line_no}: 'k' must be an integer, got {raw['k']!r}")
         row["k"] = int(row["k"])
         rows.append(row)
     if not rows:
@@ -488,14 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--samples", type=int, default=None, help="override sample count")
     p_check.add_argument("--seed", type=int, default=None, help="override sampling seed")
     p_check.add_argument("--out", default=None, help="report JSON path (default: <stem>.check.json)")
-    p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="solve a problem file and write the iteration trace")
     p_solve.add_argument("problem", help="problem JSON file")
     p_solve.add_argument("--out", default=None, help="trace CSV path (default: trace.csv)")
     p_solve.add_argument("--x0", default=None, help="'identity' or path to a JSON matrix literal")
     p_solve.add_argument("--force", action="store_true", help="iterate even if the condition check fails")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_plot = sub.add_parser("plot", help="render trace CSVs as a semilog SVG chart")
     p_plot.add_argument("traces", nargs="+", help="trace CSV files")
@@ -507,14 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="series to draw (repeatable; default: gap)",
     )
     p_plot.add_argument("--out", default=None, help="SVG path (default: plot.svg)")
-    p_plot.set_defaults(func=cmd_plot)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser outlives the call, so the command is looked up by name now,
+    # not bound when the parser was built.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

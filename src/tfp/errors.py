@@ -25,10 +25,6 @@ class NotInPsiAlpha(TfpError):
     """A control function does not certify a contraction constant below 1."""
 
 
-class MapDomainError(TfpError):
-    """An iteration map rejected the point it was handed."""
-
-
 class MaxIterationsExceeded(TfpError):
     """The iteration hit its step budget before meeting the gap tolerance.
 

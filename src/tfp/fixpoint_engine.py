@@ -7,16 +7,18 @@ common fixed point, with the a-priori error bound
 
     d(u_n, z) <= alpha**(n-1) / (1 - alpha) * d(u0, u1).
 
-The engine takes alpha as data; it never derives it.  A metric space is
-given by its distance function alone.
+The engine takes alpha as data; it never derives it (``psi_family``
+certifies alpha for a control function, and ``matrix_solver.alpha_for``
+gives it for each problem family).  A metric space is given by its
+distance function alone, and the points are whatever that function and
+the maps accept; the engine validates none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, TypeVar
 
-from . import psi_family
 from .errors import MaxIterationsExceeded
 
 T = TypeVar("T")
@@ -67,8 +69,7 @@ def iterate_pair(
     """Run the alternating scheme until a gap d(u_k, u_{k+1}) <= gap_tol.
 
     Raises ``MaxIterationsExceeded`` (carrying the partial trace) when the
-    step budget runs out first; ``MapDomainError`` raised by a map
-    propagates unchanged.
+    step budget runs out first.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -92,55 +93,4 @@ def iterate_pair(
         f"no convergence within {max_iter} iterations "
         f"(last gap {trace.gaps[-1]:.3e}, gap tolerance {gap_tol:.3e})",
         trace=trace,
-    )
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Outcome of sampling the contraction hypothesis on concrete pairs."""
-
-    checked: int
-    failures: int
-    worst_margin: float
-    worst_pair: tuple | None
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
-def verify_contraction(
-    distance: Callable[[T, T], float],
-    t1: Callable[[T], T],
-    t2: Callable[[T], T],
-    psi: psi_family.PsiSpec,
-    sample_pairs: Sequence[tuple[T, T]],
-) -> ContractionReport:
-    """Check d(T1 x, T2 y) <= psi(d(x,y), d(x,T1 x), d(y,T2 y)) per pair.
-
-    Report-only diagnostic: the worst margin is max(lhs - rhs) over the
-    sample, and the pair attaining it is returned as a witness.
-    """
-    if not sample_pairs:
-        raise ValueError("sample_pairs must be nonempty")
-    slack = 1e-12
-    failures = 0
-    worst_margin = float("-inf")
-    worst_pair = None
-    for x, y in sample_pairs:
-        t1x = t1(x)
-        t2y = t2(y)
-        lhs = distance(t1x, t2y)
-        rhs = psi_family.evaluate(psi, distance(x, y), distance(x, t1x), distance(y, t2y))
-        margin = lhs - rhs
-        if margin > worst_margin:
-            worst_margin = margin
-            worst_pair = (x, y)
-        if lhs > rhs + slack:
-            failures += 1
-    return ContractionReport(
-        checked=len(sample_pairs),
-        failures=failures,
-        worst_margin=worst_margin,
-        worst_pair=worst_pair,
     )

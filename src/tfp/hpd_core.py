@@ -1,18 +1,20 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
-Matrices are plain ``numpy`` arrays of ``complex128``.  The public
-operations validate their input against the Hermitian tolerance once, on
-entry; the private ``_congruence`` skips that check and serves callers
-whose operands are already validated.  Outputs are re-symmetrized with
-``(M + M*) / 2`` so that round-off never accumulates into a symmetry
-defect across long iteration runs.
+Matrices are plain ``numpy`` arrays of ``complex128``.  Input is validated
+once, where it comes in: ``pd_point`` checks a matrix against the
+Hermitian tolerance and the positive-definiteness floor, and what it
+returns, a ``PDPoint``, is trusted from then on.  The kernels that work on
+validated or computed operands (``eig_hermitian``, ``_congruence`` and
+``PDPoint.powered``) do not check symmetry again.  Outputs are
+re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
+into a symmetry defect across long iteration runs.
 
 A ``PDPoint`` is a positive definite matrix carried with its
-eigendecomposition.  ``pd_point`` decomposes a matrix once and applies the
-positive-definiteness floor there; powers, ratio spectra and distances
-then read the known spectrum.  X**p is a point with X's eigenvectors and
-eigenvalues lambda_i**p.  A point converts to its matrix wherever numpy
-expects an array.
+eigendecomposition.  ``pd_point`` decomposes a matrix once; powers, ratio
+spectra and distances then read the known spectrum.  X**p is the point
+``pd_point(x).powered(p)``, with X's eigenvectors and eigenvalues
+lambda_i**p.  A point converts to its matrix wherever numpy expects an
+array.
 
 Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
 LAPACK ``eigh`` (``numpy.linalg.eigh``).  The tests cross-check it against
@@ -106,9 +108,13 @@ def hermitian_tolerance(m) -> float:
 
 
 def symmetrize(m) -> ComplexMatrix:
-    """(M + M*) / 2, the Hermitian part of M."""
-    arr = np.asarray(m, dtype=np.complex128)
-    return 0.5 * (arr + arr.conj().T)
+    """(M + M*) / 2, the Hermitian part of M.
+
+    Halved before the sum, which gives the same bits (halving is exact)
+    but cannot overflow on entries above half the largest float.
+    """
+    half = 0.5 * np.asarray(m, dtype=np.complex128)
+    return half + half.conj().T
 
 
 def require_hermitian(m, name: str = "matrix") -> ComplexMatrix:
@@ -129,14 +135,19 @@ def require_hermitian(m, name: str = "matrix") -> ComplexMatrix:
 
 
 def eig_hermitian(m) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix by LAPACK ``eigh``.
+    """Eigendecomposition of the Hermitian part of a matrix by LAPACK ``eigh``.
 
-    Every eigensolve in the package goes through this function.
+    Every eigensolve in the package goes through this function.  It does
+    not check symmetry: ``pd_point`` validates a matrix as it comes in,
+    and computed arguments are symmetrized.  It does check that the
+    entries are finite, because a right-hand side computed from valid
+    input can overflow and ``eigh`` returns NaN eigenvalues for it
+    without an error.
 
     Parameters
     ----------
     m : array_like
-        Square Hermitian matrix (validated against the relative tolerance).
+        Square matrix; its Hermitian part (M + M*) / 2 is decomposed.
 
     Returns
     -------
@@ -145,12 +156,14 @@ def eig_hermitian(m) -> EigenDecomposition:
 
     Raises
     ------
+    DimensionMismatch
+        If the matrix is not square.
     NonHermitianInput
-        If the symmetry tolerance is violated or an entry is not finite.
+        If an entry is not finite.
     ConvergenceFailure
         If LAPACK reports that the decomposition did not converge.
     """
-    arr = require_hermitian(m)
+    arr = as_square_matrix(m)
     try:
         lam, vectors = np.linalg.eigh(symmetrize(arr))
     except np.linalg.LinAlgError as exc:
@@ -167,9 +180,10 @@ def pd_floor(eigenvalues: NDArray[np.float64]) -> float:
 def pd_point(m, name: str = "matrix") -> PDPoint:
     """The positive definite point of a Hermitian matrix: one eigensolve.
 
-    A ``PDPoint`` is returned as it is.  Raises ``NonHermitianInput`` or,
-    when the smallest eigenvalue does not clear the relative floor,
-    ``NotPositiveDefinite``; ``name`` labels the matrix in the message.
+    This is where a matrix from outside is checked.  A ``PDPoint`` is
+    returned as it is.  Raises ``NonHermitianInput`` or, when the smallest
+    eigenvalue does not clear the relative floor, ``NotPositiveDefinite``;
+    ``name`` labels the matrix in the message.
     """
     if isinstance(m, PDPoint):
         return m
@@ -177,8 +191,8 @@ def pd_point(m, name: str = "matrix") -> PDPoint:
 
 
 def _point(arr: ComplexMatrix, name: str = "matrix") -> PDPoint:
-    """``pd_point`` of an array the caller has not named or validated;
-    ``eig_hermitian`` still checks its symmetry."""
+    """``pd_point`` of an array already known to be Hermitian: validated
+    by the caller or computed and symmetrized."""
     dec = eig_hermitian(arr)
     lam = dec.eigenvalues
     floor = pd_floor(lam)
@@ -189,43 +203,12 @@ def _point(arr: ComplexMatrix, name: str = "matrix") -> PDPoint:
     return PDPoint(arr, dec)
 
 
-def matrix_power(m, p: float) -> ComplexMatrix:
-    """Real matrix power of a positive definite matrix or point.
-
-    Computed as V diag(lambda_i ** p) V* from the eigendecomposition and
-    re-symmetrized.  Any finite nonzero real exponent is accepted; the
-    positivity of the spectrum makes them all well defined.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the smallest eigenvalue does not clear the relative floor.
-    ValueError
-        If the exponent is zero or not finite.
-    """
-    p = float(p)
-    if p == 0.0 or not math.isfinite(p):
-        raise ValueError(f"exponent must be finite and nonzero, got {p}")
-    return pd_point(m).powered(p).matrix
-
-
-def congruence(a, m) -> ComplexMatrix:
-    """The congruence A* M A, re-symmetrized.
+def _congruence(a: ComplexMatrix, m: ComplexMatrix) -> ComplexMatrix:
+    """The congruence A* M A, re-symmetrized, of a square factor and a
+    Hermitian argument of the same size; neither is validated.
 
     Preserves positive definiteness whenever A is nonsingular.
     """
-    a_arr = as_square_matrix(a, "congruence factor")
-    m_arr = require_hermitian(m, "congruence argument")
-    if a_arr.shape[0] != m_arr.shape[0]:
-        raise DimensionMismatch(
-            f"congruence shapes differ: {a_arr.shape} vs {m_arr.shape}"
-        )
-    return _congruence(a_arr, m_arr)
-
-
-def _congruence(a: ComplexMatrix, m: ComplexMatrix) -> ComplexMatrix:
-    """``congruence`` of a square factor and a Hermitian argument of the
-    same size, both already validated."""
     return symmetrize(a.conj().T @ m @ a)
 
 

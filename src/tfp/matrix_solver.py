@@ -95,11 +95,6 @@ class MatrixFunctionSpec:
     exponent: float | None = None
     value: PDPoint | None = None
 
-    def to_dict(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "exponent": self.exponent}
-        return {"kind": "constant", "value": matrix_to_literal(self.value)}
-
 
 def power(exponent: float) -> MatrixFunctionSpec:
     """The map X -> X**exponent with exponent in [-1, 1] \\ {0}."""
@@ -610,7 +605,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     t1, t2 = maps_for(problem)
     alpha = alpha_for(problem)
     try:
-        trace = iterate_pair(thompson._distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
+        trace = iterate_pair(thompson.distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
     except MaxIterationsExceeded as exc:
         exc.result = _result_from(problem, exc.trace, alpha, report)
         raise

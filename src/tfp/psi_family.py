@@ -3,8 +3,8 @@
 A spec in this family is a continuous map psi(a, b, c) >= 0 with the
 property that any b satisfying b <= psi(a, a, b), b <= psi(b, a, a) or
 b <= psi(a, b, a) is forced down to b <= alpha * a for a fixed alpha < 1.
-The iteration engine consumes only that certified alpha; the evaluator is
-kept for the contraction-verification diagnostic.
+The iteration engine consumes only that certified alpha; ``evaluate``
+gives psi itself, which the membership check reads on its grid.
 
 Three parameterized kinds are built in:
 
@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import NotInPsiAlpha
 
-KINDS = ("scaled_first", "linear", "scaled_max")
-
 # Log-spaced membership grid over [1e-6, 1e3], default 64 points per axis.
 GRID_LO = 1e-6
 GRID_HI = 1e3
@@ -39,21 +37,6 @@ class PsiSpec:
 
     kind: str
     params: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-
-def from_dict(data: dict) -> "PsiSpec":
-    kind = data.get("kind")
-    params = tuple(float(p) for p in data.get("params", ()))
-    if kind == "scaled_first":
-        return scaled_first(*params)
-    if kind == "linear":
-        return linear(*params)
-    if kind == "scaled_max":
-        return scaled_max(*params)
-    raise NotInPsiAlpha(f"unknown control-function kind {kind!r}")
 
 
 def scaled_first(alpha: float) -> PsiSpec:

@@ -11,8 +11,10 @@ B^{-1/2} A B^{-1/2}.  The pencil is taken relative to the
 better-conditioned point, so swapped arguments take the same path unless
 the condition numbers tie.
 
-The public functions validate their operands, matrices or points; the
-private ones take points (``_w_ratio``'s numerator any Hermitian array).
+``distance`` and ``distance_to_identity`` take matrices or points: a
+matrix is validated by ``pd_point`` and a point passes through
+unchecked, so the iteration calls ``distance`` on its points directly.
+``_ratios`` takes points only.
 """
 
 from __future__ import annotations
@@ -29,29 +31,11 @@ from .hpd_core import PDPoint
 _ONE_SOLVE_REL_TOL = 1e-12
 
 
-def w_ratio(a, b) -> float:
-    """The ratio functional W(A/B) = lambda_max(B^{-1/2} A B^{-1/2}).
-
-    Equals inf{delta > 0 : A <= delta * B} for positive definite A and B.
-    Only B must be positive definite: W reads just the top eigenvalue, so
-    a numerator whose smallest eigenvalue underflows the relative floor
-    still has a well-defined ratio.
-    """
-    a_arr = hpd_core.require_hermitian(a, "w_ratio first argument")
-    b_point = hpd_core.pd_point(b, "w_ratio second argument")
-    _require_same_shape(a_arr, b_point.matrix, "w_ratio")
-    return _w_ratio(a_arr, b_point)
-
-
 def _ratio_spectrum(base: PDPoint, m) -> np.ndarray:
     """Eigenvalues, ascending, of base^{-1/2} M base^{-1/2}: one eigensolve
     (of the congruence in base's eigenbasis, which has the same spectrum)."""
     lam, vectors = base.dec
     return hpd_core.eig_hermitian(hpd_core._congruence(vectors * lam**-0.5, m)).eigenvalues
-
-
-def _w_ratio(a, b: PDPoint) -> float:
-    return float(_ratio_spectrum(b, a)[-1])
 
 
 def _ratios(a: PDPoint, b: PDPoint) -> tuple[float, float]:
@@ -69,26 +53,18 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple[float, float]:
     if hpd_core.pd_floor(mu) <= _ONE_SOLVE_REL_TOL * mu[0]:
         w_base = float(1.0 / mu[0])
     else:
-        w_base = _w_ratio(base.matrix, other)
+        w_base = float(_ratio_spectrum(other, base.matrix)[-1])
     return (w_other, w_base) if swap else (w_base, w_other)
 
 
 def distance(a, b) -> float:
     """Thompson distance between two positive definite matrices or points."""
-    a_point = hpd_core.pd_point(a, "distance first argument")
-    b_point = hpd_core.pd_point(b, "distance second argument")
-    _require_same_shape(a_point.matrix, b_point.matrix, "distance")
-    return _distance(a_point, b_point)
-
-
-def _distance(a: PDPoint, b: PDPoint) -> float:
+    a = hpd_core.pd_point(a, "distance first argument")
+    b = hpd_core.pd_point(b, "distance second argument")
+    if a.matrix.shape != b.matrix.shape:
+        raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
     w_ab, w_ba = _ratios(a, b)
     return max(math.log(w_ab), math.log(w_ba), 0.0)
-
-
-def _require_same_shape(a_arr, b_arr, name: str) -> None:
-    if a_arr.shape != b_arr.shape:
-        raise DimensionMismatch(f"{name} shapes differ: {a_arr.shape} vs {b_arr.shape}")
 
 
 def distance_to_identity(a) -> float:

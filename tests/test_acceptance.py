@@ -143,15 +143,14 @@ def test_criterion_3_thompson_metric_suite():
                 worst["triangle"],
                 thompson.distance(a, c) - (dab + thompson.distance(b, c)),
             )
-            d_inv = thompson.distance(hpd_core.matrix_power(a, -1), hpd_core.matrix_power(b, -1))
+            a_point, b_point = hpd_core.pd_point(a), hpd_core.pd_point(b)
+            d_inv = thompson.distance(a_point.powered(-1), b_point.powered(-1))
             worst["inversion"] = max(worst["inversion"], abs(d_inv - dab))
             m = random_nonsingular(rng, n)
-            d_cong = thompson.distance(
-                hpd_core.congruence(m.conj().T, a), hpd_core.congruence(m.conj().T, b)
-            )
+            d_cong = thompson.distance(m @ a @ m.conj().T, m @ b @ m.conj().T)
             worst["congruence"] = max(worst["congruence"], abs(d_cong - dab))
             for r in (-1.0, -0.5, 1 / 3, 0.5, 1.0):
-                d_r = thompson.distance(hpd_core.matrix_power(a, r), hpd_core.matrix_power(b, r))
+                d_r = thompson.distance(a_point.powered(r), b_point.powered(r))
                 worst["power"] = max(worst["power"], d_r - abs(r) * dab)
             worst["sum"] = max(
                 worst["sum"],

@@ -27,6 +27,13 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return path
 
 
+def function_document(spec):
+    """A matrix function written back in the problem-file form."""
+    if spec.kind == "power":
+        return {"kind": "power", "exponent": spec.exponent}
+    return {"kind": "constant", "value": matrix_to_literal(spec.value)}
+
+
 def problem_document(problem, x0, options):
     """A loaded problem written back in the problem-file form."""
     doc = {
@@ -35,8 +42,8 @@ def problem_document(problem, x0, options):
         "m": problem.m,
         "A": [matrix_to_literal(a_i) for a_i in problem.A],
         "s": problem.s,
-        "F": problem.F.to_dict(),
-        "G": problem.G.to_dict(),
+        "F": function_document(problem.F),
+        "G": function_document(problem.G),
         "a": problem.a,
         "l": problem.l,
         "options": dataclasses.asdict(options),
@@ -282,6 +289,33 @@ class TestSolveCommand:
         assert meta["iterations"] == 1
 
 
+class TestMain:
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                cli.main(["check", str(fixture_path("check_pass_constant.json")), "--samples", "5",
+                          "--out", str(tmp_path / "r.json")])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_successive_calls_are_independent(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", str(trace)]) == 0
+        default, residual = tmp_path / "default.svg", tmp_path / "residual.svg"
+        assert cli.main(["plot", str(trace), "--out", str(default)]) == 0
+        assert cli.main(["plot", str(trace), "--series", "residual", "--out", str(residual)]) == 0
+        again = tmp_path / "again.svg"
+        assert cli.main(["plot", str(trace), "--out", str(again)]) == 0
+        assert again.read_bytes() == default.read_bytes()
+        assert residual.read_text().count("<polyline") == 2
+        assert again.read_text().count("<polyline") == 1
+
+
 class TestPlotCommand:
     def solve_trace(self, tmp_path, name="example_4_2.json"):
         out = tmp_path / "t.csv"
@@ -340,6 +374,14 @@ class TestPlotCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("k,nope\n1,2\n")
         assert cli.main(["plot", str(bad)]) == 2
+
+    def test_non_integral_k_exit_two_naming_line_and_k(self, tmp_path, capsys):
+        trace = tmp_path / "k.csv"
+        trace.write_text(",".join(cli.TRACE_COLUMNS) + "\n1,1.0,1.0,1.0,1.0,1.0\n1.5,0.5,0.5,0.5,0.5,0.5\n")
+        with pytest.raises(ProblemFormatError, match=r"line 3: 'k' must be an integer, got '1\.5'"):
+            cli.read_trace_csv(trace)
+        assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
+        assert "'k' must be an integer" in capsys.readouterr().err
 
     def test_plot_bytes_deterministic(self, tmp_path):
         t1 = self.solve_trace(tmp_path)

@@ -1,13 +1,12 @@
 """Engine tests on scalar toy spaces, where brute-force simulation is the oracle."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfp import psi_family
-from tfp.errors import MapDomainError, MaxIterationsExceeded
-from tfp.fixpoint_engine import error_bound, iterate_pair, verify_contraction
+from tfp.errors import MaxIterationsExceeded
+from tfp.fixpoint_engine import error_bound, iterate_pair
 
 
 def real_line(x, y):
@@ -106,13 +105,6 @@ class TestIteratePair:
         assert trace.stop_reason == "max_iter"
         assert len(trace.points) == 6
 
-    def test_map_domain_error_propagates(self):
-        def rejecting(x):
-            raise MapDomainError("outside domain")
-
-        with pytest.raises(MapDomainError):
-            iterate_pair(real_line, rejecting, lambda x: x, 0.5, 1.0)
-
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             iterate_pair(real_line, lambda x: x, lambda x: x, 1.0, 1.0)
@@ -121,47 +113,3 @@ class TestIteratePair:
         fwd = iterate_pair(real_line, lambda x: x / 4, lambda x: x / 5, 0.6, 1.0)
         rev = iterate_pair(real_line, lambda x: x / 5, lambda x: x / 4, 0.6, 1.0)
         assert abs(fwd.points[-1] - rev.points[-1]) <= 1e-9
-
-
-class TestVerifyContraction:
-    def test_constant_maps_pass_any_psi(self):
-        pairs = [(float(x), float(y)) for x in range(3) for y in range(3)]
-        report = verify_contraction(
-            real_line, lambda x: 2.0, lambda x: 2.0, psi_family.scaled_first(0.0), pairs
-        )
-        assert report.passed
-        assert report.checked == 9
-
-    def test_scalar_toy_passes_on_seeded_pairs(self):
-        # |x/4 - y/5| <= (1/3)|x - x/4| + (1/4)|y - y/5| = x/4 + y/5 for x, y >= 0,
-        # and by the triangle inequality for arbitrary signs
-        rng = np.random.default_rng(44)
-        pairs = [tuple(rng.uniform(-10, 10, 2)) for _ in range(1000)]
-        report = verify_contraction(
-            real_line,
-            lambda x: x / 4,
-            lambda x: x / 5,
-            psi_family.linear(0.0, 1 / 3, 1 / 4),
-            pairs,
-        )
-        assert report.passed
-
-    def test_expanding_map_fails_with_witness(self):
-        report = verify_contraction(
-            real_line,
-            lambda x: 2 * x,
-            lambda x: x,
-            psi_family.scaled_first(0.9),
-            [(1.0, 1.0), (0.5, 0.5)],
-        )
-        assert not report.passed
-        x, y = report.worst_pair
-        # recompute both sides at the witness to confirm the failure is genuine
-        lhs = abs(2 * x - y)
-        rhs = 0.9 * abs(x - y)
-        assert lhs > rhs
-        assert report.worst_margin == pytest.approx(lhs - rhs)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            verify_contraction(real_line, lambda x: x, lambda x: x, psi_family.scaled_first(0.5), [])

@@ -18,6 +18,7 @@ from tfp.errors import (
     ConditionsNotVerified,
     MaxIterationsExceeded,
     NotPositiveDefinite,
+    TfpError,
     X0DomainError,
 )
 from tfp.fixtures import fixture_path
@@ -233,6 +234,55 @@ class TestEigensolveBudget:
             matrix_solver.check_conditions(problem, samples=samples, seed=8)
             counts.append(len(eig_calls))
         assert counts[1] - counts[0] == per_sample * 15
+
+
+class TestValidationBudget:
+    """Matrices are checked against the Hermitian tolerance where they come
+    in, not again inside the iteration or the sampling loop."""
+
+    @pytest.fixture
+    def hermitian_checks(self, monkeypatch):
+        calls = []
+        check = hpd_core.require_hermitian
+
+        def counting(m, name="matrix"):
+            calls.append(name)
+            return check(m, name)
+
+        monkeypatch.setattr(hpd_core, "require_hermitian", counting)
+        return calls
+
+    def test_forced_solve_checks_do_not_grow_with_iterations(self, hermitian_checks):
+        problem, x0, options = load("example_4_1.json")
+        counts = []
+        for max_iter in (10, 20):
+            hermitian_checks.clear()
+            with pytest.raises(MaxIterationsExceeded):
+                matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True, max_iter=max_iter))
+            counts.append(len(hermitian_checks))
+        assert counts[0] == counts[1]
+
+    def test_condition_check_checks_do_not_grow_with_samples(self, hermitian_checks):
+        problem = load("quadratic_pass.json")[0]
+        counts = []
+        for samples in (15, 30):
+            hermitian_checks.clear()
+            matrix_solver.check_conditions(problem, samples=samples, seed=8)
+            counts.append(len(hermitian_checks))
+        assert counts[0] == counts[1]
+
+    def test_overflowing_right_hand_side_is_a_named_error(self):
+        # Q1 + A* F(X) A overflows to inf; eigh alone would return NaN
+        # eigenvalues for it without an error
+        big = 1e308 * np.eye(2)
+        problem = matrix_solver.problem_type1(
+            n=2, A=[2 * np.eye(2)], Q1=big, Q2=big, s=2,
+            F=matrix_solver.power(1), G=matrix_solver.power(1), a=1, l=1,
+        )
+        np.testing.assert_array_equal(problem.Q1.dec.eigenvalues, [1e308, 1e308])
+        t1, _ = matrix_solver.maps_for(problem)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TfpError, match="non-finite"):
+            t1(hpd_core.pd_point(big))
 
 
 class TestConditionChecker:

@@ -128,17 +128,3 @@ class TestMembership:
         except NotInPsiAlpha:
             return
         assert psi_family.validate_membership(spec, grid_size=16)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        for spec in [
-            psi_family.scaled_first(0.25),
-            psi_family.linear(0.1, 0.2, 0.3),
-            psi_family.scaled_max(0.75),
-        ]:
-            assert psi_family.from_dict(spec.to_dict()) == spec
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(NotInPsiAlpha):
-            psi_family.from_dict({"kind": "mystery", "params": [0.5]})
