@@ -41,6 +41,13 @@ EXIT_CONDITIONS = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_X0 = 5
 
+# Top-level keys of a problem file, by kind.
+_COMMON_KEYS = ("kind", "n", "m", "A", "F", "G", "a", "l", "s", "x0", "options")
+PROBLEM_KEYS = {
+    matrix_solver.TYPE1: frozenset((*_COMMON_KEYS, "Q1", "Q2")),
+    matrix_solver.TYPE2: frozenset((*_COMMON_KEYS, "r")),
+}
+
 TRACE_COLUMNS = ("k", "thompson_gap", "error_bound", "residual1", "residual2", "dist_to_identity")
 
 SERIES_COLUMNS = {
@@ -63,6 +70,13 @@ def _require_key(data: dict, key: str, path: str):
     if key not in data:
         raise ProblemFormatError(f"{path}: missing required key '{key}'")
     return data[key]
+
+
+def _reject_unknown(data: dict, known, what: str) -> None:
+    """Raise on the first key of ``data`` not in ``known``, naming it."""
+    for key in data:
+        if key not in known:
+            raise ProblemFormatError(f"{what} '{key}'")
 
 
 def _as_float(value, what: str) -> float:
@@ -115,13 +129,25 @@ def _x0(literal, n: int, where: str):
 
 
 def _function_spec(data: dict, key: str, path: str) -> matrix_solver.MatrixFunctionSpec:
+    """F or G: a power with a finite exponent or a positive definite constant."""
     value = _require_key(data, key, path)
+    where = f"{path}: key '{key}'"
     if not isinstance(value, dict):
-        raise ProblemFormatError(f"{path}: key '{key}' must be an object")
+        raise ProblemFormatError(f"{where} must be an object")
+    kind = value.get("kind")
+    # Read outside the try below: these errors already name the key.
+    if kind == "power":
+        _reject_unknown(value, ("kind", "exponent"), f"{where}: unknown power field")
+        build, arg = matrix_solver.power, _number(value, "exponent", where)
+    elif kind == "constant":
+        _reject_unknown(value, ("kind", "value"), f"{where}: unknown constant field")
+        build, arg = matrix_solver.constant, _matrix(value, "value", where)
+    else:
+        raise ProblemFormatError(f"{where}: unknown matrix function kind {kind!r}")
     try:
-        return matrix_solver.function_from_dict(value)
-    except (TfpError, ValueError, KeyError) as exc:
-        raise ProblemFormatError(f"{path}: key '{key}': {exc}") from exc
+        return build(arg)
+    except (TfpError, ValueError) as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
 def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver.SolveOptions]:
@@ -147,6 +173,7 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
     kind = _require_key(data, "kind", where)
     if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
         raise ProblemFormatError(f"{where}: key 'kind' must be 'type1' or 'type2', got {kind!r}")
+    _reject_unknown(data, PROBLEM_KEYS[kind], f"{where}: unknown {kind} key")
     n = _as_int(_require_key(data, "n", where), f"{where}: key 'n'")
     m = _as_int(_require_key(data, "m", where), f"{where}: key 'm'")
     a_value = _require_key(data, "A", where)
@@ -189,11 +216,10 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         "samples": _as_int,
         "force": _as_bool,
     }
-    kwargs = {}
-    for key, value in raw_options.items():
-        if key not in known:
-            raise ProblemFormatError(f"{where}: unknown option '{key}'")
-        kwargs[key] = known[key](value, f"{where}: option '{key}'")
+    _reject_unknown(raw_options, known, f"{where}: unknown option")
+    kwargs = {
+        key: known[key](value, f"{where}: option '{key}'") for key, value in raw_options.items()
+    }
     env_seed = os.environ.get("TFP_SEED")
     if env_seed is not None:
         try:

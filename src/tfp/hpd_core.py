@@ -98,13 +98,21 @@ def as_square_matrix(m, name: str = "matrix") -> ComplexMatrix:
 
 
 def frobenius_norm(m) -> float:
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
+    """Frobenius norm of a matrix: numpy's, unless its sum of squares
+    overflows (norms above about 1e154); a finite matrix is then scaled by
+    its largest real or imaginary part first."""
+    arr = np.asarray(m, dtype=np.complex128)
+    norm = float(np.linalg.norm(arr))
+    if math.isinf(norm) and np.isfinite(arr).all():
+        scale = float(np.maximum(np.abs(arr.real), np.abs(arr.imag)).max())
+        norm = scale * float(np.linalg.norm(arr / scale))
+    return norm
 
 
 def hermitian_tolerance(m) -> float:
-    """Symmetry tolerance: 1e-12 * max(1, ||M||_F)."""
-    return 1e-12 * max(1.0, frobenius_norm(m))
+    """Symmetry tolerance: 1e-12 * max(1, ||M||_F), scaled before the norm,
+    so it is finite for every finite M."""
+    return max(1e-12, frobenius_norm(1e-12 * np.asarray(m, dtype=np.complex128)))
 
 
 def symmetrize(m) -> ComplexMatrix:

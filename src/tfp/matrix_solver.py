@@ -32,7 +32,9 @@ and (B) are judged in their metric (proof-level) form
 with the stricter one-sided ratio inequalities recorded per pair as a
 secondary diagnostic; condition (C) is the pair of ball constraints
 d(T1(X), I) <= a and d(T2(X), I) <= a.  Type2 conditions are checked
-exactly as stated, eigenvalue bound by eigenvalue bound.
+exactly as stated, eigenvalue bound by eigenvalue bound.  A condition's
+report keeps its worst sample as the witness, with X and Y written out as
+matrix literals; the witness is built when a sample becomes the worst.
 
 The returned solution is certified by the relative equation residuals,
 which are the ground truth of correctness independent of any printed
@@ -66,7 +68,6 @@ from .hpd_core import (
     eig_hermitian,
     frobenius_norm,
     identity,
-    matrix_from_literal,
     matrix_to_literal,
     pd_point,
     random_pd_in_ball,
@@ -107,15 +108,6 @@ def power(exponent: float) -> MatrixFunctionSpec:
 def constant(value) -> MatrixFunctionSpec:
     """The constant map X -> value for a fixed positive definite value."""
     return MatrixFunctionSpec("constant", value=pd_point(value, "constant function value"))
-
-
-def function_from_dict(data: dict) -> MatrixFunctionSpec:
-    kind = data.get("kind")
-    if kind == "power":
-        return power(data["exponent"])
-    if kind == "constant":
-        return constant(matrix_from_literal(data["value"], "constant function value"))
-    raise ValueError(f"unknown matrix function kind {kind!r}")
 
 
 def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
@@ -298,10 +290,14 @@ def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
 
     r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Every term
     reads X's spectrum: a ``PDPoint`` costs no eigensolve and a matrix
-    one.  Type1's shared exponent s is raised to once.
+    one.  Type1's shared exponent s is raised to once.  A power that
+    overflows raises ``NonHermitianInput`` instead of giving NaN residuals.
     """
     x = pd_point(x, "candidate solution")
-    powers = {e: x.powered(e).matrix for e in {e for e, _, _ in problem.equations}}
+    powers = {
+        e: as_square_matrix(x.powered(e).matrix, f"candidate solution ** {e:g}")
+        for e in {e for e, _, _ in problem.equations}
+    }
     out = []
     for e, q, f_spec in problem.equations:
         lhs = powers[e]
@@ -316,7 +312,8 @@ def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
 
 @dataclass
 class ConditionStat:
-    """Sampled outcome of one sufficiency condition."""
+    """Sampled outcome of one sufficiency condition; ``worst``, the witness
+    of the worst sample, is built when a sample becomes the worst."""
 
     name: str
     checked: int = 0
@@ -329,13 +326,23 @@ class ConditionStat:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, margin: float, witness: dict) -> None:
+    def record(self, sample: int, inequality: str, lhs: float, rhs: float, x, y=None) -> None:
+        """Count one sampled inequality lhs <= rhs, whose margin is lhs - rhs."""
+        margin = lhs - rhs
         self.checked += 1
         if margin > CONDITION_TOL:
             self.failures += 1
         if margin > self.worst_margin:
             self.worst_margin = margin
-            self.worst = witness
+            self.worst = {
+                "sample": sample,
+                "inequality": inequality,
+                "lhs": float(lhs),
+                "rhs": float(rhs),
+                "X": matrix_to_literal(x),
+            }
+            if y is not None:
+                self.worst["Y"] = matrix_to_literal(y)
 
     def to_jsonable(self) -> dict:
         out = {
@@ -377,19 +384,6 @@ class ConditionReport:
         }
 
 
-def _witness(sample: int, inequality: str, lhs: float, rhs: float, x, y=None) -> dict:
-    out = {
-        "sample": sample,
-        "inequality": inequality,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "X": matrix_to_literal(x),
-    }
-    if y is not None:
-        out["Y"] = matrix_to_literal(y)
-    return out
-
-
 def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the type1 sufficiency conditions over ball pairs.
 
@@ -414,31 +408,29 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     t1, t2 = maps_for(problem)
 
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
-    d_q = max(math.log(w_q2q1), math.log(w_q1q2), 0.0)
+    d_q = thompson._ratio_distance(w_q1q2, w_q2q1)
 
     rng = np.random.default_rng(seed)
     for i in range(samples):
         x = random_pd_in_ball(problem.n, radius, rng)
         y = random_pd_in_ball(problem.n, radius, rng)
         w_fg, w_gf = thompson._ratios(apply_F(problem.F, x), apply_F(problem.G, y))
-        d_fg = max(math.log(w_gf), math.log(w_fg), 0.0)
+        d_fg = thompson._ratio_distance(w_fg, w_gf)
         w_xy, w_yx = thompson._ratios(x, y)
-        d_xy = max(math.log(w_yx), math.log(w_xy), 0.0)
+        d_xy = thompson._ratio_distance(w_xy, w_yx)
 
-        stat_a.record(d_q - d_fg, _witness(i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y))
+        stat_a.record(i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
         if w_q2q1 > w_gf + CONDITION_TOL or w_q1q2 > w_fg + CONDITION_TOL:
             stat_a.literal_failures += 1
 
-        rhs_b = problem.l * d_xy
-        stat_b.record(d_fg - rhs_b, _witness(i, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, rhs_b, x, y))
+        stat_b.record(i, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, problem.l * d_xy, x, y)
         if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
             stat_b.literal_failures += 1
 
         d1 = thompson.distance_to_identity(t1(x))
         d2 = thompson.distance_to_identity(t2(x))
-        worse = max(d1, d2)
         label = "d(T1(X),I) <= a" if d1 >= d2 else "d(T2(X),I) <= a"
-        stat_c.record(worse - problem.a, _witness(i, label, worse, problem.a, x))
+        stat_c.record(i, label, max(d1, d2), problem.a, x)
 
     report.conditions = {"A": stat_a, "B": stat_b, "C": stat_c}
     return report
@@ -486,8 +478,7 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
             ("lambda_max(G(X)) <= exp(r*a)/m", max_g, exp_ra / m),
             ("lambda_max(G(X)^-1) <= m*exp(r*a)", inv_g, m * exp_ra),
         ]
-        label, lhs, rhs = max(terms_a, key=lambda item: item[1] - item[2])
-        stat_a.record(lhs - rhs, _witness(i, label, lhs, rhs, x))
+        stat_a.record(i, *max(terms_a, key=lambda item: item[1] - item[2]), x)
 
         w_xy, w_yx = thompson._ratios(x, y)
         terms_b = [
@@ -496,8 +487,7 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
             ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx**problem.l),
             ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx**problem.l),
         ]
-        label, lhs, rhs = max(terms_b, key=lambda item: item[1] - item[2])
-        stat_b.record(lhs - rhs, _witness(i, label, lhs, rhs, x, y))
+        stat_b.record(i, *max(terms_b, key=lambda item: item[1] - item[2]), x, y)
 
     report.conditions = {"A": stat_a, "B": stat_b}
     return report

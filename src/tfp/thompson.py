@@ -57,14 +57,18 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple[float, float]:
     return (w_other, w_base) if swap else (w_base, w_other)
 
 
+def _ratio_distance(w_ab: float, w_ba: float) -> float:
+    """d(A, B) = max(log W(A/B), log W(B/A), 0) from the ratio pair."""
+    return max(math.log(w_ab), math.log(w_ba), 0.0)
+
+
 def distance(a, b) -> float:
     """Thompson distance between two positive definite matrices or points."""
     a = hpd_core.pd_point(a, "distance first argument")
     b = hpd_core.pd_point(b, "distance second argument")
     if a.matrix.shape != b.matrix.shape:
         raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
-    w_ab, w_ba = _ratios(a, b)
-    return max(math.log(w_ab), math.log(w_ba), 0.0)
+    return _ratio_distance(*_ratios(a, b))
 
 
 def distance_to_identity(a) -> float:

@@ -91,12 +91,41 @@ class TestProblemFiles:
                 cli.load_problem(path)
             assert str(excinfo.value) == f"{path}: missing required key '{key}'"
 
-    def test_unknown_option_rejected(self, tmp_path):
-        for key in ("turbo", "exp_radius", "bound_tol"):
-            doc = json.loads(fixture_path("quadratic_pass.json").read_text())
-            doc["options"][key] = True
-            with pytest.raises(ProblemFormatError, match=f"unknown option '{key}'"):
-                cli.load_problem(write_problem(tmp_path, doc))
+    def test_unknown_option_rejected(self, tmp_path, capsys):
+        cases = [
+            ("quadratic_pass.json", "options", key, f"unknown option '{key}'")
+            for key in ("turbo", "exp_radius", "bound_tol")
+        ]
+        cases += [
+            # a typo would silently drop every option
+            ("quadratic_pass.json", None, "optoins", "unknown type1 key 'optoins'"),
+            ("quadratic_pass.json", None, "r", "unknown type1 key 'r'"),
+            ("example_4_2.json", None, "Q1", "unknown type2 key 'Q1'"),
+            ("example_4_2.json", None, "Q2", "unknown type2 key 'Q2'"),
+            ("quadratic_pass.json", "F", "scale", "key 'F': unknown power field 'scale'"),
+            ("check_pass_constant.json", "G", "exponent", "key 'G': unknown constant field 'exponent'"),
+        ]
+        for fixture, section, key, message in cases:
+            doc = json.loads(fixture_path(fixture).read_text())
+            (doc if section is None else doc[section])[key] = True
+            path = write_problem(tmp_path, doc)
+            with pytest.raises(ProblemFormatError, match=message):
+                cli.load_problem(path)
+            assert cli.main(["check", str(path)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_non_hermitian_constant_near_overflow_exit_two_naming_it(self, tmp_path, capsys):
+        # ||Q1||_F overflows when squared; the Hermitian tolerance must not
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        doc["Q1"] = [[1e308, 0], [5e307, 1e308]]
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "trace.csv"
+        with np.errstate(over="ignore"):
+            assert cli.main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 2
+            assert "Q1 is not Hermitian" in capsys.readouterr().err
+            assert cli.main(["solve", str(path), "--force", "--out", str(out)]) == 2
+            assert "Q1 is not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_matrix_entry_is_located(self, tmp_path):
         doc = json.loads(fixture_path("quadratic_pass.json").read_text())
@@ -118,6 +147,8 @@ class TestProblemFiles:
             (None, "s", math.inf),
             ("options", "gap_tol", math.nan),
             ("options", "residual_tol", math.nan),
+            ("F", "exponent", "0.5"),
+            ("G", "exponent", True),
         ],
     )
     def test_inexact_value_types_exit_two_naming_the_key(self, tmp_path, capsys, section, key, value):

@@ -102,6 +102,15 @@ class TestEigHermitian:
         with pytest.raises(NonHermitianInput):
             hpd_core.pd_point(np.array([[1.0 + 1e-6j, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_non_hermitian_near_overflow(self):
+        # the squared entries overflow, the tolerance must not
+        m = np.array([[1e308, 0.0], [5e307, 1e308]])
+        with np.errstate(over="ignore"):
+            assert hpd_core.frobenius_norm(m) == pytest.approx(1.5e308)
+            assert hpd_core.hermitian_tolerance(4 * [[1e308] * 4]) == pytest.approx(4e296)
+            with pytest.raises(NonHermitianInput, match="defect 5.000e"):
+                hpd_core.pd_point(m)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hpd_core.eig_hermitian(np.ones((2, 3)))

@@ -165,6 +165,17 @@ class TestResiduals:
         r1, r2 = matrix_solver.residuals(problem, GOLDEN_QUADRATIC * np.eye(2))
         assert r1 <= 1e-10 and r2 <= 1e-10
 
+    def test_overflowing_power_is_a_named_error(self):
+        # X**2 overflows at X = 1e200 I; the residuals would be inf - inf
+        eye = np.eye(2)
+        problem = matrix_solver.problem_type1(
+            n=2, A=[eye], Q1=eye, Q2=eye, s=2,
+            F=matrix_solver.power(1), G=matrix_solver.power(1), a=1, l=1,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TfpError, match=r"candidate solution \*\* 2 contains non-finite"):
+                matrix_solver.residuals(problem, 1e200 * eye)
+
 
 class TestEigensolveBudget:
     """Every eigensolve is a call to ``hpd_core.eig_hermitian``."""
@@ -283,6 +294,30 @@ class TestValidationBudget:
         t1, _ = matrix_solver.maps_for(problem)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TfpError, match="non-finite"):
             t1(hpd_core.pd_point(big))
+
+
+class TestWitnessBudget:
+    """A condition's witness, with X and Y as matrix literals, is built when
+    a sample becomes its worst, not for every sample."""
+
+    @pytest.fixture
+    def literal_builds(self, monkeypatch):
+        calls = []
+        build = matrix_solver.matrix_to_literal
+
+        def counting(m):
+            calls.append(m)
+            return build(m)
+
+        monkeypatch.setattr(matrix_solver, "matrix_to_literal", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["check_fail_power.json", "example_4_1.json", "example_4_2.json"])
+    def test_literals_built_for_new_worst_samples_only(self, literal_builds, name):
+        problem, _, options = load(name)
+        report = matrix_solver.check_conditions(problem, samples=200, seed=options.seed)
+        assert all(stat.worst is not None for stat in report.conditions.values())
+        assert len(literal_builds) <= 50
 
 
 class TestConditionChecker:
