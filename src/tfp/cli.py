@@ -6,9 +6,12 @@ solution, and the plotter renders static semilog SVG convergence charts
 from one or more traces.  All outputs are byte-deterministic for fixed
 inputs: no timestamps, stable key order, shortest-round-trip floats.
 
-Exit codes: 0 success, 2 parse or schema error, 3 condition check failed,
-4 no residual-certified convergence, 5 starting point not positive
-definite or outside the ball.
+Exit codes: 0 success, 2 parse or schema error, 3 condition check failed
+(or broke down numerically), 4 no residual-certified convergence (or the
+iteration broke down numerically), 5 starting point not positive definite
+or outside the ball.  A numerical breakdown, such as a map's right-hand
+side that overflows, prints one ``error:`` line naming what failed and
+writes no output file.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import matrix_solver, thompson
 from .errors import (
@@ -80,9 +85,15 @@ def _reject_unknown(data: dict, known, what: str) -> None:
 
 
 def _as_float(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            message = f"{what} must be a finite number, got an integer beyond the float range"
+            raise ProblemFormatError(message) from None
+        if math.isfinite(number):
+            return number
+    raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
 
 
 def _as_int(value, what: str, minimum: int = 1) -> int:
@@ -416,7 +427,11 @@ def cmd_check(args) -> int:
     problem, _, options = load_problem(args.problem)
     samples = options.samples if args.samples is None else _as_int(args.samples, "--samples")
     seed = options.seed if args.seed is None else _as_seed(args.seed, "--seed")
-    report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
+    try:
+        report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
+    except TfpError as exc:
+        print(f"error: condition check broke down: {exc}", file=sys.stderr)
+        return EXIT_CONDITIONS
 
     out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
     out_path.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
@@ -475,6 +490,9 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         result = exc.result
         converged = False
+    except TfpError as exc:
+        print(f"error: iteration broke down: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
     write_trace_csv(out_csv, trace_rows(problem, result.trace))
     write_solution_json(out_json, problem, result, options.seed, converged)
@@ -548,7 +566,11 @@ def main(argv=None) -> int:
     # not bound when the parser was built.
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        # Every non-finite value a command computes is caught by a finite
+        # check and reported as a named error; numpy's floating-point
+        # warnings would only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            return command(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -23,7 +23,12 @@ spectrum, and T_j's one eigensolve, of its right-hand side, decomposes
 the new point.
 
 Sufficiency conditions are verified by seeded sampling, never exhaustively:
-the quantifier ranges over an uncountable ball.  For type1, conditions (A)
+the quantifier ranges over an uncountable ball.  The samples are drawn one
+after another from one generator, and evaluated in stacked blocks: each
+block is one ``(S, n, n)`` stack per quantity, so a block costs one call
+of each kernel and one eigensolve call per decomposition step, whatever
+its size.  A block holds at most ``_BLOCK_ENTRIES`` matrix entries per
+stack.  For type1, conditions (A)
 and (B) are judged in their metric (proof-level) form
 
     (A)  d(Q1, Q2) <= d(F(X), G(Y))
@@ -33,8 +38,9 @@ with the stricter one-sided ratio inequalities recorded per pair as a
 secondary diagnostic; condition (C) is the pair of ball constraints
 d(T1(X), I) <= a and d(T2(X), I) <= a.  Type2 conditions are checked
 exactly as stated, eigenvalue bound by eigenvalue bound.  A condition's
-report keeps its worst sample as the witness, with X and Y written out as
-matrix literals; the witness is built when a sample becomes the worst.
+report keeps its worst sample (the first of the largest margin) as the
+witness, with X and Y written out as matrix literals; the witness is
+built only for that sample.
 
 The returned solution is certified by the relative equation residuals,
 which are the ground truth of correctness independent of any printed
@@ -56,11 +62,13 @@ from .errors import (
     MaxIterationsExceeded,
     NotPositiveDefinite,
     ResidualToleranceExceeded,
+    TfpError,
     X0DomainError,
 )
 from .fixpoint_engine import IterationTrace, iterate_pair
 from .hpd_core import (
     ComplexMatrix,
+    EigenDecomposition,
     PDPoint,
     _congruence,
     _point,
@@ -82,6 +90,9 @@ CONDITION_TOL = 1e-9
 
 # Unitarity tolerance for type2 coefficient matrices.
 UNITARY_TOL = 1e-10
+
+# Matrix entries per stacked array of a sampling block: 1 MiB of complex128.
+_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +122,16 @@ def constant(value) -> MatrixFunctionSpec:
 
 
 def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
-    """F(X) as a point; a power reads X's spectrum (a matrix X costs one
-    eigensolve, a ``PDPoint`` none)."""
+    """F(X) as a point, or one per point of a stack; a power reads X's
+    spectrum (a matrix X costs one eigensolve, a ``PDPoint`` none), and a
+    constant is repeated along X's leading axes."""
     if spec.kind == "power":
         return pd_point(x).powered(spec.exponent)
     if spec.kind == "constant":
-        return spec.value
+        batch = np.shape(x)[:-2]
+        (lam, vectors), matrix = spec.value.dec, spec.value.matrix
+        lam, vectors = np.broadcast_to(lam, batch + lam.shape), np.broadcast_to(vectors, batch + vectors.shape)
+        return PDPoint(np.broadcast_to(matrix, batch + matrix.shape), EigenDecomposition(lam, vectors))
     raise ValueError(f"unknown matrix function kind {spec.kind!r}")
 
 
@@ -163,7 +178,7 @@ def _validate_coefficients(a_list, n: int) -> tuple[ComplexMatrix, ...]:
     mats = []
     for i, a_i in enumerate(a_list):
         arr = as_square_matrix(a_i, f"A[{i}]")
-        if arr.shape[0] != n:
+        if arr.shape != (n, n):
             raise DimensionMismatch(f"A[{i}] has shape {arr.shape}, expected ({n}, {n})")
         mats.append(arr)
     if not mats:
@@ -246,17 +261,19 @@ def alpha_for(problem: ProblemSpec) -> float:
 
 
 def sum_congruences(a_list, value: ComplexMatrix) -> ComplexMatrix:
-    """sum_i A_i* M A_i for a shared Hermitian middle factor.
+    """sum_i A_i* M A_i for a shared Hermitian middle factor, or for each
+    matrix of a stack of them.
 
     In the Thompson metric this sum is no farther from sum_i A_i* N A_i
     than M is from N, which is what makes the iteration maps contract.
     The operands are not validated: the A_i come from a validated problem
-    and M from a matrix function of a validated point.
+    and M from a matrix function of a validated point.  Each congruence is
+    symmetrized, so each is exactly Hermitian, and so is their sum.
     """
     acc = _congruence(a_list[0], value)
     for a_i in a_list[1:]:
         acc = acc + _congruence(a_i, value)
-    return symmetrize(acc)
+    return acc
 
 
 def _rhs(q: PDPoint | None, a_list, f_value: PDPoint) -> ComplexMatrix:
@@ -268,9 +285,11 @@ def _rhs(q: PDPoint | None, a_list, f_value: PDPoint) -> ComplexMatrix:
 def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callable:
     """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent); no Q when ``q`` is None.
 
-    Maps points to points with one eigensolve, of the right-hand side; the
-    root's decomposition is that one's with eigenvalues ** (1/exponent).
-    The operands come from a validated problem and are not checked again.
+    Maps points, or stacks of points, to points with one eigensolve call,
+    of the right-hand side; the root's decomposition is that one's with
+    eigenvalues ** (1/exponent).  The operands come from a validated
+    problem and are not checked again, but a right-hand side that
+    overflows raises ``NonHermitianInput`` naming it.
     """
     root = 1.0 / exponent
 
@@ -290,19 +309,20 @@ def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
 
     r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Every term
     reads X's spectrum: a ``PDPoint`` costs no eigensolve and a matrix
-    one.  Type1's shared exponent s is raised to once.  A power that
-    overflows raises ``NonHermitianInput`` instead of giving NaN residuals.
+    one.  Type1's shared exponent s is raised to, and its power's norm
+    taken, once.  A power that overflows raises ``NonHermitianInput``
+    instead of giving NaN residuals.
     """
     x = pd_point(x, "candidate solution")
-    powers = {
-        e: as_square_matrix(x.powered(e).matrix, f"candidate solution ** {e:g}")
-        for e in {e for e, _, _ in problem.equations}
-    }
+    powers = {}
+    for e in {e for e, _, _ in problem.equations}:
+        power = as_square_matrix(x.powered(e).matrix, f"candidate solution ** {e:g}")
+        powers[e] = power, max(1.0, frobenius_norm(power))
     out = []
     for e, q, f_spec in problem.equations:
-        lhs = powers[e]
+        lhs, scale = powers[e]
         rhs = _rhs(q, problem.A, apply_F(f_spec, x))
-        out.append(frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs)))
+        out.append(frobenius_norm(lhs - rhs) / scale)
     return tuple(out)
 
 
@@ -313,7 +333,7 @@ def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
 @dataclass
 class ConditionStat:
     """Sampled outcome of one sufficiency condition; ``worst``, the witness
-    of the worst sample, is built when a sample becomes the worst."""
+    of the worst sample, is built for that sample only."""
 
     name: str
     checked: int = 0
@@ -326,23 +346,30 @@ class ConditionStat:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, sample: int, inequality: str, lhs: float, rhs: float, x, y=None) -> None:
-        """Count one sampled inequality lhs <= rhs, whose margin is lhs - rhs."""
+    def record(self, first: int, inequality, lhs, rhs, x: PDPoint, y: PDPoint | None = None) -> None:
+        """Count a block of sampled inequalities lhs <= rhs, samples
+        ``first``, ``first + 1``, ... of the stacks ``x`` (and ``y``), whose
+        margins are lhs - rhs.  ``inequality`` is one label or one per
+        sample.  The block's worst sample is the first of its largest
+        margin, and replaces the witness only when it is strictly worse, as
+        over the samples one by one."""
+        batch = x.matrix.shape[:1]
+        lhs, rhs = np.broadcast_to(lhs, batch), np.broadcast_to(rhs, batch)
         margin = lhs - rhs
-        self.checked += 1
-        if margin > CONDITION_TOL:
-            self.failures += 1
-        if margin > self.worst_margin:
-            self.worst_margin = margin
+        self.checked += margin.size
+        self.failures += int(np.count_nonzero(margin > CONDITION_TOL))
+        i = int(np.argmax(margin))
+        if margin[i] > self.worst_margin:
+            self.worst_margin = float(margin[i])
             self.worst = {
-                "sample": sample,
-                "inequality": inequality,
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "X": matrix_to_literal(x),
+                "sample": first + i,
+                "inequality": str(np.broadcast_to(inequality, batch)[i]),
+                "lhs": float(lhs[i]),
+                "rhs": float(rhs[i]),
+                "X": matrix_to_literal(x.matrix[i]),
             }
             if y is not None:
-                self.worst["Y"] = matrix_to_literal(y)
+                self.worst["Y"] = matrix_to_literal(y.matrix[i])
 
     def to_jsonable(self) -> dict:
         out = {
@@ -384,6 +411,19 @@ class ConditionReport:
         }
 
 
+def _sample_blocks(problem: ProblemSpec, samples: int, seed: int):
+    """The sampled pairs (X, Y) from the ball of ``ball_radius``, drawn X
+    then Y for sample 0, 1, ... from one generator, as (first sample,
+    stack of X, stack of Y) per block of at most ``_BLOCK_ENTRIES``
+    entries per stack."""
+    n, radius = problem.n, ball_radius(problem)
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    rng = np.random.default_rng(seed)
+    for first in range(0, samples, block):
+        pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
+        yield first, pairs[:, 0], pairs[:, 1]
+
+
 def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the type1 sufficiency conditions over ball pairs.
 
@@ -400,40 +440,52 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
         raise ValueError(f"expected a type1 problem, got {problem.kind}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    radius = ball_radius(problem)
-    report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=radius)
+    report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=ball_radius(problem))
     stat_a = ConditionStat("A", literal_failures=0)
     stat_b = ConditionStat("B", literal_failures=0)
     stat_c = ConditionStat("C")
     t1, t2 = maps_for(problem)
+    l = problem.l
 
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
-    d_q = thompson._ratio_distance(w_q1q2, w_q2q1)
+    d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, rng)
-        y = random_pd_in_ball(problem.n, radius, rng)
+    for first, x, y in _sample_blocks(problem, samples, seed):
         w_fg, w_gf = thompson._ratios(apply_F(problem.F, x), apply_F(problem.G, y))
-        d_fg = thompson._ratio_distance(w_fg, w_gf)
+        d_fg = thompson._ratio_distances(w_fg, w_gf)
         w_xy, w_yx = thompson._ratios(x, y)
-        d_xy = thompson._ratio_distance(w_xy, w_yx)
+        d_xy = thompson._ratio_distances(w_xy, w_yx)
 
-        stat_a.record(i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
-        if w_q2q1 > w_gf + CONDITION_TOL or w_q1q2 > w_fg + CONDITION_TOL:
-            stat_a.literal_failures += 1
+        stat_a.record(first, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
+        stat_a.literal_failures += int(
+            np.count_nonzero((w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL))
+        )
 
-        stat_b.record(i, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, problem.l * d_xy, x, y)
-        if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
-            stat_b.literal_failures += 1
+        stat_b.record(first, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy, x, y)
+        stat_b.literal_failures += int(
+            np.count_nonzero(
+                (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL)
+                | (w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL)
+            )
+        )
 
         d1 = thompson.distance_to_identity(t1(x))
         d2 = thompson.distance_to_identity(t2(x))
-        label = "d(T1(X),I) <= a" if d1 >= d2 else "d(T2(X),I) <= a"
-        stat_c.record(i, label, max(d1, d2), problem.a, x)
+        label = np.where(d1 >= d2, "d(T1(X),I) <= a", "d(T2(X),I) <= a")
+        stat_c.record(first, label, np.maximum(d1, d2), problem.a, x)
 
     report.conditions = {"A": stat_a, "B": stat_b, "C": stat_c}
     return report
+
+
+def _record_worst_term(stat: ConditionStat, first: int, terms, x: PDPoint, y: PDPoint | None = None) -> None:
+    """Record, per sample, the term (label, lhs, rhs) of largest margin
+    lhs - rhs, the first in ``terms`` order on a tie."""
+    labels, lhs, rhs = zip(*terms)
+    batch = x.matrix.shape[:1]
+    lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
+    worst, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
+    stat.record(first, np.array(labels)[worst], lhs[worst, samples], rhs[worst, samples], x, y)
 
 
 def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
@@ -456,21 +508,17 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
         raise ValueError(f"expected a type2 problem, got {problem.kind}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    radius = ball_radius(problem)
-    report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=radius)
+    report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=ball_radius(problem))
     stat_a = ConditionStat("A")
     stat_b = ConditionStat("B")
     exp_ra = math.exp(problem.r * problem.a)
-    m = problem.m
+    m, l = problem.m, problem.l
 
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, rng)
-        y = random_pd_in_ball(problem.n, radius, rng)
+    for first, x, y in _sample_blocks(problem, samples, seed):
         lam_f = apply_F(problem.F, x).dec.eigenvalues
         lam_g = apply_F(problem.G, x).dec.eigenvalues
-        max_f, inv_f = float(lam_f[-1]), float(1.0 / lam_f[0])
-        max_g, inv_g = float(lam_g[-1]), float(1.0 / lam_g[0])
+        max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
+        max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
 
         terms_a = [
             ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
@@ -478,16 +526,17 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
             ("lambda_max(G(X)) <= exp(r*a)/m", max_g, exp_ra / m),
             ("lambda_max(G(X)^-1) <= m*exp(r*a)", inv_g, m * exp_ra),
         ]
-        stat_a.record(i, *max(terms_a, key=lambda item: item[1] - item[2]), x)
+        _record_worst_term(stat_a, first, terms_a, x)
 
         w_xy, w_yx = thompson._ratios(x, y)
+        w_xy_l, w_yx_l = thompson._ratio_powers(w_xy, l), thompson._ratio_powers(w_yx, l)
         terms_b = [
-            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
-            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),
-            ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx**problem.l),
-            ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx**problem.l),
+            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy_l / (m * 2.0**problem.r)),
+            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy_l / (m * 2.0**problem.s)),
+            ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx_l),
+            ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx_l),
         ]
-        stat_b.record(i, *max(terms_b, key=lambda item: item[1] - item[2]), x, y)
+        _record_worst_term(stat_b, first, terms_b, x, y)
 
     report.conditions = {"A": stat_a, "B": stat_b}
     return report
@@ -558,7 +607,8 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         Starting point not positive definite or outside the admissible ball.
     ConditionsNotVerified
         Condition report failed and the solve was not forced (the report
-        is attached to the exception).
+        is attached to the exception), or the check broke down with a
+        ``TfpError`` (no report).
     MaxIterationsExceeded
         Step budget exhausted; the partial result is attached.
     ResidualToleranceExceeded
@@ -583,7 +633,10 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
 
     report = None
     if not options.force:
-        report = check_conditions(problem, options.samples, options.seed)
+        try:
+            report = check_conditions(problem, options.samples, options.seed)
+        except TfpError as exc:
+            raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
         if not report.passed:
             failing = sorted(name for name, stat in report.conditions.items() if not stat.passed)
             raise ConditionsNotVerified(

@@ -1,0 +1,130 @@
+"""Sequential condition checkers: the test oracle for the stacked sampler.
+
+``matrix_solver.check_conditions`` evaluates its samples in stacked
+blocks.  The checkers here draw and judge one sample at a time, from the
+same generator and in the same order, with the package's kernels on single
+points, Python scalars for the ratios and the original one-sample
+``record`` rule (a sample replaces the witness when its margin is strictly
+larger).  Their reports must match the stacked ones byte for byte.
+"""
+
+import math
+
+import numpy as np
+
+from tfp import thompson
+from tfp.hpd_core import matrix_to_literal, random_pd_in_ball
+from tfp.matrix_solver import (
+    CONDITION_TOL,
+    TYPE1,
+    TYPE2,
+    ConditionReport,
+    ConditionStat,
+    apply_F,
+    ball_radius,
+    maps_for,
+)
+
+
+def _record(stat, sample, inequality, lhs, rhs, x, y=None):
+    """Count one sampled inequality lhs <= rhs, whose margin is lhs - rhs."""
+    margin = lhs - rhs
+    stat.checked += 1
+    if margin > CONDITION_TOL:
+        stat.failures += 1
+    if margin > stat.worst_margin:
+        stat.worst_margin = margin
+        stat.worst = {
+            "sample": sample,
+            "inequality": inequality,
+            "lhs": float(lhs),
+            "rhs": float(rhs),
+            "X": matrix_to_literal(x),
+        }
+        if y is not None:
+            stat.worst["Y"] = matrix_to_literal(y)
+
+
+def _ratios(a, b):
+    return tuple(float(w) for w in thompson._ratios(a, b))
+
+
+def check_conditions_type1(problem, samples=200, seed=0):
+    radius = ball_radius(problem)
+    report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=radius)
+    stat_a = ConditionStat("A", literal_failures=0)
+    stat_b = ConditionStat("B", literal_failures=0)
+    stat_c = ConditionStat("C")
+    t1, t2 = maps_for(problem)
+
+    w_q1q2, w_q2q1 = _ratios(problem.Q1, problem.Q2)
+    d_q = thompson._ratio_distance(w_q1q2, w_q2q1)
+
+    rng = np.random.default_rng(seed)
+    for i in range(samples):
+        x = random_pd_in_ball(problem.n, radius, rng)
+        y = random_pd_in_ball(problem.n, radius, rng)
+        w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
+        d_fg = thompson._ratio_distance(w_fg, w_gf)
+        w_xy, w_yx = _ratios(x, y)
+        d_xy = thompson._ratio_distance(w_xy, w_yx)
+
+        _record(stat_a, i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
+        if w_q2q1 > w_gf + CONDITION_TOL or w_q1q2 > w_fg + CONDITION_TOL:
+            stat_a.literal_failures += 1
+
+        _record(stat_b, i, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, problem.l * d_xy, x, y)
+        if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
+            stat_b.literal_failures += 1
+
+        d1 = float(thompson.distance_to_identity(t1(x)))
+        d2 = float(thompson.distance_to_identity(t2(x)))
+        label = "d(T1(X),I) <= a" if d1 >= d2 else "d(T2(X),I) <= a"
+        _record(stat_c, i, label, max(d1, d2), problem.a, x)
+
+    report.conditions = {"A": stat_a, "B": stat_b, "C": stat_c}
+    return report
+
+
+def check_conditions_type2(problem, samples=200, seed=0):
+    radius = ball_radius(problem)
+    report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=radius)
+    stat_a = ConditionStat("A")
+    stat_b = ConditionStat("B")
+    exp_ra = math.exp(problem.r * problem.a)
+    m = problem.m
+
+    rng = np.random.default_rng(seed)
+    for i in range(samples):
+        x = random_pd_in_ball(problem.n, radius, rng)
+        y = random_pd_in_ball(problem.n, radius, rng)
+        lam_f = apply_F(problem.F, x).dec.eigenvalues
+        lam_g = apply_F(problem.G, x).dec.eigenvalues
+        max_f, inv_f = float(lam_f[-1]), float(1.0 / lam_f[0])
+        max_g, inv_g = float(lam_g[-1]), float(1.0 / lam_g[0])
+
+        terms_a = [
+            ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
+            ("lambda_max(F(X)^-1) <= m*exp(r*a)", inv_f, m * exp_ra),
+            ("lambda_max(G(X)) <= exp(r*a)/m", max_g, exp_ra / m),
+            ("lambda_max(G(X)^-1) <= m*exp(r*a)", inv_g, m * exp_ra),
+        ]
+        _record(stat_a, i, *max(terms_a, key=lambda item: item[1] - item[2]), x)
+
+        w_xy, w_yx = _ratios(x, y)
+        terms_b = [
+            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
+            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),
+            ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx**problem.l),
+            ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx**problem.l),
+        ]
+        _record(stat_b, i, *max(terms_b, key=lambda item: item[1] - item[2]), x, y)
+
+    report.conditions = {"A": stat_a, "B": stat_b}
+    return report
+
+
+def check_conditions(problem, samples=200, seed=0):
+    if problem.kind == TYPE1:
+        return check_conditions_type1(problem, samples, seed)
+    return check_conditions_type2(problem, samples, seed)

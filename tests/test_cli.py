@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfp
 from tfp import cli, matrix_solver
 from tfp.hpd_core import matrix_to_literal
 from tfp.errors import ProblemFormatError
@@ -25,6 +30,27 @@ def write_problem(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def run_tfp(*argv):
+    """``tfp`` in a fresh interpreter, so that stderr shows everything a
+    user would see, numpy's warnings included."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tfp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from tfp.cli import main; sys.exit(main(sys.argv[1:]))", *map(str, argv)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+def overflowing_quadratic(tmp_path, scale, a, x0=None):
+    """quadratic_pass with A = scale * I and ball radius a: its maps'
+    right-hand sides 3I + scale^2 X overflow for X far out on the ball."""
+    doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+    doc["A"] = [[[scale, 0], [0, scale]]]
+    doc["a"] = a
+    if x0 is not None:
+        doc["x0"] = x0
+    return write_problem(tmp_path, doc)
 
 
 def function_document(spec):
@@ -127,6 +153,36 @@ class TestProblemFiles:
             assert "Q1 is not Hermitian" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_near_overflow_constant_prints_only_the_error_line(self, tmp_path):
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        doc["Q1"] = [[1e308, 0], [5e307, 1e308]]
+        path = write_problem(tmp_path, doc)
+        result = run_tfp("check", path, "--out", tmp_path / "report.json")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: Q1 is not Hermitian")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            (("Q1", 0, 0), "Q1 entry [0][0] is an integer beyond the float range"),
+            (("A", 0, 1, 1, 0), "A[0] entry [1][1] is an integer beyond the float range"),
+            (("a",), "key 'a' must be a finite number, got an integer beyond the float range"),
+        ],
+        ids=["matrix-entry", "re-im-pair", "scalar-key"],
+    )
+    def test_integer_beyond_float_range_exit_two_naming_it(self, tmp_path, capsys, where, expected):
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        doc["A"] = [[[1, 0], [0, [1, 0]]]]
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = 10**400
+        path = write_problem(tmp_path, doc)
+        for command in ("check", "solve"):
+            assert cli.main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+
     def test_bad_matrix_entry_is_located(self, tmp_path):
         doc = json.loads(fixture_path("quadratic_pass.json").read_text())
         doc["Q2"][1][0] = "oops"
@@ -218,6 +274,20 @@ class TestCheckCommand:
         assert code == 3
         assert json.loads(out.read_text())["seed"] == seed
 
+    def test_overflowing_map_in_condition_c_exit_three_naming_it(self, tmp_path):
+        # the samples and their distances stay finite on this ball; the
+        # right-hand side of T1(X) = (3I + 1e300 X)^(1/2) does not
+        path = overflowing_quadratic(tmp_path, 1e150, 20)
+        report = tmp_path / "report.json"
+        message = "condition check broke down: map right-hand side contains non-finite entries\n"
+        result = run_tfp("check", path, "--out", report)
+        assert (result.returncode, result.stderr) == (3, "error: " + message)
+        assert not report.exists()
+        out = tmp_path / "t.csv"
+        result = run_tfp("solve", path, "--out", out)
+        assert (result.returncode, result.stderr) == (3, "error: " + message)
+        assert not out.exists()
+
     def test_report_bytes_stable(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -266,6 +336,14 @@ class TestSolveCommand:
         code = cli.main(["solve", str(fixture_path("check_fail_power.json")), "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+    def test_overflowing_map_during_iteration_exit_four_naming_it(self, tmp_path):
+        path = overflowing_quadratic(tmp_path, 1e100, 1000, x0=[[1e200, 0], [0, 1e200]])
+        out = tmp_path / "t.csv"
+        result = run_tfp("solve", path, "--force", "--out", out)
+        assert result.returncode == 4
+        assert result.stderr == "error: iteration broke down: map right-hand side contains non-finite entries\n"
+        assert result.stdout == "" and not out.exists()
 
     def test_force_flag_overrides(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -1,0 +1,156 @@
+"""Stacked condition sampling against the sequential oracle.
+
+``matrix_solver.check_conditions`` draws its samples one after another and
+evaluates them in stacked blocks.  ``sampling_oracle`` checks the same
+samples one at a time.  Every CLI output that depends on the check (the
+report, the stdout of ``check`` and of an unforced ``solve``, the solve's
+files) must be byte-identical between the two, and the stacked checker
+must decompose exactly the matrices the oracle decomposes, in a number of
+``eig_hermitian`` calls that does not grow with the sample count.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sampling_oracle
+from tfp import cli, hpd_core, matrix_solver
+from tfp.fixtures import fixture_path
+
+FIXTURES = [
+    "check_fail_power.json",
+    "check_pass_constant.json",
+    "example_4_1.json",
+    "example_4_2.json",
+    "quadratic_pass.json",
+]
+
+
+def _load_known_answer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "known_answer.py"
+    spec = importlib.util.spec_from_file_location("known_answer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+known_answer = _load_known_answer()
+
+
+def known_answer_files(tmp_path, n, count, seed):
+    paths = []
+    for i, (doc, _) in enumerate(known_answer.problems(n, count, seed)):
+        path = tmp_path / f"known_{n}_{seed}_{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(path)
+    return paths
+
+
+def cli_outputs(tmp_path, capsys, label, argv, outputs):
+    """Exit code, stdout, stderr and output file bytes of one CLI run whose
+    output paths are ``outputs`` (names under a fresh directory)."""
+    out_dir = tmp_path / label
+    out_dir.mkdir(parents=True)
+    code = cli.main([*argv, "--out", str(out_dir / outputs[0])])
+    captured = capsys.readouterr()
+    files = {name: (out_dir / name).read_bytes() for name in outputs if (out_dir / name).exists()}
+    return code, captured.out.replace(str(out_dir), "OUT"), captured.err.replace(str(out_dir), "OUT"), files
+
+
+def assert_same_as_oracle(tmp_path, capsys, monkeypatch, argv, outputs=("report.json",)):
+    stacked = cli_outputs(tmp_path, capsys, "stacked", argv, outputs)
+    monkeypatch.setattr(matrix_solver, "check_conditions", sampling_oracle.check_conditions)
+    oracle = cli_outputs(tmp_path, capsys, "oracle", argv, outputs)
+    monkeypatch.undo()
+    assert stacked == oracle
+    return stacked
+
+
+class TestReportsMatchTheOracle:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_at_its_shipped_seed(self, tmp_path, capsys, monkeypatch, name):
+        code, out, _, files = assert_same_as_oracle(
+            tmp_path, capsys, monkeypatch, ["check", str(fixture_path(name))]
+        )
+        assert code in (0, 3) and "condition A" in out
+        assert json.loads(files["report.json"])["samples"] == 200
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_with_samples_and_seed_flags(self, tmp_path, capsys, monkeypatch, name):
+        argv = ["check", str(fixture_path(name)), "--samples", "30", "--seed", "13"]
+        _, _, _, files = assert_same_as_oracle(tmp_path, capsys, monkeypatch, argv)
+        assert json.loads(files["report.json"])["seed"] == 13
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_known_answer_problems(self, tmp_path, capsys, monkeypatch, n, seed):
+        for i, path in enumerate(known_answer_files(tmp_path, n, 4, seed)):
+            argv = ["check", str(path)]
+            code, _, _, _ = assert_same_as_oracle(tmp_path / f"p{i}", capsys, monkeypatch, argv)
+            # condition (B) fails on every known-answer problem
+            assert code == 3
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sample_counts_at_the_block_boundary(self, tmp_path, capsys, monkeypatch, offset):
+        n = 16
+        block = matrix_solver._BLOCK_ENTRIES // (n * n)
+        assert block > 2
+        for samples in {1, block + offset}:
+            for i, path in enumerate(known_answer_files(tmp_path, n, 2, 5)):
+                argv = ["check", str(path), "--samples", str(samples)]
+                out_dir = tmp_path / f"s{samples}_p{i}"
+                _, _, _, files = assert_same_as_oracle(out_dir, capsys, monkeypatch, argv)
+                assert json.loads(files["report.json"])["conditions"]["A"]["checked"] == samples
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_unforced_solve(self, tmp_path, capsys, monkeypatch, name):
+        argv = ["solve", str(fixture_path(name))]
+        code, out, _, files = assert_same_as_oracle(
+            tmp_path, capsys, monkeypatch, argv, outputs=("trace.csv", "trace.json")
+        )
+        assert code in (0, 3, 4)
+        assert (code == 3) == (not files)
+
+
+class TestMatricesDecomposed:
+    """``eig_hermitian`` decomposes one matrix or one stack per call;
+    ``eig_calls`` lists the leading (stack) shape of each call."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        eig = hpd_core.eig_hermitian
+
+        def counting(m, *args):
+            calls.append(np.shape(m)[:-2])
+            return eig(m, *args)
+
+        monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
+        monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_stacked_checker_decomposes_the_oracles_matrices(self, eig_calls, name):
+        problem, _, options = cli.load_problem(fixture_path(name))
+        matrices = []
+        for check in (matrix_solver.check_conditions, sampling_oracle.check_conditions):
+            eig_calls.clear()
+            check(problem, options.samples, options.seed)
+            matrices.append(sum(math.prod(shape) for shape in eig_calls))
+        assert matrices[0] == matrices[1]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_calls_per_check_do_not_grow_with_samples(self, eig_calls, name):
+        # type1: d(Q1, Q2), d(F(X), G(Y)) and d(X, Y), each with a second
+        # eigensolve on its wide pencils, and the roots of T1(X) and T2(X);
+        # type2: d(X, Y) and its wide pencils
+        problem, _, options = cli.load_problem(fixture_path(name))
+        per_check = 8 if problem.kind == matrix_solver.TYPE1 else 2
+        for samples in (20, 1000):
+            eig_calls.clear()
+            matrix_solver.check_conditions(problem, samples, options.seed)
+            assert len(eig_calls) <= per_check

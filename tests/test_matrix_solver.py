@@ -178,16 +178,17 @@ class TestResiduals:
 
 
 class TestEigensolveBudget:
-    """Every eigensolve is a call to ``hpd_core.eig_hermitian``."""
+    """Every eigensolve is a call to ``hpd_core.eig_hermitian``; ``eig_calls``
+    lists the arguments, one matrix or one stack per call."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
         calls = []
         eig = hpd_core.eig_hermitian
 
-        def counting(m):
+        def counting(m, *args):
             calls.append(m)
-            return eig(m)
+            return eig(m, *args)
 
         monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
         monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
@@ -230,8 +231,9 @@ class TestEigensolveBudget:
 
     @pytest.mark.parametrize("kind, per_sample", [("type1", 4), ("type2", 1)])
     def test_condition_sample_costs(self, eig_calls, kind, per_sample):
-        # type1: d(F(X), G(Y)), d(X, Y) and the roots of T1(X) and T2(X);
-        # type2: d(X, Y), with F(X) and G(X) read from X's spectrum
+        # matrices decomposed, in stacks: type1: d(F(X), G(Y)), d(X, Y) and
+        # the roots of T1(X) and T2(X); type2: d(X, Y), with F(X) and G(X)
+        # read from X's spectrum
         if kind == "type1":
             problem = load("quadratic_pass.json")[0]
         else:
@@ -243,7 +245,7 @@ class TestEigensolveBudget:
         for samples in (15, 30):
             eig_calls.clear()
             matrix_solver.check_conditions(problem, samples=samples, seed=8)
-            counts.append(len(eig_calls))
+            counts.append(sum(math.prod(np.shape(m)[:-2]) for m in eig_calls))
         assert counts[1] - counts[0] == per_sample * 15
 
 
