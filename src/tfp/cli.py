@@ -17,6 +17,7 @@ writes no output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -71,9 +72,31 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # Problem files
 
 
-def _require_key(data: dict, key: str, path: str):
+@contextlib.contextmanager
+def _prefixed(prefix):
+    """Re-raise a ``TfpError`` or ``ValueError`` from the block as a
+    ``ProblemFormatError`` whose message starts with ``prefix: ``: the one
+    place where a file, or a key within it, is named."""
+    try:
+        yield
+    except (TfpError, ValueError) as exc:
+        raise ProblemFormatError(f"{prefix}: {exc}") from exc
+
+
+def _read_json(path: Path):
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def _require_key(data: dict, key: str):
     if key not in data:
-        raise ProblemFormatError(f"{path}: missing required key '{key}'")
+        raise ProblemFormatError(f"missing required key '{key}'")
     return data[key]
 
 
@@ -116,49 +139,37 @@ def _as_bool(value, what: str) -> bool:
     return value
 
 
-def _number(data: dict, key: str, path: str) -> float:
-    return _as_float(_require_key(data, key, path), f"{path}: key '{key}'")
+def _number(data: dict, key: str) -> float:
+    return _as_float(_require_key(data, key), f"key '{key}'")
 
 
-def _matrix(data: dict, key: str, path: str):
-    value = _require_key(data, key, path)
-    try:
-        return matrix_from_literal(value, key)
-    except TfpError as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
+def _matrix(data: dict, key: str):
+    return matrix_from_literal(_require_key(data, key), key)
 
 
-def _x0(literal, n: int, where: str):
+def _x0(literal, n: int):
     """A starting point from its literal: a Hermitian n-by-n matrix."""
-    try:
-        x0 = require_hermitian(matrix_from_literal(literal, "x0"), "x0")
-    except TfpError as exc:
-        raise ProblemFormatError(f"{where}: {exc}") from exc
+    x0 = require_hermitian(matrix_from_literal(literal, "x0"), "x0")
     if x0.shape[0] != n:
-        raise ProblemFormatError(f"{where}: x0 has shape {x0.shape}, expected ({n}, {n})")
+        raise ProblemFormatError(f"x0 has shape {x0.shape}, expected ({n}, {n})")
     return x0
 
 
-def _function_spec(data: dict, key: str, path: str) -> matrix_solver.MatrixFunctionSpec:
-    """F or G: a power with a finite exponent or a positive definite constant."""
-    value = _require_key(data, key, path)
-    where = f"{path}: key '{key}'"
+def _function_spec(data: dict, key: str) -> matrix_solver.MatrixFunctionSpec:
+    """F or G: a power with a finite exponent or a positive definite constant;
+    errors within the object name its key."""
+    value = _require_key(data, key)
     if not isinstance(value, dict):
-        raise ProblemFormatError(f"{where} must be an object")
-    kind = value.get("kind")
-    # Read outside the try below: these errors already name the key.
-    if kind == "power":
-        _reject_unknown(value, ("kind", "exponent"), f"{where}: unknown power field")
-        build, arg = matrix_solver.power, _number(value, "exponent", where)
-    elif kind == "constant":
-        _reject_unknown(value, ("kind", "value"), f"{where}: unknown constant field")
-        build, arg = matrix_solver.constant, _matrix(value, "value", where)
-    else:
-        raise ProblemFormatError(f"{where}: unknown matrix function kind {kind!r}")
-    try:
-        return build(arg)
-    except (TfpError, ValueError) as exc:
-        raise ProblemFormatError(f"{where}: {exc}") from exc
+        raise ProblemFormatError(f"key '{key}' must be an object")
+    with _prefixed(f"key '{key}'"):
+        kind = value.get("kind")
+        if kind == "power":
+            _reject_unknown(value, ("kind", "exponent"), "unknown power field")
+            return matrix_solver.power(_number(value, "exponent"))
+        if kind == "constant":
+            _reject_unknown(value, ("kind", "value"), "unknown constant field")
+            return matrix_solver.constant(_matrix(value, "value"))
+        raise ProblemFormatError(f"unknown matrix function kind {kind!r}")
 
 
 def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver.SolveOptions]:
@@ -166,71 +177,51 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
 
     Returns the problem, the starting point (``None`` meaning identity)
     and the solve options, with the ``TFP_SEED`` environment variable
-    taking precedence over the file's seed.
+    taking precedence over the file's seed.  Every error but a bad
+    ``TFP_SEED`` names the file.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ProblemFormatError(f"{path}: cannot read: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ProblemFormatError(f"{path}: top level must be an object")
-
-    where = str(path)
-    kind = _require_key(data, "kind", where)
-    if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
-        raise ProblemFormatError(f"{where}: key 'kind' must be 'type1' or 'type2', got {kind!r}")
-    _reject_unknown(data, PROBLEM_KEYS[kind], f"{where}: unknown {kind} key")
-    n = _as_int(_require_key(data, "n", where), f"{where}: key 'n'")
-    m = _as_int(_require_key(data, "m", where), f"{where}: key 'm'")
-    a_value = _require_key(data, "A", where)
-    if not isinstance(a_value, list) or len(a_value) != m:
-        raise ProblemFormatError(f"{where}: key 'A' must list exactly m={m} matrices")
-    mats = []
-    for i, entry in enumerate(a_value):
-        try:
-            mats.append(matrix_from_literal(entry, f"A[{i}]"))
-        except TfpError as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from exc
-
-    f_spec = _function_spec(data, "F", where)
-    g_spec = _function_spec(data, "G", where)
-    # Read outside the try below: these errors already name the file.
-    fields = {key: _number(data, key, where) for key in ("a", "l", "s")}
-    if kind == matrix_solver.TYPE1:
-        build = matrix_solver.problem_type1
-        fields.update(Q1=_matrix(data, "Q1", where), Q2=_matrix(data, "Q2", where))
-    else:
-        build = matrix_solver.problem_type2
-        fields.update(r=_number(data, "r", where))
-    try:
+    with _prefixed(path):
+        data = _read_json(path)
+        if not isinstance(data, dict):
+            raise ProblemFormatError("top level must be an object")
+        kind = _require_key(data, "kind")
+        if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
+            raise ProblemFormatError(f"key 'kind' must be 'type1' or 'type2', got {kind!r}")
+        _reject_unknown(data, PROBLEM_KEYS[kind], f"unknown {kind} key")
+        n = _as_int(_require_key(data, "n"), "key 'n'")
+        m = _as_int(_require_key(data, "m"), "key 'm'")
+        a_value = _require_key(data, "A")
+        if not isinstance(a_value, list) or len(a_value) != m:
+            raise ProblemFormatError(f"key 'A' must list exactly m={m} matrices")
+        mats = [matrix_from_literal(entry, f"A[{i}]") for i, entry in enumerate(a_value)]
+        f_spec, g_spec = _function_spec(data, "F"), _function_spec(data, "G")
+        fields = {key: _number(data, key) for key in ("a", "l", "s")}
+        if kind == matrix_solver.TYPE1:
+            build = matrix_solver.problem_type1
+            fields.update(Q1=_matrix(data, "Q1"), Q2=_matrix(data, "Q2"))
+        else:
+            build = matrix_solver.problem_type2
+            fields.update(r=_number(data, "r"))
         problem = build(n=n, A=mats, F=f_spec, G=g_spec, **fields)
-    except (TfpError, ValueError) as exc:
-        raise ProblemFormatError(f"{where}: {exc}") from exc
 
-    x0 = None
-    if "x0" in data and data["x0"] != "identity":
-        x0 = _x0(data["x0"], n, where)
+        x0 = None
+        if "x0" in data and data["x0"] != "identity":
+            x0 = _x0(data["x0"], n)
 
-    raw_options = data.get("options", {})
-    if not isinstance(raw_options, dict):
-        raise ProblemFormatError(f"{where}: key 'options' must be an object")
-    known = {
-        "gap_tol": _as_float,
-        "residual_tol": _as_float,
-        "max_iter": _as_int,
-        "seed": _as_seed,
-        "samples": _as_int,
-        "force": _as_bool,
-    }
-    _reject_unknown(raw_options, known, f"{where}: unknown option")
-    kwargs = {
-        key: known[key](value, f"{where}: option '{key}'") for key, value in raw_options.items()
-    }
+        raw_options = data.get("options", {})
+        if not isinstance(raw_options, dict):
+            raise ProblemFormatError("key 'options' must be an object")
+        known = {
+            "gap_tol": _as_float,
+            "residual_tol": _as_float,
+            "max_iter": _as_int,
+            "seed": _as_seed,
+            "samples": _as_int,
+            "force": _as_bool,
+        }
+        _reject_unknown(raw_options, known, "unknown option")
+        kwargs = {key: known[key](value, f"option '{key}'") for key, value in raw_options.items()}
     env_seed = os.environ.get("TFP_SEED")
     if env_seed is not None:
         try:
@@ -457,15 +448,8 @@ def _resolve_x0(args, file_x0, n):
         return file_x0
     if args.x0 == "identity":
         return identity(n)
-    try:
-        literal = json.loads(Path(args.x0).read_text())
-    except OSError as exc:
-        raise ProblemFormatError(f"{args.x0}: cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"{args.x0}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return _x0(literal, n, args.x0)
+    with _prefixed(args.x0):
+        return _x0(_read_json(Path(args.x0)), n)
 
 
 def cmd_solve(args) -> int:

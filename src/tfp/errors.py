@@ -10,7 +10,8 @@ class DimensionMismatch(TfpError):
 
 
 class NonHermitianInput(TfpError):
-    """A matrix violates the Hermitian symmetry tolerance."""
+    """A matrix violates the Hermitian symmetry tolerance or has non-finite
+    entries."""
 
 
 class NotPositiveDefinite(TfpError):

@@ -18,7 +18,6 @@
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -30,16 +29,3 @@ def fixture_path(name: str) -> Path:
         raise FileNotFoundError(f"no shipped fixture named {name!r}")
     return path
 
-
-def list_fixtures() -> list[str]:
-    """Names of all shipped fixture files."""
-    return sorted(
-        entry.name
-        for entry in resources.files(__package__).iterdir()
-        if entry.name.endswith(".json")
-    )
-
-
-def load_fixture(name: str) -> dict:
-    """Parsed JSON document of a shipped fixture."""
-    return json.loads(fixture_path(name).read_text())

@@ -46,6 +46,9 @@ ComplexMatrix = NDArray[np.complex128]
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# The exact types of a number in a matrix literal.
+_REAL = (int, float)
+
 
 class EigenDecomposition(NamedTuple):
     """Spectral factorization M = V diag(eigenvalues) V*.
@@ -265,34 +268,29 @@ def _congruence(a: ComplexMatrix, m: ComplexMatrix) -> ComplexMatrix:
 def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:
     """Parse the nested-array matrix literal shared with the problem files.
 
-    Each entry is either a bare real number or an ``[re, im]`` pair; rows
-    must be lists of equal length.  An integer beyond the float range is
-    rejected, naming the entry.
+    Each entry is either a bare real number or an ``[re, im]`` pair of
+    them, a number being an ``int`` or a ``float`` as ``json.loads``
+    returns it (not a ``bool``); rows must be lists of equal length.  An
+    integer beyond the float range is rejected, naming the entry.
     """
     if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise DimensionMismatch(f"{name} must be a non-empty list of rows")
-    n_rows = len(obj)
-    out = np.zeros((n_rows, len(obj[0])), dtype=np.complex128)
+    n_cols = len(obj[0])
+    values = []
     for i, row in enumerate(obj):
-        if len(row) != len(obj[0]):
-            raise DimensionMismatch(f"{name} row {i} has length {len(row)}, expected {len(obj[0])}")
+        if len(row) != n_cols:
+            raise DimensionMismatch(f"{name} row {i} has length {len(row)}, expected {n_cols}")
         for j, entry in enumerate(row):
+            re, im = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0.0)
+            if type(re) not in _REAL or type(im) not in _REAL:
+                raise DimensionMismatch(
+                    f"{name} entry [{i}][{j}] must be a number or an [re, im] pair, got {entry!r}"
+                )
             try:
-                if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                    out[i, j] = float(entry)
-                elif (
-                    isinstance(entry, list)
-                    and len(entry) == 2
-                    and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-                ):
-                    out[i, j] = complex(float(entry[0]), float(entry[1]))
-                else:
-                    raise DimensionMismatch(
-                        f"{name} entry [{i}][{j}] must be a number or an [re, im] pair, got {entry!r}"
-                    )
+                values.append(complex(re, im))
             except OverflowError:
                 raise DimensionMismatch(f"{name} entry [{i}][{j}] is an integer beyond the float range") from None
-    return out
+    return np.array(values, dtype=np.complex128).reshape(len(obj), n_cols)
 
 
 def matrix_to_literal(m) -> list:
@@ -303,9 +301,9 @@ def matrix_to_literal(m) -> list:
     same array.
     """
     arr = np.asarray(m, dtype=np.complex128)
-    if np.all(arr.imag == 0.0):
-        return [[float(entry.real) for entry in row] for row in arr]
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in arr]
+    if not arr.imag.any():
+        return arr.real.tolist()
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def _haar_unitaries(z: ComplexMatrix) -> ComplexMatrix:
@@ -329,12 +327,20 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     are drawn one after another, in C order, from the same generator, so
     each has the draws and the bits it would have as a single point drawn
     in turn; the unitaries come from one stacked QR.
+
+    A radius whose exp overflows is a ``NonHermitianInput``, raised before
+    drawing: the points would have infinite eigenvalues.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be positive, got {n}")
     radius = float(radius)
     if radius < 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    try:
+        math.exp(radius)
+    except OverflowError:
+        message = f"ball of radius {radius:g} is too wide to sample: exp({radius:g}) overflows"
+        raise NonHermitianInput(message) from None
     rng = np.random.default_rng(seed)
     count = math.prod(shape)
     t = np.empty((count, n))

@@ -174,16 +174,22 @@ class ProblemSpec:
         return ((self.r, None, self.F), (self.s, None, self.G))
 
 
-def _validate_coefficients(a_list, n: int) -> tuple[ComplexMatrix, ...]:
-    mats = []
-    for i, a_i in enumerate(a_list):
-        arr = as_square_matrix(a_i, f"A[{i}]")
-        if arr.shape != (n, n):
-            raise DimensionMismatch(f"A[{i}] has shape {arr.shape}, expected ({n}, {n})")
-        mats.append(arr)
+def _require_size(arr: ComplexMatrix, n: int, name: str) -> ComplexMatrix:
+    if arr.shape != (n, n):
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({n}, {n})")
+    return arr
+
+
+def _validate_coefficients(a_list, F, G, n: int) -> tuple[ComplexMatrix, ...]:
+    """The A_i as n-by-n arrays, once they and the values of constant
+    functions F and G are checked to be n-by-n."""
+    mats = tuple(_require_size(as_square_matrix(a_i, f"A[{i}]"), n, f"A[{i}]") for i, a_i in enumerate(a_list))
     if not mats:
         raise ValueError("at least one coefficient matrix is required")
-    return tuple(mats)
+    for name, spec in (("F", F), ("G", G)):
+        if spec.kind == "constant":
+            _require_size(spec.value.matrix, n, f"{name} value")
+    return mats
 
 
 def _require_nonsingular(a_i: ComplexMatrix, name: str) -> None:
@@ -201,7 +207,7 @@ def _require_unitary(a_i: ComplexMatrix, name: str) -> None:
 
 def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
     """Validated type1 problem: nonsingular coefficients, PD constants, l < s."""
-    mats = _validate_coefficients(A, n)
+    mats = _validate_coefficients(A, F, G, n)
     for i, a_i in enumerate(mats):
         _require_nonsingular(a_i, f"A[{i}]")
     s, a, l = float(s), float(a), float(l)
@@ -211,13 +217,16 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
         raise ValueError(f"ball radius must be nonnegative, got {a}")
     if not 0.0 < l < s:
         raise ValueError(f"contraction exponent must satisfy 0 < l < s, got l={l}, s={s}")
+    q1, q2 = pd_point(Q1, "Q1"), pd_point(Q2, "Q2")
+    _require_size(q1.matrix, n, "Q1")
+    _require_size(q2.matrix, n, "Q2")
     return ProblemSpec(
         kind=TYPE1,
         n=n,
         m=len(mats),
         A=mats,
-        Q1=pd_point(Q1, "Q1"),
-        Q2=pd_point(Q2, "Q2"),
+        Q1=q1,
+        Q2=q2,
         s=s,
         F=F,
         G=G,
@@ -228,7 +237,7 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
 
 def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
     """Validated type2 problem: unitary coefficients, 3l < rs/(r+s)."""
-    mats = _validate_coefficients(A, n)
+    mats = _validate_coefficients(A, F, G, n)
     for i, a_i in enumerate(mats):
         _require_unitary(a_i, f"A[{i}]")
     r, s, a, l = float(r), float(s), float(a), float(l)

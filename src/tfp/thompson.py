@@ -67,9 +67,11 @@ def _ratio_powers(w, exponent: float) -> np.ndarray:
 def _ratio_spectrum(lam, vectors, m) -> np.ndarray:
     """Eigenvalues, ascending, of base^{-1/2} M base^{-1/2} for a base with
     spectrum ``lam`` and eigenvectors ``vectors``: one eigensolve (of the
-    congruence in base's eigenbasis, which has the same spectrum)."""
+    congruence in base's eigenbasis, which has the same spectrum).  A
+    pencil whose entries overflow, as between points far apart on a wide
+    ball, is a ``NonHermitianInput`` naming it."""
     factor = vectors * (lam**-0.5)[..., None, :]
-    return hpd_core.eig_hermitian(hpd_core._congruence(factor, m)).eigenvalues
+    return hpd_core.eig_hermitian(hpd_core._congruence(factor, m), "Thompson ratio pencil").eigenvalues
 
 
 def _choose(mask, count: int, x: tuple, y: tuple) -> tuple:

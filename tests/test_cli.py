@@ -15,7 +15,9 @@ import tfp
 from tfp import cli, matrix_solver
 from tfp.hpd_core import matrix_to_literal
 from tfp.errors import ProblemFormatError
-from tfp.fixtures import fixture_path, list_fixtures
+from tfp.fixtures import fixture_path
+
+EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 ALL_FIXTURES = [
     "check_fail_power.json",
@@ -83,9 +85,115 @@ def problem_document(problem, x0, options):
     return doc
 
 
+# Single-fault variants of the shipped problems, one per branch of the
+# problem-file schema, and the message each gets after the file's name:
+# (fixture, location of the fault, value put there or DELETE, message).
+DELETE = object()
+SCHEMA_ERRORS = [
+    ("quadratic_pass.json", ("s",), DELETE, "missing required key 's'"),
+    ("example_4_2.json", ("r",), DELETE, "missing required key 'r'"),
+    ("quadratic_pass.json", ("r",), 2, "unknown type1 key 'r'"),
+    ("example_4_2.json", ("Q1",), [[1]], "unknown type2 key 'Q1'"),
+    ("quadratic_pass.json", ("kind",), "type3", "key 'kind' must be 'type1' or 'type2', got 'type3'"),
+    ("quadratic_pass.json", ("kind",), None, "key 'kind' must be 'type1' or 'type2', got None"),
+    ("quadratic_pass.json", ("n",), "x", "key 'n' must be an integer, got 'x'"),
+    ("quadratic_pass.json", ("n",), 2.5, "key 'n' must be an integer, got 2.5"),
+    ("quadratic_pass.json", ("n",), 0, "key 'n' must be at least 1, got 0"),
+    ("quadratic_pass.json", ("m",), True, "key 'm' must be an integer, got True"),
+    ("quadratic_pass.json", ("a",), True, "key 'a' must be a finite number, got True"),
+    ("quadratic_pass.json", ("a",), -1, "ball radius must be nonnegative, got -1.0"),
+    ("quadratic_pass.json", ("s",), 1, "s must exceed 1, got 1.0"),
+    ("example_4_2.json", ("r",), "x", "key 'r' must be a finite number, got 'x'"),
+    ("quadratic_pass.json", ("options",), [], "key 'options' must be an object"),
+    ("quadratic_pass.json", ("A",), [], "key 'A' must list exactly m=1 matrices"),
+    ("quadratic_pass.json", ("A",), {}, "key 'A' must list exactly m=1 matrices"),
+    ("quadratic_pass.json", ("A", 0), [[1, 0], [0, 0]], "A[0] is singular to working precision"),
+    (
+        "example_4_2.json", ("A", 0), [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "A[0] is not unitary: defect 3.000e+00 exceeds 1.0e-10",
+    ),
+    ("quadratic_pass.json", ("F",), 1, "key 'F' must be an object"),
+    ("quadratic_pass.json", ("F",), DELETE, "missing required key 'F'"),
+    ("quadratic_pass.json", ("F", "kind"), "exp", "key 'F': unknown matrix function kind 'exp'"),
+    ("quadratic_pass.json", ("F", "kind"), DELETE, "key 'F': unknown matrix function kind None"),
+    ("quadratic_pass.json", ("F", "value"), [[1, 0], [0, 1]], "key 'F': unknown power field 'value'"),
+    ("quadratic_pass.json", ("G", "exponent"), DELETE, "key 'G': missing required key 'exponent'"),
+    (
+        "quadratic_pass.json", ("G", "exponent"), "0.5",
+        "key 'G': key 'exponent' must be a finite number, got '0.5'",
+    ),
+    (
+        "quadratic_pass.json", ("G", "exponent"), 2,
+        "key 'G': power exponent must be in [-1, 1] and nonzero, got 2.0",
+    ),
+    ("check_pass_constant.json", ("G", "exponent"), 1, "key 'G': unknown constant field 'exponent'"),
+    ("check_pass_constant.json", ("F", "value"), DELETE, "key 'F': missing required key 'value'"),
+    ("check_pass_constant.json", ("F", "value"), 5, "key 'F': value must be a non-empty list of rows"),
+    (
+        "check_pass_constant.json", ("F", "value"), [[-1, 0], [0, -1]],
+        "key 'F': constant function value must be positive definite (min eigenvalue -1.000e+00, floor 0.000e+00)",
+    ),
+    (
+        "check_pass_constant.json", ("G", "value"), [[1, 2], [0, 1]],
+        "key 'G': constant function value is not Hermitian: defect 2.000e+00 exceeds tolerance 2.449e-12",
+    ),
+    ("check_pass_constant.json", ("G", "value", 1), [1], "key 'G': value row 1 has length 1, expected 2"),
+    ("quadratic_pass.json", ("options", "gap_tol"), "x", "option 'gap_tol' must be a finite number, got 'x'"),
+    (
+        "quadratic_pass.json", ("options", "residual_tol"), math.nan,
+        "option 'residual_tol' must be a finite number, got nan",
+    ),
+    ("quadratic_pass.json", ("options", "max_iter"), 2.5, "option 'max_iter' must be an integer, got 2.5"),
+    ("quadratic_pass.json", ("options", "seed"), -1, "option 'seed' must be at least 0, got -1"),
+    ("quadratic_pass.json", ("options", "samples"), 0, "option 'samples' must be at least 1, got 0"),
+    ("quadratic_pass.json", ("options", "force"), "false", "option 'force' must be true or false, got 'false'"),
+    ("quadratic_pass.json", ("options", "turbo"), 1, "unknown option 'turbo'"),
+    (
+        "example_4_2.json", ("x0",), [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+        "x0 is not Hermitian: defect 2.000e+00 exceeds tolerance 2.646e-12",
+    ),
+    ("example_4_2.json", ("x0",), [[1, 0], [0, 1]], "x0 has shape (2, 2), expected (3, 3)"),
+    ("example_4_2.json", ("x0",), "eye", "x0 must be a non-empty list of rows"),
+    ("quadratic_pass.json", ("Q1", 1), [0], "Q1 row 1 has length 1, expected 2"),
+    ("quadratic_pass.json", ("Q1", 1), 0, "Q1 must be a non-empty list of rows"),
+    (
+        "quadratic_pass.json", ("Q2", 1, 0), "oops",
+        "Q2 entry [1][0] must be a number or an [re, im] pair, got 'oops'",
+    ),
+    (
+        "quadratic_pass.json", ("A", 0, 0, 0), [1, True],
+        "A[0] entry [0][0] must be a number or an [re, im] pair, got [1, True]",
+    ),
+    ("quadratic_pass.json", ("Q1", 0, 0), 10**400, "Q1 entry [0][0] is an integer beyond the float range"),
+    ("quadratic_pass.json", ("A", 0, 1, 1), [0, 10**400], "A[0] entry [1][1] is an integer beyond the float range"),
+    ("quadratic_pass.json", ("Q1", 0, 0), math.inf, "Q1 contains non-finite entries"),
+]
+
+
+def schema_case_id(case):
+    fixture, location, value, _ = case
+    shown = "delete" if value is DELETE else repr(value)[:12]
+    return f"{fixture.split('.')[0]}:{'.'.join(map(str, location))}={shown}"
+
+
+def with_fault(fixture, location, value):
+    """The fixture's document with ``value`` put at ``location`` (a path of
+    keys and indices), or the item there deleted."""
+    doc = json.loads(fixture_path(fixture).read_text())
+    target = doc
+    for key in location[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[location[-1]]
+    else:
+        target[location[-1]] = value
+    return doc
+
+
 class TestProblemFiles:
     def test_fixture_listing(self):
-        assert list_fixtures() == ALL_FIXTURES
+        shipped = fixture_path(ALL_FIXTURES[0]).parent.glob("*.json")
+        assert sorted(path.name for path in shipped) == ALL_FIXTURES
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_round_trip(self, tmp_path, name):
@@ -224,6 +332,71 @@ class TestProblemFiles:
         _, _, options = cli.load_problem(write_problem(tmp_path, doc))
         assert options.max_iter == 200 and isinstance(options.max_iter, int)
 
+    @pytest.mark.parametrize("case", SCHEMA_ERRORS, ids=schema_case_id)
+    def test_schema_error_line(self, tmp_path, capsys, case):
+        fixture, location, value, message = case
+        path = write_problem(tmp_path, with_fault(fixture, location, value))
+        assert cli.main(["check", str(path), "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            (
+                [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+                "x0 is not Hermitian: defect 2.000e+00 exceeds tolerance 2.646e-12",
+            ),
+            ([[1, 0], [0, 1]], "x0 has shape (2, 2), expected (3, 3)"),
+        ],
+        ids=["non-hermitian", "wrong-size"],
+    )
+    def test_x0_flag_error_line(self, tmp_path, capsys, x0, message):
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(x0))
+        argv = ["solve", str(fixture_path("example_4_2.json")), "--x0", str(start), "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {start}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("noise", "TFP_SEED must be an integer, got 'noise'"), ("-1", "TFP_SEED must be at least 0, got -1")],
+    )
+    def test_tfp_seed_error_line(self, tmp_path, capsys, monkeypatch, seed, message):
+        monkeypatch.setenv("TFP_SEED", seed)
+        assert cli.main(["check", str(fixture_path("quadratic_pass.json")), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_undecodable_file_exit_two_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff{}")
+        assert cli.main(["check", str(path)]) == 2
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fixture, key, value, message",
+        [
+            ("quadratic_pass.json", "Q1", EYE3, "Q1 has shape (3, 3), expected (2, 2)"),
+            ("quadratic_pass.json", "Q2", EYE3, "Q2 has shape (3, 3), expected (2, 2)"),
+            (
+                "quadratic_pass.json", "F", {"kind": "constant", "value": EYE3},
+                "F value has shape (3, 3), expected (2, 2)",
+            ),
+            (
+                "example_4_2.json", "G", {"kind": "constant", "value": [[1, 0], [0, 1]]},
+                "G value has shape (2, 2), expected (3, 3)",
+            ),
+        ],
+        ids=["Q1", "Q2", "F", "G"],
+    )
+    def test_matrix_of_wrong_size_exit_two_naming_it(self, tmp_path, capsys, fixture, key, value, message):
+        path = write_problem(tmp_path, with_fault(fixture, (key,), value))
+        out = tmp_path / "out.csv"
+        for argv in (["check", str(path)], ["solve", str(path), "--force"]):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_tfp_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TFP_SEED", "321")
         _, _, options = cli.load_problem(fixture_path("quadratic_pass.json"))
@@ -273,6 +446,22 @@ class TestCheckCommand:
         code = cli.main(["check", str(fixture_path("example_4_1.json")), "--seed", str(seed), "--out", str(out)])
         assert code == 3
         assert json.loads(out.read_text())["seed"] == seed
+
+    @pytest.mark.parametrize(
+        "a, cause",
+        [
+            # two samples of the radius-400 ball are up to e^800 apart
+            (400, "Thompson ratio pencil contains non-finite entries"),
+            (1000, "ball of radius 1000 is too wide to sample: exp(1000) overflows"),
+        ],
+    )
+    def test_wide_ball_breakdown_exit_three_naming_the_cause(self, tmp_path, capsys, a, cause):
+        path = write_problem(tmp_path, with_fault("quadratic_pass.json", ("a",), a))
+        out = tmp_path / "out.csv"
+        for argv in (["check", str(path)], ["solve", str(path)]):
+            assert cli.main(argv + ["--out", str(out)]) == 3
+            assert capsys.readouterr() == ("", f"error: condition check broke down: {cause}\n")
+        assert not out.exists()
 
     def test_overflowing_map_in_condition_c_exit_three_naming_it(self, tmp_path):
         # the samples and their distances stay finite on this ball; the

@@ -8,6 +8,7 @@ exactly by the identity.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import random_nonsingular, random_pd, random_unitary
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.errors import (
     ConditionsNotVerified,
+    DimensionMismatch,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     TfpError,
@@ -96,6 +98,23 @@ class TestProblemValidation:
                 n=2, A=[np.eye(2)], r=2, s=3,
                 F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.4,
             )
+
+    @pytest.mark.parametrize(
+        "build, key, name",
+        [
+            (matrix_solver.problem_type1, "Q1", "Q1"),
+            (matrix_solver.problem_type1, "Q2", "Q2"),
+            (matrix_solver.problem_type1, "F", "F value"),
+            (matrix_solver.problem_type2, "G", "G value"),
+        ],
+        ids=["type1-Q1", "type1-Q2", "type1-F", "type2-G"],
+    )
+    def test_rejects_a_matrix_of_the_wrong_size(self, build, key, name):
+        args = dict(n=2, A=[np.eye(2)], s=3, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.1)
+        args.update(dict(Q1=np.eye(2), Q2=np.eye(2)) if build is matrix_solver.problem_type1 else dict(r=2))
+        args[key] = matrix_solver.constant(np.eye(3)) if key in ("F", "G") else np.eye(3)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{name} has shape (3, 3), expected (2, 2)")):
+            build(**args)
 
     def test_alpha_formulas(self):
         problem1, _, _ = load("example_4_1.json")
