@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     TfpError,
     X0DomainError,
 )
-from .hpd_core import identity, matrix_from_literal, matrix_to_literal, require_hermitian
+from .hpd_core import PDPoint, identity, matrix_from_literal, matrix_to_literal, require_hermitian
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -83,11 +84,15 @@ def _prefixed(prefix):
         raise ProblemFormatError(f"{prefix}: {exc}") from exc
 
 
-def _read_json(path: Path):
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read: {exc}") from exc
+
+
+def _read_json(path: Path):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -239,23 +244,28 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
 def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
     """Expand a trace into CSV rows: one per iteration, k starting at 1.
 
-    The residuals and d(X, I) read each point's known spectrum: no
-    eigensolve.
+    The points are stacked in blocks of ``matrix_solver._block_size``, and
+    one ``residuals`` and one ``distance_to_identity`` call per block give
+    its rows, reading the points' known spectra: no eigensolve.  Each row
+    has the bits it has when its point is taken alone.
     """
     rows = []
-    for k in range(1, len(trace.points)):
-        point = trace.points[k]
-        r1, r2 = matrix_solver.residuals(problem, point)
-        rows.append(
-            {
-                "k": k,
-                "thompson_gap": trace.gaps[k - 1],
-                "error_bound": trace.bounds[k - 1],
-                "residual1": r1,
-                "residual2": r2,
-                "dist_to_identity": thompson.distance_to_identity(point),
-            }
-        )
+    block = matrix_solver._block_size(problem.n)
+    for first in range(1, len(trace.points), block):
+        points = PDPoint.stacked(trace.points[first : first + block])
+        r1, r2 = matrix_solver.residuals(problem, points)
+        dist = thompson.distance_to_identity(points)
+        for i, k in enumerate(range(first, first + len(dist))):
+            rows.append(
+                {
+                    "k": k,
+                    "thompson_gap": trace.gaps[k - 1],
+                    "error_bound": trace.bounds[k - 1],
+                    "residual1": r1[i],
+                    "residual2": r2[i],
+                    "dist_to_identity": dist[i],
+                }
+            )
     return rows
 
 
@@ -271,34 +281,98 @@ def write_trace_csv(path, rows) -> None:
 
 
 def read_trace_csv(path) -> list[dict]:
+    """The rows of a trace CSV; every error names the file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ProblemFormatError(f"{path}: cannot read: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or list(reader.fieldnames) != list(TRACE_COLUMNS):
-        raise ProblemFormatError(
-            f"{path}: expected header {','.join(TRACE_COLUMNS)}, got {reader.fieldnames}"
-        )
-    rows = []
-    for line_no, raw in enumerate(reader, start=2):
-        row = {}
-        for col in TRACE_COLUMNS:
-            try:
-                value = float(raw[col])
-            except (TypeError, ValueError) as exc:
-                raise ProblemFormatError(f"{path}: row at line {line_no}: bad value for '{col}'") from exc
-            if not math.isfinite(value):
-                raise ProblemFormatError(f"{path}: row at line {line_no}: non-finite '{col}'")
-            row[col] = value
-        if not row["k"].is_integer():
-            raise ProblemFormatError(f"{path}: row at line {line_no}: 'k' must be an integer, got {raw['k']!r}")
-        row["k"] = int(row["k"])
-        rows.append(row)
-    if not rows:
-        raise ProblemFormatError(f"{path}: trace has no data rows")
+    with _prefixed(path):
+        reader = csv.DictReader(io.StringIO(_read_text(path)))
+        if reader.fieldnames is None or list(reader.fieldnames) != list(TRACE_COLUMNS):
+            raise ProblemFormatError(f"expected header {','.join(TRACE_COLUMNS)}, got {reader.fieldnames}")
+        rows = []
+        for line_no, raw in enumerate(reader, start=2):
+            row = {}
+            for col in TRACE_COLUMNS:
+                try:
+                    value = float(raw[col])
+                except (TypeError, ValueError) as exc:
+                    raise ProblemFormatError(f"row at line {line_no}: bad value for '{col}'") from exc
+                if not math.isfinite(value):
+                    raise ProblemFormatError(f"row at line {line_no}: non-finite '{col}'")
+                row[col] = value
+            if not row["k"].is_integer():
+                raise ProblemFormatError(f"row at line {line_no}: 'k' must be an integer, got {raw['k']!r}")
+            row["k"] = int(row["k"])
+            rows.append(row)
+        if not rows:
+            raise ProblemFormatError("trace has no data rows")
     return rows
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    json's indented encoder is pure Python, with a generator per
+    container and a type dispatch per value; this writer appends the same
+    text to one list and writes a list of floats, such as a row of a
+    matrix literal, with one ``join``.  It takes what the CLI writes:
+    dicts with str keys, lists, str, int, bool, None and floats
+    (``np.float64`` too, NaN and infinities spelt as json spells them).
+    """
+    out = []
+    _json_append(doc, out, "\n")
+    return "".join(out)
+
+
+def _json_floats(values, separator: str) -> str:
+    """Floats as json writes them, joined; a ``TypeError`` if one is not a
+    float."""
+    text = separator.join(map(float.__repr__, values))
+    # float.__repr__ writes nan, inf and -inf, the only reprs with an "n"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_append(value, out: list, newline: str) -> None:
+    if isinstance(value, float):
+        out.append(_json_floats((value,), ""))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        try:
+            out.append(_json_floats(value, "," + inner))
+        except TypeError:
+            for i, item in enumerate(value):
+                if i:
+                    out.append("," + inner)
+                _json_append(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{" + inner)
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(("," + inner if i else "") + encode_basestring_ascii(key) + ": ")
+            _json_append(item, out, inner)
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def write_solution_json(path, problem, result, seed, converged: bool) -> None:
@@ -316,7 +390,7 @@ def write_solution_json(path, problem, result, seed, converged: bool) -> None:
             "converged": converged,
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +499,7 @@ def cmd_check(args) -> int:
         return EXIT_CONDITIONS
 
     out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
-    out_path.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    out_path.write_text(_json_text(report.to_jsonable()) + "\n")
 
     for name, stat in sorted(report.conditions.items()):
         verdict = "pass" if stat.passed else "FAIL"

@@ -20,7 +20,11 @@ on the Thompson ball {X : d(X, I) <= a} (radius r*a for type2), with the
 contraction constant alpha = l/s (type1) or alpha = 3l(1/r + 1/s) (type2).
 The iterates are ``PDPoint``s: F_j(X), X**e_j and d(X, I) read the known
 spectrum, and T_j's one eigensolve, of its right-hand side, decomposes
-the new point.
+the new point.  That root and ``pd_point`` are the only eigensolves that
+compute eigenvectors: the Gram check of a type1 coefficient, the Thompson
+distances and condition (C), d(T_j(X), I), read eigenvalues only.
+``residuals`` takes a stack of points too, which gives the trace rows of
+a solve in a few calls.
 
 Sufficiency conditions are verified by seeded sampling, never exhaustively:
 the quantifier ranges over an uncountable ball.  The samples are drawn one
@@ -71,6 +75,7 @@ from .hpd_core import (
     EigenDecomposition,
     PDPoint,
     _congruence,
+    _pd_eig,
     _point,
     as_square_matrix,
     eig_hermitian,
@@ -193,7 +198,7 @@ def _validate_coefficients(a_list, F, G, n: int) -> tuple[ComplexMatrix, ...]:
 
 
 def _require_nonsingular(a_i: ComplexMatrix, name: str) -> None:
-    gram = eig_hermitian(_congruence(a_i, identity(a_i.shape[0])))
+    gram = eig_hermitian(_congruence(a_i, identity(a_i.shape[0])), f"{name}* {name}", vectors=False)
     sq_floor = (a_i.shape[0] * np.finfo(float).eps) ** 2 * max(gram.eigenvalues[-1], 0.0)
     if gram.eigenvalues[0] <= sq_floor:
         raise ValueError(f"{name} is singular to working precision")
@@ -313,20 +318,38 @@ def maps_for(problem: ProblemSpec) -> tuple[Callable, Callable]:
     return tuple(build_map(q, problem.A, f_spec, e) for e, q, f_spec in problem.equations)
 
 
-def residuals(problem: ProblemSpec, x) -> tuple[float, float]:
-    """Relative residuals of both equations at a candidate solution.
+def _map_distances_to_identity(problem: ProblemSpec, x: PDPoint) -> tuple:
+    """(d(T1(X), I), d(T2(X), I)), one distance per point of a stack.
+
+    d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/e_j)| needs the
+    eigenvalues of the right-hand side only, so its eigensolve computes
+    no eigenvectors; a right-hand side that overflows or is not positive
+    definite raises what T_j raises, with the same message.
+    """
+    distances = []
+    for e, q, f_spec in problem.equations:
+        rhs = _rhs(q, problem.A, apply_F(f_spec, x))
+        lam = _pd_eig(rhs, "map right-hand side", vectors=False).eigenvalues
+        distances.append(thompson._identity_distance(lam ** (1.0 / e)))
+    return tuple(distances)
+
+
+def residuals(problem: ProblemSpec, x) -> tuple:
+    """Relative residuals of both equations at a candidate solution, or
+    at each point of a stack of points.
 
     r_j = ||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F).  Every term
     reads X's spectrum: a ``PDPoint`` costs no eigensolve and a matrix
     one.  Type1's shared exponent s is raised to, and its power's norm
-    taken, once.  A power that overflows raises ``NonHermitianInput``
-    instead of giving NaN residuals.
+    taken, once.  A point of a stack gets the bits it gets on its own.  A
+    power that overflows raises ``NonHermitianInput`` instead of giving
+    NaN residuals.
     """
     x = pd_point(x, "candidate solution")
     powers = {}
     for e in {e for e, _, _ in problem.equations}:
         power = as_square_matrix(x.powered(e).matrix, f"candidate solution ** {e:g}")
-        powers[e] = power, max(1.0, frobenius_norm(power))
+        powers[e] = power, np.maximum(1.0, frobenius_norm(power))
     out = []
     for e, q, f_spec in problem.equations:
         lhs, scale = powers[e]
@@ -420,13 +443,19 @@ class ConditionReport:
         }
 
 
+def _block_size(n: int) -> int:
+    """Matrices per stack of a block: at most ``_BLOCK_ENTRIES`` entries,
+    and at least one matrix."""
+    return max(1, _BLOCK_ENTRIES // (n * n))
+
+
 def _sample_blocks(problem: ProblemSpec, samples: int, seed: int):
     """The sampled pairs (X, Y) from the ball of ``ball_radius``, drawn X
     then Y for sample 0, 1, ... from one generator, as (first sample,
     stack of X, stack of Y) per block of at most ``_BLOCK_ENTRIES``
     entries per stack."""
     n, radius = problem.n, ball_radius(problem)
-    block = max(1, _BLOCK_ENTRIES // (n * n))
+    block = _block_size(n)
     rng = np.random.default_rng(seed)
     for first in range(0, samples, block):
         pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
@@ -453,7 +482,6 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     stat_a = ConditionStat("A", literal_failures=0)
     stat_b = ConditionStat("B", literal_failures=0)
     stat_c = ConditionStat("C")
-    t1, t2 = maps_for(problem)
     l = problem.l
 
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
@@ -478,8 +506,7 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
             )
         )
 
-        d1 = thompson.distance_to_identity(t1(x))
-        d2 = thompson.distance_to_identity(t2(x))
+        d1, d2 = _map_distances_to_identity(problem, x)
         label = np.where(d1 >= d2, "d(T1(X),I) <= a", "d(T2(X),I) <= a")
         stat_c.record(first, label, np.maximum(d1, d2), problem.a, x)
 

@@ -11,6 +11,9 @@ B^{-1/2} A B^{-1/2}.  The pencil is taken relative to the
 better-conditioned point, so swapped arguments take the same path unless
 the condition numbers tie.
 
+The pencils are decomposed without eigenvectors: only their extreme
+eigenvalues are read.
+
 ``distance`` and ``distance_to_identity`` take matrices or points: a
 matrix is validated by ``pd_point`` and a point passes through
 unchecked, so the iteration calls ``distance`` on its points directly.
@@ -66,12 +69,13 @@ def _ratio_powers(w, exponent: float) -> np.ndarray:
 
 def _ratio_spectrum(lam, vectors, m) -> np.ndarray:
     """Eigenvalues, ascending, of base^{-1/2} M base^{-1/2} for a base with
-    spectrum ``lam`` and eigenvectors ``vectors``: one eigensolve (of the
-    congruence in base's eigenbasis, which has the same spectrum).  A
-    pencil whose entries overflow, as between points far apart on a wide
-    ball, is a ``NonHermitianInput`` naming it."""
+    spectrum ``lam`` and eigenvectors ``vectors``: one eigensolve without
+    eigenvectors (of the congruence in base's eigenbasis, which has the
+    same spectrum).  A pencil whose entries overflow, as between points far
+    apart on a wide ball, is a ``NonHermitianInput`` naming it."""
     factor = vectors * (lam**-0.5)[..., None, :]
-    return hpd_core.eig_hermitian(hpd_core._congruence(factor, m), "Thompson ratio pencil").eigenvalues
+    pencil = hpd_core._congruence(factor, m)
+    return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
 
 
 def _choose(mask, count: int, x: tuple, y: tuple) -> tuple:
@@ -129,5 +133,9 @@ def distance(a, b) -> float:
 def distance_to_identity(a):
     """d(A, I) = max(|log lambda_i(A)|): no eigensolve on a point, one on a
     matrix; one distance per point of a stack."""
-    lam = hpd_core.pd_point(a, "distance_to_identity argument").dec.eigenvalues
+    return _identity_distance(hpd_core.pd_point(a, "distance_to_identity argument").dec.eigenvalues)
+
+
+def _identity_distance(lam):
+    """d(A, I) from A's eigenvalues, one distance per spectrum of a stack."""
     return np.abs(np.log(lam)).max(axis=-1)

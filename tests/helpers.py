@@ -1,6 +1,10 @@
-"""Seeded random matrix generators shared by the test modules."""
+"""Seeded random matrix generators and the benchmark's known-answer
+problems, shared by the test modules."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -32,3 +36,24 @@ def random_nonsingular(rng, n, max_cond=1e6):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if np.linalg.cond(z) < max_cond:
             return z
+
+
+def _load_known_answer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "known_answer.py"
+    spec = importlib.util.spec_from_file_location("known_answer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+known_answer = _load_known_answer()
+
+
+def known_answer_files(tmp_path, n, count, seed):
+    """``known_answer.problems(n, count, seed)`` written as problem files."""
+    paths = []
+    for i, (doc, _) in enumerate(known_answer.problems(n, count, seed)):
+        path = tmp_path / f"known_{n}_{seed}_{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(path)
+    return paths

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfp
-from tfp import cli, matrix_solver
+from helpers import known_answer_files
+from tfp import cli, matrix_solver, thompson
 from tfp.hpd_core import matrix_to_literal
-from tfp.errors import ProblemFormatError
+from tfp.errors import MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
 from tfp.fixtures import fixture_path
 
 EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -108,6 +111,7 @@ SCHEMA_ERRORS = [
     ("quadratic_pass.json", ("A",), [], "key 'A' must list exactly m=1 matrices"),
     ("quadratic_pass.json", ("A",), {}, "key 'A' must list exactly m=1 matrices"),
     ("quadratic_pass.json", ("A", 0), [[1, 0], [0, 0]], "A[0] is singular to working precision"),
+    ("quadratic_pass.json", ("A", 0, 0, 0), 1e308, "A[0]* A[0] contains non-finite entries"),
     (
         "example_4_2.json", ("A", 0), [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
         "A[0] is not unitary: defect 3.000e+00 exceeds 1.0e-10",
@@ -681,9 +685,110 @@ class TestPlotCommand:
         assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
         assert "'k' must be an integer" in capsys.readouterr().err
 
+    def test_undecodable_trace_exit_two_naming_it(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"\xff\xfe")
+        assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+
     def test_plot_bytes_deterministic(self, tmp_path):
         t1 = self.solve_trace(tmp_path)
         out1, out2 = tmp_path / "p1.svg", tmp_path / "p2.svg"
         for out in (out1, out2):
             assert cli.main(["plot", str(t1), "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def forced_trace(path):
+    """The problem of a file and the trace of its forced solve."""
+    problem, x0, options = cli.load_problem(path)
+    try:
+        result = matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True))
+    except (MaxIterationsExceeded, ResidualToleranceExceeded) as exc:
+        result = exc.result
+    return problem, result.trace
+
+
+def row_bits(rows):
+    return [tuple(float(value).hex() for value in row) for row in rows]
+
+
+def point_by_point_rows(problem, trace):
+    """The trace rows computed from one point at a time."""
+    rows = []
+    for k in range(1, len(trace.points)):
+        point = trace.points[k]
+        r1, r2 = matrix_solver.residuals(problem, point)
+        rows.append((k, trace.gaps[k - 1], trace.bounds[k - 1], r1, r2, thompson.distance_to_identity(point)))
+    return rows
+
+
+class TestStackedTraceRows:
+    """``trace_rows`` stacks the trace's points; each row must have the bits
+    of the same row computed point by point."""
+
+    def assert_rows_match(self, problem, trace):
+        rows = cli.trace_rows(problem, trace)
+        assert len(rows) == trace.iterations
+        stacked = [tuple(row[column] for column in cli.TRACE_COLUMNS) for row in rows]
+        assert row_bits(stacked) == row_bits(point_by_point_rows(problem, trace))
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        self.assert_rows_match(*forced_trace(fixture_path(name)))
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_known_answer_problems(self, tmp_path, n):
+        for path in known_answer_files(tmp_path, n, 4, 7):
+            self.assert_rows_match(*forced_trace(path))
+
+    def test_blocks_cross_a_boundary(self, monkeypatch):
+        # example_4_1 runs to max_iter: 200 rows in blocks of 7 points
+        problem, trace = forced_trace(fixture_path("example_4_1.json"))
+        assert trace.iterations == 200
+        monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 7 * 3 * 3)
+        calls = []
+        residuals = matrix_solver.residuals
+        monkeypatch.setattr(matrix_solver, "residuals", lambda *args: calls.append(args) or residuals(*args))
+        cli.trace_rows(problem, trace)
+        assert len(calls) == math.ceil(200 / 7)
+        self.assert_rows_match(problem, trace)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64), st.text()
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5)
+)
+
+
+class TestJsonWriter:
+    """The solution and report writer reproduces ``json.dumps(doc,
+    indent=2, sort_keys=True)`` byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_special_values_and_escapes(self):
+        doc = {
+            "é☃\n": [math.nan, math.inf, -math.inf, np.float64(-0.0), [], {}, [[1.5, 2]], True, None, "ü\""],
+            "b": {"": 1e308},
+        }
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_unserializable_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"x": {1, 2}})
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_written_files_are_json_dumps_output(self, tmp_path, name):
+        report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+        cli.main(["check", str(fixture_path(name)), "--out", str(report)])
+        cli.main(["solve", str(fixture_path(name)), "--force", "--out", str(trace)])
+        for path in (report, trace.with_suffix(".json")):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

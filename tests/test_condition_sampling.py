@@ -9,15 +9,14 @@ must decompose exactly the matrices the oracle decomposes, in a number of
 ``eig_hermitian`` calls that does not grow with the sample count.
 """
 
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sampling_oracle
+from helpers import known_answer_files
 from tfp import cli, hpd_core, matrix_solver
 from tfp.fixtures import fixture_path
 
@@ -28,26 +27,6 @@ FIXTURES = [
     "example_4_2.json",
     "quadratic_pass.json",
 ]
-
-
-def _load_known_answer():
-    path = Path(__file__).resolve().parents[1] / "bench" / "known_answer.py"
-    spec = importlib.util.spec_from_file_location("known_answer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-known_answer = _load_known_answer()
-
-
-def known_answer_files(tmp_path, n, count, seed):
-    paths = []
-    for i, (doc, _) in enumerate(known_answer.problems(n, count, seed)):
-        path = tmp_path / f"known_{n}_{seed}_{i}.json"
-        path.write_text(json.dumps(doc))
-        paths.append(path)
-    return paths
 
 
 def cli_outputs(tmp_path, capsys, label, argv, outputs):
@@ -118,16 +97,17 @@ class TestReportsMatchTheOracle:
 
 class TestMatricesDecomposed:
     """``eig_hermitian`` decomposes one matrix or one stack per call;
-    ``eig_calls`` lists the leading (stack) shape of each call."""
+    ``eig_calls`` lists the leading (stack) shape of each call and whether
+    it asked for eigenvectors."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
         calls = []
         eig = hpd_core.eig_hermitian
 
-        def counting(m, *args):
-            calls.append(np.shape(m)[:-2])
-            return eig(m, *args)
+        def counting(m, *args, **kwargs):
+            calls.append((np.shape(m)[:-2], kwargs.get("vectors", True)))
+            return eig(m, *args, **kwargs)
 
         monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
         monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
@@ -140,7 +120,9 @@ class TestMatricesDecomposed:
         for check in (matrix_solver.check_conditions, sampling_oracle.check_conditions):
             eig_calls.clear()
             check(problem, options.samples, options.seed)
-            matrices.append(sum(math.prod(shape) for shape in eig_calls))
+            matrices.append(sum(math.prod(shape) for shape, _ in eig_calls))
+            # every sampled quantity reads eigenvalues only
+            assert not any(vectors for _, vectors in eig_calls)
         assert matrices[0] == matrices[1]
 
     @pytest.mark.parametrize("name", FIXTURES)

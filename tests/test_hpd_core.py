@@ -76,13 +76,26 @@ class TestEigHermitian:
                     assert np.linalg.norm((vectors * lam) @ vectors.conj().T - m) <= 1e-10 * max(1.0, norm)
                     assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 1e-10
 
-    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+    @pytest.mark.parametrize("routine, vectors", [("eigh", True), ("eigvalsh", False)])
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch, routine, vectors):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(ConvergenceFailure, match="did not converge"):
-            hpd_core.eig_hermitian(np.eye(2))
+        monkeypatch.setattr(np.linalg, routine, fail)
+        with pytest.raises(ConvergenceFailure, match=f"{routine} did not converge"):
+            hpd_core.eig_hermitian(np.eye(2), vectors=vectors)
+
+    def test_eigenvalues_only(self):
+        # the same spectrum to rounding, no vectors, the same guards
+        rng = np.random.default_rng(98)
+        stack = np.stack([random_hermitian(rng, 5) for _ in range(4)])
+        full, bare = hpd_core.eig_hermitian(stack), hpd_core.eig_hermitian(stack, vectors=False)
+        assert bare.vectors is None and bare.eigenvalues.shape == (4, 5)
+        np.testing.assert_allclose(bare.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
+        with pytest.raises(DimensionMismatch):
+            hpd_core.eig_hermitian(np.ones((2, 3)), vectors=False)
+        with pytest.raises(NonHermitianInput, match="pencil contains non-finite"):
+            hpd_core.eig_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]), "pencil", vectors=False)
 
     def test_reconstruction_200_seeded(self):
         rng = np.random.default_rng(99)

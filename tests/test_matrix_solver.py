@@ -198,16 +198,17 @@ class TestResiduals:
 
 class TestEigensolveBudget:
     """Every eigensolve is a call to ``hpd_core.eig_hermitian``; ``eig_calls``
-    lists the arguments, one matrix or one stack per call."""
+    lists (argument, whether eigenvectors were asked for), one matrix or
+    one stack per call."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
         calls = []
         eig = hpd_core.eig_hermitian
 
-        def counting(m, *args):
-            calls.append(m)
-            return eig(m, *args)
+        def counting(m, *args, **kwargs):
+            calls.append((m, kwargs.get("vectors", True)))
+            return eig(m, *args, **kwargs)
 
         monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
         monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
@@ -239,6 +240,8 @@ class TestEigensolveBudget:
             result = exc.result
         assert result.trace.iterations > 1
         assert len(eig_calls) == 2 * result.trace.iterations + 2
+        # eigenvectors for the map's root only, and for x0 and the certificate
+        assert sum(vectors for _, vectors in eig_calls) == result.trace.iterations + 2
 
     def test_trace_rows_decompose_nothing(self, eig_calls):
         problem, x0, options = load("example_4_2.json")
@@ -264,8 +267,19 @@ class TestEigensolveBudget:
         for samples in (15, 30):
             eig_calls.clear()
             matrix_solver.check_conditions(problem, samples=samples, seed=8)
-            counts.append(sum(math.prod(np.shape(m)[:-2]) for m in eig_calls))
+            counts.append(sum(math.prod(np.shape(m)[:-2]) for m, _ in eig_calls))
+            assert not any(vectors for _, vectors in eig_calls)
         assert counts[1] - counts[0] == per_sample * 15
+
+    def test_gram_check_computes_no_eigenvectors(self, eig_calls):
+        # one Gram matrix A_i* A_i per coefficient, eigenvalues only; Q1 and
+        # Q2 become points, with eigenvectors
+        rng = np.random.default_rng(12)
+        matrix_solver.problem_type1(
+            n=3, A=[random_nonsingular(rng, 3) for _ in range(2)], Q1=random_pd(rng, 3), Q2=random_pd(rng, 3),
+            s=2, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=1,
+        )
+        assert [vectors for _, vectors in eig_calls] == [False, False, True, True]
 
 
 class TestValidationBudget:
