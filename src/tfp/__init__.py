@@ -6,14 +6,13 @@ fixed-point engine, and exposes a solver plus CLI for the two supported
 equation families.
 """
 
-from . import cli, fixpoint_engine, hpd_core, matrix_solver, psi_family, thompson
+from . import fixpoint_engine, hpd_core, matrix_solver, thompson
 from .errors import (
     ConditionsNotVerified,
     ConvergenceFailure,
     DimensionMismatch,
     MaxIterationsExceeded,
     NonHermitianInput,
-    NotInPsiAlpha,
     NotPositiveDefinite,
     ProblemFormatError,
     ResidualToleranceExceeded,
@@ -33,11 +32,9 @@ from .matrix_solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "fixpoint_engine",
     "hpd_core",
     "matrix_solver",
-    "psi_family",
     "thompson",
     "ProblemSpec",
     "SolveOptions",
@@ -51,7 +48,6 @@ __all__ = [
     "NonHermitianInput",
     "NotPositiveDefinite",
     "ConvergenceFailure",
-    "NotInPsiAlpha",
     "MaxIterationsExceeded",
     "ResidualToleranceExceeded",
     "X0DomainError",

@@ -40,7 +40,7 @@ from .errors import (
     TfpError,
     X0DomainError,
 )
-from .hpd_core import PDPoint, identity, matrix_from_literal, matrix_to_literal, require_hermitian
+from .hpd_core import PDPoint, matrix_from_literal, matrix_to_literal, require_hermitian
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -521,7 +521,7 @@ def _resolve_x0(args, file_x0, n):
     if args.x0 is None:
         return file_x0
     if args.x0 == "identity":
-        return identity(n)
+        return None
     with _prefixed(args.x0):
         return _x0(_read_json(Path(args.x0)), n)
 

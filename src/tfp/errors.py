@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the two that end a solve
+without a certified answer carry its one ``SolveResult``."""
 
 
 class TfpError(Exception):
@@ -31,16 +32,13 @@ class MaxIterationsExceeded(TfpError):
 
     Attributes
     ----------
-    trace : IterationTrace
-        The partial trace accumulated up to the budget.
-    result : SolveResult or None
-        Partial solver result, attached by the matrix solver.
+    result : SolveResult
+        The partial result; its ``trace`` holds the steps taken.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, result=None):
         super().__init__(message)
-        self.trace = trace
-        self.result = None
+        self.result = result
 
 
 class ResidualToleranceExceeded(TfpError):

@@ -7,19 +7,18 @@ common fixed point, with the a-priori error bound
 
     d(u_n, z) <= alpha**(n-1) / (1 - alpha) * d(u0, u1).
 
-The engine takes alpha as data; it never derives it (``psi_family``
-certifies alpha for a control function, and ``matrix_solver.alpha_for``
-gives it for each problem family).  A metric space is given by its
-distance function alone, and the points are whatever that function and
-the maps accept; the engine validates none of them.
+The engine takes alpha as data; it never derives it
+(``matrix_solver.alpha_for`` gives it for each problem family).  A metric
+space is given by its distance function alone, and the points are
+whatever that function and the maps accept; the engine validates none of
+them.  A run returns its trace, whose ``stop_reason`` tells the caller
+whether the gap tolerance was met or the step budget ran out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Generic, TypeVar
-
-from .errors import MaxIterationsExceeded
 
 T = TypeVar("T")
 
@@ -66,11 +65,9 @@ def iterate_pair(
     gap_tol: float = 1e-12,
     max_iter: int = 500,
 ) -> IterationTrace[T]:
-    """Run the alternating scheme until a gap d(u_k, u_{k+1}) <= gap_tol.
-
-    Raises ``MaxIterationsExceeded`` (carrying the partial trace) when the
-    step budget runs out first.
-    """
+    """Run the alternating scheme until a gap d(u_k, u_{k+1}) <= gap_tol,
+    or for ``max_iter`` steps; ``stop_reason`` is ``"gap_tol"`` or
+    ``"max_iter"`` accordingly."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if max_iter < 1:
@@ -89,8 +86,4 @@ def iterate_pair(
             trace.stop_reason = STOP_GAP_TOL
             return trace
     trace.stop_reason = STOP_MAX_ITER
-    raise MaxIterationsExceeded(
-        f"no convergence within {max_iter} iterations "
-        f"(last gap {trace.gaps[-1]:.3e}, gap tolerance {gap_tol:.3e})",
-        trace=trace,
-    )
+    return trace

@@ -27,7 +27,8 @@ distances and condition (C), d(T_j(X), I), read eigenvalues only.
 a solve in a few calls.
 
 Sufficiency conditions are verified by seeded sampling, never exhaustively:
-the quantifier ranges over an uncountable ball.  The samples are drawn one
+the quantifier ranges over an uncountable ball.  ``check_conditions`` is
+the one entry point, for either family.  The samples are drawn one
 after another from one generator, and evaluated in stacked blocks: each
 block is one ``(S, n, n)`` stack per quantity, so a block costs one call
 of each kernel and one eigensolve call per decomposition step, whatever
@@ -48,7 +49,8 @@ built only for that sample.
 
 The returned solution is certified by the relative equation residuals,
 which are the ground truth of correctness independent of any printed
-reference values.
+reference values.  ``solve`` builds its one result once the iteration
+returns, and raises it attached when the run stalls or is not certified.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .errors import (
     TfpError,
     X0DomainError,
 )
-from .fixpoint_engine import IterationTrace, iterate_pair
+from .fixpoint_engine import STOP_MAX_ITER, IterationTrace, iterate_pair
 from .hpd_core import (
     ComplexMatrix,
     EigenDecomposition,
@@ -462,7 +464,7 @@ def _sample_blocks(problem: ProblemSpec, samples: int, seed: int):
         yield first, pairs[:, 0], pairs[:, 1]
 
 
-def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
+def _check_type1(problem: ProblemSpec, samples: int, seed: int) -> ConditionReport:
     """Sample the type1 sufficiency conditions over ball pairs.
 
     Per pair (X, Y) drawn from the radius-a ball:
@@ -474,10 +476,6 @@ def check_conditions_type1(problem: ProblemSpec, samples: int = 200, seed: int =
     ``literal_failures`` on (A) and (B) counts pairs violating the
     stricter one-sided ratio form of the same condition.
     """
-    if problem.kind != TYPE1:
-        raise ValueError(f"expected a type1 problem, got {problem.kind}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=ball_radius(problem))
     stat_a = ConditionStat("A", literal_failures=0)
     stat_b = ConditionStat("B", literal_failures=0)
@@ -524,7 +522,7 @@ def _record_worst_term(stat: ConditionStat, first: int, terms, x: PDPoint, y: PD
     stat.record(first, np.array(labels)[worst], lhs[worst, samples], rhs[worst, samples], x, y)
 
 
-def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
+def _check_type2(problem: ProblemSpec, samples: int, seed: int) -> ConditionReport:
     """Sample the type2 sufficiency conditions over the radius r*a ball.
 
     Checked exactly as stated, per sampled X and pair (X, Y):
@@ -540,10 +538,6 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
     functions genuinely vary are expected to fail (B) and are useful as
     regression fixtures rather than truth assertions.
     """
-    if problem.kind != TYPE2:
-        raise ValueError(f"expected a type2 problem, got {problem.kind}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=ball_radius(problem))
     stat_a = ConditionStat("A")
     stat_b = ConditionStat("B")
@@ -579,10 +573,12 @@ def check_conditions_type2(problem: ProblemSpec, samples: int = 200, seed: int =
 
 
 def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
-    """Dispatch to the matching condition checker."""
-    if problem.kind == TYPE1:
-        return check_conditions_type1(problem, samples, seed)
-    return check_conditions_type2(problem, samples, seed)
+    """Sample the sufficiency conditions of the problem's kind, ``samples``
+    pairs drawn with ``seed``: the one entry point of condition checking."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    check = _check_type1 if problem.kind == TYPE1 else _check_type2
+    return check(problem, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +606,6 @@ class SolveResult:
     report: ConditionReport | None = None
 
 
-def _result_from(problem, trace, alpha, report) -> SolveResult:
-    # A fresh decomposition certifies the returned matrix itself, so the
-    # certificate depends only on the solution that is written out.
-    solution = trace.points[-1].matrix
-    certified = pd_point(solution, "solution")
-    r1, r2 = residuals(problem, certified)
-    return SolveResult(
-        solution=solution,
-        trace=trace,
-        residual1=r1,
-        residual2=r2,
-        dist_to_identity=thompson.distance_to_identity(certified),
-        alpha_used=alpha,
-        report=report,
-    )
-
-
 def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) -> SolveResult:
     """Run the alternating iteration from an admissible starting point.
 
@@ -646,7 +625,8 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         is attached to the exception), or the check broke down with a
         ``TfpError`` (no report).
     MaxIterationsExceeded
-        Step budget exhausted; the partial result is attached.
+        Step budget exhausted; the partial result is attached, and its
+        trace holds the steps taken.
     ResidualToleranceExceeded
         Iteration converged in the metric but a residual stayed above the
         certification tolerance; the uncertified result is attached.
@@ -683,19 +663,34 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
 
     t1, t2 = maps_for(problem)
     alpha = alpha_for(problem)
-    try:
-        trace = iterate_pair(thompson.distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
-    except MaxIterationsExceeded as exc:
-        exc.result = _result_from(problem, exc.trace, alpha, report)
-        raise
+    trace = iterate_pair(thompson.distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
 
-    result = _result_from(problem, trace, alpha, report)
-    worst = max(result.residual1, result.residual2)
+    # A fresh decomposition certifies the returned matrix itself, so the
+    # certificate depends only on the solution that is written out.
+    solution = trace.points[-1].matrix
+    certified = pd_point(solution, "solution")
+    r1, r2 = residuals(problem, certified)
+    result = SolveResult(
+        solution=solution,
+        trace=trace,
+        residual1=r1,
+        residual2=r2,
+        dist_to_identity=thompson.distance_to_identity(certified),
+        alpha_used=alpha,
+        report=report,
+    )
+    if trace.stop_reason == STOP_MAX_ITER:
+        raise MaxIterationsExceeded(
+            f"no convergence within {options.max_iter} iterations "
+            f"(last gap {trace.gaps[-1]:.3e}, gap tolerance {options.gap_tol:.3e})",
+            result,
+        )
+    worst = max(r1, r2)
     if worst > options.residual_tol:
         raise ResidualToleranceExceeded(
             f"converged in the metric but residual {worst:.3e} exceeds "
             f"tolerance {options.residual_tol:.3e}; the equation pair is "
             f"likely inconsistent",
-            result=result,
+            result,
         )
     return result

@@ -237,7 +237,7 @@ def test_criterion_5_type1_map_contraction_on_passing_reports():
     rng = np.random.default_rng(500)
     checks = []
     for label, problem in cases:
-        report = matrix_solver.check_conditions_type1(problem, samples=40, seed=13)
+        report = matrix_solver.check_conditions(problem, samples=40, seed=13)
         assert report.passed
         t1, t2 = matrix_solver.maps_for(problem)
         ratio = problem.l / problem.s
@@ -315,7 +315,7 @@ def test_criterion_7_determinism(tmp_path):
 
     # condition sampling is ordered by sample index, so repeated runs must agree
     problem, _, _ = load("check_fail_power.json")
-    r1 = matrix_solver.check_conditions_type1(problem, samples=60, seed=5).to_jsonable()
-    r2 = matrix_solver.check_conditions_type1(problem, samples=60, seed=5).to_jsonable()
+    r1 = matrix_solver.check_conditions(problem, samples=60, seed=5).to_jsonable()
+    r2 = matrix_solver.check_conditions(problem, samples=60, seed=5).to_jsonable()
     checks.append(("checker reports identical across runs", r1 == r2, "60 samples"))
     report_criterion("criterion 7 (determinism)", checks)

@@ -37,12 +37,14 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return path
 
 
-def run_tfp(*argv):
+def run_tfp(*argv, as_module=False):
     """``tfp`` in a fresh interpreter, so that stderr shows everything a
-    user would see, numpy's warnings included."""
+    user would see, numpy's warnings included; ``as_module`` runs it as
+    ``python -m tfp.cli``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tfp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    launch = ["-m", "tfp.cli"] if as_module else ["-c", "import sys; from tfp.cli import main; sys.exit(main(sys.argv[1:]))"]
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from tfp.cli import main; sys.exit(main(sys.argv[1:]))", *map(str, argv)],
+        [sys.executable, *launch, *map(str, argv)],
         capture_output=True, text=True, env=env, check=False,
     )
 
@@ -523,6 +525,8 @@ class TestSolveCommand:
         assert meta["stop_reason"] == "max_iter"
         assert meta["iterations"] == 200
         assert len(out.read_text().splitlines()) == 201
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line == "error: no convergence within 200 iterations (last gap 2.284e-01, gap tolerance 1.000e-12)"
 
     def test_unforced_solve_fails_conditions_exit_three(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -691,6 +695,14 @@ class TestPlotCommand:
         assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
         message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
         assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+
+    def test_run_as_module_writes_nothing_to_stderr(self, tmp_path):
+        # an eager import of tfp.cli by the package would make runpy warn
+        trace, out = self.solve_trace(tmp_path), tmp_path / "p.svg"
+        result = run_tfp("plot", trace, "--out", out, as_module=True)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert out.read_text().startswith("<svg")
 
     def test_plot_bytes_deterministic(self, tmp_path):
         t1 = self.solve_trace(tmp_path)

@@ -358,13 +358,13 @@ class TestWitnessBudget:
 class TestConditionChecker:
     def test_constant_fixture_passes_all(self):
         problem, _, _ = load("check_pass_constant.json")
-        report = matrix_solver.check_conditions_type1(problem, samples=80, seed=3)
+        report = matrix_solver.check_conditions(problem, samples=80, seed=3)
         assert report.passed
         assert set(report.conditions) == {"A", "B", "C"}
 
     def test_failing_fixture_b_with_genuine_witness(self):
         problem, _, _ = load("check_fail_power.json")
-        report = matrix_solver.check_conditions_type1(problem, samples=80, seed=5)
+        report = matrix_solver.check_conditions(problem, samples=80, seed=5)
         assert not report.passed
         assert not report.conditions["B"].passed
         assert report.conditions["A"].passed and report.conditions["C"].passed
@@ -381,20 +381,27 @@ class TestConditionChecker:
 
     def test_quadratic_fixture_passes_all(self):
         problem, _, _ = load("quadratic_pass.json")
-        report = matrix_solver.check_conditions_type1(problem, samples=80, seed=9)
+        report = matrix_solver.check_conditions(problem, samples=80, seed=9)
         assert report.passed
+
+    @pytest.mark.parametrize("name, kind", [("check_pass_constant.json", "type1"), ("example_4_2.json", "type2")])
+    def test_fewer_than_one_sample_rejected(self, name, kind):
+        problem, _, _ = load(name)
+        assert problem.kind == kind
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            matrix_solver.check_conditions(problem, samples=0)
 
     def test_type1_report_deterministic(self):
         problem, _, _ = load("example_4_1.json")
-        r1 = matrix_solver.check_conditions_type1(problem, samples=40, seed=7)
-        r2 = matrix_solver.check_conditions_type1(problem, samples=40, seed=7)
+        r1 = matrix_solver.check_conditions(problem, samples=40, seed=7)
+        r2 = matrix_solver.check_conditions(problem, samples=40, seed=7)
         assert r1.to_jsonable() == r2.to_jsonable()
 
     def test_recorded_outcome_first_example(self):
         # regression fixture: with the shipped seed, (A) has violations while
         # the sampled (B) and (C) hold
         problem, _, options = load("example_4_1.json")
-        report = matrix_solver.check_conditions_type1(problem, samples=60, seed=options.seed)
+        report = matrix_solver.check_conditions(problem, samples=60, seed=options.seed)
         assert not report.conditions["A"].passed
         assert report.conditions["B"].passed
         assert report.conditions["C"].passed
@@ -408,7 +415,7 @@ class TestConditionChecker:
             G=matrix_solver.constant(4 * np.eye(2)),
             a=0.5, l=0.3,
         )
-        report = matrix_solver.check_conditions_type2(problem, samples=40, seed=1)
+        report = matrix_solver.check_conditions(problem, samples=40, seed=1)
         assert not report.conditions["A"].passed
         assert report.conditions["A"].failures == 40
         worst = report.conditions["A"].worst
@@ -425,14 +432,14 @@ class TestConditionChecker:
             G=matrix_solver.constant(np.eye(2) / 16.0),
             a=2, l=0.3,
         )
-        report = matrix_solver.check_conditions_type2(problem, samples=40, seed=2)
+        report = matrix_solver.check_conditions(problem, samples=40, seed=2)
         assert report.conditions["A"].passed
         assert not report.conditions["B"].passed
         assert "^-1" in report.conditions["B"].worst["inequality"]
 
     def test_recorded_outcome_second_example(self):
         problem, _, options = load("example_4_2.json")
-        report = matrix_solver.check_conditions_type2(problem, samples=60, seed=options.seed)
+        report = matrix_solver.check_conditions(problem, samples=60, seed=options.seed)
         assert report.conditions["A"].passed
         assert not report.conditions["B"].passed
         worst = report.conditions["B"].worst
@@ -525,7 +532,7 @@ class TestSolverInvariants:
         ]
         rng = np.random.default_rng(51)
         for problem in cases:
-            report = matrix_solver.check_conditions_type1(problem, samples=40, seed=13)
+            report = matrix_solver.check_conditions(problem, samples=40, seed=13)
             assert report.passed
             t1, t2 = matrix_solver.maps_for(problem)
             ratio = problem.l / problem.s
