@@ -361,30 +361,40 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     With a ``shape``, the result is a stack of points of that shape.  They
     are drawn one after another, in C order, from the same generator, so
     each has the draws and the bits it would have as a single point drawn
-    in turn; the unitaries come from one stacked QR.
+    in turn; the unitaries come from one stacked QR.  A point costs two
+    generator calls: n unit doubles u_i, then the real and the imaginary
+    parts of its Gaussian matrix in one call.  Each t_i is
+    low + (high - low) * u_i with (low, high) = (-radius, radius), the
+    arithmetic of ``Generator.uniform``, so a point has the bits it had
+    when drawn by one ``uniform`` and two ``standard_normal`` calls.
 
-    A radius whose exp overflows is a ``NonHermitianInput``, raised before
-    drawing: the points would have infinite eigenvalues.
+    A NaN or negative radius is a ``ValueError``.  A radius whose exp
+    overflows, infinity included, is a ``NonHermitianInput``, raised
+    before drawing: the points would have infinite eigenvalues.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be positive, got {n}")
     radius = float(radius)
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     try:
-        math.exp(radius)
+        wide = math.exp(radius) == math.inf
     except OverflowError:
+        wide = True
+    if wide:
         message = f"ball of radius {radius:g} is too wide to sample: exp({radius:g}) overflows"
-        raise NonHermitianInput(message) from None
+        raise NonHermitianInput(message)
     rng = np.random.default_rng(seed)
     count = math.prod(shape)
-    t = np.empty((count, n))
-    re, im = np.empty((2, count, n, n))
-    for k in range(count):
-        t[k] = rng.uniform(-radius, radius, size=n)
-        rng.standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
-    u = _haar_unitaries((re + 1j * im) / math.sqrt(2))
+    unit = np.empty((count, n))
+    z = np.empty((count, 2, n, n))
+    random, standard_normal = rng.random, rng.standard_normal
+    for unit_k, z_k in zip(unit, z):
+        random(out=unit_k)
+        standard_normal(out=z_k)
+    low, high = -radius, radius
+    t = low + (high - low) * unit
+    u = _haar_unitaries((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))
     lam = np.exp(t)
     order = np.argsort(t, axis=-1)
     matrix = symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))

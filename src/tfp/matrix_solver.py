@@ -212,6 +212,13 @@ def _require_unitary(a_i: ComplexMatrix, name: str) -> None:
         raise ValueError(f"{name} is not unitary: defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
 
 
+def _require_radius(a: float) -> None:
+    if not math.isfinite(a):
+        raise ValueError(f"ball radius a must be finite, got {a}")
+    if a < 0.0:
+        raise ValueError(f"ball radius must be nonnegative, got {a}")
+
+
 def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
     """Validated type1 problem: nonsingular coefficients, PD constants, l < s."""
     mats = _validate_coefficients(A, F, G, n)
@@ -220,8 +227,7 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
     s, a, l = float(s), float(a), float(l)
     if s <= 1.0:
         raise ValueError(f"s must exceed 1, got {s}")
-    if a < 0.0:
-        raise ValueError(f"ball radius must be nonnegative, got {a}")
+    _require_radius(a)
     if not 0.0 < l < s:
         raise ValueError(f"contraction exponent must satisfy 0 < l < s, got l={l}, s={s}")
     q1, q2 = pd_point(Q1, "Q1"), pd_point(Q2, "Q2")
@@ -250,8 +256,7 @@ def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
     r, s, a, l = float(r), float(s), float(a), float(l)
     if r <= 1.0 or s <= 1.0:
         raise ValueError(f"r and s must exceed 1, got r={r}, s={s}")
-    if a < 0.0:
-        raise ValueError(f"ball radius must be nonnegative, got {a}")
+    _require_radius(a)
     if not 0.0 < l or not 3.0 * l < r * s / (r + s):
         raise ValueError(
             f"contraction exponent must satisfy 0 < 3l < rs/(r+s), got l={l}, r={r}, s={s}"

@@ -19,11 +19,13 @@ matrix is validated by ``pd_point`` and a point passes through
 unchecked, so the iteration calls ``distance`` on its points directly.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  The logs and powers of
-ratios are taken on Python floats, by ``_ratio_distance`` and ``_pow``,
-and applied element by element to stacks (``_ratio_distances``,
-``_ratio_powers``): numpy's vectorized log and pow can round differently
-in the last place, and a sample of a stack must get the bits it gets on
-its own.
+ratios are taken by the C math library's ``log`` and ``pow``, as
+``math.log`` and ``math.pow`` compute them, element by element: on a
+single pair by ``_ratio_distance``, and on stacks by numpy object ufuncs
+of the same functions (``_ratio_distances``, ``_ratio_powers``, which
+gives inf for a power that overflows).  numpy's own vectorized log and
+pow can round differently in the last place, and a sample of a stack
+must get the bits it gets on its own.
 """
 
 from __future__ import annotations
@@ -53,18 +55,30 @@ def _pow(w: float, exponent: float) -> float:
         return math.inf
 
 
-_DISTANCES = np.frompyfunc(_ratio_distance, 2, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
+_POW = np.frompyfunc(math.pow, 2, 1)
 _POWERS = np.frompyfunc(_pow, 2, 1)
 
 
 def _ratio_distances(w_ab, w_ba) -> np.ndarray:
-    """``_ratio_distance`` of each pair of ratios of two arrays."""
-    return np.asarray(_DISTANCES(w_ab, w_ba), dtype=np.float64)
+    """``_ratio_distance`` of each pair of ratios of two arrays.
+
+    The logs of positive ratios are never NaN or -0.0, so ``np.maximum``
+    picks what ``max`` picks."""
+    log_ab = np.asarray(_LOG(w_ab), dtype=np.float64)
+    log_ba = np.asarray(_LOG(w_ba), dtype=np.float64)
+    return np.maximum(np.maximum(log_ab, log_ba), 0.0)
 
 
 def _ratio_powers(w, exponent: float) -> np.ndarray:
-    """``_pow`` of each ratio of an array."""
-    return np.asarray(_POWERS(w, exponent), dtype=np.float64)
+    """``_pow`` of each ratio of an array: ``math.pow``, which computes
+    what ``**`` computes on floats, unless a power overflows."""
+    try:
+        return np.asarray(_POW(w, exponent), dtype=np.float64)
+    except OverflowError:
+        # the overflow to inf is the intended value, not a warning
+        with np.errstate(over="ignore"):
+            return np.asarray(_POWERS(w, exponent), dtype=np.float64)
 
 
 def _ratio_spectrum(lam, vectors, m) -> np.ndarray:

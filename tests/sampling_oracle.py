@@ -5,10 +5,14 @@ blocks.  The checkers here draw and judge one sample at a time, from the
 same generator and in the same order, with the package's kernels on single
 points, Python scalars for the ratios and the original one-sample
 ``record`` rule (a sample replaces the witness when its margin is strictly
-larger).  Condition (C) reads the right-hand sides' eigenvalues through the
-checker's own spectrum-only helper, as the eigenvalues LAPACK computes
-without eigenvectors may differ in the last bits from those of the map's
-root.  Their reports must match the stacked ones byte for byte.
+larger).  They draw through ``random_pd_in_ball`` below, the original
+three-call recipe (``uniform`` then two ``standard_normal`` calls per
+point), which ``hpd_core.random_pd_in_ball`` must reproduce bit for bit
+with its two calls.  Condition (C) reads the right-hand sides'
+eigenvalues through the checker's own spectrum-only helper, as the
+eigenvalues LAPACK computes without eigenvectors may differ in the last
+bits from those of the map's root.  Their reports must match the stacked
+ones byte for byte.
 """
 
 import math
@@ -16,7 +20,7 @@ import math
 import numpy as np
 
 from tfp import thompson
-from tfp.hpd_core import matrix_to_literal, random_pd_in_ball
+from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, matrix_to_literal, symmetrize
 from tfp.matrix_solver import (
     CONDITION_TOL,
     TYPE1,
@@ -27,6 +31,29 @@ from tfp.matrix_solver import (
     apply_F,
     ball_radius,
 )
+
+
+def random_pd_in_ball(n, radius, seed, shape=()):
+    """``hpd_core.random_pd_in_ball`` drawn with three generator calls per
+    point, as it was first written."""
+    rng = np.random.default_rng(seed)
+    count = math.prod(shape)
+    t = np.empty((count, n))
+    re, im = np.empty((2, count, n, n))
+    for k in range(count):
+        t[k] = rng.uniform(-radius, radius, size=n)
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    u = _haar_unitaries((re + 1j * im) / math.sqrt(2))
+    lam = np.exp(t)
+    order = np.argsort(t, axis=-1)
+    matrix = symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    lam, u = np.take_along_axis(lam, order, -1), np.take_along_axis(u, order[:, None, :], -1)
+    shape = tuple(shape)
+    return PDPoint(
+        matrix.reshape(shape + (n, n)),
+        EigenDecomposition(lam.reshape(shape + (n,)), u.reshape(shape + (n, n))),
+    )
 
 
 def _record(stat, sample, inequality, lhs, rhs, x, y=None):

@@ -6,7 +6,9 @@ samples one at a time.  Every CLI output that depends on the check (the
 report, the stdout of ``check`` and of an unforced ``solve``, the solve's
 files) must be byte-identical between the two, and the stacked checker
 must decompose exactly the matrices the oracle decomposes, in a number of
-``eig_hermitian`` calls that does not grow with the sample count.
+``eig_hermitian`` calls that does not grow with the sample count.  The
+sampled points themselves must be the oracle's three-call draws, bit for
+bit, from two generator calls per point.
 """
 
 import json
@@ -47,6 +49,62 @@ def assert_same_as_oracle(tmp_path, capsys, monkeypatch, argv, outputs=("report.
     monkeypatch.undo()
     assert stacked == oracle
     return stacked
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its calls of the methods that draw the
+    sampling ball's points; ``default_rng`` returns it unchanged."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return super().uniform(*args, **kwargs)
+
+
+class TestDrawsMatchTheOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 2.5, 700.0])
+    def test_points_are_byte_identical(self, n, radius):
+        # successive draws from one generator, so each shape starts where
+        # the previous one left the stream
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for shape in [(), (7, 2), (200, 2)]:
+            point = hpd_core.random_pd_in_ball(n, radius, rng, shape)
+            expected = sampling_oracle.random_pd_in_ball(n, radius, oracle_rng, shape)
+            assert point.matrix.shape == shape + (n, n)
+            for got, want in zip((point.matrix, *point.dec), (expected.matrix, *expected.dec)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_uniform_is_low_plus_range_times_random(self):
+        # the sampler draws ``uniform``'s values from ``random``: a numpy
+        # whose ``uniform`` computes them otherwise must fail here
+        for radius in [0.0, 0.3, 2.5, 700.0, *np.geomspace(1e-300, 700.0, 20)]:
+            low, high = -radius, radius
+            expected = np.random.default_rng(9).uniform(low, high, 1000)
+            got = low + (high - low) * np.random.default_rng(9).random(1000)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    def test_two_generator_calls_per_point(self, count):
+        rng = CountingGenerator(3)
+        hpd_core.random_pd_in_ball(3, 1.5, rng, (count, 2))
+        assert rng.calls == 4 * count
+        rng.calls = 0
+        hpd_core.random_pd_in_ball(3, 1.5, rng)
+        assert rng.calls == 2
 
 
 class TestReportsMatchTheOracle:

@@ -5,6 +5,8 @@ The eigensolver (LAPACK eigh) is checked against construction oracles
 in ``jacobi.py`` as an independent reference implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,15 @@ class TestRandomPdInBall:
         order = np.argsort(t)
         assert np.array_equal(x.dec.eigenvalues, np.exp(t)[order])
         assert np.array_equal(x.dec.vectors, u[:, order])
+
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
+            hpd_core.random_pd_in_ball(3, math.nan, 1)
+
+    def test_infinite_radius_too_wide_to_sample(self):
+        with pytest.raises(NonHermitianInput, match=r"ball of radius inf is too wide to sample"):
+            hpd_core.random_pd_in_ball(3, math.inf, 1)
 
 
 class TestMatrixLiterals:

@@ -116,6 +116,16 @@ class TestProblemValidation:
         with pytest.raises(DimensionMismatch, match=re.escape(f"{name} has shape (3, 3), expected (2, 2)")):
             build(**args)
 
+    @pytest.mark.parametrize(
+        "build", [matrix_solver.problem_type1, matrix_solver.problem_type2], ids=["type1", "type2"]
+    )
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_a_non_finite_ball_radius(self, build, a):
+        args = dict(n=2, A=[np.eye(2)], s=3, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=a, l=0.1)
+        args.update(dict(Q1=np.eye(2), Q2=np.eye(2)) if build is matrix_solver.problem_type1 else dict(r=2))
+        with pytest.raises(ValueError, match=re.escape(f"ball radius a must be finite, got {a}")):
+            build(**args)
+
     def test_alpha_formulas(self):
         problem1, _, _ = load("example_4_1.json")
         assert matrix_solver.alpha_for(problem1) == pytest.approx(1.0 / 2.0)

@@ -161,6 +161,35 @@ class TestOneEigensolveDistance:
             assert math.log(got[1]) == pytest.approx(math.log(w_ba), abs=1e-12)
 
 
+class TestElementwiseRatioMath:
+    """The stacked ratio functions give, element by element, the bits of
+    the scalar rules that ``distance`` uses."""
+
+    RATIOS = [1.0, math.nextafter(1.0, 2.0), 1e-300, 1e300]
+
+    def test_distances_match_the_scalar_rule(self):
+        pairs = [(u, v) for u in self.RATIOS for v in self.RATIOS]
+        w_ab, w_ba = (np.array(side) for side in zip(*pairs))
+        expected = np.array([thompson._ratio_distance(u, v) for u, v in pairs])
+        assert thompson._ratio_distances(w_ab, w_ba).tobytes() == expected.tobytes()
+        for u, v in pairs:
+            got = thompson._ratio_distances(np.float64(u), np.float64(v))
+            assert np.float64(got).tobytes() == np.float64(thompson._ratio_distance(u, v)).tobytes()
+
+    # 1e300 ** 2 and 1e-300 ** -1.5 overflow to inf
+    @pytest.mark.parametrize("exponent", [0.3, 0.5, -0.7, 2.0, -1.5])
+    def test_powers_match_the_scalar_rule(self, exponent):
+        expected = np.array([thompson._pow(w, exponent) for w in self.RATIOS])
+        assert thompson._ratio_powers(np.array(self.RATIOS), exponent).tobytes() == expected.tobytes()
+
+    def test_overflowing_power_is_inf(self):
+        assert thompson._ratio_powers(np.array([2.0, 1e300]), 2.0).tolist() == [4.0, math.inf]
+
+    def test_zero_ratio_raises(self):
+        with pytest.raises(ValueError):
+            thompson._ratio_distances(np.array([2.0, 0.0]), np.array([1.0, 1.0]))
+
+
 class TestMetricAxioms:
     def test_symmetry_identity_triangle(self):
         rng = np.random.default_rng(31)
