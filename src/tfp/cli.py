@@ -6,12 +6,13 @@ solution, and the plotter renders static semilog SVG convergence charts
 from one or more traces.  All outputs are byte-deterministic for fixed
 inputs: no timestamps, stable key order, shortest-round-trip floats.
 
-Exit codes: 0 success, 2 parse or schema error, 3 condition check failed
-(or broke down numerically), 4 no residual-certified convergence (or the
-iteration broke down numerically), 5 starting point not positive definite
-or outside the ball.  A numerical breakdown, such as a map's right-hand
-side that overflows, prints one ``error:`` line naming what failed and
-writes no output file.
+Exit codes: 0 success, 2 parse or schema error or an output that cannot
+be written, 3 condition check failed (or broke down numerically), 4 no
+residual-certified convergence (or the iteration or a trace row broke down
+numerically), 5 starting point not positive definite or outside the ball.
+``main`` is the one place that turns a failure into its exit code and one
+``error:`` line naming what failed; a numerical breakdown, such as a map's
+right-hand side that overflows, writes no output file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ EXIT_FORMAT = 2
 EXIT_CONDITIONS = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_X0 = 5
+
+# The exit code of a named failure, by its exact class; any other TfpError
+# is a numerical breakdown of check or solve (plot raises only the first).
+_EXIT_CODES = {ProblemFormatError: EXIT_FORMAT, X0DomainError: EXIT_X0, ConditionsNotVerified: EXIT_CONDITIONS}
+_BREAKDOWN = {
+    "check": (EXIT_CONDITIONS, "condition check broke down: "),
+    "solve": (EXIT_NOT_CONVERGED, "iteration broke down: "),
+}
 
 # Top-level keys of a problem file, by kind.
 _COMMON_KEYS = ("kind", "n", "m", "A", "F", "G", "a", "l", "s", "x0", "options")
@@ -492,12 +501,7 @@ def cmd_check(args) -> int:
     problem, _, options = load_problem(args.problem)
     samples = options.samples if args.samples is None else _as_int(args.samples, "--samples")
     seed = options.seed if args.seed is None else _as_seed(args.seed, "--seed")
-    try:
-        report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
-    except TfpError as exc:
-        print(f"error: condition check broke down: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONS
-
+    report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
     out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
     out_path.write_text(_json_text(report.to_jsonable()) + "\n")
 
@@ -535,25 +539,16 @@ def cmd_solve(args) -> int:
     out_csv = Path(args.out) if args.out else Path.cwd() / "trace.csv"
     out_json = out_csv.with_suffix(".json")
 
-    converged = True
     try:
-        result = matrix_solver.solve(problem, x0=x0, options=options)
-    except X0DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_X0
-    except ConditionsNotVerified as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONS
+        result, failure = matrix_solver.solve(problem, x0=x0, options=options), None
     except (MaxIterationsExceeded, ResidualToleranceExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        result = exc.result
-        converged = False
-    except TfpError as exc:
-        print(f"error: iteration broke down: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-
+        # a stalled or uncertified run still writes its trace and solution
+        result, failure = exc.result, exc
+    converged = failure is None
     write_trace_csv(out_csv, trace_rows(problem, result.trace))
     write_solution_json(out_json, problem, result, options.seed, converged)
+    if not converged:
+        print(f"error: {failure}", file=sys.stderr)
     status = "converged" if converged else "NOT residual-certified"
     print(
         f"{status}: {result.trace.iterations} iterations, residuals "
@@ -629,9 +624,16 @@ def main(argv=None) -> int:
         # warnings would only repeat it on stderr.
         with np.errstate(all="ignore"):
             return command(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    except OSError as exc:
+        # reading an input raises ProblemFormatError, so this is an output
+        code, message = EXIT_FORMAT, f"cannot write: {exc}"
+    except tuple(_EXIT_CODES) as exc:
+        code, message = _EXIT_CODES[type(exc)], str(exc)
+    except TfpError as exc:
+        code, prefix = _BREAKDOWN[args.command]
+        message = f"{prefix}{exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,13 +24,13 @@ leading axes; indexing it selects points.
 
 Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
 LAPACK ``eigh`` (``numpy.linalg.eigh``), or over ``eigvalsh`` when the
-caller reads no eigenvector.  Only the points need vectors: ``pd_point``
-and the iteration maps' roots (``_point``) compute them; the Thompson
-pencils, the Gram check of a type1 coefficient and condition (C) read
-eigenvalues only (``_pd_eig(..., vectors=False)`` keeps the finite and
-positive-definiteness checks of a point).  The tests cross-check the
-solver against an independent cyclic Jacobi solver kept in
-``tests/jacobi.py``.
+caller reads no eigenvector.  Only the points need vectors: ``pd_point``,
+the iteration maps' roots and the certificate of a solution compute them,
+through ``_pd_eig``, which adds the positive-definiteness check of a
+point; the Thompson pencils, the Gram check of a type1 coefficient and
+condition (C) read eigenvalues only (condition (C) through
+``_pd_eig(..., vectors=False)``).  The tests cross-check the solver
+against an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
 """
 
 from __future__ import annotations
@@ -262,21 +262,14 @@ def pd_point(m, name: str = "matrix") -> PDPoint:
     if isinstance(m, PDPoint):
         return m
     arr = require_hermitian(m, name)
-    return _point(arr, name, symmetrize(arr))
-
-
-def _point(arr: ComplexMatrix, name: str = "matrix", hermitian: ComplexMatrix | None = None) -> PDPoint:
-    """``pd_point`` of an array, or a stack, that a kernel computed and
-    symmetrized, so it is exactly Hermitian; for an array only validated
-    as Hermitian within the tolerance, ``hermitian`` is its Hermitian part,
-    which is decomposed in its place."""
-    return PDPoint(arr, _pd_eig(arr if hermitian is None else hermitian, name))
+    return PDPoint(arr, _pd_eig(symmetrize(arr), name))
 
 
 def _pd_eig(arr: ComplexMatrix, name: str = "matrix", *, vectors: bool = True) -> EigenDecomposition:
     """``eig_hermitian`` of an exactly Hermitian array, or a stack, whose
-    smallest eigenvalue must clear the relative floor.  ``name`` labels
-    the matrix in the non-finite and the positive-definiteness errors; on
+    smallest eigenvalue must clear the relative floor; a point a kernel
+    computed and symmetrized is ``PDPoint(arr, _pd_eig(arr, name))``.
+    ``name`` labels the matrix in the non-finite and the floor errors; on
     a stack they report the first matrix that fails."""
     dec = eig_hermitian(arr, name, vectors=vectors)
     lam_min, floor = dec.eigenvalues[..., 0], pd_floor(dec.eigenvalues)

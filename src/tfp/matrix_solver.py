@@ -20,21 +20,22 @@ on the Thompson ball {X : d(X, I) <= a} (radius r*a for type2), with the
 contraction constant alpha = l/s (type1) or alpha = 3l(1/r + 1/s) (type2).
 The iterates are ``PDPoint``s: F_j(X), X**e_j and d(X, I) read the known
 spectrum, and T_j's one eigensolve, of its right-hand side, decomposes
-the new point.  That root and ``pd_point`` are the only eigensolves that
-compute eigenvectors: the Gram check of a type1 coefficient, the Thompson
-distances and condition (C), d(T_j(X), I), read eigenvalues only.
+the new point.  That root, ``pd_point`` and the certificate of a solution
+are the only eigensolves that compute eigenvectors: the Gram check of a
+type1 coefficient, the Thompson distances and condition (C), d(T_j(X), I),
+read eigenvalues only.
 ``residuals`` takes a stack of points too, which gives the trace rows of
 a solve in a few calls.
 
 Sufficiency conditions are verified by seeded sampling, never exhaustively:
 the quantifier ranges over an uncountable ball.  ``check_conditions`` is
-the one entry point, for either family.  The samples are drawn one
-after another from one generator, and evaluated in stacked blocks: each
-block is one ``(S, n, n)`` stack per quantity, so a block costs one call
-of each kernel and one eigensolve call per decomposition step, whatever
-its size.  A block holds at most ``_BLOCK_ENTRIES`` matrix entries per
-stack.  For type1, conditions (A)
-and (B) are judged in their metric (proof-level) form
+the one entry point and the one sampling loop; a family only lists, per
+block of samples, each condition's terms (label, lhs, rhs).  The samples
+are drawn one after another from one generator, and evaluated in stacked
+blocks of at most ``_BLOCK_ENTRIES`` entries per stack: one ``(S, n, n)``
+stack per quantity, so a block costs one call of each kernel and one
+eigensolve call per decomposition step, whatever its size.  For type1,
+conditions (A) and (B) are judged in their metric (proof-level) form
 
     (A)  d(Q1, Q2) <= d(F(X), G(Y))
     (B)  d(F(X), G(Y)) <= l * d(X, Y)
@@ -42,10 +43,10 @@ and (B) are judged in their metric (proof-level) form
 with the stricter one-sided ratio inequalities recorded per pair as a
 secondary diagnostic; condition (C) is the pair of ball constraints
 d(T1(X), I) <= a and d(T2(X), I) <= a.  Type2 conditions are checked
-exactly as stated, eigenvalue bound by eigenvalue bound.  A condition's
-report keeps its worst sample (the first of the largest margin) as the
-witness, with X and Y written out as matrix literals; the witness is
-built only for that sample.
+exactly as stated, eigenvalue bound by eigenvalue bound.  A sample counts
+its term of largest margin lhs - rhs (the first on a tie), and a
+condition's report keeps its worst sample (the first of the largest
+margin) as the witness, with X and Y written out as matrix literals.
 
 The returned solution is certified by the relative equation residuals,
 which are the ground truth of correctness independent of any printed
@@ -78,7 +79,6 @@ from .hpd_core import (
     PDPoint,
     _congruence,
     _pd_eig,
-    _point,
     as_square_matrix,
     eig_hermitian,
     frobenius_norm,
@@ -315,7 +315,8 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
     root = 1.0 / exponent
 
     def t(x: PDPoint) -> PDPoint:
-        return _point(_rhs(q, a_list, apply_F(f_spec, x)), "map right-hand side").powered(root)
+        rhs = _rhs(q, a_list, apply_F(f_spec, x))
+        return PDPoint(rhs, _pd_eig(rhs, "map right-hand side")).powered(root)
 
     return t
 
@@ -385,15 +386,20 @@ class ConditionStat:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, first: int, inequality, lhs, rhs, x: PDPoint, y: PDPoint | None = None) -> None:
-        """Count a block of sampled inequalities lhs <= rhs, samples
-        ``first``, ``first + 1``, ... of the stacks ``x`` (and ``y``), whose
-        margins are lhs - rhs.  ``inequality`` is one label or one per
-        sample.  The block's worst sample is the first of its largest
-        margin, and replaces the witness only when it is strictly worse, as
-        over the samples one by one."""
+    def record(self, first: int, terms, x: PDPoint, y: PDPoint | None = None) -> None:
+        """Count a block of samples ``first``, ``first + 1``, ... of the
+        stacks ``x`` (and ``y``).  ``terms`` lists the condition's
+        inequalities lhs <= rhs as (label, lhs, rhs), each side one value
+        per sample or one for all; a sample counts its term of largest
+        margin lhs - rhs, the first in ``terms`` order on a tie.  The
+        block's worst sample is the first of its largest margin, and
+        replaces the witness only when it is strictly worse, as over the
+        samples one by one."""
+        labels, lhs, rhs = zip(*terms)
         batch = x.matrix.shape[:1]
-        lhs, rhs = np.broadcast_to(lhs, batch), np.broadcast_to(rhs, batch)
+        lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
+        term, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
+        lhs, rhs = lhs[term, samples], rhs[term, samples]
         margin = lhs - rhs
         self.checked += margin.size
         self.failures += int(np.count_nonzero(margin > CONDITION_TOL))
@@ -402,7 +408,7 @@ class ConditionStat:
             self.worst_margin = float(margin[i])
             self.worst = {
                 "sample": first + i,
-                "inequality": str(np.broadcast_to(inequality, batch)[i]),
+                "inequality": labels[term[i]],
                 "lhs": float(lhs[i]),
                 "rhs": float(rhs[i]),
                 "X": matrix_to_literal(x.matrix[i]),
@@ -456,81 +462,43 @@ def _block_size(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * n))
 
 
-def _sample_blocks(problem: ProblemSpec, samples: int, seed: int):
-    """The sampled pairs (X, Y) from the ball of ``ball_radius``, drawn X
-    then Y for sample 0, 1, ... from one generator, as (first sample,
-    stack of X, stack of Y) per block of at most ``_BLOCK_ENTRIES``
-    entries per stack."""
-    n, radius = problem.n, ball_radius(problem)
-    block = _block_size(n)
-    rng = np.random.default_rng(seed)
-    for first in range(0, samples, block):
-        pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
-        yield first, pairs[:, 0], pairs[:, 1]
-
-
-def _check_type1(problem: ProblemSpec, samples: int, seed: int) -> ConditionReport:
-    """Sample the type1 sufficiency conditions over ball pairs.
-
-    Per pair (X, Y) drawn from the radius-a ball:
+def _type1_terms(problem: ProblemSpec) -> Callable:
+    """The type1 sufficiency conditions, per pair (X, Y) drawn from the
+    radius-a ball:
 
     * (A) d(Q1, Q2) <= d(F(X), G(Y))
     * (B) d(F(X), G(Y)) <= l * d(X, Y)
     * (C) d(T1(X), I) <= a and d(T2(X), I) <= a
 
-    ``literal_failures`` on (A) and (B) counts pairs violating the
-    stricter one-sided ratio form of the same condition.
+    (A) and (B) also flag the pairs violating the stricter one-sided
+    ratio form of the same condition, counted as ``literal_failures``.
     """
-    report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=ball_radius(problem))
-    stat_a = ConditionStat("A", literal_failures=0)
-    stat_b = ConditionStat("B", literal_failures=0)
-    stat_c = ConditionStat("C")
-    l = problem.l
-
+    l, a = problem.l, problem.a
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
-    for first, x, y in _sample_blocks(problem, samples, seed):
+    def block(x: PDPoint, y: PDPoint) -> dict:
         w_fg, w_gf = thompson._ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = thompson._ratio_distances(w_fg, w_gf)
         w_xy, w_yx = thompson._ratios(x, y)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
-
-        stat_a.record(first, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
-        stat_a.literal_failures += int(
-            np.count_nonzero((w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL))
+        literal_a = (w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL)
+        literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
+            w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-
-        stat_b.record(first, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy, x, y)
-        stat_b.literal_failures += int(
-            np.count_nonzero(
-                (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL)
-                | (w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL)
-            )
-        )
-
         d1, d2 = _map_distances_to_identity(problem, x)
-        label = np.where(d1 >= d2, "d(T1(X),I) <= a", "d(T2(X),I) <= a")
-        stat_c.record(first, label, np.maximum(d1, d2), problem.a, x)
+        return {
+            "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
+            "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),
+            "C": ([("d(T1(X),I) <= a", d1, a), ("d(T2(X),I) <= a", d2, a)], False, None),
+        }
 
-    report.conditions = {"A": stat_a, "B": stat_b, "C": stat_c}
-    return report
-
-
-def _record_worst_term(stat: ConditionStat, first: int, terms, x: PDPoint, y: PDPoint | None = None) -> None:
-    """Record, per sample, the term (label, lhs, rhs) of largest margin
-    lhs - rhs, the first in ``terms`` order on a tie."""
-    labels, lhs, rhs = zip(*terms)
-    batch = x.matrix.shape[:1]
-    lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
-    worst, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
-    stat.record(first, np.array(labels)[worst], lhs[worst, samples], rhs[worst, samples], x, y)
+    return block
 
 
-def _check_type2(problem: ProblemSpec, samples: int, seed: int) -> ConditionReport:
-    """Sample the type2 sufficiency conditions over the radius r*a ball.
-
-    Checked exactly as stated, per sampled X and pair (X, Y):
+def _type2_terms(problem: ProblemSpec) -> Callable:
+    """The type2 sufficiency conditions over the radius r*a ball, exactly
+    as stated, per sampled X and pair (X, Y):
 
     * (A) lambda_max(F(X)) <= exp(r*a)/m and lambda_max(F(X)**-1) <= m*exp(r*a),
       and the same pair of bounds for G
@@ -543,47 +511,58 @@ def _check_type2(problem: ProblemSpec, samples: int, seed: int) -> ConditionRepo
     functions genuinely vary are expected to fail (B) and are useful as
     regression fixtures rather than truth assertions.
     """
-    report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=ball_radius(problem))
-    stat_a = ConditionStat("A")
-    stat_b = ConditionStat("B")
     exp_ra = math.exp(problem.r * problem.a)
     m, l = problem.m, problem.l
 
-    for first, x, y in _sample_blocks(problem, samples, seed):
+    def block(x: PDPoint, y: PDPoint) -> dict:
         lam_f = apply_F(problem.F, x).dec.eigenvalues
         lam_g = apply_F(problem.G, x).dec.eigenvalues
         max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
         max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
-
+        w_xy, w_yx = thompson._ratios(x, y)
+        w_xy_l, w_yx_l = thompson._ratio_powers(w_xy, l), thompson._ratio_powers(w_yx, l)
         terms_a = [
             ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
             ("lambda_max(F(X)^-1) <= m*exp(r*a)", inv_f, m * exp_ra),
             ("lambda_max(G(X)) <= exp(r*a)/m", max_g, exp_ra / m),
             ("lambda_max(G(X)^-1) <= m*exp(r*a)", inv_g, m * exp_ra),
         ]
-        _record_worst_term(stat_a, first, terms_a, x)
-
-        w_xy, w_yx = thompson._ratios(x, y)
-        w_xy_l, w_yx_l = thompson._ratio_powers(w_xy, l), thompson._ratio_powers(w_yx, l)
         terms_b = [
             ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy_l / (m * 2.0**problem.r)),
             ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy_l / (m * 2.0**problem.s)),
             ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx_l),
             ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx_l),
         ]
-        _record_worst_term(stat_b, first, terms_b, x, y)
+        return {"A": (terms_a, False, None), "B": (terms_b, True, None)}
 
-    report.conditions = {"A": stat_a, "B": stat_b}
-    return report
+    return block
 
 
 def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the sufficiency conditions of the problem's kind, ``samples``
-    pairs drawn with ``seed``: the one entry point of condition checking."""
+    pairs drawn with ``seed``: the one entry point of condition checking.
+
+    The pairs are drawn from the ball of ``ball_radius``, X then Y for
+    sample 0, 1, ... from one generator, in blocks of at most
+    ``_BLOCK_ENTRIES`` entries per stack.  The problem's family gives, per
+    block, each condition's terms, whether its witness shows Y, and its
+    per-pair literal violations (None when it has no literal form).
+    """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    check = _check_type1 if problem.kind == TYPE1 else _check_type2
-    return check(problem, samples, seed)
+    block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
+    n, radius = problem.n, ball_radius(problem)
+    block, rng = _block_size(n), np.random.default_rng(seed)
+    stats = {}
+    for first in range(0, samples, block):
+        pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
+        x, y = pairs[:, 0], pairs[:, 1]
+        for name, (terms, with_y, literal) in block_terms(x, y).items():
+            stat = stats.setdefault(name, ConditionStat(name, literal_failures=None if literal is None else 0))
+            stat.record(first, terms, x, y if with_y else None)
+            if literal is not None:
+                stat.literal_failures += int(np.count_nonzero(literal))
+    return ConditionReport(problem.kind, samples, seed, radius, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +650,10 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     trace = iterate_pair(thompson.distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
 
     # A fresh decomposition certifies the returned matrix itself, so the
-    # certificate depends only on the solution that is written out.
+    # certificate depends only on the solution that is written out; the
+    # map's root made it exactly Hermitian, so it is not validated again.
     solution = trace.points[-1].matrix
-    certified = pd_point(solution, "solution")
+    certified = PDPoint(solution, _pd_eig(solution, "solution"))
     r1, r2 = residuals(problem, certified)
     result = SolveResult(
         solution=solution,

@@ -4,8 +4,8 @@
 blocks.  The checkers here draw and judge one sample at a time, from the
 same generator and in the same order, with the package's kernels on single
 points, Python scalars for the ratios and the original one-sample
-``record`` rule (a sample replaces the witness when its margin is strictly
-larger).  They draw through ``random_pd_in_ball`` below, the original
+``record`` rule (a sample counts its term of largest margin, the first on
+a tie, and replaces the witness when that margin is strictly larger).  They draw through ``random_pd_in_ball`` below, the original
 three-call recipe (``uniform`` then two ``standard_normal`` calls per
 point), which ``hpd_core.random_pd_in_ball`` must reproduce bit for bit
 with its two calls.  Condition (C) reads the right-hand sides'
@@ -107,8 +107,8 @@ def check_conditions_type1(problem, samples=200, seed=0):
             stat_b.literal_failures += 1
 
         d1, d2 = (float(d) for d in _map_distances_to_identity(problem, x))
-        label = "d(T1(X),I) <= a" if d1 >= d2 else "d(T2(X),I) <= a"
-        _record(stat_c, i, label, max(d1, d2), problem.a, x)
+        terms_c = [("d(T1(X),I) <= a", d1, problem.a), ("d(T2(X),I) <= a", d2, problem.a)]
+        _record(stat_c, i, *max(terms_c, key=lambda item: item[1] - item[2]), x)
 
     report.conditions = {"A": stat_a, "B": stat_b, "C": stat_c}
     return report

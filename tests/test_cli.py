@@ -542,6 +542,21 @@ class TestSolveCommand:
         assert result.stderr == "error: iteration broke down: map right-hand side contains non-finite entries\n"
         assert result.stdout == "" and not out.exists()
 
+    def test_overflowing_trace_row_exit_four_naming_it(self, tmp_path):
+        # the solve converges, but X_1 ** s overflows in the residual of
+        # the trace's first row; no file is written and nothing printed
+        doc = {
+            "kind": "type2", "n": 2, "m": 1, "A": [[[1, 0], [0, 1]]], "r": 1.2, "s": 3,
+            "F": {"kind": "power", "exponent": 1}, "G": {"kind": "power", "exponent": 1},
+            "a": 260, "l": 0.05, "x0": [[1e130, 0], [0, 2e130]], "options": {"force": True},
+        }
+        out = tmp_path / "t.csv"
+        result = run_tfp("solve", write_problem(tmp_path, doc), "--out", out)
+        assert result.returncode == 4
+        assert result.stderr == "error: iteration broke down: candidate solution ** 3 contains non-finite entries\n"
+        assert result.stdout == ""
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_force_flag_overrides(self, tmp_path):
         out = tmp_path / "t.csv"
         code = cli.main(["solve", str(fixture_path("check_fail_power.json")), "--force", "--out", str(out)])
@@ -608,6 +623,19 @@ class TestMain:
         finally:
             cli._parser.cache_clear()
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve", "plot"])
+    def test_unwritable_output_exit_two_naming_it(self, tmp_path, capsys, command):
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", str(trace)]) == 0
+        capsys.readouterr()
+        source = {"check": fixture_path("check_pass_constant.json"), "solve": fixture_path("example_4_2.json")}
+        out = tmp_path / "missing" / "out.csv"
+        assert cli.main([command, str(source.get(command, trace)), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: cannot write: ") and stderr.count("\n") == 1
+        assert f"{out}'" in stderr
 
     def test_successive_calls_are_independent(self, tmp_path):
         trace = tmp_path / "t.csv"

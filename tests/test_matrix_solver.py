@@ -327,6 +327,14 @@ class TestValidationBudget:
             counts.append(len(hermitian_checks))
         assert counts[0] == counts[1]
 
+    def test_certificate_does_not_check_the_solution_again(self, hermitian_checks):
+        # the map's root made the returned matrix exactly Hermitian, so
+        # only the start, which comes in from outside, is checked
+        problem, x0, options = load("quadratic_pass.json")
+        hermitian_checks.clear()
+        matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True))
+        assert hermitian_checks == ["starting point"]
+
     def test_overflowing_right_hand_side_is_a_named_error(self):
         # Q1 + A* F(X) A overflows to inf; eigh alone would return NaN
         # eigenvalues for it without an error
@@ -454,6 +462,69 @@ class TestConditionChecker:
         assert not report.conditions["B"].passed
         worst = report.conditions["B"].worst
         assert worst["lhs"] > worst["rhs"]
+
+
+class TestConditionRecorder:
+    """``ConditionStat.record`` is the one rule that judges a block of
+    samples: each sample by its term of largest margin, the first term on
+    a tie, and the witness by the first sample of the largest margin."""
+
+    @staticmethod
+    def points(count, seed=0):
+        return hpd_core.random_pd_in_ball(2, 1.0, seed, (count,))
+
+    def test_tie_between_terms_reports_the_first_label(self):
+        x = self.points(2)
+        stat = matrix_solver.ConditionStat("T")
+        # sample 0: both terms have margin 1; sample 1: only the second fails
+        stat.record(0, [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([3.0, 1.5]), 2.0)], x)
+        assert (stat.checked, stat.failures, stat.worst_margin) == (2, 1, 1.0)
+        assert stat.worst == {
+            "sample": 0, "inequality": "first", "lhs": 2.0, "rhs": 1.0, "X": hpd_core.matrix_to_literal(x.matrix[0]),
+        }
+
+    def test_a_sample_failing_several_terms_counts_once(self):
+        stat = matrix_solver.ConditionStat("T")
+        stat.record(0, [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([5.0, 0.0]), 1.0)], self.points(2))
+        assert (stat.checked, stat.failures) == (2, 1)
+        assert (stat.worst["inequality"], stat.worst["lhs"]) == ("second", 5.0)
+
+    def test_later_block_with_equal_worst_margin_keeps_the_earlier_witness(self):
+        x, y = self.points(2, seed=1), self.points(2, seed=2)
+        stat = matrix_solver.ConditionStat("T")
+        stat.record(0, [("t", np.array([0.5, 1.0]), 0.0)], x, y)
+        stat.record(2, [("u", np.array([1.0, 0.25]), 0.0)], y, x)
+        assert (stat.checked, stat.failures, stat.worst_margin) == (4, 4, 1.0)
+        assert (stat.worst["sample"], stat.worst["inequality"]) == (1, "t")
+        assert stat.worst["X"] == hpd_core.matrix_to_literal(x.matrix[1])
+        assert stat.worst["Y"] == hpd_core.matrix_to_literal(y.matrix[1])
+
+    def test_one_term_counts_as_a_single_inequality(self):
+        # lhs per sample against a shared rhs: margins -0.1, 0.5, 0.5, -0.4
+        x, y = self.points(4, seed=3), self.points(4, seed=4)
+        lhs = np.array([0.1, 0.7, 0.7, -0.2])
+        stat = matrix_solver.ConditionStat("T", literal_failures=0)
+        stat.record(10, [("lhs <= rhs", lhs, 0.2)], x, y)
+        assert (stat.checked, stat.failures, stat.worst_margin) == (4, 2, 0.7 - 0.2)
+        assert stat.worst == {
+            "sample": 11,
+            "inequality": "lhs <= rhs",
+            "lhs": 0.7,
+            "rhs": 0.2,
+            "X": hpd_core.matrix_to_literal(x.matrix[1]),
+            "Y": hpd_core.matrix_to_literal(y.matrix[1]),
+        }
+        assert stat.literal_failures == 0
+
+    def test_equal_map_distances_name_the_first_map(self):
+        # Q1 = Q2 and F = G, so d(T1(X), I) and d(T2(X), I) are equal
+        # bit for bit, and condition (C) names T1
+        problem, _, options = load("check_pass_constant.json")
+        x = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20,))
+        d1, d2 = matrix_solver._map_distances_to_identity(problem, x)
+        assert np.array_equal(d1, d2)
+        report = matrix_solver.check_conditions(problem, samples=options.samples, seed=options.seed)
+        assert report.conditions["C"].worst["inequality"] == "d(T1(X),I) <= a"
 
 
 class TestSolve:
