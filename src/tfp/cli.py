@@ -11,8 +11,10 @@ be written, 3 condition check failed (or broke down numerically), 4 no
 residual-certified convergence (or the iteration or a trace row broke down
 numerically), 5 starting point not positive definite or outside the ball.
 ``main`` is the one place that turns a failure into its exit code and one
-``error:`` line naming what failed; a numerical breakdown, such as a map's
-right-hand side that overflows, writes no output file.
+``error:`` line naming what failed; a check that breaks down names itself
+(``ConditionsNotVerified``).  A numerical breakdown, such as a map's
+right-hand side that overflows, or an output that cannot be written (exit
+2) leaves no output file.
 """
 
 from __future__ import annotations
@@ -50,12 +52,8 @@ EXIT_NOT_CONVERGED = 4
 EXIT_X0 = 5
 
 # The exit code of a named failure, by its exact class; any other TfpError
-# is a numerical breakdown of check or solve (plot raises only the first).
+# is a numerical breakdown of the iteration (check and plot raise only these).
 _EXIT_CODES = {ProblemFormatError: EXIT_FORMAT, X0DomainError: EXIT_X0, ConditionsNotVerified: EXIT_CONDITIONS}
-_BREAKDOWN = {
-    "check": (EXIT_CONDITIONS, "condition check broke down: "),
-    "solve": (EXIT_NOT_CONVERGED, "iteration broke down: "),
-}
 
 # Top-level keys of a problem file, by kind.
 _COMMON_KEYS = ("kind", "n", "m", "A", "F", "G", "a", "l", "s", "x0", "options")
@@ -546,7 +544,11 @@ def cmd_solve(args) -> int:
         result, failure = exc.result, exc
     converged = failure is None
     write_trace_csv(out_csv, trace_rows(problem, result.trace))
-    write_solution_json(out_json, problem, result, options.seed, converged)
+    try:
+        write_solution_json(out_json, problem, result, options.seed, converged)
+    except OSError:
+        out_csv.unlink()  # exit 2 leaves no output file
+        raise
     if not converged:
         print(f"error: {failure}", file=sys.stderr)
     status = "converged" if converged else "NOT residual-certified"
@@ -630,8 +632,7 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         code, message = _EXIT_CODES[type(exc)], str(exc)
     except TfpError as exc:
-        code, prefix = _BREAKDOWN[args.command]
-        message = f"{prefix}{exc}"
+        code, message = EXIT_NOT_CONVERGED, f"iteration broke down: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

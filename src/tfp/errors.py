@@ -61,11 +61,13 @@ class X0DomainError(TfpError):
 
 
 class ConditionsNotVerified(TfpError):
-    """The sufficiency-condition report failed and the solve was not forced.
+    """The sufficiency-condition report failed and the solve was not forced,
+    or the condition check broke down numerically.
 
     Attributes
     ----------
-    report : ConditionReport
+    report : ConditionReport or None
+        None when the check broke down; its ``TfpError`` is the cause.
     """
 
     def __init__(self, message, report=None):

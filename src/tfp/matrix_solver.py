@@ -547,21 +547,26 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     ``_BLOCK_ENTRIES`` entries per stack.  The problem's family gives, per
     block, each condition's terms, whether its witness shows Y, and its
     per-pair literal violations (None when it has no literal form).
+    A check that breaks down with a ``TfpError`` (an overflowing ball, say)
+    raises ``ConditionsNotVerified`` with no report and that cause.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
-    n, radius = problem.n, ball_radius(problem)
-    block, rng = _block_size(n), np.random.default_rng(seed)
-    stats = {}
-    for first in range(0, samples, block):
-        pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
-        x, y = pairs[:, 0], pairs[:, 1]
-        for name, (terms, with_y, literal) in block_terms(x, y).items():
-            stat = stats.setdefault(name, ConditionStat(name, literal_failures=None if literal is None else 0))
-            stat.record(first, terms, x, y if with_y else None)
-            if literal is not None:
-                stat.literal_failures += int(np.count_nonzero(literal))
+    try:
+        block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
+        n, radius = problem.n, ball_radius(problem)
+        block, rng = _block_size(n), np.random.default_rng(seed)
+        stats = {}
+        for first in range(0, samples, block):
+            pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
+            x, y = pairs[:, 0], pairs[:, 1]
+            for name, (terms, with_y, literal) in block_terms(x, y).items():
+                stat = stats.setdefault(name, ConditionStat(name, literal_failures=None if literal is None else 0))
+                stat.record(first, terms, x, y if with_y else None)
+                if literal is not None:
+                    stat.literal_failures += int(np.count_nonzero(literal))
+    except TfpError as exc:
+        raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
     return ConditionReport(problem.kind, samples, seed, radius, stats)
 
 
@@ -606,8 +611,8 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         Starting point not positive definite or outside the admissible ball.
     ConditionsNotVerified
         Condition report failed and the solve was not forced (the report
-        is attached to the exception), or the check broke down with a
-        ``TfpError`` (no report).
+        is attached to the exception), or ``check_conditions`` broke
+        down (no report).
     MaxIterationsExceeded
         Step budget exhausted; the partial result is attached, and its
         trace holds the steps taken.
@@ -633,10 +638,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
 
     report = None
     if not options.force:
-        try:
-            report = check_conditions(problem, options.samples, options.seed)
-        except TfpError as exc:
-            raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
+        report = check_conditions(problem, options.samples, options.seed)
         if not report.passed:
             failing = sorted(name for name, stat in report.conditions.items() if not stat.passed)
             raise ConditionsNotVerified(

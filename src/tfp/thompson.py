@@ -18,14 +18,13 @@ eigenvalues are read.
 matrix is validated by ``pd_point`` and a point passes through
 unchecked, so the iteration calls ``distance`` on its points directly.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
-decide every choice above sample by sample.  The logs and powers of
-ratios are taken by the C math library's ``log`` and ``pow``, as
-``math.log`` and ``math.pow`` compute them, element by element: on a
-single pair by ``_ratio_distance``, and on stacks by numpy object ufuncs
-of the same functions (``_ratio_distances``, ``_ratio_powers``, which
-gives inf for a power that overflows).  numpy's own vectorized log and
-pow can round differently in the last place, and a sample of a stack
-must get the bits it gets on its own.
+decide every choice above sample by sample.  Each quantity has one rule,
+for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
+(inf for a power that overflows) take the C math library's ``log`` and
+``pow``, as ``math.log`` and ``math.pow`` compute them, element by element
+through numpy object ufuncs.  numpy's own vectorized log and pow can round
+differently in the last place, and a sample of a stack must get the bits
+it gets on its own; the scalar distance rule lives on as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ from .hpd_core import PDPoint
 _ONE_SOLVE_REL_TOL = 1e-12
 
 
-def _ratio_distance(w_ab: float, w_ba: float) -> float:
-    """d(A, B) = max(log W(A/B), log W(B/A), 0) from the ratio pair."""
-    return max(math.log(w_ab), math.log(w_ba), 0.0)
-
-
 def _pow(w: float, exponent: float) -> float:
     """w ** exponent, inf where it overflows."""
     try:
@@ -56,12 +50,12 @@ def _pow(w: float, exponent: float) -> float:
 
 
 _LOG = np.frompyfunc(math.log, 1, 1)
-_POW = np.frompyfunc(math.pow, 2, 1)
 _POWERS = np.frompyfunc(_pow, 2, 1)
 
 
 def _ratio_distances(w_ab, w_ba) -> np.ndarray:
-    """``_ratio_distance`` of each pair of ratios of two arrays.
+    """d(A, B) = max(log W(A/B), log W(B/A), 0) of each pair of ratios of
+    two arrays.
 
     The logs of positive ratios are never NaN or -0.0, so ``np.maximum``
     picks what ``max`` picks."""
@@ -71,14 +65,11 @@ def _ratio_distances(w_ab, w_ba) -> np.ndarray:
 
 
 def _ratio_powers(w, exponent: float) -> np.ndarray:
-    """``_pow`` of each ratio of an array: ``math.pow``, which computes
-    what ``**`` computes on floats, unless a power overflows."""
-    try:
-        return np.asarray(_POW(w, exponent), dtype=np.float64)
-    except OverflowError:
-        # the overflow to inf is the intended value, not a warning
-        with np.errstate(over="ignore"):
-            return np.asarray(_POWERS(w, exponent), dtype=np.float64)
+    """``_pow`` of each ratio of an array: what ``**`` computes on floats,
+    unless a power overflows."""
+    # the overflow to inf is the intended value, not a warning
+    with np.errstate(over="ignore"):
+        return np.asarray(_POWERS(w, exponent), dtype=np.float64)
 
 
 def _ratio_spectrum(lam, vectors, m) -> np.ndarray:
@@ -141,7 +132,7 @@ def distance(a, b) -> float:
     b = hpd_core.pd_point(b, "distance second argument")
     if a.matrix.shape != b.matrix.shape:
         raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
-    return _ratio_distance(*_ratios(a, b))
+    return float(_ratio_distances(*_ratios(a, b)))
 
 
 def distance_to_identity(a):

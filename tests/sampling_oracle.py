@@ -3,7 +3,8 @@
 ``matrix_solver.check_conditions`` evaluates its samples in stacked
 blocks.  The checkers here draw and judge one sample at a time, from the
 same generator and in the same order, with the package's kernels on single
-points, Python scalars for the ratios and the original one-sample
+points, Python scalars for the ratios, the scalar distance rule
+``ratio_distance`` (``math.log`` and ``max``) and the original one-sample
 ``record`` rule (a sample counts its term of largest margin, the first on
 a tie, and replaces the witness when that margin is strictly larger).  They draw through ``random_pd_in_ball`` below, the original
 three-call recipe (``uniform`` then two ``standard_normal`` calls per
@@ -75,6 +76,11 @@ def _record(stat, sample, inequality, lhs, rhs, x, y=None):
             stat.worst["Y"] = matrix_to_literal(y)
 
 
+def ratio_distance(w_ab, w_ba):
+    """d(A, B) = max(log W(A/B), log W(B/A), 0) from one ratio pair."""
+    return max(math.log(w_ab), math.log(w_ba), 0.0)
+
+
 def _ratios(a, b):
     return tuple(float(w) for w in thompson._ratios(a, b))
 
@@ -87,16 +93,16 @@ def check_conditions_type1(problem, samples=200, seed=0):
     stat_c = ConditionStat("C")
 
     w_q1q2, w_q2q1 = _ratios(problem.Q1, problem.Q2)
-    d_q = thompson._ratio_distance(w_q1q2, w_q2q1)
+    d_q = ratio_distance(w_q1q2, w_q2q1)
 
     rng = np.random.default_rng(seed)
     for i in range(samples):
         x = random_pd_in_ball(problem.n, radius, rng)
         y = random_pd_in_ball(problem.n, radius, rng)
         w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
-        d_fg = thompson._ratio_distance(w_fg, w_gf)
+        d_fg = ratio_distance(w_fg, w_gf)
         w_xy, w_yx = _ratios(x, y)
-        d_xy = thompson._ratio_distance(w_xy, w_yx)
+        d_xy = ratio_distance(w_xy, w_yx)
 
         _record(stat_a, i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
         if w_q2q1 > w_gf + CONDITION_TOL or w_q1q2 > w_fg + CONDITION_TOL:

@@ -528,6 +528,32 @@ class TestSolveCommand:
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line == "error: no convergence within 200 iterations (last gap 2.284e-01, gap tolerance 1.000e-12)"
 
+    def test_converged_but_not_certified_exit_four(self, tmp_path, capsys):
+        path = write_problem(tmp_path, with_fault("quadratic_pass.json", ("options", "residual_tol"), 1e-30))
+        out = tmp_path / "t.csv"
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 4
+        meta = json.loads(out.with_suffix(".json").read_text())["metadata"]
+        assert meta["converged"] is False
+        assert (meta["stop_reason"], meta["iterations"]) == ("gap_tol", 19)
+        assert len(out.read_text().splitlines()) == 20
+        worst = max(meta["residual1"], meta["residual2"])
+        stdout, stderr = capsys.readouterr()
+        assert stdout.startswith("NOT residual-certified: 19 iterations, residuals ")
+        assert stderr == (
+            f"error: converged in the metric but residual {worst:.3e} exceeds tolerance 1.000e-30; "
+            "the equation pair is likely inconsistent\n"
+        )
+
+    @pytest.mark.parametrize("blocked, written", [(".json", ".csv"), (".csv", ".json")])
+    def test_unwritable_output_leaves_no_file(self, tmp_path, capsys, blocked, written):
+        out = tmp_path / "u.csv"
+        out.with_suffix(blocked).mkdir()
+        assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: cannot write: [Errno 21] Is a directory: '{out.with_suffix(blocked)}'\n"
+        assert not out.with_suffix(written).exists()
+
     def test_unforced_solve_fails_conditions_exit_three(self, tmp_path):
         out = tmp_path / "t.csv"
         code = cli.main(["solve", str(fixture_path("check_fail_power.json")), "--out", str(out)])

@@ -19,7 +19,9 @@ from tfp.errors import (
     ConditionsNotVerified,
     DimensionMismatch,
     MaxIterationsExceeded,
+    NonHermitianInput,
     NotPositiveDefinite,
+    ResidualToleranceExceeded,
     TfpError,
     X0DomainError,
 )
@@ -409,6 +411,29 @@ class TestConditionChecker:
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             matrix_solver.check_conditions(problem, samples=0)
 
+    @pytest.mark.parametrize(
+        "a, cause",
+        [
+            # two samples of the radius-400 ball are up to e^800 apart
+            (400, "Thompson ratio pencil contains non-finite entries"),
+            (1000, "ball of radius 1000 is too wide to sample: exp(1000) overflows"),
+        ],
+    )
+    def test_breakdown_is_conditions_not_verified_with_its_cause(self, a, cause):
+        problem, x0, options = load("quadratic_pass.json")
+        problem = dataclasses.replace(problem, a=a)
+        # the named error reports the overflow, as in the CLI
+        with np.errstate(all="ignore"), pytest.raises(ConditionsNotVerified) as excinfo:
+            matrix_solver.check_conditions(problem, options.samples, options.seed)
+        assert str(excinfo.value) == f"condition check broke down: {cause}"
+        assert excinfo.value.report is None
+        assert type(excinfo.value.__cause__) is NonHermitianInput
+        assert str(excinfo.value.__cause__) == cause
+        with np.errstate(all="ignore"), pytest.raises(ConditionsNotVerified) as solved:
+            matrix_solver.solve(problem, x0=x0, options=options)
+        assert str(solved.value) == str(excinfo.value)
+        assert solved.value.report is None
+
     def test_type1_report_deterministic(self):
         problem, _, _ = load("example_4_1.json")
         r1 = matrix_solver.check_conditions(problem, samples=40, seed=7)
@@ -574,6 +599,19 @@ class TestSolve:
         result = matrix_solver.solve(problem, x0=x0, options=forced)
         golden = (1 + math.sqrt(5)) / 2
         np.testing.assert_allclose(result.solution, golden * np.eye(2), atol=1e-10)
+
+    def test_converged_but_not_certified(self):
+        problem, x0, options = load("quadratic_pass.json")
+        strict = dataclasses.replace(options, residual_tol=1e-30)
+        with pytest.raises(ResidualToleranceExceeded) as excinfo:
+            matrix_solver.solve(problem, x0=x0, options=strict)
+        result = excinfo.value.result
+        assert result.trace.stop_reason == "gap_tol"
+        assert result.trace.iterations == 19
+        assert min(result.residual1, result.residual2) > strict.residual_tol
+        assert f"residual {max(result.residual1, result.residual2):.3e} exceeds tolerance 1.000e-30" in str(
+            excinfo.value
+        )
 
     def test_first_example_stalls_in_two_cycle(self):
         problem, x0, options = load("example_4_1.json")

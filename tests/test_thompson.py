@@ -12,6 +12,7 @@ import pytest
 
 from helpers import random_nonsingular, random_pd, random_unitary
 from jacobi import jacobi_eig
+from sampling_oracle import ratio_distance
 from tfp import hpd_core, thompson
 from tfp.errors import DimensionMismatch, NotPositiveDefinite
 
@@ -161,26 +162,38 @@ class TestOneEigensolveDistance:
             assert math.log(got[1]) == pytest.approx(math.log(w_ba), abs=1e-12)
 
 
+def scalar_pow(w, exponent):
+    """``math.pow``, inf where it overflows."""
+    try:
+        return math.pow(w, exponent)
+    except OverflowError:
+        return math.inf
+
+
 class TestElementwiseRatioMath:
-    """The stacked ratio functions give, element by element, the bits of
-    the scalar rules that ``distance`` uses."""
+    """The ratio rules give, on a pair and on every element of a stack, the
+    bits of the scalar rules: ``math.log`` and ``max`` for distances,
+    ``math.pow`` for powers."""
 
     RATIOS = [1.0, math.nextafter(1.0, 2.0), 1e-300, 1e300]
 
     def test_distances_match_the_scalar_rule(self):
         pairs = [(u, v) for u in self.RATIOS for v in self.RATIOS]
         w_ab, w_ba = (np.array(side) for side in zip(*pairs))
-        expected = np.array([thompson._ratio_distance(u, v) for u, v in pairs])
+        expected = np.array([ratio_distance(u, v) for u, v in pairs])
         assert thompson._ratio_distances(w_ab, w_ba).tobytes() == expected.tobytes()
         for u, v in pairs:
             got = thompson._ratio_distances(np.float64(u), np.float64(v))
-            assert np.float64(got).tobytes() == np.float64(thompson._ratio_distance(u, v)).tobytes()
+            assert np.float64(got).tobytes() == np.float64(ratio_distance(u, v)).tobytes()
 
     # 1e300 ** 2 and 1e-300 ** -1.5 overflow to inf
     @pytest.mark.parametrize("exponent", [0.3, 0.5, -0.7, 2.0, -1.5])
     def test_powers_match_the_scalar_rule(self, exponent):
-        expected = np.array([thompson._pow(w, exponent) for w in self.RATIOS])
+        expected = np.array([scalar_pow(w, exponent) for w in self.RATIOS])
         assert thompson._ratio_powers(np.array(self.RATIOS), exponent).tobytes() == expected.tobytes()
+        for w in self.RATIOS:
+            got = thompson._ratio_powers(np.float64(w), exponent)
+            assert np.float64(got).tobytes() == np.float64(scalar_pow(w, exponent)).tobytes()
 
     def test_overflowing_power_is_inf(self):
         assert thompson._ratio_powers(np.array([2.0, 1e300]), 2.0).tolist() == [4.0, math.inf]
