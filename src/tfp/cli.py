@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matrix_solver, thompson
+from . import fixpoint_engine, matrix_solver, thompson
 from .errors import (
     ConditionsNotVerified,
     MaxIterationsExceeded,
@@ -254,10 +254,11 @@ def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
     The points are stacked in blocks of ``matrix_solver._block_size``, and
     one ``residuals`` and one ``distance_to_identity`` call per block give
     its rows, reading the points' known spectra: no eigensolve.  Each row
-    has the bits it has when its point is taken alone.
+    has the bits it has when its point is taken alone, and the a-priori
+    bound for its iterate from the problem's alpha and the first gap.
     """
     rows = []
-    block = matrix_solver._block_size(problem.n)
+    block, alpha = matrix_solver._block_size(problem.n), matrix_solver.alpha_for(problem)
     for first in range(1, len(trace.points), block):
         points = PDPoint.stacked(trace.points[first : first + block])
         r1, r2 = matrix_solver.residuals(problem, points)
@@ -267,7 +268,7 @@ def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
                 {
                     "k": k,
                     "thompson_gap": trace.gaps[k - 1],
-                    "error_bound": trace.bounds[k - 1],
+                    "error_bound": fixpoint_engine.error_bound(alpha, trace.gaps[0], k),
                     "residual1": r1[i],
                     "residual2": r2[i],
                     "dist_to_identity": dist[i],
@@ -471,6 +472,8 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
 
     for idx, (label, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
+        # xml.sax.saxutils.escape, whose import would load urllib and ssl
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         coords = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in pts)
         if len(pts) > 1:
             parts.append(
@@ -529,13 +532,14 @@ def _resolve_x0(args, file_x0, n):
 
 
 def cmd_solve(args) -> int:
+    out_csv = Path(args.out) if args.out else Path.cwd() / "trace.csv"
+    out_json = out_csv.with_suffix(".json")
+    if out_csv == out_json:
+        raise ProblemFormatError(f"--out {out_csv}: the trace and the solution cannot share one path")
     problem, file_x0, options = load_problem(args.problem)
     if args.force:
         options = dataclasses.replace(options, force=True)
     x0 = _resolve_x0(args, file_x0, problem.n)
-
-    out_csv = Path(args.out) if args.out else Path.cwd() / "trace.csv"
-    out_json = out_csv.with_suffix(".json")
 
     try:
         result, failure = matrix_solver.solve(problem, x0=x0, options=options), None

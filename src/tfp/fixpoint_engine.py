@@ -7,12 +7,12 @@ common fixed point, with the a-priori error bound
 
     d(u_n, z) <= alpha**(n-1) / (1 - alpha) * d(u0, u1).
 
-The engine takes alpha as data; it never derives it
-(``matrix_solver.alpha_for`` gives it for each problem family).  A metric
-space is given by its distance function alone, and the points are
-whatever that function and the maps accept; the engine validates none of
-them.  A run returns its trace, whose ``stop_reason`` tells the caller
-whether the gap tolerance was met or the step budget ran out.
+The bound plays no part in the iteration: the engine never sees alpha,
+and ``error_bound`` gives the bound to a caller that knows it
+(``matrix_solver.alpha_for``).  A metric space is given by its distance
+function alone, and the points are whatever that function and the maps
+accept; the engine validates none of them.  A run returns its trace,
+whose ``stop_reason`` says if the gap tolerance was met or the budget ran out.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ STOP_MAX_ITER = "max_iter"
 class IterationTrace(Generic[T]):
     """Per-step record of an alternating run.
 
-    ``points`` holds u0..uN, ``gaps[k]`` is d(u_k, u_{k+1}) and
-    ``bounds[k]`` the a-priori bound for u_{k+1}, so both lists are one
-    shorter than ``points``.
+    ``points`` holds u0..uN and ``gaps[k]`` is d(u_k, u_{k+1}), so
+    ``gaps`` is one shorter than ``points``.
     """
 
     points: list[T] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
-    bounds: list[float] = field(default_factory=list)
     stop_reason: str = ""
 
     @property
@@ -60,16 +58,14 @@ def iterate_pair(
     distance: Callable[[T, T], float],
     t1: Callable[[T], T],
     t2: Callable[[T], T],
-    alpha: float,
     u0: T,
+    *,
     gap_tol: float = 1e-12,
     max_iter: int = 500,
 ) -> IterationTrace[T]:
     """Run the alternating scheme until a gap d(u_k, u_{k+1}) <= gap_tol,
     or for ``max_iter`` steps; ``stop_reason`` is ``"gap_tol"`` or
     ``"max_iter"`` accordingly."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
@@ -80,7 +76,6 @@ def iterate_pair(
         gap = distance(u, u_next)
         trace.points.append(u_next)
         trace.gaps.append(gap)
-        trace.bounds.append(error_bound(alpha, trace.gaps[0], k))
         u = u_next
         if gap <= gap_tol:
             trace.stop_reason = STOP_GAP_TOL

@@ -557,14 +557,17 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
         n, radius = problem.n, ball_radius(problem)
         block, rng = _block_size(n), np.random.default_rng(seed)
         stats = {}
-        for first in range(0, samples, block):
-            pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
-            x, y = pairs[:, 0], pairs[:, 1]
-            for name, (terms, with_y, literal) in block_terms(x, y).items():
-                stat = stats.setdefault(name, ConditionStat(name, literal_failures=None if literal is None else 0))
-                stat.record(first, terms, x, y if with_y else None)
-                if literal is not None:
-                    stat.literal_failures += int(np.count_nonzero(literal))
+        # an overflowing sample is reported by the named breakdown below
+        with np.errstate(all="ignore"):
+            for first in range(0, samples, block):
+                pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
+                x, y = pairs[:, 0], pairs[:, 1]
+                for name, (terms, with_y, literal) in block_terms(x, y).items():
+                    failures = None if literal is None else 0
+                    stat = stats.setdefault(name, ConditionStat(name, literal_failures=failures))
+                    stat.record(first, terms, x, y if with_y else None)
+                    if literal is not None:
+                        stat.literal_failures += int(np.count_nonzero(literal))
     except TfpError as exc:
         raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
     return ConditionReport(problem.kind, samples, seed, radius, stats)
@@ -648,8 +651,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
             )
 
     t1, t2 = maps_for(problem)
-    alpha = alpha_for(problem)
-    trace = iterate_pair(thompson.distance, t1, t2, alpha, x0, options.gap_tol, options.max_iter)
+    trace = iterate_pair(thompson.distance, t1, t2, x0, gap_tol=options.gap_tol, max_iter=options.max_iter)
 
     # A fresh decomposition certifies the returned matrix itself, so the
     # certificate depends only on the solution that is written out; the
@@ -663,7 +665,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         residual1=r1,
         residual2=r2,
         dist_to_identity=thompson.distance_to_identity(certified),
-        alpha_used=alpha,
+        alpha_used=alpha_for(problem),
         report=report,
     )
     if trace.stop_reason == STOP_MAX_ITER:

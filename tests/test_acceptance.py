@@ -180,7 +180,7 @@ def test_criterion_3_thompson_metric_suite():
 
 def test_criterion_4_engine_oracle_equivalence():
     alpha = psi_family.alpha_effective(psi_family.linear(0.0, 1 / 3, 1 / 4))
-    trace = iterate_pair(lambda x, y: abs(x - y), lambda x: x / 4, lambda x: x / 5, alpha, 1.0)
+    trace = iterate_pair(lambda x, y: abs(x - y), lambda x: x / 4, lambda x: x / 5, 1.0)
     value = 1.0
     step_err = 0.0
     for k in range(1, len(trace.points)):

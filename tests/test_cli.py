@@ -1,5 +1,6 @@
 """CLI tests: file formats, exit codes, determinism, and the SVG plotter."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from helpers import known_answer_files
 from tfp import cli, matrix_solver, thompson
 from tfp.hpd_core import matrix_to_literal
 from tfp.errors import MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
+from tfp.fixpoint_engine import error_bound
 from tfp.fixtures import fixture_path
 
 EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -554,6 +557,33 @@ class TestSolveCommand:
         assert stderr == f"error: cannot write: [Errno 21] Is a directory: '{out.with_suffix(blocked)}'\n"
         assert not out.with_suffix(written).exists()
 
+    def test_out_sharing_the_solution_path_exit_two_before_solving(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(matrix_solver, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        out = tmp_path / "run.json"
+        assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: --out {out}: the trace and the solution cannot share one path\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["quadratic_pass.json", "example_4_2.json"])
+    def test_error_bound_column_is_the_a_priori_bound(self, tmp_path, name):
+        # one type1 and one type2 problem; alpha from the problem file, and
+        # the bound alpha**(k-1) * gap_1 / (1 - alpha) from the written files
+        out = tmp_path / "t.csv"
+        assert cli.main(["solve", str(fixture_path(name)), "--force", "--out", str(out)]) == 0
+        problem = json.loads(fixture_path(name).read_text())
+        l, s = problem["l"], problem["s"]
+        expected_alpha = l / s if problem["kind"] == "type1" else 3 * l * (1 / problem["r"] + 1 / s)
+        alpha = json.loads(out.with_suffix(".json").read_text())["metadata"]["alpha_used"]
+        assert alpha == expected_alpha and 0 < alpha < 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) > 1
+        gap_1 = float(rows[0]["thompson_gap"])
+        for k, row in enumerate(rows, start=1):
+            assert int(row["k"]) == k
+            assert float(row["error_bound"]) == alpha ** (k - 1) * gap_1 / (1 - alpha)
+
     def test_unforced_solve_fails_conditions_exit_three(self, tmp_path):
         out = tmp_path / "t.csv"
         code = cli.main(["solve", str(fixture_path("check_fail_power.json")), "--out", str(out)])
@@ -719,6 +749,17 @@ class TestPlotCommand:
         svg = out.read_text()
         assert "<circle" in svg and "<polyline" not in svg
 
+    def test_labels_are_escaped_so_the_svg_parses(self, tmp_path):
+        trace = self.solve_trace(tmp_path)
+        odd = tmp_path / "a&b<c>.csv"
+        odd.write_bytes(trace.read_bytes())
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", str(trace), str(odd), "--series", "residual", "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if ":" in el.text]
+        assert labels == ["t:residual1", "t:residual2", "a&b<c>:residual1", "a&b<c>:residual2"]
+        assert "a&amp;b&lt;c&gt;:residual1" in out.read_text()
+
     def test_zero_gap_clamps_to_floor(self, tmp_path):
         trace = tmp_path / "z.csv"
         rows = [
@@ -786,7 +827,8 @@ def point_by_point_rows(problem, trace):
     for k in range(1, len(trace.points)):
         point = trace.points[k]
         r1, r2 = matrix_solver.residuals(problem, point)
-        rows.append((k, trace.gaps[k - 1], trace.bounds[k - 1], r1, r2, thompson.distance_to_identity(point)))
+        bound = error_bound(matrix_solver.alpha_for(problem), trace.gaps[0], k)
+        rows.append((k, trace.gaps[k - 1], bound, r1, r2, thompson.distance_to_identity(point)))
     return rows
 
 

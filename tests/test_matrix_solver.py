@@ -422,14 +422,14 @@ class TestConditionChecker:
     def test_breakdown_is_conditions_not_verified_with_its_cause(self, a, cause):
         problem, x0, options = load("quadratic_pass.json")
         problem = dataclasses.replace(problem, a=a)
-        # the named error reports the overflow, as in the CLI
-        with np.errstate(all="ignore"), pytest.raises(ConditionsNotVerified) as excinfo:
+        # the named error reports the overflow, with no numpy warning
+        with pytest.raises(ConditionsNotVerified) as excinfo:
             matrix_solver.check_conditions(problem, options.samples, options.seed)
         assert str(excinfo.value) == f"condition check broke down: {cause}"
         assert excinfo.value.report is None
         assert type(excinfo.value.__cause__) is NonHermitianInput
         assert str(excinfo.value.__cause__) == cause
-        with np.errstate(all="ignore"), pytest.raises(ConditionsNotVerified) as solved:
+        with pytest.raises(ConditionsNotVerified) as solved:
             matrix_solver.solve(problem, x0=x0, options=options)
         assert str(solved.value) == str(excinfo.value)
         assert solved.value.report is None
@@ -690,7 +690,6 @@ class TestSolverInvariants:
         t1, t2 = matrix_solver.maps_for(problem)
         from tfp.fixpoint_engine import iterate_pair
 
-        alpha = matrix_solver.alpha_for(problem)
-        fwd = iterate_pair(thompson.distance, t1, t2, alpha, x0, max_iter=200)
-        rev = iterate_pair(thompson.distance, t2, t1, alpha, x0, max_iter=200)
+        fwd = iterate_pair(thompson.distance, t1, t2, x0, max_iter=200)
+        rev = iterate_pair(thompson.distance, t2, t1, x0, max_iter=200)
         assert thompson.distance(fwd.points[-1], rev.points[-1]) <= 1e-9
