@@ -387,7 +387,7 @@ def write_solution_json(path, problem, result, seed, converged: bool) -> None:
     doc = {
         "solution": matrix_to_literal(result.solution),
         "metadata": {
-            "alpha_used": result.alpha_used,
+            "alpha_used": matrix_solver.alpha_for(problem),
             "stop_reason": result.trace.stop_reason,
             "seed": seed,
             "iterations": result.trace.iterations,

@@ -249,7 +249,7 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
 
 
 def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
-    """Validated type2 problem: unitary coefficients, 3l < rs/(r+s)."""
+    """Validated type2 problem: unitary coefficients, 0 < l, alpha_for < 1."""
     mats = _validate_coefficients(A, F, G, n)
     for i, a_i in enumerate(mats):
         _require_unitary(a_i, f"A[{i}]")
@@ -257,11 +257,12 @@ def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
     if r <= 1.0 or s <= 1.0:
         raise ValueError(f"r and s must exceed 1, got r={r}, s={s}")
     _require_radius(a)
-    if not 0.0 < l or not 3.0 * l < r * s / (r + s):
+    problem = ProblemSpec(kind=TYPE2, n=n, m=len(mats), A=mats, s=s, F=F, G=G, a=a, l=l, r=r)
+    if not 0.0 < l or not alpha_for(problem) < 1.0:
         raise ValueError(
             f"contraction exponent must satisfy 0 < 3l < rs/(r+s), got l={l}, r={r}, s={s}"
         )
-    return ProblemSpec(kind=TYPE2, n=n, m=len(mats), A=mats, s=s, F=F, G=G, a=a, l=l, r=r)
+    return problem
 
 
 def ball_radius(problem: ProblemSpec) -> float:
@@ -326,8 +327,8 @@ def maps_for(problem: ProblemSpec) -> tuple[Callable, Callable]:
     return tuple(build_map(q, problem.A, f_spec, e) for e, q, f_spec in problem.equations)
 
 
-def _map_distances_to_identity(problem: ProblemSpec, x: PDPoint) -> tuple:
-    """(d(T1(X), I), d(T2(X), I)), one distance per point of a stack.
+def _map_distances_to_identity(problem: ProblemSpec, values) -> tuple:
+    """(d(T1(X), I), d(T2(X), I)) from ``values`` = (F(X), G(X)), per point of a stack.
 
     d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/e_j)| needs the
     eigenvalues of the right-hand side only, so its eigensolve computes
@@ -335,8 +336,8 @@ def _map_distances_to_identity(problem: ProblemSpec, x: PDPoint) -> tuple:
     definite raises what T_j raises, with the same message.
     """
     distances = []
-    for e, q, f_spec in problem.equations:
-        rhs = _rhs(q, problem.A, apply_F(f_spec, x))
+    for (e, q, _), f_value in zip(problem.equations, values):
+        rhs = _rhs(q, problem.A, f_value)
         lam = _pd_eig(rhs, "map right-hand side", vectors=False).eigenvalues
         distances.append(thompson._identity_distance(lam ** (1.0 / e)))
     return tuple(distances)
@@ -478,7 +479,8 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
     def block(x: PDPoint, y: PDPoint) -> dict:
-        w_fg, w_gf = thompson._ratios(apply_F(problem.F, x), apply_F(problem.G, y))
+        f_x = apply_F(problem.F, x)
+        w_fg, w_gf = thompson._ratios(f_x, apply_F(problem.G, y))
         d_fg = thompson._ratio_distances(w_fg, w_gf)
         w_xy, w_yx = thompson._ratios(x, y)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
@@ -486,7 +488,7 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
             w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-        d1, d2 = _map_distances_to_identity(problem, x)
+        d1, d2 = _map_distances_to_identity(problem, (f_x, apply_F(problem.G, x)))
         return {
             "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
             "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),
@@ -511,7 +513,7 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
     functions genuinely vary are expected to fail (B) and are useful as
     regression fixtures rather than truth assertions.
     """
-    exp_ra = math.exp(problem.r * problem.a)
+    exp_ra = math.exp(ball_radius(problem))
     m, l = problem.m, problem.l
 
     def block(x: PDPoint, y: PDPoint) -> dict:
@@ -594,7 +596,6 @@ class SolveResult:
     residual1: float
     residual2: float
     dist_to_identity: float
-    alpha_used: float
     report: ConditionReport | None = None
 
 
@@ -628,7 +629,7 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     try:
         x0 = pd_point(identity(problem.n) if x0 is None else x0, "starting point")
     except NotPositiveDefinite as exc:
-        raise X0DomainError(f"starting point must be positive definite: {exc}") from exc
+        raise X0DomainError(str(exc)) from exc
     if x0.matrix.shape[0] != problem.n:
         raise DimensionMismatch(
             f"starting point has shape {x0.matrix.shape}, expected ({problem.n}, {problem.n})"
@@ -665,7 +666,6 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
         residual1=r1,
         residual2=r2,
         dist_to_identity=thompson.distance_to_identity(certified),
-        alpha_used=alpha_for(problem),
         report=report,
     )
     if trace.stop_reason == STOP_MAX_ITER:

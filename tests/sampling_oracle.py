@@ -112,7 +112,8 @@ def check_conditions_type1(problem, samples=200, seed=0):
         if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
             stat_b.literal_failures += 1
 
-        d1, d2 = (float(d) for d in _map_distances_to_identity(problem, x))
+        values = (apply_F(problem.F, x), apply_F(problem.G, x))
+        d1, d2 = (float(d) for d in _map_distances_to_identity(problem, values))
         terms_c = [("d(T1(X),I) <= a", d1, problem.a), ("d(T2(X),I) <= a", d2, problem.a)]
         _record(stat_c, i, *max(terms_c, key=lambda item: item[1] - item[2]), x)
 

@@ -335,6 +335,24 @@ class TestProblemFiles:
         assert cli.main(["check", str(fixture_path("quadratic_pass.json")), flag, value]) == 2
         assert f"{flag} must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, out", [(["check"], "c.json"), (["solve", "--force"], "t.csv")], ids=["check", "solve-force"]
+    )
+    def test_alpha_rounding_to_one_exit_two_naming_the_file(self, tmp_path, command, out):
+        # 3l < rs/(r+s) holds in floating point, but alpha = 3l(1/r + 1/s)
+        # rounds to 1.0, which the a-priori bound cannot take
+        doc = json.loads(fixture_path("example_4_2.json").read_text())
+        doc.update(l=0.610189432575844, r=2.957228580204214, s=4.804828014488629)
+        path = write_problem(tmp_path, doc)
+        result = run_tfp(command[0], path, *command[1:], "--out", tmp_path / out)
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: {path}: contraction exponent must satisfy 0 < 3l < rs/(r+s), "
+            "got l=0.610189432575844, r=2.957228580204214, s=4.804828014488629\n"
+        )
+        assert result.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
+
     def test_integral_float_reads_as_integer(self, tmp_path):
         doc = json.loads(fixture_path("example_4_2.json").read_text())
         doc["options"]["max_iter"] = 200.0
@@ -620,6 +638,17 @@ class TestSolveCommand:
         solution = json.loads(out.with_suffix(".json").read_text())["solution"]
         golden = (1 + math.sqrt(5)) / 2
         assert solution[0][0] == pytest.approx(golden, abs=1e-9)
+
+    def test_x0_not_positive_definite_exit_five_stating_it_once(self, tmp_path, capsys):
+        x0 = tmp_path / "x0.json"
+        x0.write_text(json.dumps([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))
+        out = tmp_path / "t.csv"
+        code = cli.main(["solve", str(fixture_path("example_4_2.json")), "--x0", str(x0), "--out", str(out)])
+        assert code == 5
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == "error: starting point must be positive definite (min eigenvalue -1.000e+00, floor 6.661e-16)\n"
+        assert not out.exists()
 
     def test_x0_outside_ball_exit_five(self, tmp_path):
         x0 = tmp_path / "x0.json"

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_nonsingular, random_pd, random_unitary
 from tfp import cli, hpd_core, matrix_solver, thompson
@@ -25,6 +27,7 @@ from tfp.errors import (
     TfpError,
     X0DomainError,
 )
+from tfp.fixpoint_engine import error_bound
 from tfp.fixtures import fixture_path
 
 GOLDEN_QUADRATIC = (1 + math.sqrt(13)) / 2  # root of x**2 = 3 + x
@@ -36,6 +39,20 @@ def load(name):
 
 def fewer_samples(options, samples=60):
     return dataclasses.replace(options, samples=samples)
+
+
+# (r, s, l) with 3l < rs/(r+s) in floating point, yet 3l(1/r + 1/s) == 1.0
+ALPHA_ROUNDS_TO_ONE = (2.957228580204214, 4.804828014488629, 0.610189432575844)
+
+
+@st.composite
+def type2_exponents_at_the_bound(draw):
+    """(r, s, l) with r, s in (1, 8] and l within 4 ulps of rs/(3(r+s)),
+    where alpha = 3l(1/r + 1/s) is 1 up to rounding."""
+    r = draw(st.floats(1.0, 8.0, exclude_min=True))
+    s = draw(st.floats(1.0, 8.0, exclude_min=True))
+    bound = r * s / (3.0 * (r + s))
+    return r, s, bound + draw(st.integers(-4, 4)) * math.ulp(bound)
 
 
 class TestMatrixFunctionSpec:
@@ -127,6 +144,22 @@ class TestProblemValidation:
         args.update(dict(Q1=np.eye(2), Q2=np.eye(2)) if build is matrix_solver.problem_type1 else dict(r=2))
         with pytest.raises(ValueError, match=re.escape(f"ball radius a must be finite, got {a}")):
             build(**args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(type2_exponents_at_the_bound())
+    @example(ALPHA_ROUNDS_TO_ONE)
+    def test_type2_accepts_only_a_computed_alpha_below_one(self, exponents):
+        r, s, l = exponents
+        try:
+            problem = matrix_solver.problem_type2(
+                n=2, A=[np.eye(2)], r=r, s=s, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=l
+            )
+        except ValueError as exc:
+            assert str(exc) == f"contraction exponent must satisfy 0 < 3l < rs/(r+s), got l={l}, r={r}, s={s}"
+            return
+        alpha = matrix_solver.alpha_for(problem)
+        assert alpha < 1.0
+        assert error_bound(alpha, 1.0, 2) >= 0.0
 
     def test_alpha_formulas(self):
         problem1, _, _ = load("example_4_1.json")
@@ -546,7 +579,8 @@ class TestConditionRecorder:
         # bit for bit, and condition (C) names T1
         problem, _, options = load("check_pass_constant.json")
         x = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20,))
-        d1, d2 = matrix_solver._map_distances_to_identity(problem, x)
+        values = (matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, x))
+        d1, d2 = matrix_solver._map_distances_to_identity(problem, values)
         assert np.array_equal(d1, d2)
         report = matrix_solver.check_conditions(problem, samples=options.samples, seed=options.seed)
         assert report.conditions["C"].worst["inequality"] == "d(T1(X),I) <= a"
@@ -576,13 +610,22 @@ class TestSolve:
         assert np.abs(result.solution - np.eye(3)).max() <= 1e-10
         assert max(result.residual1, result.residual2) <= 1e-12
         assert result.trace.iterations <= 30
-        assert result.alpha_used == pytest.approx(0.75)
+        assert matrix_solver.alpha_for(problem) == pytest.approx(0.75)
 
     def test_x0_outside_ball_rejected(self):
         problem, _, options = load("quadratic_pass.json")
         for x0 in (10.0 * np.eye(2), np.diag([1.0, -1.0])):
             with pytest.raises(X0DomainError):
                 matrix_solver.solve(problem, x0=x0, options=options)
+
+    def test_x0_not_positive_definite_states_its_reason_once(self):
+        problem, _, options = load("example_4_2.json")
+        with pytest.raises(X0DomainError) as excinfo:
+            matrix_solver.solve(problem, x0=np.diag([1.0, -1.0, 1.0]), options=options)
+        assert str(excinfo.value) == (
+            "starting point must be positive definite (min eigenvalue -1.000e+00, floor 6.661e-16)"
+        )
+        assert isinstance(excinfo.value.__cause__, NotPositiveDefinite)
 
     def test_failing_conditions_block_unforced_solve(self):
         problem, x0, options = load("check_fail_power.json")
