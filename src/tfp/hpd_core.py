@@ -1,11 +1,11 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The kernels
-(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``)
-also take stacks of shape ``(..., n, n)`` and work matrix by matrix: a
-single matrix is the same code with no leading axis, and a matrix of a
-stack comes out with the bits it would have on its own.  Input is validated
-once, where it comes in: ``pd_point`` checks a matrix against the
+(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``,
+``frobenius_norm``) also take stacks of shape ``(..., n, n)`` and work
+matrix by matrix: a single matrix is the same code with no leading axis,
+and a matrix of a stack comes out with the bits it would have on its own.
+Input is validated once, where it comes in: ``pd_point`` checks a matrix against the
 Hermitian tolerance and the positive-definiteness floor, and what it
 returns, a ``PDPoint``, is trusted from then on.  The kernels that work on
 validated or computed operands (``eig_hermitian``, ``_congruence`` and
@@ -131,14 +131,26 @@ def frobenius_norm(m):
     overflows (norms above about 1e154); a finite matrix is then scaled by
     its largest real or imaginary part first.
 
-    A stack gets one norm per matrix, as an array, taken matrix by matrix:
-    numpy's norm over the last two axes of a stack sums in another order,
-    and a matrix of a stack must get the bits it gets on its own.
+    A stack gets one norm per matrix, as an array, from one stacked
+    (1 x N) @ (N x 1) product of the real parts and one of the imaginary
+    parts: the BLAS dot that numpy's norm of one matrix calls, on each
+    matrix's entries in its memory order, so a matrix of a stack gets the
+    bits it gets on its own.  (numpy's norm over the last two axes of a
+    stack sums in another order.)  A matrix whose norm overflows is
+    rescaled on its own.
     """
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim > 2:
-        flat = arr.reshape(-1, *arr.shape[-2:])
-        return np.array([frobenius_norm(matrix) for matrix in flat]).reshape(arr.shape[:-2])
+        if abs(arr.strides[-1]) > abs(arr.strides[-2]):
+            arr = arr.swapaxes(-1, -2)  # numpy's norm reads a matrix in memory order
+        flat = arr.reshape(-1, 1, arr.shape[-2] * arr.shape[-1])
+        re, im = flat.real, flat.imag
+        # a sum of squares that overflows is rescaled, so the warning is noise
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+            for i in np.flatnonzero(np.isinf(norms)):
+                norms[i] = frobenius_norm(flat[i, 0])
+        return norms.reshape(arr.shape[:-2])
     norm = float(np.linalg.norm(arr))
     if math.isinf(norm) and np.isfinite(arr).all():
         scale = float(np.maximum(np.abs(arr.real), np.abs(arr.imag)).max())

@@ -14,9 +14,12 @@ the condition numbers tie.
 The pencils are decomposed without eigenvectors: only their extreme
 eigenvalues are read.
 
-``distance`` and ``distance_to_identity`` take matrices or points: a
-matrix is validated by ``pd_point`` and a point passes through
-unchecked, so the iteration calls ``distance`` on its points directly.
+``distance``, ``gaps`` and ``distance_to_identity`` take matrices or
+points: a matrix is validated by ``pd_point`` and a point passes through
+unchecked, so the iteration's points go to ``gaps`` directly.  ``gaps``
+gives the distances of the consecutive pairs of a sequence from one
+stacked call, one eigensolve call for all its pencils (and one for the
+wide ones): the iteration's gaps, a block of steps at a time.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  Each quantity has one rule,
 for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
@@ -133,6 +136,20 @@ def distance(a, b) -> float:
     if a.matrix.shape != b.matrix.shape:
         raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
     return float(_ratio_distances(*_ratios(a, b)))
+
+
+def gaps(points) -> list[float]:
+    """d(points[i], points[i+1]) of each two consecutive points of a
+    sequence of matrices or points of one shape, in order: one ``_ratios``
+    call on the stacked pairs, so each gap has the bits ``distance`` gives
+    its pair.
+
+    That holds for points whose arrays are C-contiguous, as those of
+    ``pd_point``, the iteration's maps and positive powers are.  A negative
+    power's spectrum is a reversed view, and numpy's ``pow`` takes another
+    loop on it than on the stacked copy, which can round differently."""
+    stack = PDPoint.stacked([hpd_core.pd_point(p, "gaps point") for p in points])
+    return _ratio_distances(*_ratios(stack[:-1], stack[1:])).tolist()
 
 
 def distance_to_identity(a):

@@ -243,6 +243,57 @@ class TestElementwiseOps:
         assert hpd_core.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
 
 
+def _complex_stack(rng, count, n, exponents):
+    """``count`` complex Gaussian n-by-n matrices, matrix i scaled by
+    10 ** exponents[i]."""
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return z * (10.0 ** np.asarray(exponents, dtype=float))[:, None, None]
+
+
+class TestStackedFrobeniusNorm:
+    """A stack's norms come from one stacked product, bit for bit the norm
+    of each matrix on its own and numpy's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    @pytest.mark.parametrize("scale", ["-150", "0", "150", "mixed"])
+    def test_stack_matches_each_matrix(self, n, count, scale):
+        rng = np.random.default_rng([n, count])
+        exponents = np.linspace(-150, 150, count) if scale == "mixed" else [float(scale)] * count
+        stack = _complex_stack(rng, count, n, exponents)
+        norms = hpd_core.frobenius_norm(stack)
+        assert norms.shape == (count,)
+        for matrix, norm in zip(stack, norms):
+            assert norm == hpd_core.frobenius_norm(matrix) == np.linalg.norm(matrix)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_stack_in_column_major_layout(self, n):
+        # numpy's norm reads each matrix in memory order, and so does the stack
+        stack = _complex_stack(np.random.default_rng(n), 9, n, [0.0] * 9).swapaxes(-1, -2)
+        norms = hpd_core.frobenius_norm(stack)
+        assert norms.tolist() == [np.linalg.norm(matrix) for matrix in stack]
+
+    def test_leading_axes_and_real_input(self):
+        stack = _complex_stack(np.random.default_rng(3), 6, 4, [1.0] * 6).reshape(2, 3, 4, 4)
+        norms = hpd_core.frobenius_norm(stack)
+        assert norms.shape == (2, 3)
+        assert norms[1, 2] == hpd_core.frobenius_norm(stack[1, 2])
+        real = stack.real
+        assert hpd_core.frobenius_norm(real)[0, 1] == np.linalg.norm(real[0, 1])
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_overflowing_matrix_is_rescaled_on_its_own(self, n):
+        # one matrix with a norm above 1e154 overflows the sum of squares
+        exponents = [0.0, 160.0, -100.0, 100.0]
+        stack = _complex_stack(np.random.default_rng(n), 4, n, exponents)
+        norms = hpd_core.frobenius_norm(stack)  # and no overflow warning
+        assert norms[1] > 1e154 and math.isfinite(norms[1])
+        with np.errstate(over="ignore"):
+            assert norms[1] == hpd_core.frobenius_norm(stack[1])
+        for i in (0, 2, 3):
+            assert norms[i] == np.linalg.norm(stack[i])
+
+
 class TestRandomUnitary:
     def test_scalar_case(self):
         u = random_unitary(1, 0)

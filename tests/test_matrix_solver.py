@@ -274,8 +274,9 @@ class TestEigensolveBudget:
 
     @pytest.mark.parametrize("name, max_iter", [("example_4_1.json", 20), ("example_4_2.json", 200)])
     def test_two_eigensolves_per_iteration(self, eig_calls, name, max_iter):
-        # one for the map's root and one for the gap, plus one decomposition
-        # of x0 and one that certifies the solution
+        # matrices decomposed: one for the map's root and one for the gap
+        # per iteration, plus x0 and the certificate of the solution; the
+        # gaps of a block of steps are decomposed in one stacked call
         problem, x0, options = load(name)
         options = dataclasses.replace(options, force=True, max_iter=max_iter)
         eig_calls.clear()
@@ -283,10 +284,14 @@ class TestEigensolveBudget:
             result = matrix_solver.solve(problem, x0=x0, options=options)
         except MaxIterationsExceeded as exc:
             result = exc.result
-        assert result.trace.iterations > 1
-        assert len(eig_calls) == 2 * result.trace.iterations + 2
+        iterations = result.trace.iterations
+        assert iterations > 1
+        sizes = [math.prod(np.shape(m)[:-2]) for m, _ in eig_calls]
+        assert sum(sizes) == 2 * iterations + 2
         # eigenvectors for the map's root only, and for x0 and the certificate
-        assert sum(vectors for _, vectors in eig_calls) == result.trace.iterations + 2
+        assert sum(size for size, (_, vectors) in zip(sizes, eig_calls) if vectors) == iterations + 2
+        if name == "example_4_1.json":
+            assert len(eig_calls) < 2 * iterations + 2
 
     def test_trace_rows_decompose_nothing(self, eig_calls):
         problem, x0, options = load("example_4_2.json")
@@ -733,6 +738,6 @@ class TestSolverInvariants:
         t1, t2 = matrix_solver.maps_for(problem)
         from tfp.fixpoint_engine import iterate_pair
 
-        fwd = iterate_pair(thompson.distance, t1, t2, x0, max_iter=200)
-        rev = iterate_pair(thompson.distance, t2, t1, x0, max_iter=200)
+        fwd = iterate_pair(thompson.gaps, t1, t2, x0, max_iter=200)
+        rev = iterate_pair(thompson.gaps, t2, t1, x0, max_iter=200)
         assert thompson.distance(fwd.points[-1], rev.points[-1]) <= 1e-9

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_nonsingular, random_pd, random_unitary
 from jacobi import jacobi_eig
@@ -160,6 +162,63 @@ class TestOneEigensolveDistance:
             got = thompson._ratios(point_from_spectrum(u, np.exp(t)), point_from_spectrum(w, np.exp(s)))
             assert math.log(got[0]) == pytest.approx(math.log(w_ab), abs=1e-12)
             assert math.log(got[1]) == pytest.approx(math.log(w_ba), abs=1e-12)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# radius of the ball whose points have condition numbers up to 1e6
+KAPPA_1E6_RADIUS = math.log(1e6) / 2
+
+
+class TestGaps:
+    """``gaps`` of a sequence: one stacked call, each gap with the bits
+    ``distance`` gives its pair."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        radius=st.floats(min_value=0.0, max_value=KAPPA_1E6_RADIUS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        plan=st.lists(st.sampled_from(["draw", "repeat", "copy", "root"]), min_size=1, max_size=7),
+    )
+    def test_gaps_match_distance_bit_for_bit(self, n, radius, seed, plan):
+        # each next point is a new draw, the last point or an equal copy of
+        # it (a gap of exactly 0), or its square root (a near point)
+        rng = np.random.default_rng(seed)
+        points = [hpd_core.random_pd_in_ball(n, radius, rng)]
+        for step in plan:
+            last = points[-1]
+            if step == "draw":
+                points.append(hpd_core.random_pd_in_ball(n, radius, rng))
+            elif step == "copy":
+                points.append(hpd_core.PDPoint(last.matrix.copy(), last.dec))
+            else:
+                points.append({"repeat": last, "root": last.powered(0.5)}[step])
+        expected = [thompson.distance(a, b) for a, b in zip(points, points[1:])]
+        assert bits(thompson.gaps(points)) == bits(expected)
+
+    def test_one_stacked_eigensolve_and_one_for_the_wide_pencils(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        a, b, c = (hpd_core.random_pd_in_ball(4, KAPPA_1E6_RADIUS, rng) for _ in range(3))
+        points = [a, a, b, c, c.powered(0.5)]
+        expected = [thompson.distance(u, v) for u, v in zip(points, points[1:])]
+        calls = []
+        eig = hpd_core.eig_hermitian
+        monkeypatch.setattr(
+            hpd_core, "eig_hermitian", lambda m, *name, **kw: calls.append(np.shape(m)) or eig(m, *name, **kw)
+        )
+        gaps = thompson.gaps(points)
+        assert bits(gaps) == bits(expected) and gaps[0] == 0.0
+        # all four pencils in one call, then the wide ones in a second
+        assert calls[0] == (4, 4, 4) and len(calls) == 2 and 1 <= calls[1][0] < 4
+
+    def test_takes_matrices(self):
+        rng = np.random.default_rng(65)
+        matrices = [random_pd(rng, 3) for _ in range(3)]
+        expected = [thompson.distance(a, b) for a, b in zip(matrices, matrices[1:])]
+        assert bits(thompson.gaps(matrices)) == bits(expected)
 
 
 def scalar_pow(w, exponent):
