@@ -14,7 +14,9 @@ numerically), 5 starting point not positive definite or outside the ball.
 ``error:`` line naming what failed; a check that breaks down names itself
 (``ConditionsNotVerified``).  A numerical breakdown, such as a map's
 right-hand side that overflows, or an output that cannot be written (exit
-2) leaves no output file.
+2) leaves no output file.  An output is overwritten in place by
+``_write_output``, and a run whose output would overwrite one of its
+inputs is refused (exit 2) before anything is read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -245,6 +248,41 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
 
 
 # ---------------------------------------------------------------------------
+# Output files
+
+
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does, in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length after
+    the write: truncating a non-empty file to zero first costs a block free
+    and a writeback on close (ext4's ``auto_da_alloc``), several times the
+    cost of the write.  A run killed mid-write leaves the new bytes followed
+    by the old file's tail.  Only a regular file is cut; ``/dev/null``, a
+    pipe or a terminal cannot be.  The encoding, the newlines, the mode of a
+    new file and the ``OSError`` of a bad path are ``write_text``'s.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as out:
+        out.write(text)
+        if S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()
+
+
+def _refuse_overwriting_inputs(outputs, inputs) -> None:
+    """Raise a ``ProblemFormatError`` if an output names an existing input
+    file, however spelt or linked (``os.path.samefile``)."""
+    for output in outputs:
+        for source in inputs:
+            try:
+                same = os.path.samefile(output, source)
+            except OSError:
+                continue  # a missing output overwrites nothing; a missing input fails to load
+            if same:
+                raise ProblemFormatError(f"output {output} would overwrite the input {source}")
+
+
+# ---------------------------------------------------------------------------
 # Trace files
 
 
@@ -285,7 +323,7 @@ def write_trace_csv(path, rows) -> None:
         writer.writerow(
             [row["k"]] + [repr(float(row[col])) for col in TRACE_COLUMNS[1:]]
         )
-    Path(path).write_text(buf.getvalue())
+    _write_output(path, buf.getvalue())
 
 
 def read_trace_csv(path) -> list[dict]:
@@ -398,7 +436,7 @@ def write_solution_json(path, problem, result, seed, converged: bool) -> None:
             "converged": converged,
         },
     }
-    Path(path).write_text(_json_text(doc) + "\n")
+    _write_output(path, _json_text(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +537,13 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
 
 
 def cmd_check(args) -> int:
+    out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
+    _refuse_overwriting_inputs([out_path], [args.problem])
     problem, _, options = load_problem(args.problem)
     samples = options.samples if args.samples is None else _as_int(args.samples, "--samples")
     seed = options.seed if args.seed is None else _as_seed(args.seed, "--seed")
     report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
-    out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
-    out_path.write_text(_json_text(report.to_jsonable()) + "\n")
+    _write_output(out_path, _json_text(report.to_jsonable()) + "\n")
 
     for name, stat in sorted(report.conditions.items()):
         verdict = "pass" if stat.passed else "FAIL"
@@ -536,6 +575,8 @@ def cmd_solve(args) -> int:
     out_json = out_csv.with_suffix(".json")
     if out_csv == out_json:
         raise ProblemFormatError(f"--out {out_csv}: the trace and the solution cannot share one path")
+    inputs = [args.problem] if args.x0 in (None, "identity") else [args.problem, args.x0]
+    _refuse_overwriting_inputs([out_csv, out_json], inputs)
     problem, file_x0, options = load_problem(args.problem)
     if args.force:
         options = dataclasses.replace(options, force=True)
@@ -566,6 +607,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    out_path = Path(args.out) if args.out else Path.cwd() / "plot.svg"
+    _refuse_overwriting_inputs([out_path], args.traces)
     series_names = args.series or ["gap"]
     series = []
     for trace_path in args.traces:
@@ -575,9 +618,7 @@ def cmd_plot(args) -> int:
             for column in SERIES_COLUMNS[name]:
                 label = f"{stem}:{column}"
                 series.append((label, [(row["k"], row[column]) for row in rows]))
-    svg = render_svg(series)
-    out_path = Path(args.out) if args.out else Path.cwd() / "plot.svg"
-    out_path.write_text(svg)
+    _write_output(out_path, render_svg(series))
     print(f"plot written to {out_path}")
     return EXIT_OK
 

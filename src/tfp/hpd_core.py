@@ -102,12 +102,17 @@ class PDPoint:
 
     def powered(self, p: float) -> "PDPoint":
         """X**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
-        negative p the decomposition is reversed back to ascending order."""
+        negative p the decomposition is reversed back to ascending order.
+
+        The reversed eigenvalues are copied contiguous: numpy's ``pow`` and
+        ``log`` take another loop on a reversed view, which can round
+        differently.  The reversed eigenvectors stay a view; they reach only
+        elementwise products, ``conj`` and stacking, which copy them."""
         lam, vectors = self.dec
         mu = lam**p
         matrix = symmetrize((vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
         if p < 0.0:
-            mu, vectors = mu[..., ::-1], vectors[..., ::-1]
+            mu, vectors = np.ascontiguousarray(mu[..., ::-1]), vectors[..., ::-1]
         return PDPoint(matrix, EigenDecomposition(mu, vectors))
 
 

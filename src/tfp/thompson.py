@@ -142,12 +142,7 @@ def gaps(points) -> list[float]:
     """d(points[i], points[i+1]) of each two consecutive points of a
     sequence of matrices or points of one shape, in order: one ``_ratios``
     call on the stacked pairs, so each gap has the bits ``distance`` gives
-    its pair.
-
-    That holds for points whose arrays are C-contiguous, as those of
-    ``pd_point``, the iteration's maps and positive powers are.  A negative
-    power's spectrum is a reversed view, and numpy's ``pow`` takes another
-    loop on it than on the stacked copy, which can round differently."""
+    its pair."""
     stack = PDPoint.stacked([hpd_core.pd_point(p, "gaps point") for p in points])
     return _ratio_distances(*_ratios(stack[:-1], stack[1:])).tolist()
 

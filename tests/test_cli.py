@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -733,6 +734,103 @@ class TestMain:
         assert again.read_bytes() == default.read_bytes()
         assert residual.read_text().count("<polyline") == 2
         assert again.read_text().count("<polyline") == 1
+
+
+# Each output of a command: the argv that writes it to ``out`` (a plot
+# draws ``trace``), and below, a file name for it.
+OUTPUTS = {
+    "report": lambda trace, out: ["check", fixture_path("check_pass_constant.json"), "--samples", "5", "--out", out],
+    "trace": lambda trace, out: ["solve", fixture_path("example_4_2.json"), "--out", out],
+    "solution": lambda trace, out: ["solve", fixture_path("example_4_2.json"), "--out", Path(out).with_suffix(".csv")],
+    "svg": lambda trace, out: ["plot", trace, "--out", out],
+}
+OUTPUT_NAMES = {"report": "o.json", "trace": "o.csv", "solution": "o.json", "svg": "o.svg"}
+
+
+class TestOutputFiles:
+    """Outputs are overwritten in place, through links, and never over an input."""
+
+    @staticmethod
+    def write(kind, tmp_path, out):
+        """Write the ``kind`` output to ``out``; a plot draws t.csv in ``tmp_path``."""
+        trace = tmp_path / "t.csv"
+        if kind == "svg" and not trace.exists():
+            assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", str(trace)]) == 0
+        assert cli.main(list(map(str, OUTPUTS[kind](trace, out)))) == 0
+
+    def fresh_bytes(self, tmp_path, kind):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        self.write(kind, tmp_path, fresh / OUTPUT_NAMES[kind])
+        return (fresh / OUTPUT_NAMES[kind]).read_bytes()
+
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_longer_file_keeps_exactly_the_new_bytes(self, tmp_path, kind):
+        expected = self.fresh_bytes(tmp_path, kind)
+        out = tmp_path / OUTPUT_NAMES[kind]
+        out.write_bytes(b"x" * (len(expected) + 4096))
+        self.write(kind, tmp_path, out)
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("kind", OUTPUTS)
+    def test_symlink_rewrites_its_target_and_stays_a_link(self, tmp_path, kind):
+        expected = self.fresh_bytes(tmp_path, kind)
+        target = tmp_path / "target"
+        target.write_bytes(b"x" * (len(expected) + 4096))
+        out = tmp_path / OUTPUT_NAMES[kind]
+        out.symlink_to(target)
+        self.write(kind, tmp_path, out)
+        assert out.is_symlink() and target.read_bytes() == expected
+
+    @pytest.mark.parametrize("kind", ["report", "svg"])
+    def test_dev_null_is_written_without_truncating(self, tmp_path, kind):
+        self.write(kind, tmp_path, os.devnull)
+
+    def refused(self, capsys, argv, out, source):
+        """Run ``argv`` in the current directory: exit 2 naming ``out`` and
+        ``source``, with every file left as it was."""
+        before = {path: path.read_bytes() for path in Path().iterdir()}
+        assert cli.main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: output {out} would overwrite the input {source}\n"
+        assert {path: path.read_bytes() for path in Path().iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "problem, x0, out, clash",
+        [
+            ("p.json", None, "p.csv", "p.json"),  # the solution over the problem
+            ("p.txt", None, "./p.txt", "./p.txt"),  # the trace over the problem
+            ("p.json", "x.json", "x.csv", "x.json"),  # the solution over --x0
+            ("p.json", "x.txt", "x.txt", "x.txt"),  # the trace over --x0
+            ("p.json", None, "link.csv", "link.json"),  # a link to the problem
+        ],
+    )
+    def test_solve_refuses_to_overwrite_an_input(self, tmp_path, capsys, monkeypatch, problem, x0, out, clash):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(fixture_path("example_4_2.json"), problem)
+        argv = ["solve", problem, "--out", out]
+        if x0 is not None:
+            Path(x0).write_text(json.dumps(EYE3))
+            argv += ["--x0", x0]
+        if out == "link.csv":
+            Path("link.json").symlink_to(problem)
+        monkeypatch.setattr(cli, "load_problem", lambda path: pytest.fail("loaded"))
+        self.refused(capsys, argv, Path(clash), x0 if clash.startswith("x") else problem)
+
+    def test_check_refuses_to_overwrite_its_problem(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(fixture_path("check_pass_constant.json"), "p.json")
+        monkeypatch.setattr(cli, "load_problem", lambda path: pytest.fail("loaded"))
+        self.refused(capsys, ["check", "p.json", "--out", "./p.json"], Path("p.json"), "p.json")
+
+    def test_plot_refuses_to_overwrite_a_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for trace in ("a.csv", "b.csv"):
+            assert cli.main(["solve", str(fixture_path("example_4_2.json")), "--out", trace]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "read_trace_csv", lambda path: pytest.fail("read"))
+        self.refused(capsys, ["plot", "a.csv", "b.csv", "--out", "b.csv"], Path("b.csv"), "b.csv")
 
 
 class TestPlotCommand:

@@ -181,11 +181,12 @@ class TestGaps:
         n=st.integers(min_value=1, max_value=8),
         radius=st.floats(min_value=0.0, max_value=KAPPA_1E6_RADIUS),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        plan=st.lists(st.sampled_from(["draw", "repeat", "copy", "root"]), min_size=1, max_size=7),
+        plan=st.lists(st.sampled_from(["draw", "repeat", "copy", "root", "inverse"]), min_size=1, max_size=7),
     )
     def test_gaps_match_distance_bit_for_bit(self, n, radius, seed, plan):
         # each next point is a new draw, the last point or an equal copy of
-        # it (a gap of exactly 0), or its square root (a near point)
+        # it (a gap of exactly 0), its square root (a near point) or its
+        # inverse, whose decomposition powered() reverses
         rng = np.random.default_rng(seed)
         points = [hpd_core.random_pd_in_ball(n, radius, rng)]
         for step in plan:
@@ -195,7 +196,7 @@ class TestGaps:
             elif step == "copy":
                 points.append(hpd_core.PDPoint(last.matrix.copy(), last.dec))
             else:
-                points.append({"repeat": last, "root": last.powered(0.5)}[step])
+                points.append({"repeat": last, "root": last.powered(0.5), "inverse": last.powered(-1)}[step])
         expected = [thompson.distance(a, b) for a, b in zip(points, points[1:])]
         assert bits(thompson.gaps(points)) == bits(expected)
 
@@ -219,6 +220,17 @@ class TestGaps:
         matrices = [random_pd(rng, 3) for _ in range(3)]
         expected = [thompson.distance(a, b) for a, b in zip(matrices, matrices[1:])]
         assert bits(thompson.gaps(matrices)) == bits(expected)
+
+    def test_inverse_has_the_bits_of_its_contiguous_copy(self):
+        # a reversed view of the inverse's spectrum took numpy's strided
+        # pow loop and gave 1.5588671185559553 here, not 1.558867118555955
+        inverse = hpd_core.random_pd_in_ball(2, 1.0, 1).powered(-1)
+        other = hpd_core.random_pd_in_ball(2, 1.0, 1000001)
+        lam, vectors = inverse.dec
+        assert lam.flags.c_contiguous
+        copy = hpd_core.PDPoint(inverse.matrix, hpd_core.EigenDecomposition(lam.copy(), vectors.copy()))
+        assert bits([thompson.distance(inverse, other)]) == bits([thompson.distance(copy, other)])
+        assert bits(thompson.gaps([inverse, other])) == bits([thompson.distance(copy, other)])
 
 
 def scalar_pow(w, exponent):
