@@ -164,10 +164,7 @@ def _matrix(data: dict, key: str):
 
 def _x0(literal, n: int):
     """A starting point from its literal: a Hermitian n-by-n matrix."""
-    x0 = require_hermitian(matrix_from_literal(literal, "x0"), "x0")
-    if x0.shape[0] != n:
-        raise ProblemFormatError(f"x0 has shape {x0.shape}, expected ({n}, {n})")
-    return x0
+    return require_hermitian(matrix_from_literal(literal, "x0"), "x0", n)
 
 
 def _function_spec(data: dict, key: str) -> matrix_solver.MatrixFunctionSpec:
@@ -335,6 +332,9 @@ def read_trace_csv(path) -> list[dict]:
             raise ProblemFormatError(f"expected header {','.join(TRACE_COLUMNS)}, got {reader.fieldnames}")
         rows = []
         for line_no, raw in enumerate(reader, start=2):
+            if None in raw:  # DictReader keeps the fields past the header's under None
+                count = len(TRACE_COLUMNS) + len(raw[None])
+                raise ProblemFormatError(f"row at line {line_no}: {count} fields, expected {len(TRACE_COLUMNS)}")
             row = {}
             for col in TRACE_COLUMNS:
                 try:

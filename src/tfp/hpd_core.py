@@ -5,11 +5,11 @@ Matrices are plain ``numpy`` arrays of ``complex128``.  The kernels
 ``frobenius_norm``) also take stacks of shape ``(..., n, n)`` and work
 matrix by matrix: a single matrix is the same code with no leading axis,
 and a matrix of a stack comes out with the bits it would have on its own.
-Input is validated once, where it comes in: ``pd_point`` checks a matrix against the
-Hermitian tolerance and the positive-definiteness floor, and what it
-returns, a ``PDPoint``, is trusted from then on.  The kernels that work on
-validated or computed operands (``eig_hermitian``, ``_congruence`` and
-``PDPoint.powered``) do not check symmetry again.  Outputs are
+Input is validated once, where it comes in: ``pd_point`` checks a matrix's
+shape, then the Hermitian tolerance and the positive-definiteness floor,
+and what it returns, a ``PDPoint``, is trusted from then on.  The kernels
+that work on validated or computed operands (``eig_hermitian``,
+``_congruence`` and ``PDPoint.powered``) do not check symmetry again.  Outputs are
 re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
 into a symmetry defect across long iteration runs; the result is exactly
 Hermitian, so ``eig_hermitian`` decomposes it as it is.
@@ -121,11 +121,19 @@ def identity(n: int) -> ComplexMatrix:
     return np.eye(n, dtype=np.complex128)
 
 
-def as_square_matrix(m, name: str = "matrix") -> ComplexMatrix:
-    """Coerce to a square complex array, or a stack of them, with finite entries."""
+def as_square_matrix(m, name: str = "matrix", n: int | None = None) -> ComplexMatrix:
+    """A matrix from outside as a complex array, by the one shape rule: one
+    non-empty square matrix, n-by-n when ``n`` is given, with finite entries."""
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    side = n if n is not None else arr.shape[-1] if arr.ndim else 0
+    if arr.shape != (side, side) or side < 1:
+        expected = f"({side}, {side})" if side >= 1 else "(n, n) with n >= 1"
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {expected}")
+    return _require_finite(arr, name)
+
+
+def _require_finite(arr: ComplexMatrix, name: str) -> ComplexMatrix:
+    """``arr``, a matrix or a stack, once its entries are checked finite."""
     if not np.isfinite(arr).all():
         raise NonHermitianInput(f"{name} contains non-finite entries")
     return arr
@@ -182,20 +190,19 @@ def symmetrize(m) -> ComplexMatrix:
     return half + half.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(m, name: str = "matrix") -> ComplexMatrix:
-    """Validate Hermitian symmetry and return the coerced array.
+def require_hermitian(m, name: str = "matrix", n: int | None = None) -> ComplexMatrix:
+    """Validate one matrix from outside, ``as_square_matrix(m, name, n)``,
+    and its Hermitian symmetry; return the coerced array.
 
     Raises ``NonHermitianInput`` when any entry differs from the conjugate
     of its mirror by more than the relative tolerance (this also covers
     imaginary parts on the diagonal).
     """
-    arr = as_square_matrix(m, name)
-    defect = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+    arr = as_square_matrix(m, name, n)
+    defect = float(np.abs(arr - arr.conj().T).max())
     tol = hermitian_tolerance(arr)
     if defect > tol:
-        raise NonHermitianInput(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
+        raise NonHermitianInput(f"{name} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}")
     return arr
 
 
@@ -240,7 +247,10 @@ def eig_hermitian(m, name: str = "matrix", *, vectors: bool = True) -> EigenDeco
     ConvergenceFailure
         If LAPACK reports that the decomposition did not converge.
     """
-    arr = as_square_matrix(m, name)
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    _require_finite(arr, name)
     try:
         if vectors:
             return EigenDecomposition(*np.linalg.eigh(arr))
@@ -267,18 +277,17 @@ def _count(mask) -> int:
     return int(mask) if mask.ndim == 0 else int(np.count_nonzero(mask))
 
 
-def pd_point(m, name: str = "matrix") -> PDPoint:
+def pd_point(m, name: str = "matrix", n: int | None = None) -> PDPoint:
     """The positive definite point of a Hermitian matrix: one eigensolve.
 
-    This is where a matrix from outside is checked.  A ``PDPoint`` is
-    returned as it is.  Raises ``NonHermitianInput`` or, when the smallest
-    eigenvalue does not clear the relative floor, ``NotPositiveDefinite``;
-    ``name`` labels the matrix in the message.  The point keeps M and the
-    decomposition of its Hermitian part (M + M*) / 2.
+    This is where a matrix from outside is checked: ``require_hermitian``,
+    then the relative floor (``NotPositiveDefinite``), each error naming it
+    ``name``.  A ``PDPoint``, or a stack, passes unless its matrices are not
+    n-by-n.  The point keeps M and the decomposition of (M + M*) / 2.
     """
-    if isinstance(m, PDPoint):
+    if isinstance(m, PDPoint) and (n is None or m.matrix.shape[-2:] == (n, n)):
         return m
-    arr = require_hermitian(m, name)
+    arr = require_hermitian(m, name, n)
     return PDPoint(arr, _pd_eig(symmetrize(arr), name))
 
 

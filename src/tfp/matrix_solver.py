@@ -65,7 +65,6 @@ import numpy as np
 from . import thompson
 from .errors import (
     ConditionsNotVerified,
-    DimensionMismatch,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     ResidualToleranceExceeded,
@@ -79,6 +78,7 @@ from .hpd_core import (
     PDPoint,
     _congruence,
     _pd_eig,
+    _require_finite,
     as_square_matrix,
     eig_hermitian,
     frobenius_norm,
@@ -181,21 +181,15 @@ class ProblemSpec:
         return ((self.r, None, self.F), (self.s, None, self.G))
 
 
-def _require_size(arr: ComplexMatrix, n: int, name: str) -> ComplexMatrix:
-    if arr.shape != (n, n):
-        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({n}, {n})")
-    return arr
-
-
 def _validate_coefficients(a_list, F, G, n: int) -> tuple[ComplexMatrix, ...]:
     """The A_i as n-by-n arrays, once they and the values of constant
     functions F and G are checked to be n-by-n."""
-    mats = tuple(_require_size(as_square_matrix(a_i, f"A[{i}]"), n, f"A[{i}]") for i, a_i in enumerate(a_list))
+    mats = tuple(as_square_matrix(a_i, f"A[{i}]", n) for i, a_i in enumerate(a_list))
     if not mats:
         raise ValueError("at least one coefficient matrix is required")
     for name, spec in (("F", F), ("G", G)):
         if spec.kind == "constant":
-            _require_size(spec.value.matrix, n, f"{name} value")
+            pd_point(spec.value, f"{name} value", n)
     return mats
 
 
@@ -230,9 +224,7 @@ def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
     _require_radius(a)
     if not 0.0 < l < s:
         raise ValueError(f"contraction exponent must satisfy 0 < l < s, got l={l}, s={s}")
-    q1, q2 = pd_point(Q1, "Q1"), pd_point(Q2, "Q2")
-    _require_size(q1.matrix, n, "Q1")
-    _require_size(q2.matrix, n, "Q2")
+    q1, q2 = pd_point(Q1, "Q1", n), pd_point(Q2, "Q2", n)
     return ProblemSpec(
         kind=TYPE1,
         n=n,
@@ -354,10 +346,10 @@ def residuals(problem: ProblemSpec, x) -> tuple:
     power that overflows raises ``NonHermitianInput`` instead of giving
     NaN residuals.
     """
-    x = pd_point(x, "candidate solution")
+    x = pd_point(x, "candidate solution", problem.n)
     powers = {}
     for e in {e for e, _, _ in problem.equations}:
-        power = as_square_matrix(x.powered(e).matrix, f"candidate solution ** {e:g}")
+        power = _require_finite(x.powered(e).matrix, f"candidate solution ** {e:g}")
         powers[e] = power, np.maximum(1.0, frobenius_norm(power))
     out = []
     for e, q, f_spec in problem.equations:
@@ -627,13 +619,9 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     options = options or SolveOptions()
     radius = ball_radius(problem)
     try:
-        x0 = pd_point(identity(problem.n) if x0 is None else x0, "starting point")
+        x0 = pd_point(identity(problem.n) if x0 is None else x0, "starting point", problem.n)
     except NotPositiveDefinite as exc:
         raise X0DomainError(str(exc)) from exc
-    if x0.matrix.shape[0] != problem.n:
-        raise DimensionMismatch(
-            f"starting point has shape {x0.matrix.shape}, expected ({problem.n}, {problem.n})"
-        )
     d0 = thompson.distance_to_identity(x0)
     if d0 > radius + 1e-12:
         raise X0DomainError(

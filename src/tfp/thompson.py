@@ -14,10 +14,10 @@ the condition numbers tie.
 The pencils are decomposed without eigenvectors: only their extreme
 eigenvalues are read.
 
-``distance``, ``gaps`` and ``distance_to_identity`` take matrices or
-points: a matrix is validated by ``pd_point`` and a point passes through
-unchecked, so the iteration's points go to ``gaps`` directly.  ``gaps``
-gives the distances of the consecutive pairs of a sequence from one
+``gaps``, ``distance`` (its two-point case) and ``distance_to_identity``
+take matrices or points: a matrix is validated by ``pd_point`` and a
+point passes through, so the iteration's points go to ``gaps`` directly.
+``gaps`` gives the distances of a sequence's consecutive pairs from one
 stacked call, one eigensolve call for all its pencils (and one for the
 wide ones): the iteration's gaps, a block of steps at a time.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
@@ -130,20 +130,22 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple:
 
 
 def distance(a, b) -> float:
-    """Thompson distance between two positive definite matrices or points."""
-    a = hpd_core.pd_point(a, "distance first argument")
-    b = hpd_core.pd_point(b, "distance second argument")
-    if a.matrix.shape != b.matrix.shape:
-        raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
-    return float(_ratio_distances(*_ratios(a, b)))
+    """Thompson distance of two positive definite matrices or points: ``gaps([a, b])[0]``."""
+    return gaps([a, b])[0]
 
 
 def gaps(points) -> list[float]:
     """d(points[i], points[i+1]) of each two consecutive points of a
     sequence of matrices or points of one shape, in order: one ``_ratios``
-    call on the stacked pairs, so each gap has the bits ``distance`` gives
-    its pair."""
-    stack = PDPoint.stacked([hpd_core.pd_point(p, "gaps point") for p in points])
+    call on the stacked pairs, so each gap has the bits its pair gets
+    alone.  Fewer than two points have no gap."""
+    points = [hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
+    for a, b in zip(points, points[1:]):
+        if a.matrix.shape != b.matrix.shape:
+            raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
+    if len(points) < 2:
+        return []
+    stack = PDPoint.stacked(points)
     return _ratio_distances(*_ratios(stack[:-1], stack[1:])).tolist()
 
 

@@ -394,6 +394,17 @@ class TestProblemFiles:
         assert cli.main(["check", str(fixture_path("quadratic_pass.json")), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_missing_file_exit_two_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert cli.main(["check", str(path)]) == 2
+        message = f"cannot read: [Errno 2] No such file or directory: '{path}'"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_top_level_array_exit_two_naming_the_file(self, tmp_path, capsys):
+        path = write_problem(tmp_path, [])
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
+
     def test_undecodable_file_exit_two_naming_it(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_bytes(b"\xff{}")
@@ -910,6 +921,31 @@ class TestPlotCommand:
             cli.read_trace_csv(trace)
         assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
         assert "'k' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.5,0.5,0.1,0.1,0.2,99", "row at line 2: 7 fields, expected 6"),
+            ("1,0.5,0.5,0.1,0.1,0.2,99,98", "row at line 2: 8 fields, expected 6"),
+            ("1,0.5,abc,0.1,0.1,0.2", "row at line 2: bad value for 'error_bound'"),
+            ("1,0.5,0.5,0.1,0.1", "row at line 2: bad value for 'dist_to_identity'"),
+            ("1,0.5,0.5,nan,0.1,0.2", "row at line 2: non-finite 'residual1'"),
+            ("1,inf,0.5,0.1,0.1,0.2", "row at line 2: non-finite 'thompson_gap'"),
+            (None, "trace has no data rows"),
+        ],
+        ids=["extra-field", "extra-fields", "bad-value", "missing-field", "nan", "inf", "no-rows"],
+    )
+    def test_bad_row_exit_two_naming_the_file_and_line(self, tmp_path, capsys, row, message):
+        trace = tmp_path / "t.csv"
+        trace.write_text(",".join(cli.TRACE_COLUMNS) + "\n" + ("" if row is None else row + "\n"))
+        assert cli.main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 2
+        assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_single_decade_axis_spans_one_decade(self):
+        # all values 0.1: the axis would have no height without the extra decade
+        svg = cli.render_svg([("s", [(1, 0.1), (2, 0.1)])])
+        assert ">1e-01</text>" in svg and ">1e+00</text>" in svg
 
     def test_undecodable_trace_exit_two_naming_it(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

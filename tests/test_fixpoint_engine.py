@@ -159,6 +159,10 @@ class TestIteratePair:
         assert trace.stop_reason == "max_iter"
         assert len(trace.points) == 6
 
+    def test_rejects_an_empty_budget(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+            iterate_pair(real_line_gaps, lambda x: x / 4, lambda x: x / 5, 1.0, max_iter=0)
+
     def test_tolerances_are_keyword_only(self):
         # a call that still passes alpha before u0 fails instead of
         # starting from alpha

@@ -6,6 +6,7 @@ in ``jacobi.py`` as an independent reference implementation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,28 @@ class TestPositiveDefinite:
         lam_ref, vectors_ref = np.linalg.eigh(point.matrix)
         np.testing.assert_allclose(out.matrix, (vectors_ref * lam_ref**p) @ vectors_ref.conj().T, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "m, n, shape, expected",
+        [
+            (np.stack([np.eye(2), np.eye(2)]), None, "(2, 2, 2)", "(2, 2)"),
+            (np.zeros((0, 0)), None, "(0, 0)", "(n, n) with n >= 1"),
+            (np.ones(2), None, "(2,)", "(2, 2)"),
+            (np.eye(3), 2, "(3, 3)", "(2, 2)"),
+            (np.eye(2), 0, "(2, 2)", "(n, n) with n >= 1"),
+        ],
+        ids=["stack", "empty", "vector", "wrong-size", "no-size"],
+    )
+    def test_rejects_a_bad_shape_naming_the_matrix(self, m, n, shape, expected):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"X has shape {shape}, expected {expected}")):
+            hpd_core.pd_point(m, "X", n)
+
+    def test_point_passes_unless_its_matrices_have_the_wrong_size(self):
+        point = hpd_core.pd_point(np.eye(2))
+        stack = hpd_core.PDPoint.stacked([point, point])
+        assert hpd_core.pd_point(point, "X", 2) is point and hpd_core.pd_point(stack, "X", 2) is stack
+        with pytest.raises(DimensionMismatch, match=re.escape("X has shape (2, 2), expected (3, 3)")):
+            hpd_core.pd_point(point, "X", 3)
+
 
 def power(m, p):
     return hpd_core.pd_point(m).powered(p).matrix
@@ -308,6 +331,10 @@ class TestRandomUnitary:
 
 
 class TestRandomPdInBall:
+    def test_rejects_a_dimension_below_one(self):
+        with pytest.raises(DimensionMismatch, match="dimension must be positive, got 0"):
+            hpd_core.random_pd_in_ball(0, 1.0, 3)
+
     def test_zero_radius_is_identity(self):
         np.testing.assert_allclose(hpd_core.random_pd_in_ball(3, 0.0, 1), np.eye(3), atol=1e-12)
 

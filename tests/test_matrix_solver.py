@@ -80,6 +80,11 @@ class TestMatrixFunctionSpec:
         with pytest.raises(NotPositiveDefinite):
             matrix_solver.constant(np.diag([1.0, -1.0]))
 
+    def test_constant_rejects_an_empty_matrix(self):
+        message = "constant function value has shape (0, 0), expected (n, n) with n >= 1"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            matrix_solver.constant(np.zeros((0, 0)))
+
 
 class TestProblemValidation:
     def test_type1_rejects_singular_coefficient(self):
@@ -108,6 +113,29 @@ class TestProblemValidation:
             matrix_solver.problem_type2(
                 n=2, A=[0.5 * np.eye(2)], r=2, s=3,
                 F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.1,
+            )
+
+    def test_type1_rejects_no_coefficient(self):
+        with pytest.raises(ValueError, match="at least one coefficient matrix is required"):
+            matrix_solver.problem_type1(
+                n=2, A=[], Q1=np.eye(2), Q2=np.eye(2), s=2,
+                F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.5,
+            )
+
+    def test_type1_rejects_dimension_zero(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(DimensionMismatch, match=re.escape("A[0] has shape (0, 0), expected (n, n) with n >= 1")):
+            matrix_solver.problem_type1(
+                n=0, A=[empty], Q1=empty, Q2=empty, s=2,
+                F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.5,
+            )
+
+    def test_type2_rejects_an_exponent_not_above_one(self):
+        # alpha = 3l(1/r + 1/s) = 0.045 < 1: only the exponent check rejects it
+        with pytest.raises(ValueError, match="r and s must exceed 1, got r=1.0, s=2.0"):
+            matrix_solver.problem_type2(
+                n=2, A=[np.eye(2)], r=1, s=2,
+                F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.01,
             )
 
     def test_type2_rejects_large_l(self):
@@ -241,6 +269,15 @@ class TestResiduals:
                 matrix_solver.residuals(problem, 1e200 * eye)
 
 
+    def test_rejects_a_stack_of_matrices_and_a_wrong_size(self):
+        problem, _, _ = load("quadratic_pass.json")
+        eye = np.eye(2)
+        for x, shape in ((np.stack([eye, 2 * eye]), "(2, 2, 2)"), (np.eye(3), "(3, 3)")):
+            message = f"candidate solution has shape {shape}, expected (2, 2)"
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                matrix_solver.residuals(problem, x)
+
+
 class TestEigensolveBudget:
     """Every eigensolve is a call to ``hpd_core.eig_hermitian``; ``eig_calls``
     lists (argument, whether eigenvectors were asked for), one matrix or
@@ -341,9 +378,9 @@ class TestValidationBudget:
         calls = []
         check = hpd_core.require_hermitian
 
-        def counting(m, name="matrix"):
+        def counting(m, name="matrix", n=None):
             calls.append(name)
-            return check(m, name)
+            return check(m, name, n)
 
         monkeypatch.setattr(hpd_core, "require_hermitian", counting)
         return calls
@@ -631,6 +668,16 @@ class TestSolve:
             "starting point must be positive definite (min eigenvalue -1.000e+00, floor 6.661e-16)"
         )
         assert isinstance(excinfo.value.__cause__, NotPositiveDefinite)
+
+    @pytest.mark.parametrize(
+        "x0, shape",
+        [(np.stack([np.eye(2)] * 2), "(2, 2, 2)"), (np.eye(3), "(3, 3)"), (hpd_core.pd_point(np.eye(3)), "(3, 3)")],
+        ids=["stack", "matrix", "point"],
+    )
+    def test_x0_of_a_bad_shape_is_named(self, x0, shape):
+        problem, _, options = load("quadratic_pass.json")
+        with pytest.raises(DimensionMismatch, match=re.escape(f"starting point has shape {shape}, expected (2, 2)")):
+            matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True))
 
     def test_failing_conditions_block_unforced_solve(self):
         problem, x0, options = load("check_fail_power.json")

@@ -6,6 +6,7 @@ power and sum inequalities are checked on seeded random samples.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ KAPPA_1E6_RADIUS = math.log(1e6) / 2
 
 
 class TestGaps:
+    def test_fewer_than_two_points_have_no_gap(self):
+        assert thompson.gaps([]) == [] and thompson.gaps([np.eye(2)]) == []
+
+    def test_points_of_different_shapes_name_both(self):
+        points = [np.eye(2), 2 * np.eye(2), np.eye(3)]
+        with pytest.raises(DimensionMismatch, match=re.escape("distance shapes differ: (2, 2) vs (3, 3)")):
+            thompson.gaps(points)
+
+    def test_a_matrix_that_is_not_a_point_is_named_by_its_place(self):
+        with pytest.raises(NotPositiveDefinite, match="point 1 must be positive definite"):
+            thompson.distance(np.eye(2), -np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="point 2 must be positive definite"):
+            thompson.gaps([np.eye(2), np.eye(2), -np.eye(2)])
+
+    def test_a_stack_of_matrices_is_not_one_point(self):
+        stack = np.stack([np.eye(2), np.eye(2)])
+        message = "distance_to_identity argument has shape (2, 2, 2), expected (2, 2)"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            thompson.distance_to_identity(stack)
+
     """``gaps`` of a sequence: one stacked call, each gap with the bits
     ``distance`` gives its pair."""
 
