@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from stat import S_ISREG
@@ -358,42 +359,91 @@ def _json_text(doc) -> str:
 
     json's indented encoder is pure Python, with a generator per
     container and a type dispatch per value; this writer appends the same
-    text to one list and writes a list of floats, such as a row of a
-    matrix literal, with one ``join``.  It takes what the CLI writes:
-    dicts with str keys, lists, str, int, bool, None and floats
-    (``np.float64`` too, NaN and infinities spelt as json spells them).
+    text to one list, and writes a nested list of floats of one shape,
+    such as a matrix literal, array-at-a-time (``_json_array``).  It takes
+    what the CLI writes: dicts with str keys, lists, str, int, bool, None
+    and floats (``np.float64`` too, NaN and infinities spelt as json
+    spells them).
     """
     out = []
     _json_append(doc, out, "\n")
     return "".join(out)
 
 
-def _json_floats(values, separator: str) -> str:
-    """Floats as json writes them, joined; a ``TypeError`` if one is not a
-    float."""
-    text = separator.join(map(float.__repr__, values))
+def _json_spelling(text: str) -> str:
+    """Float reprs as json spells them: NaN, Infinity and -Infinity."""
     # float.__repr__ writes nan, inf and -inf, the only reprs with an "n"
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
 
 
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: tuple, newline: str) -> tuple:
+    """The text json writes for a nested list of floats of this shape at
+    this indent, with None in each float's place (the odd places): the
+    opening, then after each float, in C order, a comma, or the closing of
+    the lists that end there and the opening of the next ones, or the
+    closing of all of them."""
+    depth = len(shape)
+    pads = [newline + "  " * level for level in range(depth + 1)]
+
+    def closing(j: int) -> str:  # of the j innermost lists
+        return "".join(pad + "]" for pad in reversed(pads[depth - j : depth]))
+
+    def opening(j: int) -> str:  # of j nested lists
+        return "".join("[" + pad for pad in pads[depth - j + 1 :])
+
+    # joints[j]: the text after a float where the j innermost lists end
+    joints = [closing(j) + "," + pads[depth - j] + opening(j) for j in range(depth)] + [closing(depth)]
+    after = [joints[0]] * math.prod(shape)
+    stride = 1
+    for j, side in enumerate(reversed(shape), 1):
+        stride *= side
+        after[stride - 1 :: stride] = [joints[j]] * (len(after) // stride)
+    template = [None] * (2 * len(after) + 1)
+    template[0] = opening(depth)
+    template[2::2] = after
+    return tuple(template)
+
+
+def _json_array(value, newline: str) -> str | None:
+    """The json text of a non-empty list of equal-length lists of floats,
+    at any depth (a flat list of floats too), with one ``float.__repr__``
+    pass and one ``join``; None for any other value."""
+    shape, level = [], [value]
+    while type(level[0]) is list:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {len(level[0])} or not level[0]:
+            return None
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+    if not shape:
+        return None
+    parts = list(_array_template(tuple(shape), newline))
+    try:
+        parts[1::2] = map(float.__repr__, level)
+    except TypeError:  # a value that is not a float
+        return None
+    return _json_spelling("".join(parts))
+
+
 def _json_append(value, out: list, newline: str) -> None:
     if isinstance(value, float):
-        out.append(_json_floats((value,), ""))
+        out.append(_json_spelling(float.__repr__(value)))
     elif isinstance(value, (list, tuple)):
+        text = _json_array(value, newline)
+        if text is not None:
+            out.append(text)
+            return
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
         out.append("[" + inner)
-        try:
-            out.append(_json_floats(value, "," + inner))
-        except TypeError:
-            for i, item in enumerate(value):
-                if i:
-                    out.append("," + inner)
-                _json_append(item, out, inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append("," + inner)
+            _json_append(item, out, inner)
         out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -512,13 +562,11 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
         color = _PALETTE[idx % len(_PALETTE)]
         # xml.sax.saxutils.escape, whose import would load urllib and ssl
         label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        coords = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in pts)
+        coords = [(f"{sx(k):.2f}", f"{sy(v):.2f}") for k, v in pts]
         if len(pts) > 1:
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        for k, v in pts:
-            parts.append(f'<circle cx="{sx(k):.2f}" cy="{sy(v):.2f}" r="2" fill="{color}"/>')
+            points = " ".join(map(",".join, coords))
+            parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.extend(f'<circle cx="{x}" cy="{y}" r="2" fill="{color}"/>' for x, y in coords)
         ly = top + 16 + 16 * idx
         parts.append(
             f'<rect x="{left + plot_w - 180:.2f}" y="{ly - 9:.2f}" width="10" height="10" fill="{color}"/>'

@@ -36,6 +36,8 @@ against an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +55,7 @@ ComplexMatrix = NDArray[np.complex128]
 _EPS = float(np.finfo(np.float64).eps)
 
 # The exact types of a number in a matrix literal.
-_REAL = (int, float)
+_REAL = frozenset((int, float))
 
 
 class EigenDecomposition(NamedTuple):
@@ -326,25 +328,69 @@ def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:
     them, a number being an ``int`` or a ``float`` as ``json.loads``
     returns it (not a ``bool``); rows must be lists of equal length.  An
     integer beyond the float range is rejected, naming the entry.
+
+    The literal is read array-at-a-time: the row lengths, the entries'
+    types and the pairs' lengths are checked in C-level passes, and every
+    number is converted by one ``np.array(..., float64)``, which rounds an
+    int as ``float`` does.  A complex literal's matrix is a view of its
+    ``[re, im]`` floats; a bare number's imaginary part is +0.0.  Only a
+    literal that fails these checks is walked entry by entry, to name its
+    first bad row or entry.
     """
-    if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
+    if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise DimensionMismatch(f"{name} must be a non-empty list of rows")
+    shape = (len(obj), len(obj[0]))
+    if set(map(len, obj)) != {shape[1]}:
+        raise _literal_error(obj, name)
+    entries = list(chain.from_iterable(obj))
+    kinds = set(map(type, entries))
+    lists = {kind for kind in kinds if issubclass(kind, list)}
+    if not lists:  # a real literal
+        bare, pairs = entries, []
+    elif lists == kinds:  # a complex literal
+        bare, pairs = [], entries
+    else:  # bare numbers and [re, im] pairs mixed
+        is_pair = list(map(isinstance, entries, repeat(list)))
+        bare = list(compress(entries, map(operator.not_, is_pair)))
+        pairs = list(compress(entries, is_pair))
+    parts = list(chain.from_iterable(pairs))
+    if not kinds - lists <= _REAL or not set(map(len, pairs)) <= {2} or not set(map(type, parts)) <= _REAL:
+        raise _literal_error(obj, name)
+    try:
+        numbers = np.array(bare + parts, dtype=np.float64)
+    except OverflowError:
+        raise _literal_error(obj, name) from None
+    if not pairs:  # imaginary parts +0.0
+        matrix = numbers.astype(np.complex128)
+    elif not bare:  # a view of the [re, im] floats
+        matrix = numbers.view(np.complex128)
+    else:
+        values = np.zeros((len(entries), 2))
+        at_pairs = np.array(is_pair)
+        values[~at_pairs, 0] = numbers[: len(bare)]
+        values[at_pairs] = numbers[len(bare) :].reshape(-1, 2)
+        matrix = values.view(np.complex128)
+    return matrix.reshape(shape)
+
+
+def _literal_error(obj: list, name: str) -> DimensionMismatch:
+    """The error naming the first bad row or entry of a list of rows, in
+    reading order: a row of the wrong length, an entry that is not a number
+    or an ``[re, im]`` pair, or an integer beyond the float range."""
     n_cols = len(obj[0])
-    values = []
     for i, row in enumerate(obj):
         if len(row) != n_cols:
-            raise DimensionMismatch(f"{name} row {i} has length {len(row)}, expected {n_cols}")
+            return DimensionMismatch(f"{name} row {i} has length {len(row)}, expected {n_cols}")
         for j, entry in enumerate(row):
             re, im = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0.0)
             if type(re) not in _REAL or type(im) not in _REAL:
-                raise DimensionMismatch(
+                return DimensionMismatch(
                     f"{name} entry [{i}][{j}] must be a number or an [re, im] pair, got {entry!r}"
                 )
             try:
-                values.append(complex(re, im))
+                complex(re, im)
             except OverflowError:
-                raise DimensionMismatch(f"{name} entry [{i}][{j}] is an integer beyond the float range") from None
-    return np.array(values, dtype=np.complex128).reshape(len(obj), n_cols)
+                return DimensionMismatch(f"{name} entry [{i}][{j}] is an integer beyond the float range")
 
 
 def matrix_to_literal(m) -> list:

@@ -1033,6 +1033,75 @@ JSON_LEAVES = st.one_of(
 JSON_DOCUMENTS = st.recursive(
     JSON_LEAVES, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5)
 )
+# Floats as matrix literals hold them, the values json spells apart and
+# the extremes of the float range among them.
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, np.float64(-0.0), math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, -1e-308]),
+)
+NOT_FLOATS = st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=3))
+# Depth 1-3, side 1-20, and a last axis of 2 for [re, im] literals.
+ARRAY_SHAPES = st.tuples(
+    st.lists(st.integers(1, 20), min_size=1, max_size=3), st.booleans()
+).map(lambda drawn: drawn[0] + [2] * drawn[1])
+
+
+def nested(flat, shape):
+    """The nested lists of a flat list of values in C order, the values
+    themselves (np.float64 stays np.float64)."""
+    return np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+@st.composite
+def float_values(draw, shape):
+    """A flat list of floats for an array of this shape, drawn from a small
+    pool, so that 8000 entries cost a seeded generator, not 8000 draws."""
+    pool = draw(st.lists(JSON_FLOATS, min_size=1, max_size=20))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(pool), size=math.prod(shape))
+    return [pool[i] for i in picks]
+
+
+@st.composite
+def float_arrays(draw):
+    shape = draw(ARRAY_SHAPES)
+    return nested(draw(float_values(shape)), shape)
+
+
+@st.composite
+def almost_float_arrays(draw):
+    """Nested lists one defect away from one shape of floats: a value that
+    is not a float, a ragged or empty inner list, or a tuple."""
+    shape = draw(ARRAY_SHAPES)
+    flat = draw(float_values(shape))
+    defect = draw(st.sampled_from(["leaf", "ragged", "empty", "tuple"]))
+    if defect == "leaf":
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(NOT_FLOATS)
+        return nested(flat, shape)
+    value = nested(flat, shape)
+    at = draw(st.integers(0, len(value)))
+    if defect == "ragged":
+        other = draw(ARRAY_SHAPES)
+        if other == shape[1:]:
+            other[-1] += 1
+        value.insert(at, nested(draw(float_values(other)), other))
+    elif defect == "empty":
+        value.insert(at, [])
+    elif at < len(value) and isinstance(value[at], list):
+        value[at] = tuple(value[at])
+    else:
+        value = tuple(value)
+    return value
+
+
+def in_a_document(values):
+    """A value alone, or at the depths of a solution's matrix and a
+    report's witness, beside other values."""
+    return st.one_of(
+        values,
+        values.map(lambda value: {"solution": value, "metadata": {"seed": 1, "alpha_used": 0.5}}),
+        values.map(lambda value: {"A": {"worst": {"X": value, "Y": [value, None]}}, "B": [1, value, "x"]}),
+    )
 
 
 class TestJsonWriter:
@@ -1049,6 +1118,35 @@ class TestJsonWriter:
             "é☃\n": [math.nan, math.inf, -math.inf, np.float64(-0.0), [], {}, [[1.5, 2]], True, None, "ü\""],
             "b": {"": 1e308},
         }
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(in_a_document(float_arrays()))
+    def test_float_arrays_match_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(float_arrays())
+    def test_float_arrays_take_the_array_path(self, value):
+        assert cli._json_array(value, "\n") == json.dumps(value, indent=2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(in_a_document(almost_float_arrays()))
+    def test_other_nested_lists_match_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(almost_float_arrays())
+    def test_other_nested_lists_fall_back(self, value):
+        assert cli._json_array(value, "\n") is None
+
+    @pytest.mark.parametrize(
+        "value",
+        [[[1.0, 2.0], [3.0, 4]], [[1.0, 2.0], [3.0]], [[1.0], []], [[1.0], (2.0,)], (1.0, 2.0), [1.0, True], [[1.0, None]]],
+        ids=["int-last", "ragged", "empty-inner", "inner-tuple", "tuple", "bool", "none"],
+    )
+    def test_fallback_leaves_no_partial_text(self, value):
+        doc = {"m": value, "z": [0.5, -0.0]}
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     def test_unserializable_value_is_a_type_error(self):

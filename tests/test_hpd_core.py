@@ -5,6 +5,7 @@ The eigensolver (LAPACK eigh) is checked against construction oracles
 in ``jacobi.py`` as an independent reference implementation.
 """
 
+import json
 import math
 import re
 
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_nonsingular, random_pd, random_unitary
+import literal_oracle
+from helpers import known_answer, random_hermitian, random_nonsingular, random_pd, random_unitary
 from jacobi import jacobi_eig
 from tfp import hpd_core, thompson
 from tfp.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, NotPositiveDefinite
+from tfp.fixtures import fixture_path
 
 
 def _spectral_projectors(lam, vectors, gap):
@@ -378,6 +381,47 @@ class TestRandomPdInBall:
             hpd_core.random_pd_in_ball(3, math.inf, 1)
 
 
+def _literals(doc):
+    """The matrix literals of a problem document, named by where they sit."""
+    found = {key: doc[key] for key in ("Q1", "Q2", "x0") if isinstance(doc.get(key), list)}
+    found.update((f"A[{i}]", a_i) for i, a_i in enumerate(doc["A"]))
+    found.update((key, doc[key]["value"]) for key in ("F", "G") if doc[key]["kind"] == "constant")
+    return found
+
+
+def _fixture_literals():
+    """The literals of every shipped fixture."""
+    return [
+        pytest.param(literal, id=f"{path.name}:{key}")
+        for path in sorted(fixture_path("example_4_1.json").parent.glob("*.json"))
+        for key, literal in _literals(json.loads(path.read_text())).items()
+    ]
+
+
+def _known_answer_literals():
+    return [
+        pytest.param(literal, id=f"n{n}-{i}:{key}")
+        for n in (5, 8, 16)
+        for i, (doc, _) in enumerate(known_answer.problems(n, 4, 7))
+        for key, literal in _literals(json.loads(json.dumps(doc))).items()
+    ]
+
+
+def assert_bits_equal(a, b):
+    """Same shape, dtype and bits: signs of zeros and NaN payloads too."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_error(literal):
+    with pytest.raises(DimensionMismatch) as expected:
+        literal_oracle.matrix_from_literal(literal, "M")
+    with pytest.raises(DimensionMismatch) as got:
+        hpd_core.matrix_from_literal(literal, "M")
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
+
 class TestMatrixLiterals:
     def test_real_round_trip(self):
         m = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -399,3 +443,98 @@ class TestMatrixLiterals:
             hpd_core.matrix_from_literal([[1, "x"], [0, 1]])
         with pytest.raises(DimensionMismatch):
             hpd_core.matrix_from_literal([[1, 2], [3]])
+
+
+class TestLiteralReaderAgainstOracle:
+    """The array-at-a-time reader gives the entry-by-entry oracle's arrays
+    bit for bit, and its errors message for message."""
+
+    @pytest.mark.parametrize("literal", _fixture_literals())
+    def test_fixture_literals(self, literal):
+        assert_bits_equal(hpd_core.matrix_from_literal(literal), literal_oracle.matrix_from_literal(literal))
+
+    @pytest.mark.parametrize("literal", _known_answer_literals())
+    def test_known_answer_literals(self, literal):
+        assert_bits_equal(hpd_core.matrix_from_literal(literal), literal_oracle.matrix_from_literal(literal))
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            [[2**53 + 1, 2**63], [2**64 + 1, 10**308]],
+            [[-(2**53) - 1, -(2**63) - 1], [-(2**64) - 1, -(10**308)]],
+            [[[2**53 + 1, 2**63]], [[2**64 + 1, 10**308]]],
+            [[1, [0, 2]], [[0, -2], 4.5]],
+            [[-0.0, [-0.0, -0.0]], [[0.0, -0.0], [-0.0, 0.0]]],
+            [[-0.0, 0.0], [0, -0.0]],
+            [[[-0.0, 0.0], [0.0, -0.0]]],
+            [[math.nan, math.inf], [-math.inf, 5e-324]],
+            [[1.5]],
+            [[], []],
+        ],
+        ids=["big-ints", "big-negative-ints", "big-ints-in-pairs", "mixed", "mixed-signed-zeros",
+             "real-signed-zeros", "complex-signed-zeros", "non-finite", "one-by-one", "empty-rows"],
+    )
+    def test_edge_literals(self, literal):
+        assert_bits_equal(hpd_core.matrix_from_literal(literal), literal_oracle.matrix_from_literal(literal))
+
+    def test_big_ints_round_as_float_does(self):
+        m = hpd_core.matrix_from_literal([[2**53 + 1, [2**64 + 1, 10**308]]])
+        assert m[0, 0].real == float(2**53 + 1) == 2.0**53
+        assert (m[0, 1].real, m[0, 1].imag) == (float(2**64 + 1), float(10**308))
+
+    def test_bare_number_has_positive_zero_imaginary_part(self):
+        m = hpd_core.matrix_from_literal([[-0.0, [1.0, -0.0]]])
+        assert math.copysign(1.0, m[0, 0].imag) == 1.0
+        assert math.copysign(1.0, m[0, 1].imag) == -1.0
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ([[1, 2], [3]], "M row 1 has length 1, expected 2"),
+            ([[1, 2, 3], [4, 5]], "M row 1 has length 2, expected 3"),
+        ],
+    )
+    def test_row_length_message(self, literal, message):
+        assert assert_same_error(literal) == message
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ([[1, "x"], [0, 1]], "M entry [0][1] must be a number or an [re, im] pair, got 'x'"),
+            ([[1, 0], [True, 1]], "M entry [1][0] must be a number or an [re, im] pair, got True"),
+            ([[1, None]], "M entry [0][1] must be a number or an [re, im] pair, got None"),
+            ([[[1.0]]], "M entry [0][0] must be a number or an [re, im] pair, got [1.0]"),
+            ([[1, [1, 2, 3]]], "M entry [0][1] must be a number or an [re, im] pair, got [1, 2, 3]"),
+            ([[[1, "2"], 1]], "M entry [0][0] must be a number or an [re, im] pair, got [1, '2']"),
+            ([[[False, 2]]], "M entry [0][0] must be a number or an [re, im] pair, got [False, 2]"),
+            ([[1, (1, 2)]], "M entry [0][1] must be a number or an [re, im] pair, got (1, 2)"),
+            ([[1.0, []]], "M entry [0][1] must be a number or an [re, im] pair, got []"),
+        ],
+        ids=["string", "bool", "none", "length-1", "length-3", "string-in-pair", "bool-in-pair", "tuple", "empty"],
+    )
+    def test_bad_entry_message(self, literal, message):
+        assert assert_same_error(literal) == message
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ([[1, 10**309]], "M entry [0][1] is an integer beyond the float range"),
+            ([[1, -(10**309)]], "M entry [0][1] is an integer beyond the float range"),
+            ([[1, 2], [[0, 10**309], 1]], "M entry [1][0] is an integer beyond the float range"),
+            ([[[10**309, 0], 1]], "M entry [0][0] is an integer beyond the float range"),
+        ],
+        ids=["bare", "bare-negative", "imaginary-part", "real-part"],
+    )
+    def test_integer_beyond_float_range_message(self, literal, message):
+        assert assert_same_error(literal) == message
+
+    def test_first_bad_entry_in_reading_order_is_named(self):
+        # a bad entry in row 0 comes before row 1's wrong length, and an
+        # integer beyond the float range before a later entry of a bad type
+        assert assert_same_error([[1, "x"], [1]]) == "M entry [0][1] must be a number or an [re, im] pair, got 'x'"
+        assert assert_same_error([[10**309, "x"]]) == "M entry [0][0] is an integer beyond the float range"
+        assert assert_same_error([[1, 2], [3], [4, "x"]]) == "M row 1 has length 1, expected 2"
+
+    @pytest.mark.parametrize("literal", [[], "x", [1, 2], [[1], 2], None])
+    def test_not_a_list_of_rows(self, literal):
+        assert assert_same_error(literal) == "M must be a non-empty list of rows"
