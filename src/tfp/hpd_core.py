@@ -98,9 +98,9 @@ class PDPoint:
     @staticmethod
     def stacked(points) -> "PDPoint":
         """One stack of a sequence of points of one shape, in order."""
-        lam = np.stack([p.dec.eigenvalues for p in points])
-        vectors = np.stack([p.dec.vectors for p in points])
-        return PDPoint(np.stack([p.matrix for p in points]), EigenDecomposition(lam, vectors))
+        lam = np.array([p.dec.eigenvalues for p in points])
+        vectors = np.array([p.dec.vectors for p in points])
+        return PDPoint(np.array([p.matrix for p in points]), EigenDecomposition(lam, vectors))
 
     def powered(self, p: float) -> "PDPoint":
         """X**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
@@ -300,13 +300,17 @@ def _pd_eig(arr: ComplexMatrix, name: str = "matrix", *, vectors: bool = True) -
     ``name`` labels the matrix in the non-finite and the floor errors; on
     a stack they report the first matrix that fails."""
     dec = eig_hermitian(arr, name, vectors=vectors)
-    lam_min, floor = dec.eigenvalues[..., 0], pd_floor(dec.eigenvalues)
-    below = lam_min <= floor
-    if _count(below):
-        first = np.flatnonzero(below)[0]
+    lam = dec.eigenvalues
+    if lam.ndim > 1:  # a stack: its first spectrum below the floor, if any
+        below = np.flatnonzero(lam[..., 0] <= pd_floor(lam))
+        if not below.size:
+            return dec
+        lam = lam.reshape(-1, lam.shape[-1])[below[0]]
+    # one spectrum: the product and the comparison of pd_floor, in numpy scalars
+    lam_min, floor = lam[0], lam.shape[0] * _EPS * lam[-1]
+    if lam_min <= floor:
         raise NotPositiveDefinite(
-            f"{name} must be positive definite (min eigenvalue {np.ravel(lam_min)[first]:.3e}, "
-            f"floor {max(np.ravel(floor)[first], 0.0):.3e})"
+            f"{name} must be positive definite (min eigenvalue {lam_min:.3e}, floor {max(floor, 0.0):.3e})"
         )
     return dec
 

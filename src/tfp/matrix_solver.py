@@ -301,14 +301,34 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
 
     Maps points, or stacks of points, to points with one eigensolve call,
     of the right-hand side; the root's decomposition is that one's with
-    eigenvalues ** (1/exponent).  The operands come from a validated
-    problem and are not checked again, but a right-hand side that
-    overflows raises ``NonHermitianInput`` naming it.
+    eigenvalues ** (1/exponent).  Each A_i* is taken once, here.  The
+    right-hand side is one straight line, in the arithmetic and the order
+    of ``_rhs(q, a_list, apply_F(f_spec, x))``: a power F(X) is formed from
+    X's spectrum with no point for it, and each ``symmetrize`` is written
+    out.  The operands come from a validated problem and are not checked
+    again, but a right-hand side that overflows raises
+    ``NonHermitianInput`` naming it.
     """
     root = 1.0 / exponent
+    factors = tuple((a_i.conj().swapaxes(-1, -2), a_i) for a_i in a_list)
+    q_matrix = None if q is None else q.matrix
+    p = f_spec.exponent if f_spec.kind == "power" else None
 
     def t(x: PDPoint) -> PDPoint:
-        rhs = _rhs(q, a_list, apply_F(f_spec, x))
+        if p is None:
+            f_value = apply_F(f_spec, x).matrix
+        else:
+            lam, vectors = (x if isinstance(x, PDPoint) else pd_point(x)).dec
+            half = 0.5 * ((vectors * (lam**p)[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
+            f_value = half + half.conj().swapaxes(-1, -2)
+        rhs = None
+        for a_star, a_i in factors:
+            half = 0.5 * (a_star @ f_value @ a_i)
+            term = half + half.conj().swapaxes(-1, -2)
+            rhs = term if rhs is None else rhs + term
+        if q_matrix is not None:
+            half = 0.5 * (q_matrix + rhs)
+            rhs = half + half.conj().swapaxes(-1, -2)
         return PDPoint(rhs, _pd_eig(rhs, "map right-hand side")).powered(root)
 
     return t
@@ -594,8 +614,9 @@ class SolveResult:
 def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) -> SolveResult:
     """Run the alternating iteration from an admissible starting point.
 
-    The start, a matrix or a ``PDPoint``, defaults to the identity; it is
-    decomposed once, for d(X0, I) and the iteration.  Unless
+    The start, a matrix or a ``PDPoint``, defaults to the identity, a
+    point known without an eigensolve; a matrix is checked and decomposed
+    once, for d(X0, I) and the iteration.  Unless
     ``options.force`` is set, the sampled condition report must pass
     before iteration begins.  The returned result carries the full trace,
     whose points are ``PDPoint``s, and is residual-certified to
@@ -618,8 +639,10 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
     """
     options = options or SolveOptions()
     radius = ball_radius(problem)
+    if x0 is None:  # the identity is its own eigendecomposition
+        x0 = PDPoint(identity(problem.n), EigenDecomposition(np.ones(problem.n), identity(problem.n)))
     try:
-        x0 = pd_point(identity(problem.n) if x0 is None else x0, "starting point", problem.n)
+        x0 = pd_point(x0, "starting point", problem.n)
     except NotPositiveDefinite as exc:
         raise X0DomainError(str(exc)) from exc
     d0 = thompson.distance_to_identity(x0)

@@ -139,7 +139,7 @@ def gaps(points) -> list[float]:
     sequence of matrices or points of one shape, in order: one ``_ratios``
     call on the stacked pairs, so each gap has the bits its pair gets
     alone.  Fewer than two points have no gap."""
-    points = [hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
+    points = [p if isinstance(p, PDPoint) else hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
     for a, b in zip(points, points[1:]):
         if a.matrix.shape != b.matrix.shape:
             raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")

@@ -56,6 +56,14 @@ class TestEigHermitian:
         rec = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
         np.testing.assert_allclose(rec, m, atol=1e-12)
 
+    def test_identity_is_its_own_decomposition(self):
+        # solve starts from the identity as the point (I, (ones, I)), with
+        # no eigensolve; eigh gives those bits, signs of zeros included
+        for n in range(1, 130):
+            lam, vectors = hpd_core.eig_hermitian(hpd_core.identity(n))
+            assert lam.tobytes() == np.ones(n).tobytes()
+            assert vectors.dtype == np.complex128 and vectors.tobytes() == hpd_core.identity(n).tobytes()
+
     def test_eigenvalues_sorted_ascending(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -158,6 +166,19 @@ class TestPositiveDefinite:
         assert 1e-20 < floor
         with pytest.raises(NotPositiveDefinite, match=r"min eigenvalue 1\.000e-20"):
             hpd_core.pd_point(m)
+
+    def test_floor_is_inclusive_for_a_matrix_and_a_stack(self):
+        # a single matrix decides the floor with numpy scalars, a stack with
+        # arrays: the same product n * eps * lambda_max and comparison
+        floor = 2 * np.finfo(float).eps
+        at, above = np.diag([floor, 1.0]), np.diag([np.nextafter(floor, 1.0), 1.0])
+        message = re.escape("X must be positive definite (min eigenvalue 4.441e-16, floor 4.441e-16)")
+        with pytest.raises(NotPositiveDefinite, match=message):
+            hpd_core._pd_eig(at.astype(complex), "X")
+        with pytest.raises(NotPositiveDefinite, match=message):
+            hpd_core._pd_eig(np.stack([above, at, at]).astype(complex), "X")
+        hpd_core._pd_eig(above.astype(complex), "X")
+        hpd_core._pd_eig(np.stack([above, above]).astype(complex), "X")
 
     def test_point_keeps_matrix_and_ascending_decomposition(self):
         rng = np.random.default_rng(40)

@@ -324,9 +324,11 @@ class TestEigensolveBudget:
         iterations = result.trace.iterations
         assert iterations > 1
         sizes = [math.prod(np.shape(m)[:-2]) for m, _ in eig_calls]
-        assert sum(sizes) == 2 * iterations + 2
+        # the identity start is known without an eigensolve
+        start = 0 if x0 is None else 1
+        assert sum(sizes) == 2 * iterations + 1 + start
         # eigenvectors for the map's root only, and for x0 and the certificate
-        assert sum(size for size, (_, vectors) in zip(sizes, eig_calls) if vectors) == iterations + 2
+        assert sum(size for size, (_, vectors) in zip(sizes, eig_calls) if vectors) == iterations + 1 + start
         if name == "example_4_1.json":
             assert len(eig_calls) < 2 * iterations + 2
 
@@ -406,11 +408,38 @@ class TestValidationBudget:
 
     def test_certificate_does_not_check_the_solution_again(self, hermitian_checks):
         # the map's root made the returned matrix exactly Hermitian, so
-        # only the start, which comes in from outside, is checked
-        problem, x0, options = load("quadratic_pass.json")
+        # only the start, which comes in from outside (a file x0), is checked
+        problem, x0, options = load("example_4_2.json")
+        assert x0 is not None
         hermitian_checks.clear()
         matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True))
         assert hermitian_checks == ["starting point"]
+
+    def test_identity_start_is_neither_checked_nor_decomposed(self, hermitian_checks, monkeypatch):
+        problem, x0, options = load("quadratic_pass.json")
+        assert x0 is None
+        eig_calls = []
+        eig = hpd_core.eig_hermitian
+
+        def counting(m, *args, **kwargs):
+            eig_calls.append(m)
+            return eig(m, *args, **kwargs)
+
+        class Started(Exception):
+            pass
+
+        def started(gaps, t1, t2, u0, **kwargs):
+            raise Started(u0)
+
+        monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
+        monkeypatch.setattr(matrix_solver, "iterate_pair", started)
+        hermitian_checks.clear()
+        with pytest.raises(Started) as info:
+            matrix_solver.solve(problem, options=dataclasses.replace(options, force=True))
+        assert hermitian_checks == [] and eig_calls == []
+        start = info.value.args[0]
+        np.testing.assert_array_equal(start.matrix, np.eye(problem.n))
+        np.testing.assert_array_equal(start.dec.eigenvalues, np.ones(problem.n))
 
     def test_overflowing_right_hand_side_is_a_named_error(self):
         # Q1 + A* F(X) A overflows to inf; eigh alone would return NaN
