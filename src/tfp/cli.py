@@ -135,6 +135,13 @@ def _as_float(value, what: str) -> float:
     raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
 
 
+def _as_tolerance(value, what: str) -> float:
+    number = _as_float(value, what)
+    if number < 0.0:
+        raise ProblemFormatError(f"{what} must be at least 0, got {number}")
+    return number
+
+
 def _as_int(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -226,8 +233,8 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         if not isinstance(raw_options, dict):
             raise ProblemFormatError("key 'options' must be an object")
         known = {
-            "gap_tol": _as_float,
-            "residual_tol": _as_float,
+            "gap_tol": _as_tolerance,
+            "residual_tol": _as_tolerance,
             "max_iter": _as_int,
             "seed": _as_seed,
             "samples": _as_int,

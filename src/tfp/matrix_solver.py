@@ -663,7 +663,9 @@ def solve(problem: ProblemSpec, x0=None, options: SolveOptions | None = None) ->
             )
 
     t1, t2 = maps_for(problem)
-    trace = iterate_pair(thompson.gaps, t1, t2, x0, gap_tol=options.gap_tol, max_iter=options.max_iter)
+    trace = iterate_pair(
+        thompson.gaps, t1, t2, x0, bound=thompson.spectral_distance, gap_tol=options.gap_tol, max_iter=options.max_iter
+    )
 
     # A fresh decomposition certifies the returned matrix itself, so the
     # certificate depends only on the solution that is written out; the

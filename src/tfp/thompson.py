@@ -19,7 +19,8 @@ take matrices or points: a matrix is validated by ``pd_point`` and a
 point passes through, so the iteration's points go to ``gaps`` directly.
 ``gaps`` gives the distances of a sequence's consecutive pairs from one
 stacked call, one eigensolve call for all its pencils (and one for the
-wide ones): the iteration's gaps, a block of steps at a time.
+wide ones): the iteration's gaps, up to a step ``spectral_distance``
+(a lower bound read off two spectra) cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  Each quantity has one rule,
 for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
@@ -153,6 +154,14 @@ def distance_to_identity(a):
     """d(A, I) = max(|log lambda_i(A)|): no eigensolve on a point, one on a
     matrix; one distance per point of a stack."""
     return _identity_distance(hpd_core.pd_point(a, "distance_to_identity argument").dec.eigenvalues)
+
+
+def spectral_distance(a: PDPoint, b: PDPoint) -> float:
+    """max_i |log lambda_i(A) - log lambda_i(B)|, a lower bound on d(A, B)
+    from the points' ascending spectra, with no eigensolve: by Weyl's
+    inequality, A <= mu B gives lambda_i(A) <= mu lambda_i(B) for every i.
+    Equality holds for commuting points with eigenvalues ordered alike."""
+    return float(np.abs(np.log(a.dec.eigenvalues / b.dec.eigenvalues)).max())
 
 
 def _identity_distance(lam):

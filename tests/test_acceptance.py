@@ -181,7 +181,11 @@ def test_criterion_3_thompson_metric_suite():
 def test_criterion_4_engine_oracle_equivalence():
     alpha = psi_family.alpha_effective(psi_family.linear(0.0, 1 / 3, 1 / 4))
     trace = iterate_pair(
-        lambda points: [abs(x - y) for x, y in zip(points, points[1:])], lambda x: x / 4, lambda x: x / 5, 1.0
+        lambda points: [abs(x - y) for x, y in zip(points, points[1:])],
+        lambda x: x / 4,
+        lambda x: x / 5,
+        1.0,
+        bound=lambda x, y: abs(x - y),
     )
     value = 1.0
     step_err = 0.0

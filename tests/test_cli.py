@@ -153,6 +153,8 @@ SCHEMA_ERRORS = [
         "quadratic_pass.json", ("options", "residual_tol"), math.nan,
         "option 'residual_tol' must be a finite number, got nan",
     ),
+    ("quadratic_pass.json", ("options", "gap_tol"), -1, "option 'gap_tol' must be at least 0, got -1.0"),
+    ("quadratic_pass.json", ("options", "residual_tol"), -1, "option 'residual_tol' must be at least 0, got -1.0"),
     ("quadratic_pass.json", ("options", "max_iter"), 2.5, "option 'max_iter' must be an integer, got 2.5"),
     ("quadratic_pass.json", ("options", "seed"), -1, "option 'seed' must be at least 0, got -1"),
     ("quadratic_pass.json", ("options", "samples"), 0, "option 'samples' must be at least 1, got 0"),
@@ -359,6 +361,12 @@ class TestProblemFiles:
         doc["options"]["max_iter"] = 200.0
         _, _, options = cli.load_problem(write_problem(tmp_path, doc))
         assert options.max_iter == 200 and isinstance(options.max_iter, int)
+
+    def test_zero_tolerances_are_allowed(self, tmp_path):
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        doc["options"].update(gap_tol=0, residual_tol=-0.0)
+        _, _, options = cli.load_problem(write_problem(tmp_path, doc))
+        assert (options.gap_tol, options.residual_tol) == (0.0, 0.0)
 
     @pytest.mark.parametrize("case", SCHEMA_ERRORS, ids=schema_case_id)
     def test_schema_error_line(self, tmp_path, capsys, case):

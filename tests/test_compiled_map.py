@@ -49,7 +49,8 @@ def oracle_trace(problem, x0, options):
     """The trace of the oracle maps from a start decomposed by eigh."""
     start = hpd_core.pd_point(hpd_core.identity(problem.n) if x0 is None else x0)
     t1, t2 = map_oracle.maps_for(problem)
-    return iterate_pair(thompson.gaps, t1, t2, start, gap_tol=options.gap_tol, max_iter=options.max_iter)
+    kwargs = {"gap_tol": options.gap_tol, "max_iter": options.max_iter}
+    return iterate_pair(thompson.gaps, t1, t2, start, bound=thompson.spectral_distance, **kwargs)
 
 
 def test_solve_traces_match_the_oracle(tmp_path):

@@ -812,8 +812,9 @@ class TestSolverInvariants:
     def test_order_identity_on_matrix_problem(self):
         problem, x0, options = load("example_4_2.json")
         t1, t2 = matrix_solver.maps_for(problem)
+        x0 = hpd_core.pd_point(x0)
         from tfp.fixpoint_engine import iterate_pair
 
-        fwd = iterate_pair(thompson.gaps, t1, t2, x0, max_iter=200)
-        rev = iterate_pair(thompson.gaps, t2, t1, x0, max_iter=200)
+        fwd = iterate_pair(thompson.gaps, t1, t2, x0, bound=thompson.spectral_distance, max_iter=200)
+        rev = iterate_pair(thompson.gaps, t2, t1, x0, bound=thompson.spectral_distance, max_iter=200)
         assert thompson.distance(fwd.points[-1], rev.points[-1]) <= 1e-9

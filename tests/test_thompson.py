@@ -254,6 +254,64 @@ class TestGaps:
         assert bits(thompson.gaps([inverse, other])) == bits([thompson.distance(copy, other)])
 
 
+def log_error(n, *points):
+    """A bound on the error of a log-eigenvalue quantity of the points:
+    their eigenvalues carry an error of about n * eps * lambda_max, so
+    the log of the smallest is off by n * eps * kappa, kappa the largest
+    condition number (the factor 8 covers the rest of the arithmetic)."""
+    kappa = max(p.dec.eigenvalues[-1] / p.dec.eigenvalues[0] for p in points)
+    return 8 * n * np.finfo(np.float64).eps * kappa
+
+
+class TestSpectralDistance:
+    """max_i |log lambda_i(A) - log lambda_i(B)| from the two spectra:
+    at most d(A, B) (Weyl's inequality), and equal to it on commuting
+    pairs whose eigenvalues are ordered alike."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        radius=st.floats(min_value=0.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_at_most_the_distance(self, n, radius, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (hpd_core.random_pd_in_ball(n, radius, rng) for _ in range(2))
+        tol = log_error(n, a, b)
+        assert thompson.spectral_distance(a, b) <= thompson.distance(a, b) + tol
+        assert thompson.spectral_distance(b, a) <= thompson.distance(b, a) + tol
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        radius=st.floats(min_value=0.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equal_to_the_distance_on_commuting_pairs(self, n, radius, seed):
+        # A = U diag(a) U* and B = U diag(b) U*, both diagonals ascending
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        a_diag, b_diag = (np.sort(np.exp(rng.uniform(-radius, radius, n))) for _ in range(2))
+        a, b = (hpd_core.pd_point((u * diag) @ u.conj().T) for diag in (a_diag, b_diag))
+        tol = log_error(n, a, b)
+        assert thompson.spectral_distance(a, b) == pytest.approx(thompson.distance(a, b), abs=tol)
+        assert thompson.spectral_distance(b, a) == pytest.approx(thompson.distance(b, a), abs=tol)
+        assert thompson.spectral_distance(a, b) == pytest.approx(diag_distance(a_diag, b_diag), abs=tol)
+
+    def test_unordered_commuting_pair_is_only_a_bound(self):
+        # diag(1, 4) and diag(2, 1) are log 4 apart; their ordered spectra
+        # (1, 4) and (1, 2) only log 2
+        a, b = hpd_core.pd_point(np.diag([1.0, 4.0])), hpd_core.pd_point(np.diag([2.0, 1.0]))
+        assert thompson.spectral_distance(a, b) == pytest.approx(math.log(2.0))
+        assert thompson.distance(a, b) == pytest.approx(math.log(4.0))
+
+    def test_costs_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        a, b = (hpd_core.random_pd_in_ball(4, 1.0, rng) for _ in range(2))
+        monkeypatch.setattr(hpd_core, "eig_hermitian", None)
+        assert thompson.spectral_distance(a, b) > 0.0
+
+
 def scalar_pow(w, exponent):
     """``math.pow``, inf where it overflows."""
     try:
