@@ -640,8 +640,11 @@ def cmd_solve(args) -> int:
     try:
         result, failure = matrix_solver.solve(problem, x0=x0, options=options), None
     except (MaxIterationsExceeded, ResidualToleranceExceeded) as exc:
-        # a stalled or uncertified run still writes its trace and solution
-        result, failure = exc.result, exc
+        # a stalled or uncertified run still writes its trace and solution;
+        # only the message is kept, since the exception's traceback holds
+        # this frame, and a local holding it would make a cycle that keeps
+        # the whole trace until the cycle collector runs
+        result, failure = exc.result, str(exc)
     converged = failure is None
     write_trace_csv(out_csv, trace_rows(problem, result.trace))
     try:

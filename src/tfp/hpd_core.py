@@ -18,7 +18,8 @@ A ``PDPoint`` is a positive definite matrix carried with its
 eigendecomposition.  ``pd_point`` decomposes a matrix once; powers, ratio
 spectra and distances then read the known spectrum.  X**p is the point
 ``pd_point(x).powered(p)``, with X's eigenvectors and eigenvalues
-lambda_i**p.  A point converts to its matrix wherever numpy expects an
+lambda_i**p; a decomposition's ``powered`` gives the same point with no
+point for X.  A point converts to its matrix wherever numpy expects an
 array.  A stack of points is one ``PDPoint`` whose fields carry the
 leading axes; indexing it selects points.
 
@@ -36,8 +37,7 @@ against an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +68,21 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: NDArray[np.float64]
     vectors: ComplexMatrix | None
+
+    def powered(self, p: float) -> "PDPoint":
+        """M**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
+        negative p the decomposition is reversed back to ascending order.
+
+        The reversed eigenvalues are copied contiguous: numpy's ``pow`` and
+        ``log`` take another loop on a reversed view, which can round
+        differently.  The reversed eigenvectors stay a view; they reach only
+        elementwise products, ``conj`` and stacking, which copy them."""
+        lam, vectors = self
+        mu = lam**p
+        matrix = symmetrize((vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
+        if p < 0.0:
+            mu, vectors = np.ascontiguousarray(mu[..., ::-1]), vectors[..., ::-1]
+        return PDPoint(matrix, EigenDecomposition(mu, vectors))
 
 
 class PDPoint:
@@ -103,19 +118,8 @@ class PDPoint:
         return PDPoint(np.array([p.matrix for p in points]), EigenDecomposition(lam, vectors))
 
     def powered(self, p: float) -> "PDPoint":
-        """X**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
-        negative p the decomposition is reversed back to ascending order.
-
-        The reversed eigenvalues are copied contiguous: numpy's ``pow`` and
-        ``log`` take another loop on a reversed view, which can round
-        differently.  The reversed eigenvectors stay a view; they reach only
-        elementwise products, ``conj`` and stacking, which copy them."""
-        lam, vectors = self.dec
-        mu = lam**p
-        matrix = symmetrize((vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
-        if p < 0.0:
-            mu, vectors = np.ascontiguousarray(mu[..., ::-1]), vectors[..., ::-1]
-        return PDPoint(matrix, EigenDecomposition(mu, vectors))
+        """X**p as a point, from X's decomposition alone."""
+        return self.dec.powered(p)
 
 
 def identity(n: int) -> ComplexMatrix:
@@ -337,9 +341,10 @@ def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:
     types and the pairs' lengths are checked in C-level passes, and every
     number is converted by one ``np.array(..., float64)``, which rounds an
     int as ``float`` does.  A complex literal's matrix is a view of its
-    ``[re, im]`` floats; a bare number's imaginary part is +0.0.  Only a
-    literal that fails these checks is walked entry by entry, to name its
-    first bad row or entry.
+    ``[re, im]`` floats, a bare number among its pairs first paired with
+    0.0; a real literal's imaginary parts are +0.0.  Only a literal that
+    fails these checks is walked entry by entry, to name its first bad row
+    or entry.
     """
     if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise DimensionMismatch(f"{name} must be a non-empty list of rows")
@@ -351,12 +356,9 @@ def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:
     lists = {kind for kind in kinds if issubclass(kind, list)}
     if not lists:  # a real literal
         bare, pairs = entries, []
-    elif lists == kinds:  # a complex literal
-        bare, pairs = [], entries
-    else:  # bare numbers and [re, im] pairs mixed
-        is_pair = list(map(isinstance, entries, repeat(list)))
-        bare = list(compress(entries, map(operator.not_, is_pair)))
-        pairs = list(compress(entries, is_pair))
+    else:  # a complex literal, a bare number among its pairs paired with 0.0
+        bare = []
+        pairs = entries if lists == kinds else [e if isinstance(e, list) else [e, 0.0] for e in entries]
     parts = list(chain.from_iterable(pairs))
     if not kinds - lists <= _REAL or not set(map(len, pairs)) <= {2} or not set(map(type, parts)) <= _REAL:
         raise _literal_error(obj, name)
@@ -364,16 +366,8 @@ def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:
         numbers = np.array(bare + parts, dtype=np.float64)
     except OverflowError:
         raise _literal_error(obj, name) from None
-    if not pairs:  # imaginary parts +0.0
-        matrix = numbers.astype(np.complex128)
-    elif not bare:  # a view of the [re, im] floats
-        matrix = numbers.view(np.complex128)
-    else:
-        values = np.zeros((len(entries), 2))
-        at_pairs = np.array(is_pair)
-        values[~at_pairs, 0] = numbers[: len(bare)]
-        values[at_pairs] = numbers[len(bare) :].reshape(-1, 2)
-        matrix = values.view(np.complex128)
+    # a view of the [re, im] floats, or imaginary parts +0.0
+    matrix = numbers.view(np.complex128) if pairs else numbers.astype(np.complex128)
     return matrix.reshape(shape)
 
 

@@ -11,8 +11,9 @@ matrix functions F and G, and exponents above 1:
 Both families share the form X**e_j = Q_j + sum_i A_i* F_j(X) A_i with
 F_1 = F and F_2 = G: type1 has e_1 = e_2 = s, type2 has (e_1, e_2) = (r, s)
 and no Q_j.  ``ProblemSpec.equations`` lists (e_j, Q_j or None, F_j), and
-the maps and the residuals are built from it by one code path.  Each pair
-is solved by the alternating fixed-point engine with the maps
+one function, ``_rhs``, forms the right-hand side Q_j + sum_i A_i* F A_i
+for the maps, condition (C) and the residuals alike.  Each pair is solved
+by the alternating fixed-point engine with the maps
 
     T_j(X) = (Q_j + sum_i A_i* F_j(X) A_i) ** (1/e_j)
 
@@ -86,7 +87,6 @@ from .hpd_core import (
     matrix_to_literal,
     pd_point,
     random_pd_in_ball,
-    symmetrize,
 )
 
 TYPE1 = "type1"
@@ -274,26 +274,32 @@ def alpha_for(problem: ProblemSpec) -> float:
 # Iteration maps and residuals
 
 
-def sum_congruences(a_list, value: ComplexMatrix) -> ComplexMatrix:
-    """sum_i A_i* M A_i for a shared Hermitian middle factor, or for each
-    matrix of a stack of them.
+def _factors(a_list) -> tuple:
+    """(A_i*, A_i) of each coefficient, each A_i* taken once, here."""
+    return tuple((a_i.conj().swapaxes(-1, -2), a_i) for a_i in a_list)
 
-    In the Thompson metric this sum is no farther from sum_i A_i* N A_i
-    than M is from N, which is what makes the iteration maps contract.
-    The operands are not validated: the A_i come from a validated problem
-    and M from a matrix function of a validated point.  Each congruence is
-    symmetrized, so each is exactly Hermitian, and so is their sum.
+
+def _rhs(q: PDPoint | None, factors, f: ComplexMatrix) -> ComplexMatrix:
+    """Q + sum_i A_i* F A_i, or one per matrix of a stack F; no Q when
+    ``q`` is None.  ``factors`` are the (A_i*, A_i) of ``_factors``.
+
+    Every equation's right-hand side is formed here: the maps', condition
+    (C)'s and the residuals'.  In the Thompson metric the sum is no farther
+    from sum_i A_i* G A_i than F is from G, which is what makes the maps
+    contract.  The operands come from a validated problem and a matrix
+    function of a validated point, and are not checked.  Each congruence
+    and the sum with Q is re-symmetrized, halved before the sum as in
+    ``symmetrize``, so the result is exactly Hermitian.
     """
-    acc = _congruence(a_list[0], value)
-    for a_i in a_list[1:]:
-        acc = acc + _congruence(a_i, value)
-    return acc
-
-
-def _rhs(q: PDPoint | None, a_list, f_value: PDPoint) -> ComplexMatrix:
-    """Q + sum_i A_i* F(X) A_i from F(X); no Q when ``q`` is None."""
-    acc = sum_congruences(a_list, f_value.matrix)
-    return acc if q is None else symmetrize(q.matrix + acc)
+    rhs = None
+    for a_star, a_i in factors:
+        half = 0.5 * (a_star @ f @ a_i)
+        term = half + half.conj().swapaxes(-1, -2)
+        rhs = term if rhs is None else rhs + term
+    if q is not None:
+        half = 0.5 * (q.matrix + rhs)
+        rhs = half + half.conj().swapaxes(-1, -2)
+    return rhs
 
 
 def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callable:
@@ -301,35 +307,24 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
 
     Maps points, or stacks of points, to points with one eigensolve call,
     of the right-hand side; the root's decomposition is that one's with
-    eigenvalues ** (1/exponent).  Each A_i* is taken once, here.  The
-    right-hand side is one straight line, in the arithmetic and the order
-    of ``_rhs(q, a_list, apply_F(f_spec, x))``: a power F(X) is formed from
-    X's spectrum with no point for it, and each ``symmetrize`` is written
-    out.  The operands come from a validated problem and are not checked
-    again, but a right-hand side that overflows raises
-    ``NonHermitianInput`` naming it.
+    eigenvalues ** (1/exponent).  Each A_i* is taken once, here.  A power
+    F(X) is formed from X's spectrum with no point for it, in the
+    arithmetic of ``apply_F``, and the right-hand side by ``_rhs``.  The
+    operands come from a validated problem and are not checked again, but
+    a right-hand side that overflows raises ``NonHermitianInput`` naming it.
     """
     root = 1.0 / exponent
-    factors = tuple((a_i.conj().swapaxes(-1, -2), a_i) for a_i in a_list)
-    q_matrix = None if q is None else q.matrix
+    factors = _factors(a_list)
     p = f_spec.exponent if f_spec.kind == "power" else None
 
     def t(x: PDPoint) -> PDPoint:
         if p is None:
-            f_value = apply_F(f_spec, x).matrix
+            f = apply_F(f_spec, x).matrix
         else:
             lam, vectors = (x if isinstance(x, PDPoint) else pd_point(x)).dec
             half = 0.5 * ((vectors * (lam**p)[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
-            f_value = half + half.conj().swapaxes(-1, -2)
-        rhs = None
-        for a_star, a_i in factors:
-            half = 0.5 * (a_star @ f_value @ a_i)
-            term = half + half.conj().swapaxes(-1, -2)
-            rhs = term if rhs is None else rhs + term
-        if q_matrix is not None:
-            half = 0.5 * (q_matrix + rhs)
-            rhs = half + half.conj().swapaxes(-1, -2)
-        return PDPoint(rhs, _pd_eig(rhs, "map right-hand side")).powered(root)
+            f = half + half.conj().swapaxes(-1, -2)
+        return _pd_eig(_rhs(q, factors, f), "map right-hand side").powered(root)
 
     return t
 
@@ -337,22 +332,6 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
 def maps_for(problem: ProblemSpec) -> tuple[Callable, Callable]:
     """The pair (T1, T2) realizing the problem's equations as fixed points."""
     return tuple(build_map(q, problem.A, f_spec, e) for e, q, f_spec in problem.equations)
-
-
-def _map_distances_to_identity(problem: ProblemSpec, values) -> tuple:
-    """(d(T1(X), I), d(T2(X), I)) from ``values`` = (F(X), G(X)), per point of a stack.
-
-    d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/e_j)| needs the
-    eigenvalues of the right-hand side only, so its eigensolve computes
-    no eigenvectors; a right-hand side that overflows or is not positive
-    definite raises what T_j raises, with the same message.
-    """
-    distances = []
-    for (e, q, _), f_value in zip(problem.equations, values):
-        rhs = _rhs(q, problem.A, f_value)
-        lam = _pd_eig(rhs, "map right-hand side", vectors=False).eigenvalues
-        distances.append(thompson._identity_distance(lam ** (1.0 / e)))
-    return tuple(distances)
 
 
 def residuals(problem: ProblemSpec, x) -> tuple:
@@ -367,14 +346,14 @@ def residuals(problem: ProblemSpec, x) -> tuple:
     NaN residuals.
     """
     x = pd_point(x, "candidate solution", problem.n)
-    powers = {}
+    factors, powers = _factors(problem.A), {}
     for e in {e for e, _, _ in problem.equations}:
         power = _require_finite(x.powered(e).matrix, f"candidate solution ** {e:g}")
         powers[e] = power, np.maximum(1.0, frobenius_norm(power))
     out = []
     for e, q, f_spec in problem.equations:
         lhs, scale = powers[e]
-        rhs = _rhs(q, problem.A, apply_F(f_spec, x))
+        rhs = _rhs(q, factors, apply_F(f_spec, x).matrix)
         out.append(frobenius_norm(lhs - rhs) / scale)
     return tuple(out)
 
@@ -485,10 +464,18 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
 
     (A) and (B) also flag the pairs violating the stricter one-sided
     ratio form of the same condition, counted as ``literal_failures``.
+    d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/s)| needs the
+    eigenvalues of the right-hand side only, so its eigensolve computes no
+    eigenvectors; a right-hand side that overflows or is not positive
+    definite raises what T_j raises, with the same message.
     """
-    l, a = problem.l, problem.a
+    l, a, root, factors = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
+
+    def map_distance(q: PDPoint, f_x: PDPoint):
+        lam = _pd_eig(_rhs(q, factors, f_x.matrix), "map right-hand side", vectors=False).eigenvalues
+        return thompson._identity_distance(lam**root)
 
     def block(x: PDPoint, y: PDPoint) -> dict:
         f_x = apply_F(problem.F, x)
@@ -500,7 +487,7 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
             w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-        d1, d2 = _map_distances_to_identity(problem, (f_x, apply_F(problem.G, x)))
+        d1, d2 = map_distance(problem.Q1, f_x), map_distance(problem.Q2, apply_F(problem.G, x))
         return {
             "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
             "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),
@@ -599,6 +586,12 @@ class SolveOptions:
     samples: int = 200
     seed: int = 0
     force: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("gap_tol", "residual_tol"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN too
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 @dataclass(eq=False)

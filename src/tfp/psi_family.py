@@ -3,8 +3,10 @@
 A spec in this family is a continuous map psi(a, b, c) >= 0 with the
 property that any b satisfying b <= psi(a, a, b), b <= psi(b, a, a) or
 b <= psi(a, b, a) is forced down to b <= alpha * a for a fixed alpha < 1.
-The iteration engine consumes only that certified alpha; ``evaluate``
-gives psi itself, which the membership check reads on its grid.
+``alpha_effective`` gives that certified alpha and ``evaluate`` psi
+itself, which the membership check reads on its grid.  No solve reads
+this module: the iteration engine takes no alpha, and a problem's alpha
+is ``matrix_solver.alpha_for``.
 
 Three parameterized kinds are built in:
 

@@ -1,16 +1,37 @@
-"""The iteration maps as a composition of the package's kernels: the test
-oracle for ``matrix_solver.build_map``.
+"""The iteration maps and the residuals as a composition of the package's
+kernels: the test oracle for ``matrix_solver.build_map``, condition (C)
+and ``matrix_solver.residuals``.
 
-The package compiles each map once and forms its right-hand side in one
-straight line from X's spectrum.  The map here builds F(X) as a point
-with ``apply_F``, sums the congruences with ``_rhs`` and takes the root of
-that point, so it shares none of the compiled arithmetic.  Its points must
-match the package's bit for bit, eigenvectors included, and its errors
-message for message.
+The package forms every right-hand side Q + sum_i A_i* F(X) A_i in one
+function, ``matrix_solver._rhs``, from conjugates taken once.  The
+right-hand side here sums ``_congruence`` kernels, each taking its own
+conjugate, and symmetrizes Q's sum with ``symmetrize``; a map builds F(X)
+as a point with ``apply_F`` and takes the root of the right-hand side's
+point.  So it shares none of the package's right-hand side: a fault there
+cannot leave a map's fixed point and its residual certificate wrong and
+still in agreement.  Its points must match the package's bit for bit,
+eigenvectors included, its residuals bit for bit, and its errors message
+for message.
 """
 
-from tfp.hpd_core import PDPoint, _pd_eig
-from tfp.matrix_solver import _rhs, apply_F
+import numpy as np
+
+from tfp.hpd_core import PDPoint, _congruence, _pd_eig, frobenius_norm, symmetrize
+from tfp.matrix_solver import apply_F
+
+
+def sum_congruences(a_list, value):
+    """sum_i A_i* M A_i, each congruence symmetrized, for a matrix or a stack."""
+    acc = _congruence(a_list[0], value)
+    for a_i in a_list[1:]:
+        acc = acc + _congruence(a_i, value)
+    return acc
+
+
+def rhs(q, a_list, f_value):
+    """Q + sum_i A_i* F(X) A_i from the point F(X); no Q when ``q`` is None."""
+    acc = sum_congruences(a_list, f_value.matrix)
+    return acc if q is None else symmetrize(q.matrix + acc)
 
 
 def build_map(q, a_list, f_spec, exponent):
@@ -18,8 +39,8 @@ def build_map(q, a_list, f_spec, exponent):
     root = 1.0 / exponent
 
     def t(x):
-        rhs = _rhs(q, a_list, apply_F(f_spec, x))
-        return PDPoint(rhs, _pd_eig(rhs, "map right-hand side")).powered(root)
+        value = rhs(q, a_list, apply_F(f_spec, x))
+        return PDPoint(value, _pd_eig(value, "map right-hand side")).powered(root)
 
     return t
 
@@ -27,3 +48,14 @@ def build_map(q, a_list, f_spec, exponent):
 def maps_for(problem):
     """The oracle pair (T1, T2) of a problem."""
     return tuple(build_map(q, problem.A, f_spec, e) for e, q, f_spec in problem.equations)
+
+
+def residuals(problem, x):
+    """||X**e_j - RHS_j(X)||_F / max(1, ||X**e_j||_F) of each equation at
+    the point ``x``, one equation at a time."""
+    out = []
+    for e, q, f_spec in problem.equations:
+        power = x.powered(e).matrix
+        difference = power - rhs(q, problem.A, apply_F(f_spec, x))
+        out.append(frobenius_norm(difference) / np.maximum(1.0, frobenius_norm(power)))
+    return tuple(out)

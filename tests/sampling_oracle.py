@@ -9,29 +9,21 @@ points, Python scalars for the ratios, the scalar distance rule
 a tie, and replaces the witness when that margin is strictly larger).  They draw through ``random_pd_in_ball`` below, the original
 three-call recipe (``uniform`` then two ``standard_normal`` calls per
 point), which ``hpd_core.random_pd_in_ball`` must reproduce bit for bit
-with its two calls.  Condition (C) reads the right-hand sides'
-eigenvalues through the checker's own spectrum-only helper, as the
-eigenvalues LAPACK computes without eigenvectors may differ in the last
-bits from those of the map's root.  Their reports must match the stacked
-ones byte for byte.
+with its two calls.  Condition (C) forms each right-hand side with
+``map_oracle.rhs``, kernel by kernel and independent of the package's
+``_rhs``, and reads its eigenvalues only, as the package does: those LAPACK
+computes without eigenvectors may differ in the last bits from those of
+the map's root.  Their reports must match the stacked ones byte for byte.
 """
 
 import math
 
 import numpy as np
 
+from map_oracle import rhs
 from tfp import thompson
-from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, matrix_to_literal, symmetrize
-from tfp.matrix_solver import (
-    CONDITION_TOL,
-    TYPE1,
-    TYPE2,
-    ConditionReport,
-    ConditionStat,
-    _map_distances_to_identity,
-    apply_F,
-    ball_radius,
-)
+from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, _pd_eig, matrix_to_literal, symmetrize
+from tfp.matrix_solver import CONDITION_TOL, TYPE1, TYPE2, ConditionReport, ConditionStat, apply_F, ball_radius
 
 
 def random_pd_in_ball(n, radius, seed, shape=()):
@@ -85,6 +77,13 @@ def _ratios(a, b):
     return tuple(float(w) for w in thompson._ratios(a, b))
 
 
+def map_distance_to_identity(e, q, a_list, f_value):
+    """d(T(X), I) for T(X) = (Q + sum_i A_i* F(X) A_i) ** (1/e), from the
+    eigenvalues of the right-hand side alone."""
+    lam = _pd_eig(rhs(q, a_list, f_value), "map right-hand side", vectors=False).eigenvalues
+    return float(thompson._identity_distance(lam ** (1.0 / e)))
+
+
 def check_conditions_type1(problem, samples=200, seed=0):
     radius = ball_radius(problem)
     report = ConditionReport(kind=TYPE1, samples=samples, seed=seed, radius=radius)
@@ -112,8 +111,9 @@ def check_conditions_type1(problem, samples=200, seed=0):
         if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
             stat_b.literal_failures += 1
 
-        values = (apply_F(problem.F, x), apply_F(problem.G, x))
-        d1, d2 = (float(d) for d in _map_distances_to_identity(problem, values))
+        d1, d2 = (
+            map_distance_to_identity(e, q, problem.A, apply_F(f_spec, x)) for e, q, f_spec in problem.equations
+        )
         terms_c = [("d(T1(X),I) <= a", d1, problem.a), ("d(T2(X),I) <= a", d2, problem.a)]
         _record(stat_c, i, *max(terms_c, key=lambda item: item[1] - item[2]), x)
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import tfp
 from helpers import known_answer_files
 from tfp import cli, matrix_solver, thompson
-from tfp.hpd_core import matrix_to_literal
+from tfp.hpd_core import PDPoint, matrix_to_literal
 from tfp.errors import MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
 from tfp.fixpoint_engine import error_bound
 from tfp.fixtures import fixture_path
@@ -568,6 +569,20 @@ class TestSolveCommand:
         assert len(out.read_text().splitlines()) == 201
         first_line = capsys.readouterr().err.splitlines()[0]
         assert first_line == "error: no convergence within 200 iterations (last gap 2.284e-01, gap tolerance 1.000e-12)"
+
+    def test_stalled_solve_leaves_no_cycle_holding_its_trace(self, tmp_path, capsys):
+        gc.collect()
+        gc.disable()
+        try:
+            cli.main(["solve", str(fixture_path("example_4_1.json")), "--out", str(tmp_path / "t.csv")])
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            held = sum(isinstance(obj, PDPoint) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert held == 0
 
     def test_converged_but_not_certified_exit_four(self, tmp_path, capsys):
         path = write_problem(tmp_path, with_fault("quadratic_pass.json", ("options", "residual_tol"), 1e-30))

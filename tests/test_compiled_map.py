@@ -1,6 +1,7 @@
-"""The compiled iteration maps against their kernel-by-kernel oracle in
-``tests/map_oracle.py``: whole traces, a map of a stack, and the errors of
-a right-hand side that overflows or is not positive definite, bit for bit
+"""The compiled iteration maps and the residuals against their
+kernel-by-kernel oracle in ``tests/map_oracle.py``: whole traces, a map of
+a stack, the residuals of points and stacks, and the errors of a
+right-hand side that overflows or is not positive definite, bit for bit
 and message for message."""
 
 import dataclasses
@@ -82,6 +83,18 @@ def test_a_map_of_a_matrix_is_the_map_of_its_point():
     x = hpd_core.random_pd_in_ball(problem.n, 0.5, 2)
     for t in matrix_solver.maps_for(problem):
         assert_same_points(t(x.matrix), t(hpd_core.pd_point(x.matrix)))
+
+
+def test_residuals_match_the_oracle(tmp_path):
+    # the certificate of a map's fixed point does not share its right-hand side
+    for problem, x0, options in problems(tmp_path):
+        points = oracle_trace(problem, x0, options).points[-4:]
+        points += [hpd_core.random_pd_in_ball(problem.n, 0.5, seed) for seed in range(3)]
+        stacked = matrix_solver.residuals(problem, hpd_core.PDPoint.stacked(points))
+        for i, point in enumerate(points):
+            want = map_oracle.residuals(problem, point)
+            assert same_bits(matrix_solver.residuals(problem, point), want)
+            assert same_bits([r[i] for r in stacked], want)
 
 
 def raised(t, x):

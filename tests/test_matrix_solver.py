@@ -650,14 +650,25 @@ class TestConditionRecorder:
         # bit for bit, and condition (C) names T1
         problem, _, options = load("check_pass_constant.json")
         x = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20,))
-        values = (matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, x))
-        d1, d2 = matrix_solver._map_distances_to_identity(problem, values)
+        terms, _, _ = matrix_solver._type1_terms(problem)(x, x)["C"]
+        (_, d1, _), (_, d2, _) = terms
         assert np.array_equal(d1, d2)
         report = matrix_solver.check_conditions(problem, samples=options.samples, seed=options.seed)
         assert report.conditions["C"].worst["inequality"] == "d(T1(X),I) <= a"
 
 
 class TestSolve:
+    @pytest.mark.parametrize("name", ["gap_tol", "residual_tol"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_tolerance_is_rejected(self, name, value):
+        # not a "likely inconsistent" verdict on a residual of 2.4e-13
+        problem, x0, options = load("quadratic_pass.json")
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got {value}$"):
+            matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, **{name: value}))
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
+            matrix_solver.SolveOptions(**{name: value})
+        assert getattr(matrix_solver.SolveOptions(**{name: 0.0}), name) == 0.0
+
     def test_constant_problem_two_iterations(self):
         problem, x0, options = load("check_pass_constant.json")
         result = matrix_solver.solve(problem, x0=x0, options=fewer_samples(options))
@@ -755,11 +766,11 @@ class TestSolverInvariants:
         rng = np.random.default_rng(50)
         for _ in range(8):
             n = 3
-            mats = [random_nonsingular(rng, n) for _ in range(3)]
+            factors = matrix_solver._factors([random_nonsingular(rng, n) for _ in range(3)])
             m_val, n_val = random_pd(rng, n), random_pd(rng, n)
             lhs = thompson.distance(
-                matrix_solver.sum_congruences(mats, m_val),
-                matrix_solver.sum_congruences(mats, n_val),
+                matrix_solver._rhs(None, factors, m_val),
+                matrix_solver._rhs(None, factors, n_val),
             )
             assert lhs <= thompson.distance(m_val, n_val) + 1e-9
 
