@@ -28,10 +28,11 @@ import dataclasses
 import functools
 import io
 import json
+import locale
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from stat import S_ISREG
@@ -67,6 +68,8 @@ PROBLEM_KEYS = {
 }
 
 TRACE_COLUMNS = ("k", "thompson_gap", "error_bound", "residual1", "residual2", "dist_to_identity")
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_TRACE_ROW = "%s" + ",%r" * (len(TRACE_COLUMNS) - 1) + "\n"
 
 SERIES_COLUMNS = {
     "gap": ("thompson_gap",),
@@ -259,19 +262,26 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
 def _write_output(path, text: str) -> None:
     """Write ``text`` to ``path`` as ``Path.write_text`` does, in place.
 
-    The file is opened without ``O_TRUNC`` and cut to the new length after
-    the write: truncating a non-empty file to zero first costs a block free
-    and a writeback on close (ext4's ``auto_da_alloc``), several times the
-    cost of the write.  A run killed mid-write leaves the new bytes followed
-    by the old file's tail.  Only a regular file is cut; ``/dev/null``, a
-    pipe or a terminal cannot be.  The encoding, the newlines, the mode of a
-    new file and the ``OSError`` of a bad path are ``write_text``'s.
+    The text is encoded once, in the encoding ``open`` uses, and its bytes
+    written with ``os.write``.  The file is opened without ``O_TRUNC``
+    and cut to the new length after the write: truncating a non-empty file
+    to zero first costs a block free and a writeback on close (ext4's
+    ``auto_da_alloc``), several times the cost of the write.  A run killed
+    mid-write leaves the new bytes followed by the old file's tail.  Only a
+    regular file is cut; ``/dev/null``, a pipe or a terminal cannot be.
+    The mode of a new file and the ``OSError`` of a bad path are
+    ``write_text``'s; a newline is written as ``\\n``.
     """
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as out:
-        out.write(text)
+    try:
+        written = 0
+        while written < len(data):  # a pipe may take part of it
+            written += os.write(fd, data[written:])
         if S_ISREG(os.fstat(fd).st_mode):
-            out.truncate()
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _refuse_overwriting_inputs(outputs, inputs) -> None:
@@ -320,42 +330,74 @@ def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
     return rows
 
 
+def _format_rows(template: str, *columns, sep: str = "\n") -> str:
+    """``template`` formatted with each row of the equal-length ``columns``,
+    the copies joined by ``sep``: one ``%`` pass over all the values."""
+    values = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        values[i :: len(columns)] = column
+    return sep.join([template] * len(columns[0])) % tuple(values)
+
+
 def write_trace_csv(path, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [row["k"]] + [repr(float(row[col])) for col in TRACE_COLUMNS[1:]]
-        )
-    _write_output(path, buf.getvalue())
+    """Write trace rows as CSV: the header, then per row ``k`` and the
+    shortest round-trip repr of each float column, all rows in one ``%``
+    pass.  ``%r`` gives a Python float's repr, so each value is made one
+    first: an ``np.float64`` would print as ``np.float64(...)``."""
+    columns = [[row["k"] for row in rows]] + [[float(row[col]) for row in rows] for col in TRACE_COLUMNS[1:]]
+    _write_output(path, _TRACE_HEADER + _format_rows(_TRACE_ROW, *columns, sep=""))
+
+
+def _row_error(fields: list, line: int) -> ProblemFormatError:
+    """The error of a trace row that is not a valid one, walked cell by cell
+    to name its first bad field."""
+    if len(fields) > len(TRACE_COLUMNS):
+        return ProblemFormatError(f"row at line {line}: {len(fields)} fields, expected {len(TRACE_COLUMNS)}")
+    for col, cell in zip_longest(TRACE_COLUMNS, fields):
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):  # TypeError: a missing field
+            return ProblemFormatError(f"row at line {line}: bad value for '{col}'")
+        if not math.isfinite(value):
+            return ProblemFormatError(f"row at line {line}: non-finite '{col}'")
+    return ProblemFormatError(f"row at line {line}: 'k' must be an integer, got {fields[0]!r}")
 
 
 def read_trace_csv(path) -> list[dict]:
-    """The rows of a trace CSV; every error names the file."""
+    """The rows of a trace CSV, ``k`` an int; every error names the file,
+    and a bad row its physical line.  Blank lines are skipped.
+
+    ``csv.reader`` splits the rows and one ``map(float, ...)`` converts
+    each; only a row that fails is walked cell by cell (``_row_error``) to
+    name its first bad field.
+    """
     path = Path(path)
     with _prefixed(path):
-        reader = csv.DictReader(io.StringIO(_read_text(path)))
-        if reader.fieldnames is None or list(reader.fieldnames) != list(TRACE_COLUMNS):
-            raise ProblemFormatError(f"expected header {','.join(TRACE_COLUMNS)}, got {reader.fieldnames}")
+        reader = csv.reader(io.StringIO(_read_text(path)))
+        header = next(reader, None)
+        if header != list(TRACE_COLUMNS):
+            raise ProblemFormatError(f"expected header {','.join(TRACE_COLUMNS)}, got {header}")
         rows = []
-        for line_no, raw in enumerate(reader, start=2):
-            if None in raw:  # DictReader keeps the fields past the header's under None
-                count = len(TRACE_COLUMNS) + len(raw[None])
-                raise ProblemFormatError(f"row at line {line_no}: {count} fields, expected {len(TRACE_COLUMNS)}")
-            row = {}
-            for col in TRACE_COLUMNS:
-                try:
-                    value = float(raw[col])
-                except (TypeError, ValueError) as exc:
-                    raise ProblemFormatError(f"row at line {line_no}: bad value for '{col}'") from exc
-                if not math.isfinite(value):
-                    raise ProblemFormatError(f"row at line {line_no}: non-finite '{col}'")
-                row[col] = value
-            if not row["k"].is_integer():
-                raise ProblemFormatError(f"row at line {line_no}: 'k' must be an integer, got {raw['k']!r}")
-            row["k"] = int(row["k"])
-            rows.append(row)
+        for fields in reader:
+            if not fields:
+                continue
+            try:
+                k, gap, bound, r1, r2, dist = map(float, fields)
+            except ValueError:  # a bad cell or a wrong number of them
+                raise _row_error(fields, reader.line_num) from None
+            if not (k.is_integer() and all(map(math.isfinite, (gap, bound, r1, r2, dist)))):
+                raise _row_error(fields, reader.line_num)
+            # TRACE_COLUMNS, spelt out: a dict display is several times faster than dict(zip(...))
+            rows.append(
+                {
+                    "k": int(k),
+                    "thompson_gap": gap,
+                    "error_bound": bound,
+                    "residual1": r1,
+                    "residual2": r2,
+                    "dist_to_identity": dist,
+                }
+            )
         if not rows:
             raise ProblemFormatError("trace has no data rows")
     return rows
@@ -508,7 +550,10 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
     """Render labelled iteration series as a deterministic semilog SVG.
 
     Each series is (label, [(k, value), ...]); values are clamped to the
-    log floor.  Fixed 800x600 viewbox, log ticks at powers of ten.
+    log floor.  Fixed 800x600 viewbox, log ticks at powers of ten.  Each
+    series' coordinates are one list comprehension per axis; the ticks and
+    each series' points are one ``%.2f`` template each (``_format_rows``),
+    and the circles are the points' text with its separators replaced.
     """
     width, height = 800, 600
     left, right, top, bottom = 80, 30, 30, 60
@@ -525,11 +570,11 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
         e_max += 1
     e_span = e_max - e_min
 
-    def sx(k: float) -> float:
-        return left + (k - k_min) / k_span * plot_w
+    def sx(ks) -> list:
+        return [left + (k - k_min) / k_span * plot_w for k in ks]
 
-    def sy(v: float) -> float:
-        return top + (e_max - math.log10(max(v, PLOT_FLOOR))) / e_span * plot_h
+    def sy(values) -> list:
+        return [top + (e_max - math.log10(max(v, PLOT_FLOOR))) / e_span * plot_h for v in values]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
@@ -538,28 +583,24 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
 
-    tick_step = max(1, (e_span + 9) // 10)
-    for e in range(e_min, e_max + 1, tick_step):
-        y = sy(10.0**e)
-        parts.append(
-            f'<line x1="{left - 5:.2f}" y1="{y:.2f}" x2="{left + plot_w:.2f}" y2="{y:.2f}" '
-            'stroke="#cccccc" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="12">{_format_tick(e)}</text>'
-        )
+    exponents = range(e_min, e_max + 1, max(1, (e_span + 9) // 10))
+    ys = sy([10.0**e for e in exponents])
+    y_tick = (
+        f'<line x1="{left - 5:.2f}" y1="%.2f" x2="{left + plot_w:.2f}" y2="%.2f" '
+        'stroke="#cccccc" stroke-width="0.5"/>\n'
+        f'<text x="{left - 8:.2f}" y="%.2f" text-anchor="end" '
+        'font-family="monospace" font-size="12">%s</text>'
+    )
+    parts.append(_format_rows(y_tick, ys, ys, [y + 4 for y in ys], list(map(_format_tick, exponents))))
     x_ticks = sorted({k_min, k_max} | {k_min + round(i * k_span / 5) for i in range(1, 5)})
-    for k in x_ticks:
-        x = sx(k)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" x2="{x:.2f}" y2="{top + plot_h + 5:.2f}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 20:.2f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12">{k}</text>'
-        )
+    xs = sx(x_ticks)
+    x_tick = (
+        f'<line x1="%.2f" y1="{top + plot_h:.2f}" x2="%.2f" y2="{top + plot_h + 5:.2f}" '
+        'stroke="#333333" stroke-width="1"/>\n'
+        f'<text x="%.2f" y="{top + plot_h + 20:.2f}" text-anchor="middle" '
+        'font-family="monospace" font-size="12">%s</text>'
+    )
+    parts.append(_format_rows(x_tick, xs, xs, xs, x_ticks))
     parts.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 15:.2f}" text-anchor="middle" '
         'font-family="monospace" font-size="13">iteration k</text>'
@@ -569,11 +610,17 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
         color = _PALETTE[idx % len(_PALETTE)]
         # xml.sax.saxutils.escape, whose import would load urllib and ssl
         label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        coords = [(f"{sx(k):.2f}", f"{sy(v):.2f}") for k, v in pts]
-        if len(pts) > 1:
-            points = " ".join(map(",".join, coords))
-            parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.extend(f'<circle cx="{x}" cy="{y}" r="2" fill="{color}"/>' for x, y in coords)
+        if pts:
+            ks, values = zip(*pts)
+            xs, ys = sx(ks), sy(values)
+            points = _format_rows("%.2f,%.2f", xs, ys, sep=" ")
+            if len(pts) > 1:
+                parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            # the circles reuse the points' text, which has no comma or
+            # space but those that join the coordinates
+            circle_end = f'" r="2" fill="{color}"/>'
+            circles = points.replace(" ", circle_end + '\n<circle cx="').replace(",", '" cy="')
+            parts.append('<circle cx="' + circles + circle_end)
         ly = top + 16 + 16 * idx
         parts.append(
             f'<rect x="{left + plot_w - 180:.2f}" y="{ly - 9:.2f}" width="10" height="10" fill="{color}"/>'

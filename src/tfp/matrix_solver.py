@@ -588,10 +588,10 @@ class SolveOptions:
     force: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("gap_tol", "residual_tol"):
+        for name, minimum in (("gap_tol", 0), ("residual_tol", 0), ("max_iter", 1), ("samples", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not value >= 0.0:  # NaN too
-                raise ValueError(f"{name} must be at least 0, got {value}")
+            if not value >= minimum:  # NaN too
+                raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 @dataclass(eq=False)

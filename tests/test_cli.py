@@ -955,8 +955,10 @@ class TestPlotCommand:
             ("1,0.5,0.5,nan,0.1,0.2", "row at line 2: non-finite 'residual1'"),
             ("1,inf,0.5,0.1,0.1,0.2", "row at line 2: non-finite 'thompson_gap'"),
             (None, "trace has no data rows"),
+            # the physical line: a blank line is skipped but counted
+            ("1,0.5,0.5,0.1,0.1,0.2\n\n2,0.5,0.5,abc,0.1,0.2", "row at line 4: bad value for 'residual1'"),
         ],
-        ids=["extra-field", "extra-fields", "bad-value", "missing-field", "nan", "inf", "no-rows"],
+        ids=["extra-field", "extra-fields", "bad-value", "missing-field", "nan", "inf", "no-rows", "after-blank-line"],
     )
     def test_bad_row_exit_two_naming_the_file_and_line(self, tmp_path, capsys, row, message):
         trace = tmp_path / "t.csv"

@@ -1,9 +1,14 @@
 """Design rules of ``src/tfp``, read from each module's syntax tree.
 
-One eigensolver path: every eigensolve goes through
-``hpd_core.eig_hermitian``, so no other module names a ``numpy.linalg``
-``eig*`` function, whatever alias it imports numpy, ``numpy.linalg`` or
-the function under.
+- One eigensolver path: every eigensolve goes through
+  ``hpd_core.eig_hermitian``, so no other module names a ``numpy.linalg``
+  ``eig*`` function, whatever alias it imports numpy, ``numpy.linalg`` or
+  the function under.
+- One output writer: every output goes through ``cli._write_output``, so
+  no module names a ``write_text`` or ``write_bytes`` attribute.
+- One JSON writer: every report and solution goes through
+  ``cli._json_text``, so no module names ``json.dump`` or ``json.dumps``,
+  whatever alias it imports them under.
 """
 
 import ast
@@ -50,21 +55,39 @@ def _is_eig(dotted) -> bool:
     return parts[0] == "numpy" and "linalg" in parts[1:-1] and parts[-1].startswith("eig")
 
 
-def eig_uses(source: str) -> list:
-    """(line, name) of each ``numpy.linalg.eig*`` a module's source names:
-    in an import, a call or any other reference."""
+def references(source: str, matches) -> list:
+    """(line, name) of each dotted name a module's source names, in an
+    import, a call or any other reference, for which ``matches`` holds."""
     tree = ast.parse(source)
     names = _aliases(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and not node.level:
             imported = (f"{node.module}.{alias.name}" for alias in node.names)
-            found += [(node.lineno, dotted) for dotted in imported if _is_eig(dotted)]
+            found += [(node.lineno, dotted) for dotted in imported if matches(dotted)]
         elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             dotted = _dotted(node, names)
-            if _is_eig(dotted):
+            if matches(dotted):
                 found.append((node.lineno, dotted))
     return sorted(set(found))
+
+
+def eig_uses(source: str) -> list:
+    return references(source, _is_eig)
+
+
+def json_writes(source: str) -> list:
+    return references(source, {"json.dump", "json.dumps"}.__contains__)
+
+
+def file_writes(source: str) -> list:
+    """(line, attribute) of each ``write_text`` or ``write_bytes``
+    attribute a module's source names, on whatever object."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -94,3 +117,49 @@ def test_the_rule_sees_every_alias(source, name):
 def test_the_rule_leaves_other_calls_alone():
     source = "import numpy as np\nfrom . import hpd_core\nnp.linalg.norm(m)\nhpd_core.eig_hermitian(m)\neigh = 1\neigh"
     assert eig_uses(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_outputs_only_through_write_output(path):
+    assert file_writes(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_json_only_through_json_text(path):
+    assert json_writes(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "out.write_text(text)",
+        "Path(name).write_bytes(data)",
+        "save = out.write_text\nsave(text)",
+        "from pathlib import Path\nPath.write_text(out, text)",
+    ],
+)
+def test_the_output_rule_sees_every_form(source):
+    assert file_writes(source)
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("import json\njson.dumps(doc)", "json.dumps"),
+        ("import json as j\nj.dump(doc, out)", "json.dump"),
+        ("from json import dumps as d\nd(doc)", "json.dumps"),
+        ("from json import dump\ndump(doc, out)", "json.dump"),
+        ("import json\nencode = json.dumps", "json.dumps"),
+    ],
+)
+def test_the_json_rule_sees_every_alias(source, name):
+    assert name in {dotted for _, dotted in json_writes(source)}
+
+
+def test_the_output_and_json_rules_leave_other_calls_alone():
+    source = (
+        '"""Bytes of `json.dumps(doc)`, written as `Path.write_text` would."""\n'
+        "import json\nfrom json.encoder import encode_basestring_ascii\n"
+        "json.loads(text)\npath.read_text()\nwrite_text = 1\n_write_output(path, text)\n"
+    )
+    assert json_writes(source) == [] and file_writes(source) == []

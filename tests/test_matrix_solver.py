@@ -669,6 +669,21 @@ class TestSolve:
             matrix_solver.SolveOptions(**{name: value})
         assert getattr(matrix_solver.SolveOptions(**{name: 0.0}), name) == 0.0
 
+    @pytest.mark.parametrize(
+        "name, value, minimum", [("seed", -1, 0), ("max_iter", 0, 1), ("max_iter", -3, 1), ("samples", 0, 1)]
+    )
+    def test_out_of_range_count_is_rejected_before_sampling(self, monkeypatch, name, value, minimum):
+        # not numpy's "expected non-negative integer" for a seed, and not a
+        # max_iter refused only after the condition check has run
+        problem, x0, options = load("quadratic_pass.json")
+        monkeypatch.setattr(matrix_solver, "check_conditions", lambda *args: pytest.fail("sampled"))
+        message = f"^{name} must be at least {minimum}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, **{name: value}))
+        with pytest.raises(ValueError, match=message):
+            matrix_solver.SolveOptions(**{name: value})
+        assert getattr(matrix_solver.SolveOptions(**{name: minimum}), name) == minimum
+
     def test_constant_problem_two_iterations(self):
         problem, x0, options = load("check_pass_constant.json")
         result = matrix_solver.solve(problem, x0=x0, options=fewer_samples(options))
