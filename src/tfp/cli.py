@@ -718,7 +718,9 @@ def cmd_plot(args) -> int:
     series = []
     for trace_path in args.traces:
         rows = read_trace_csv(trace_path)
-        stem = Path(trace_path).stem
+        # a file name's undecodable bytes come as surrogates, which no
+        # encoding writes: the label shows them escaped, as \xff
+        stem = os.fsencode(Path(trace_path).stem).decode(sys.getfilesystemencoding(), "backslashreplace")
         for name in series_names:
             for column in SERIES_COLUMNS[name]:
                 label = f"{stem}:{column}"

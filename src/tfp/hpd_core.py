@@ -461,7 +461,8 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     lam = np.exp(t)
     order = np.argsort(t, axis=-1)
     matrix = symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))
-    lam, u = np.take_along_axis(lam, order, -1), np.take_along_axis(u, order[:, None, :], -1)
+    points = np.arange(count)[:, None]
+    lam, u = lam[points, order], u[points[:, None], np.arange(n)[:, None], order[:, None, :]]
     shape = tuple(shape)
     return PDPoint(
         matrix.reshape(shape + (n, n)),

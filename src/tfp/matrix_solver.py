@@ -142,6 +142,17 @@ def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
     raise ValueError(f"unknown matrix function kind {spec.kind!r}")
 
 
+def _spectrum(spec: MatrixFunctionSpec, x: PDPoint):
+    """The eigenvalues of F(X), ascending, one spectrum per point of a
+    stack: those of ``apply_F(spec, x)``, with no matrix formed for a
+    power, in ``EigenDecomposition.powered``'s arithmetic: lambda ** p,
+    reversed and copied contiguous for p < 0."""
+    if spec.kind != "power":
+        return apply_F(spec, x).dec.eigenvalues
+    mu = x.dec.eigenvalues**spec.exponent
+    return np.ascontiguousarray(mu[..., ::-1]) if spec.exponent < 0.0 else mu
+
+
 # ---------------------------------------------------------------------------
 # Problem specification
 
@@ -362,6 +373,11 @@ def residuals(problem: ProblemSpec, x) -> tuple:
 # Condition checking
 
 
+def _at(side, i: int):
+    """Sample ``i``'s value of a side: one value per sample or one for all."""
+    return side[i] if np.ndim(side) else side
+
+
 @dataclass
 class ConditionStat:
     """Sampled outcome of one sufficiency condition; ``worst``, the witness
@@ -386,23 +402,26 @@ class ConditionStat:
         margin lhs - rhs, the first in ``terms`` order on a tie.  The
         block's worst sample is the first of its largest margin, and
         replaces the witness only when it is strictly worse, as over the
-        samples one by one."""
-        labels, lhs, rhs = zip(*terms)
-        batch = x.matrix.shape[:1]
-        lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
-        term, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
-        lhs, rhs = lhs[term, samples], rhs[term, samples]
-        margin = lhs - rhs
+        samples one by one.  A later term replaces a sample's margin
+        only when it is larger or NaN: the first NaN (inf - inf on a very
+        wide ball) wins, as in ``np.argmax``."""
+        margins = [lhs - rhs for _, lhs, rhs in terms]
+        margin = margins[0]
+        for later in margins[1:]:
+            margin = np.where((later > margin) | np.isnan(later), later, margin)
+        if not np.ndim(margin):  # every side is one value for all samples
+            margin = np.full(len(x.matrix), margin)
         self.checked += margin.size
         self.failures += int(np.count_nonzero(margin > CONDITION_TOL))
         i = int(np.argmax(margin))
         if margin[i] > self.worst_margin:
+            label, lhs, rhs = next(term for term, m in zip(terms, margins) if _at(m, i) == margin[i])
             self.worst_margin = float(margin[i])
             self.worst = {
                 "sample": first + i,
-                "inequality": labels[term[i]],
-                "lhs": float(lhs[i]),
-                "rhs": float(rhs[i]),
+                "inequality": label,
+                "lhs": float(_at(lhs, i)),
+                "rhs": float(_at(rhs, i)),
                 "X": matrix_to_literal(x.matrix[i]),
             }
             if y is not None:
@@ -467,7 +486,8 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/s)| needs the
     eigenvalues of the right-hand side only, so its eigensolve computes no
     eigenvectors; a right-hand side that overflows or is not positive
-    definite raises what T_j raises, with the same message.
+    definite raises what T_j raises, with the same message.  G is applied
+    once per block, to the pair stack, for G(Y) and G(X).
     """
     l, a, root, factors = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
@@ -477,9 +497,9 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         lam = _pd_eig(_rhs(q, factors, f_x.matrix), "map right-hand side", vectors=False).eigenvalues
         return thompson._identity_distance(lam**root)
 
-    def block(x: PDPoint, y: PDPoint) -> dict:
-        f_x = apply_F(problem.F, x)
-        w_fg, w_gf = thompson._ratios(f_x, apply_F(problem.G, y))
+    def block(x: PDPoint, y: PDPoint, pairs: PDPoint) -> dict:
+        f_x, g = apply_F(problem.F, x), apply_F(problem.G, pairs)
+        w_fg, w_gf = thompson._ratios(f_x, g[:, 1])
         d_fg = thompson._ratio_distances(w_fg, w_gf)
         w_xy, w_yx = thompson._ratios(x, y)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
@@ -487,7 +507,7 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
             w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-        d1, d2 = map_distance(problem.Q1, f_x), map_distance(problem.Q2, apply_F(problem.G, x))
+        d1, d2 = map_distance(problem.Q1, f_x), map_distance(problem.Q2, g[:, 0])
         return {
             "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
             "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),
@@ -515,9 +535,8 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
     exp_ra = math.exp(ball_radius(problem))
     m, l = problem.m, problem.l
 
-    def block(x: PDPoint, y: PDPoint) -> dict:
-        lam_f = apply_F(problem.F, x).dec.eigenvalues
-        lam_g = apply_F(problem.G, x).dec.eigenvalues
+    def block(x: PDPoint, y: PDPoint, pairs: PDPoint) -> dict:
+        lam_f, lam_g = _spectrum(problem.F, x), _spectrum(problem.G, x)
         max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
         max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
         w_xy, w_yx = thompson._ratios(x, y)
@@ -546,8 +565,9 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     The pairs are drawn from the ball of ``ball_radius``, X then Y for
     sample 0, 1, ... from one generator, in blocks of at most
     ``_BLOCK_ENTRIES`` entries per stack.  The problem's family gives, per
-    block, each condition's terms, whether its witness shows Y, and its
-    per-pair literal violations (None when it has no literal form).
+    block (the stacks X and Y, and the (S, 2) stack of pairs they are
+    views of), each condition's terms, whether its witness shows Y, and
+    its per-pair literal violations (None when it has no literal form).
     A check that breaks down with a ``TfpError`` (an overflowing ball, say)
     raises ``ConditionsNotVerified`` with no report and that cause.
     """
@@ -563,7 +583,7 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
             for first in range(0, samples, block):
                 pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
                 x, y = pairs[:, 0], pairs[:, 1]
-                for name, (terms, with_y, literal) in block_terms(x, y).items():
+                for name, (terms, with_y, literal) in block_terms(x, y, pairs).items():
                     failures = None if literal is None else 0
                     stat = stats.setdefault(name, ConditionStat(name, literal_failures=failures))
                     stat.record(first, terms, x, y if with_y else None)

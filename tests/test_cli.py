@@ -921,6 +921,18 @@ class TestPlotCommand:
         assert labels == ["t:residual1", "t:residual2", "a&b<c>:residual1", "a&b<c>:residual2"]
         assert "a&amp;b&lt;c&gt;:residual1" in out.read_text()
 
+    def test_undecodable_file_name_is_escaped_in_the_label(self, tmp_path, capsys):
+        # not a UnicodeEncodeError traceback on the name's surrogate escape
+        trace = self.solve_trace(tmp_path)
+        odd = tmp_path / os.fsdecode(b"a\xff.csv")
+        odd.write_bytes(trace.read_bytes())
+        out = tmp_path / "p.svg"
+        assert cli.main(["plot", str(odd), "--out", str(out)]) == 0
+        out.read_bytes().decode("utf-8")
+        root = ElementTree.parse(out).getroot()
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if ":" in el.text]
+        assert labels == ["a\\xff:thompson_gap"]
+
     def test_zero_gap_clamps_to_floor(self, tmp_path):
         trace = tmp_path / "z.csv"
         rows = [

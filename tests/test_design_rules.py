@@ -9,11 +9,16 @@
 - One JSON writer: every report and solution goes through
   ``cli._json_text``, so no module names ``json.dump`` or ``json.dumps``,
   whatever alias it imports them under.
+- One sampler path: every sampled point is drawn by
+  ``hpd_core.random_pd_in_ball``, so no other module names a draw method
+  of a random generator, whatever name it holds the generator or the
+  method under.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tfp import hpd_core
@@ -33,9 +38,11 @@ def _aliases(tree) -> dict:
                 else:  # ``import numpy.linalg`` binds ``numpy``
                     top = alias.name.split(".")[0]
                     names[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import x`` binds ``.x``, a module of the package
+            prefix = "." * node.level + (f"{node.module}." if node.module else "")
             for alias in node.names:
-                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                names[alias.asname or alias.name] = prefix + alias.name
     return names
 
 
@@ -78,6 +85,31 @@ def eig_uses(source: str) -> list:
 
 def json_writes(source: str) -> list:
     return references(source, {"json.dump", "json.dumps"}.__contains__)
+
+
+# Draw methods of numpy's Generator (``random``, ``standard_normal``, ...)
+DRAWS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")) - {"bit_generator", "spawn"}
+GLOBAL_GENERATORS = ("numpy.random", "random")
+
+
+def generator_draws(source: str) -> list:
+    """(line, method) of each draw a module's source names: a draw method
+    of an object it does not import (``rng.standard_normal``, referenced
+    or called), or of numpy's or the standard library's global generator
+    (``np.random.normal``, ``from random import random``).  A module's
+    attribute of a draw method's name (``np.random``,
+    ``matrix_solver.power``) is no draw."""
+    tree = ast.parse(source)
+    names = _aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DRAWS:
+            base = _dotted(node.value, names)
+            if base is None or base in GLOBAL_GENERATORS:
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module in GLOBAL_GENERATORS and not node.level:
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in DRAWS]
+    return sorted(set(found))
 
 
 def file_writes(source: str) -> list:
@@ -163,3 +195,38 @@ def test_the_output_and_json_rules_leave_other_calls_alone():
         "json.loads(text)\npath.read_text()\nwrite_text = 1\n_write_output(path, text)\n"
     )
     assert json_writes(source) == [] and file_writes(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_generator_draws_only_in_hpd_core(path):
+    draws = generator_draws(path.read_text())
+    if path.name == "hpd_core.py":
+        assert {name for _, name in draws} == {"random", "standard_normal"}
+    else:
+        assert draws == []
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("rng.standard_normal(size=3)", "standard_normal"),
+        ("draw = rng.standard_normal\ndraw(out=z)", "standard_normal"),
+        ("self.rng.integers(5)", "integers"),
+        ("np.random.default_rng(seed).uniform(0, 1)", "uniform"),
+        ("import numpy as np\nnp.random.normal()", "normal"),
+        ("from numpy import random as r\nr.random(3)", "random"),
+        ("from numpy.random import standard_normal as z\nz(3)", "standard_normal"),
+        ("import random\nrandom.random()", "random"),
+    ],
+)
+def test_the_draw_rule_sees_every_form(source, name):
+    assert name in {method for _, method in generator_draws(source)}
+
+
+def test_the_draw_rule_leaves_other_calls_alone():
+    source = (
+        "import numpy as np\nfrom . import matrix_solver\nimport numpy.random\n"
+        "rng = np.random.default_rng(seed)\nnp.random.Generator(np.random.PCG64(1))\n"
+        "matrix_solver.power(0.5)\nnumpy.random.default_rng(0)\nrandom = 1\n"
+    )
+    assert generator_draws(source) == []

@@ -7,6 +7,7 @@ exactly by the identity.
 """
 
 import dataclasses
+import json
 import math
 import re
 
@@ -645,12 +646,57 @@ class TestConditionRecorder:
         }
         assert stat.literal_failures == 0
 
+    @staticmethod
+    def stacked_record(stat, first, terms, x, y=None):
+        """The recorder as first stacked: each sample's term by ``np.argmax``
+        over the stacked margins, so the first NaN margin wins too."""
+        labels, lhs, rhs = zip(*terms)
+        batch = x.matrix.shape[:1]
+        lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
+        term, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
+        lhs, rhs = lhs[term, samples], rhs[term, samples]
+        margin = lhs - rhs
+        stat.checked += margin.size
+        stat.failures += int(np.count_nonzero(margin > matrix_solver.CONDITION_TOL))
+        i = int(np.argmax(margin))
+        if margin[i] > stat.worst_margin:
+            stat.worst_margin = float(margin[i])
+            stat.worst = {
+                "sample": first + i,
+                "inequality": labels[term[i]],
+                "lhs": float(lhs[i]),
+                "rhs": float(rhs[i]),
+                "X": hpd_core.matrix_to_literal(x.matrix[i]),
+            }
+            if y is not None:
+                stat.worst["Y"] = hpd_core.matrix_to_literal(y.matrix[i])
+
+    def test_running_maximum_keeps_the_argmax_rules(self):
+        # ties, infinities and NaN margins (inf - inf on a very wide ball):
+        # the first of equal margins and the first NaN win, as in argmax
+        rng = np.random.default_rng(11)
+        pool = np.array([0.0, 1.0, 2.0, 1e-9, 3e-9, -1.0, math.inf, -math.inf, math.nan])
+        x, y = self.points(5, seed=6), self.points(5, seed=7)
+
+        def side():
+            return float(rng.choice(pool)) if rng.random() < 0.3 else rng.choice(pool, 5)
+
+        for _ in range(300):
+            stats = matrix_solver.ConditionStat("T"), matrix_solver.ConditionStat("T")
+            for first in (0, 5, 10):
+                terms = [(f"t{k}", side(), side()) for k in range(rng.integers(1, 5))]
+                with np.errstate(invalid="ignore"):
+                    stats[0].record(first, terms, x, y)
+                    self.stacked_record(stats[1], first, terms, x, y)
+                got, want = (json.dumps(stat.to_jsonable()) for stat in stats)
+                assert got == want
+
     def test_equal_map_distances_name_the_first_map(self):
         # Q1 = Q2 and F = G, so d(T1(X), I) and d(T2(X), I) are equal
         # bit for bit, and condition (C) names T1
         problem, _, options = load("check_pass_constant.json")
-        x = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20,))
-        terms, _, _ = matrix_solver._type1_terms(problem)(x, x)["C"]
+        pairs = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20, 2))
+        terms, _, _ = matrix_solver._type1_terms(problem)(pairs[:, 0], pairs[:, 1], pairs)["C"]
         (_, d1, _), (_, d2, _) = terms
         assert np.array_equal(d1, d2)
         report = matrix_solver.check_conditions(problem, samples=options.samples, seed=options.seed)

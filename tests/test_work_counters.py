@@ -1,13 +1,16 @@
 """Work counters of the alternating step, counted while ``iterate_pair``
 runs inside ``solve``: eigensolve calls per map application, and the
-Python calls made inside the package per iteration.  Both counts repeat
-exactly from run to run, unlike wall time."""
+Python calls made inside the package per iteration; and of a condition
+check: witness literals, eigensolves and matrix powers per block.  The
+counts repeat exactly from run to run, unlike wall time."""
 
 import contextlib
 import io
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import known_answer_files
@@ -98,3 +101,69 @@ def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_i
     solve_files([fixture_path(f"{name}.json")], tmp_path / "trace.csv")
     assert step_work["iterations"] == iterations
     assert step_work["calls"] / iterations <= per_iteration
+
+
+# Work of one check_conditions run, each a single block of samples:
+# matrix_to_literal calls (a witness's X, and Y for a pair condition, built
+# for the worst sample only), eig_hermitian calls and the matrices they
+# decompose, and EigenDecomposition.powered calls.  A type2 block reads F's
+# and G's spectra without forming F(X) or G(X), so it powers nothing; a
+# type1 block with power F and G forms F(X), and G(Y) and G(X) in one
+# call on the pair stack.
+CHECK_WORK = {
+    "check_fail_power": (5, 4, 800, 2),
+    "check_pass_constant": (5, 3, 600, 0),
+    "example_4_1": (5, 7, 1084, 2),
+    "example_4_2": (3, 2, 267, 0),
+    "quadratic_pass": (5, 4, 800, 2),
+    "known-type1": (5, 5, 41, 2),
+    "known-type2": (3, 1, 20, 0),
+}
+
+
+@pytest.fixture
+def check_work(monkeypatch):
+    work = dict(literals=0, eig=0, matrices=0, powered=0)
+    literal, eig, powered = matrix_solver.matrix_to_literal, hpd_core.eig_hermitian, hpd_core.EigenDecomposition.powered
+
+    def counting_literal(*args, **kwargs):
+        work["literals"] += 1
+        return literal(*args, **kwargs)
+
+    def counting_eig(m, *args, **kwargs):
+        work["eig"] += 1
+        work["matrices"] += math.prod(np.shape(m)[:-2])
+        return eig(m, *args, **kwargs)
+
+    def counting_powered(*args, **kwargs):
+        work["powered"] += 1
+        return powered(*args, **kwargs)
+
+    monkeypatch.setattr(matrix_solver, "matrix_to_literal", counting_literal)
+    monkeypatch.setattr(hpd_core, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(hpd_core.EigenDecomposition, "powered", counting_powered)
+    return work
+
+
+def checks(tmp_path):
+    """(label, problem, samples, seed) of the fixtures at their shipped
+    samples and seeds, and of the check-sampling benchmark's seed-1
+    problems at its samples: 10 per type1 problem, 20 per type2."""
+    for name in FIXTURES:
+        problem, _, options = cli.load_problem(fixture_path(f"{name}.json"))
+        yield name, problem, options.samples, options.seed
+    for path in known_answer_files(tmp_path, 8, 4, 1):
+        problem, _, _ = cli.load_problem(path)
+        yield f"known-{problem.kind}", problem, 10 if problem.kind == matrix_solver.TYPE1 else 20, 1
+
+
+def test_condition_check_work(check_work, tmp_path):
+    seen = set()
+    for label, problem, samples, seed in checks(tmp_path):
+        assert samples <= matrix_solver._block_size(problem.n)
+        check_work.update(literals=0, eig=0, matrices=0, powered=0)
+        matrix_solver.check_conditions(problem, samples, seed)
+        counts = (check_work["literals"], check_work["eig"], check_work["matrices"], check_work["powered"])
+        assert counts == CHECK_WORK[label], label
+        seen.add(label)
+    assert seen == set(CHECK_WORK)
