@@ -4,7 +4,8 @@ Problem files are JSON documents describing one equation pair; solves
 persist a per-iteration CSV trace plus a companion JSON with the final
 solution, and the plotter renders static semilog SVG convergence charts
 from one or more traces.  All outputs are byte-deterministic for fixed
-inputs: no timestamps, stable key order, shortest-round-trip floats.
+inputs on one BLAS build and thread count: no timestamps, stable key
+order, shortest-round-trip floats.
 
 Exit codes: 0 success, 2 parse or schema error or an output that cannot
 be written, 3 condition check failed (or broke down numerically), 4 no
@@ -32,6 +33,7 @@ import locale
 import math
 import os
 import sys
+from collections.abc import Sequence
 from itertools import chain, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -67,9 +69,10 @@ PROBLEM_KEYS = {
     matrix_solver.TYPE2: frozenset((*_COMMON_KEYS, "r")),
 }
 
+# The columns of a trace file, in order: a trace row is a tuple of these.
 TRACE_COLUMNS = ("k", "thompson_gap", "error_bound", "residual1", "residual2", "dist_to_identity")
 _TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
-_TRACE_ROW = "%s" + ",%r" * (len(TRACE_COLUMNS) - 1) + "\n"
+_TRACE_ROW = ",".join(["%s"] * len(TRACE_COLUMNS)) + "\n"
 
 SERIES_COLUMNS = {
     "gap": ("thompson_gap",),
@@ -301,8 +304,9 @@ def _refuse_overwriting_inputs(outputs, inputs) -> None:
 # Trace files
 
 
-def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
-    """Expand a trace into CSV rows: one per iteration, k starting at 1.
+def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[tuple]:
+    """Expand a trace into CSV rows, tuples of Python numbers in
+    ``TRACE_COLUMNS`` order: one per iteration, k starting at 1.
 
     The points are stacked in blocks of ``matrix_solver._block_size``, and
     one ``residuals`` and one ``distance_to_identity`` call per block give
@@ -315,18 +319,10 @@ def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[dict]:
     for first in range(1, len(trace.points), block):
         points = PDPoint.stacked(trace.points[first : first + block])
         r1, r2 = matrix_solver.residuals(problem, points)
+        ks = range(first, first + len(r1))
+        bounds = [fixpoint_engine.error_bound(alpha, trace.gaps[0], k) for k in ks]
         dist = thompson.distance_to_identity(points)
-        for i, k in enumerate(range(first, first + len(dist))):
-            rows.append(
-                {
-                    "k": k,
-                    "thompson_gap": trace.gaps[k - 1],
-                    "error_bound": fixpoint_engine.error_bound(alpha, trace.gaps[0], k),
-                    "residual1": r1[i],
-                    "residual2": r2[i],
-                    "dist_to_identity": dist[i],
-                }
-            )
+        rows += zip(ks, trace.gaps[first - 1 : first - 1 + block], bounds, r1.tolist(), r2.tolist(), dist.tolist())
     return rows
 
 
@@ -342,10 +338,8 @@ def _format_rows(template: str, *columns, sep: str = "\n") -> str:
 def write_trace_csv(path, rows) -> None:
     """Write trace rows as CSV: the header, then per row ``k`` and the
     shortest round-trip repr of each float column, all rows in one ``%``
-    pass.  ``%r`` gives a Python float's repr, so each value is made one
-    first: an ``np.float64`` would print as ``np.float64(...)``."""
-    columns = [[row["k"] for row in rows]] + [[float(row[col]) for row in rows] for col in TRACE_COLUMNS[1:]]
-    _write_output(path, _TRACE_HEADER + _format_rows(_TRACE_ROW, *columns, sep=""))
+    pass.  ``%s`` prints an ``np.float64`` as it prints a Python float."""
+    _write_output(path, _TRACE_HEADER + _TRACE_ROW * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _row_error(fields: list, line: int) -> ProblemFormatError:
@@ -363,9 +357,10 @@ def _row_error(fields: list, line: int) -> ProblemFormatError:
     return ProblemFormatError(f"row at line {line}: 'k' must be an integer, got {fields[0]!r}")
 
 
-def read_trace_csv(path) -> list[dict]:
-    """The rows of a trace CSV, ``k`` an int; every error names the file,
-    and a bad row its physical line.  Blank lines are skipped.
+def read_trace_csv(path) -> list[tuple]:
+    """The rows of a trace CSV, as ``trace_rows`` gives them (``k`` an
+    int); every error names the file, and a bad row its physical line.
+    Blank lines are skipped.
 
     ``csv.reader`` splits the rows and one ``map(float, ...)`` converts
     each; only a row that fails is walked cell by cell (``_row_error``) to
@@ -387,17 +382,7 @@ def read_trace_csv(path) -> list[dict]:
                 raise _row_error(fields, reader.line_num) from None
             if not (k.is_integer() and all(map(math.isfinite, (gap, bound, r1, r2, dist)))):
                 raise _row_error(fields, reader.line_num)
-            # TRACE_COLUMNS, spelt out: a dict display is several times faster than dict(zip(...))
-            rows.append(
-                {
-                    "k": int(k),
-                    "thompson_gap": gap,
-                    "error_bound": bound,
-                    "residual1": r1,
-                    "residual2": r2,
-                    "dist_to_identity": dist,
-                }
-            )
+            rows.append((int(k), gap, bound, r1, r2, dist))
         if not rows:
             raise ProblemFormatError("trace has no data rows")
     return rows
@@ -546,11 +531,11 @@ def _format_tick(exponent: int) -> str:
     return f"1e{exponent:+03d}"
 
 
-def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
+def render_svg(series: list[tuple[str, Sequence[int], Sequence[float]]]) -> str:
     """Render labelled iteration series as a deterministic semilog SVG.
 
-    Each series is (label, [(k, value), ...]); values are clamped to the
-    log floor.  Fixed 800x600 viewbox, log ticks at powers of ten.  Each
+    Each series is (label, ks, values); values are clamped to the log
+    floor.  Fixed 800x600 viewbox, log ticks at powers of ten.  Each
     series' coordinates are one list comprehension per axis; the ticks and
     each series' points are one ``%.2f`` template each (``_format_rows``),
     and the circles are the points' text with its separators replaced.
@@ -560,8 +545,8 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    ks = [k for _, pts in series for k, _ in pts]
-    vals = [max(v, PLOT_FLOOR) for _, pts in series for _, v in pts]
+    ks = [k for _, series_ks, _ in series for k in series_ks]
+    vals = [max(v, PLOT_FLOOR) for _, _, values in series for v in values]
     k_min, k_max = min(ks), max(ks)
     k_span = max(k_max - k_min, 1)
     e_min = math.floor(math.log10(min(vals)))
@@ -606,15 +591,14 @@ def render_svg(series: list[tuple[str, list[tuple[int, float]]]]) -> str:
         'font-family="monospace" font-size="13">iteration k</text>'
     )
 
-    for idx, (label, pts) in enumerate(series):
+    for idx, (label, ks, values) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # xml.sax.saxutils.escape, whose import would load urllib and ssl
         label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        if pts:
-            ks, values = zip(*pts)
+        if ks:
             xs, ys = sx(ks), sy(values)
             points = _format_rows("%.2f,%.2f", xs, ys, sep=" ")
-            if len(pts) > 1:
+            if len(ks) > 1:
                 parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
             # the circles reuse the points' text, which has no comma or
             # space but those that join the coordinates
@@ -717,14 +701,13 @@ def cmd_plot(args) -> int:
     series_names = args.series or ["gap"]
     series = []
     for trace_path in args.traces:
-        rows = read_trace_csv(trace_path)
+        columns = dict(zip(TRACE_COLUMNS, zip(*read_trace_csv(trace_path))))
         # a file name's undecodable bytes come as surrogates, which no
         # encoding writes: the label shows them escaped, as \xff
         stem = os.fsencode(Path(trace_path).stem).decode(sys.getfilesystemencoding(), "backslashreplace")
         for name in series_names:
             for column in SERIES_COLUMNS[name]:
-                label = f"{stem}:{column}"
-                series.append((label, [(row["k"], row[column]) for row in rows]))
+                series.append((f"{stem}:{column}", columns["k"], columns[column]))
     _write_output(out_path, render_svg(series))
     print(f"plot written to {out_path}")
     return EXIT_OK

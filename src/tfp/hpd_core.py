@@ -276,13 +276,6 @@ def pd_floor(eigenvalues: NDArray[np.float64]):
     return eigenvalues.shape[-1] * _EPS * eigenvalues[..., -1]
 
 
-def _count(mask) -> int:
-    """How many samples a per-sample mask holds for: a numpy bool for a
-    single sample (counted without a ufunc call, which would cost more
-    than the rest of a small decision) or a boolean array for a stack."""
-    return int(mask) if mask.ndim == 0 else int(np.count_nonzero(mask))
-
-
 def pd_point(m, name: str = "matrix", n: int | None = None) -> PDPoint:
     """The positive definite point of a Hermitian matrix: one eigensolve.
 

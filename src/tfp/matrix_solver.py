@@ -490,7 +490,7 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     once per block, to the pair stack, for G(Y) and G(X).
     """
     l, a, root, factors = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
-    w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
+    (w_q1q2,), (w_q2q1,) = thompson._ratios(problem.Q1[None], problem.Q2[None])
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
     def map_distance(q: PDPoint, f_x: PDPoint):

@@ -110,17 +110,17 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple:
     on the wide pencils only.
     """
     equal = np.logical_and.reduce(a.matrix == b.matrix, axis=(-2, -1))
-    n_equal = hpd_core._count(equal)
+    n_equal = np.count_nonzero(equal)
     if n_equal == equal.size:
         return np.ones(equal.shape), np.ones(equal.shape)
     (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
     swap = lam_b[..., -1] / lam_b[..., 0] < lam_a[..., -1] / lam_a[..., 0]
-    n_swap = hpd_core._count(swap)
+    n_swap = np.count_nonzero(swap)
     base_lam, base_vec, other = _choose(swap, n_swap, (lam_b, vec_b, a.matrix), (lam_a, vec_a, b.matrix))
     mu = _ratio_spectrum(base_lam, base_vec, other)
     w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
     wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]
-    if hpd_core._count(wide):
+    if np.count_nonzero(wide):
         other_lam, other_vec, base = _choose(swap, n_swap, (lam_a, vec_a, b.matrix), (lam_b, vec_b, a.matrix))
         w_base = np.array(w_base)
         w_base[wide] = _ratio_spectrum(other_lam[wide], other_vec[wide], base[wide])[..., -1]

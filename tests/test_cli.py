@@ -892,19 +892,7 @@ class TestPlotCommand:
 
     def test_single_row_trace_plots_point(self, tmp_path):
         trace = tmp_path / "one.csv"
-        cli.write_trace_csv(
-            trace,
-            [
-                {
-                    "k": 1,
-                    "thompson_gap": 0.5,
-                    "error_bound": 1.0,
-                    "residual1": 0.1,
-                    "residual2": 0.2,
-                    "dist_to_identity": 0.3,
-                }
-            ],
-        )
+        cli.write_trace_csv(trace, [(1, 0.5, 1.0, 0.1, 0.2, 0.3)])
         out = tmp_path / "p.svg"
         assert cli.main(["plot", str(trace), "--out", str(out)]) == 0
         svg = out.read_text()
@@ -935,11 +923,7 @@ class TestPlotCommand:
 
     def test_zero_gap_clamps_to_floor(self, tmp_path):
         trace = tmp_path / "z.csv"
-        rows = [
-            {"k": 1, "thompson_gap": 1.0, "error_bound": 1.0, "residual1": 1.0, "residual2": 1.0, "dist_to_identity": 1.0},
-            {"k": 2, "thompson_gap": 0.0, "error_bound": 0.5, "residual1": 0.5, "residual2": 0.5, "dist_to_identity": 0.5},
-        ]
-        cli.write_trace_csv(trace, rows)
+        cli.write_trace_csv(trace, [(1, 1.0, 1.0, 1.0, 1.0, 1.0), (2, 0.0, 0.5, 0.5, 0.5, 0.5)])
         out = tmp_path / "p.svg"
         assert cli.main(["plot", str(trace), "--out", str(out)]) == 0
         assert "1e-16" in out.read_text()
@@ -981,7 +965,7 @@ class TestPlotCommand:
 
     def test_single_decade_axis_spans_one_decade(self):
         # all values 0.1: the axis would have no height without the extra decade
-        svg = cli.render_svg([("s", [(1, 0.1), (2, 0.1)])])
+        svg = cli.render_svg([("s", (1, 2), (0.1, 0.1))])
         assert ">1e-01</text>" in svg and ">1e+00</text>" in svg
 
     def test_undecodable_trace_exit_two_naming_it(self, tmp_path, capsys):
@@ -1039,8 +1023,7 @@ class TestStackedTraceRows:
     def assert_rows_match(self, problem, trace):
         rows = cli.trace_rows(problem, trace)
         assert len(rows) == trace.iterations
-        stacked = [tuple(row[column] for column in cli.TRACE_COLUMNS) for row in rows]
-        assert row_bits(stacked) == row_bits(point_by_point_rows(problem, trace))
+        assert row_bits(rows) == row_bits(point_by_point_rows(problem, trace))
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_fixtures(self, name):

@@ -13,6 +13,10 @@
   ``hpd_core.random_pd_in_ball``, so no other module names a draw method
   of a random generator, whatever name it holds the generator or the
   method under.
+- One home per message: "has shape" (``hpd_core.as_square_matrix``'s shape
+  rule) and "condition check broke down:" (``check_conditions``'s
+  breakdown) each occur in one string constant of ``src/tfp``, counting
+  an f-string's literal parts, however the source spells them.
 """
 
 import ast
@@ -230,3 +234,43 @@ def test_the_draw_rule_leaves_other_calls_alone():
         "matrix_solver.power(0.5)\nnumpy.random.default_rng(0)\nrandom = 1\n"
     )
     assert generator_draws(source) == []
+
+
+# Messages that name a rule with one home; CI's grep steps count them in
+# the source text, which a spelling such as "has\x20shape" hides.
+SINGLE_HOME = ("has shape", "condition check broke down:")
+
+
+def string_constants(source: str) -> list:
+    """Each str constant of a module's source, as Python reads it; an
+    f-string's literal parts are constants of their own."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+@pytest.mark.parametrize("message", SINGLE_HOME)
+def test_single_home_messages_occur_once(message):
+    found = [
+        (path.name, text)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for text in string_constants(path.read_text())
+        for _ in range(text.count(message))
+    ]
+    assert len(found) == 1, found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'raise ShapeError(f"{name} has shape {arr.shape}")',
+        '"has\\x20shape"',
+        '"has " "shape"',
+        '"""A matrix that has shape (n, n)."""',
+        'message = f"{name}: {\'has shape\'}"',
+    ],
+)
+def test_the_message_rule_sees_every_spelling(source):
+    assert sum(text.count("has shape") for text in string_constants(source)) == 1

@@ -30,10 +30,6 @@ def solved_rows(path):
     return cli.trace_rows(problem, result.trace)
 
 
-def row(k, gap, bound=1.0, r1=0.1, r2=0.2, dist=0.3):
-    return dict(zip(cli.TRACE_COLUMNS, (k, gap, bound, r1, r2, dist)))
-
-
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
     """Name -> trace rows: the fixtures' (example_4_1's has 200 rows), the
@@ -43,10 +39,21 @@ def traces(tmp_path_factory):
     for n in (5, 8, 16):
         for i, path in enumerate(known_answer_files(tmp, n, 4, 7)):
             found[f"known-{n}-{i}"] = solved_rows(path)
-    found["one-row"] = [row(1, 0.5, 1.0, 0.1, 0.2, 0.3)]
-    found["zero-gap"] = [row(1, 1.0, 1.0, 1.0, 1.0, 1.0), row(2, 0.0, 0.5, 0.5, 0.5, 0.5)]
+    found["one-row"] = [(1, 0.5, 1.0, 0.1, 0.2, 0.3)]
+    found["zero-gap"] = [(1, 1.0, 1.0, 1.0, 1.0, 1.0), (2, 0.0, 0.5, 0.5, 0.5, 0.5)]
     assert len(found["example_4_1"]) == 200
     return found
+
+
+def as_dicts(rows):
+    """Trace rows as the oracle takes and gives them: dicts by column."""
+    return [dict(zip(cli.TRACE_COLUMNS, r)) for r in rows]
+
+
+def is_python_row(r) -> bool:
+    """A trace row as the package hands it over: a tuple of an int and
+    five floats, in ``TRACE_COLUMNS`` order."""
+    return type(r) is tuple and list(map(type, r)) == [int] + [float] * (len(cli.TRACE_COLUMNS) - 1)
 
 
 def bits(rows):
@@ -55,7 +62,8 @@ def bits(rows):
 
 
 def plot_series(rows, stem, names):
-    """The series ``tfp plot`` draws from one trace."""
+    """The series ``tfp plot`` draws from one trace of the oracle's rows,
+    as the oracle takes them: (label, [(k, value), ...])."""
     return [
         (f"{stem}:{column}", [(r["k"], r[column]) for r in rows])
         for name in names
@@ -63,21 +71,26 @@ def plot_series(rows, stem, names):
     ]
 
 
+def as_columns(series):
+    """Oracle series as ``cli.render_svg`` takes them: (label, ks, values)."""
+    return [(label, *(zip(*pts) if pts else ((), ()))) for label, pts in series]
+
+
 def test_csv_bytes_and_rows_match_the_oracle(traces, tmp_path):
     for name, rows in traces.items():
         path = tmp_path / f"{name}.csv"
         cli.write_trace_csv(path, rows)
-        assert path.read_bytes() == oracle.trace_csv_text(rows).encode(), name
+        assert path.read_bytes() == oracle.trace_csv_text(as_dicts(rows)).encode(), name
         read = cli.read_trace_csv(path)
-        assert bits(read) == bits(oracle.read_trace_csv(path)), name
-        assert all(type(r["k"]) is int for r in read)
+        assert bits(as_dicts(read)) == bits(oracle.read_trace_csv(path)), name
+        assert all(map(is_python_row, rows)) and all(map(is_python_row, read)), name
 
 
 def test_svg_bytes_match_the_oracle(traces, tmp_path):
     for name, rows in traces.items():
         for names in (["gap"], ["gap", "bound", "residual"]):
-            series = plot_series(rows, name, names)
-            assert cli.render_svg(series) == oracle.render_svg(series), (name, names)
+            series = plot_series(as_dicts(rows), name, names)
+            assert cli.render_svg(as_columns(series)) == oracle.render_svg(series), (name, names)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +104,7 @@ def test_svg_bytes_match_the_oracle(traces, tmp_path):
     ids=["one-decade", "floor", "sparse", "percent-and-markup-labels"],
 )
 def test_svg_of_odd_series_matches_the_oracle(series):
-    assert cli.render_svg(series) == oracle.render_svg(series)
+    assert cli.render_svg(as_columns(series)) == oracle.render_svg(series)
 
 
 def test_plot_of_two_traces_with_odd_labels_matches_the_oracle(traces, tmp_path):
@@ -175,7 +188,7 @@ def test_reader_gives_the_oracle_rows_or_message(tmp_path, data):
             cli.read_trace_csv(path)
         assert str(raised.value) == str(exc)
     else:
-        assert bits(cli.read_trace_csv(path)) == expected
+        assert bits(as_dicts(cli.read_trace_csv(path))) == expected
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -192,11 +205,11 @@ EXTREMES = [(1, -0.0, 5e-324, 1.7976931348623157e308, -5e-324, -1.79769313486231
 @example(EXTREMES, False)
 @example(EXTREMES, True)
 def test_read_of_write_is_the_rows(tmp_path_factory, values, as_numpy):
-    # trace_rows hands over numpy floats for the residual columns
+    # trace_rows hands over Python floats, but the writer's %s prints an
+    # np.float64 as it prints a float, so it takes either
     cast = np.float64 if as_numpy else float
-    rows = [dict(zip(cli.TRACE_COLUMNS, (k, *map(cast, floats)))) for k, *floats in values]
+    rows = [(k, *map(cast, floats)) for k, *floats in values]
     path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
     cli.write_trace_csv(path, rows)
-    assert path.read_bytes() == oracle.trace_csv_text(rows).encode()
-    plain = [dict(zip(cli.TRACE_COLUMNS, (k, *floats))) for k, *floats in values]
-    assert bits(cli.read_trace_csv(path)) == bits(plain)
+    assert path.read_bytes() == oracle.trace_csv_text(as_dicts(rows)).encode()
+    assert bits(as_dicts(cli.read_trace_csv(path))) == bits(as_dicts(values))
