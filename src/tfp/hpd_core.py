@@ -414,15 +414,18 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     X lies in [exp(-radius), exp(radius)] by construction.  The point keeps
     that construction, sorted, as its decomposition: no eigensolve.
 
-    With a ``shape``, the result is a stack of points of that shape.  They
-    are drawn one after another, in C order, from the same generator, so
-    each has the draws and the bits it would have as a single point drawn
-    in turn; the unitaries come from one stacked QR.  A point costs two
-    generator calls: n unit doubles u_i, then the real and the imaginary
-    parts of its Gaussian matrix in one call.  Each t_i is
-    low + (high - low) * u_i with (low, high) = (-radius, radius), the
-    arithmetic of ``Generator.uniform``, so a point has the bits it had
-    when drawn by one ``uniform`` and two ``standard_normal`` calls.
+    With a ``shape``, the result is a stack of points of that shape, in C
+    order, whose unitaries come from one stacked QR.  ``seed`` is an int, a
+    generator, or a ``(spectra, gauss)`` tuple of two generators; one
+    generator is both.  A stack costs two generator calls, whatever its
+    size: ``spectra.random`` gives the n unit doubles u_i of each point,
+    then ``gauss.standard_normal`` the real and the imaginary parts of each
+    point's Gaussian matrix.  Each t_i is low + (high - low) * u_i with
+    (low, high) = (-radius, radius), the arithmetic of
+    ``Generator.uniform``.  Each stream is consumed in point order, so a
+    stack drawn from a pair has the bits of its points drawn one at a time
+    from it, and a single point drawn from one generator has the bits of
+    one ``uniform`` and two ``standard_normal`` calls.
 
     A NaN or negative radius is a ``ValueError``.  A radius whose exp
     overflows, infinity included, is a ``NonHermitianInput``, raised
@@ -440,14 +443,10 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     if wide:
         message = f"ball of radius {radius:g} is too wide to sample: exp({radius:g}) overflows"
         raise NonHermitianInput(message)
-    rng = np.random.default_rng(seed)
+    spectra, gauss = seed if isinstance(seed, tuple) else (np.random.default_rng(seed),) * 2
     count = math.prod(shape)
-    unit = np.empty((count, n))
-    z = np.empty((count, 2, n, n))
-    random, standard_normal = rng.random, rng.standard_normal
-    for unit_k, z_k in zip(unit, z):
-        random(out=unit_k)
-        standard_normal(out=z_k)
+    unit = spectra.random((count, n))
+    z = gauss.standard_normal((count, 2, n, n))
     low, high = -radius, radius
     t = low + (high - low) * unit
     u = _haar_unitaries((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))

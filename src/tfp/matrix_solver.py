@@ -32,10 +32,10 @@ Sufficiency conditions are verified by seeded sampling, never exhaustively:
 the quantifier ranges over an uncountable ball.  ``check_conditions`` is
 the one entry point and the one sampling loop; a family only lists, per
 block of samples, each condition's terms (label, lhs, rhs).  The samples
-are drawn one after another from one generator, and evaluated in stacked
-blocks of at most ``_BLOCK_ENTRIES`` entries per stack: one ``(S, n, n)``
-stack per quantity, so a block costs one call of each kernel and one
-eigensolve call per decomposition step, whatever its size.  For type1,
+are drawn and evaluated in stacked blocks of at most ``_BLOCK_ENTRIES``
+entries per stack: one ``(S, n, n)`` stack per quantity, so a block costs
+two generator calls, one call of each kernel and one eigensolve call per
+decomposition step, whatever its size.  For type1,
 conditions (A) and (B) are judged in their metric (proof-level) form
 
     (A)  d(Q1, Q2) <= d(F(X), G(Y))
@@ -563,8 +563,11 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     pairs drawn with ``seed``: the one entry point of condition checking.
 
     The pairs are drawn from the ball of ``ball_radius``, X then Y for
-    sample 0, 1, ... from one generator, in blocks of at most
-    ``_BLOCK_ENTRIES`` entries per stack.  The problem's family gives, per
+    sample 0, 1, ..., in blocks of at most ``_BLOCK_ENTRIES`` entries per
+    stack, from two streams spawned once per check from ``seed``: one for
+    the points' log-eigenvalues and one for their Gaussian matrices.  Each
+    stream is consumed in sample order, so the report does not depend on
+    how the samples fall into blocks.  The problem's family gives, per
     block (the stacks X and Y, and the (S, 2) stack of pairs they are
     views of), each condition's terms, whether its witness shows Y, and
     its per-pair literal violations (None when it has no literal form).
@@ -576,12 +579,12 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     try:
         block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
         n, radius = problem.n, ball_radius(problem)
-        block, rng = _block_size(n), np.random.default_rng(seed)
+        block, streams = _block_size(n), tuple(np.random.default_rng(seed).spawn(2))
         stats = {}
         # an overflowing sample is reported by the named breakdown below
         with np.errstate(all="ignore"):
             for first in range(0, samples, block):
-                pairs = random_pd_in_ball(n, radius, rng, (min(block, samples - first), 2))
+                pairs = random_pd_in_ball(n, radius, streams, (min(block, samples - first), 2))
                 x, y = pairs[:, 0], pairs[:, 1]
                 for name, (terms, with_y, literal) in block_terms(x, y, pairs).items():
                     failures = None if literal is None else 0

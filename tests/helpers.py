@@ -11,6 +11,33 @@ import numpy as np
 from tfp import hpd_core
 
 
+# Draw methods of numpy's Generator (``random``, ``standard_normal``, ...)
+DRAWS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")) - {"bit_generator", "spawn"}
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its calls of draw methods in ``calls``.  It
+    draws the stream of the bit generator it is built on, so one built on
+    another generator's ``bit_generator`` advances that generator's state;
+    ``default_rng`` returns it unchanged."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = 0
+
+
+def _counted(name):
+    def draw(self, *args, **kwargs):
+        self.calls += 1
+        return getattr(super(CountingGenerator, self), name)(*args, **kwargs)
+
+    return draw
+
+
+for _name in DRAWS:
+    setattr(CountingGenerator, _name, _counted(_name))
+
+
 def random_hermitian(rng, n, scale=3.0):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hpd_core.symmetrize(scale * z)

@@ -1,15 +1,17 @@
 """Sequential condition checkers: the test oracle for the stacked sampler.
 
-``matrix_solver.check_conditions`` evaluates its samples in stacked
-blocks.  The checkers here draw and judge one sample at a time, from the
-same generator and in the same order, with the package's kernels on single
+``matrix_solver.check_conditions`` draws and evaluates its samples in
+stacked blocks.  The checkers here draw and judge one sample at a time,
+X then Y, from the same two streams (``default_rng(seed).spawn(2)``) and
+in the same order, with the package's kernels on single
 points, Python scalars for the ratios, the scalar distance rule
 ``ratio_distance`` (``math.log`` and ``max``) and the original one-sample
 ``record`` rule (a sample counts its term of largest margin, the first on
-a tie, and replaces the witness when that margin is strictly larger).  They draw through ``random_pd_in_ball`` below, the original
-three-call recipe (``uniform`` then two ``standard_normal`` calls per
-point), which ``hpd_core.random_pd_in_ball`` must reproduce bit for bit
-with its two calls.  Condition (C) forms each right-hand side with
+a tie, and replaces the witness when that margin is strictly larger).
+They draw through ``random_pd_in_ball`` below, three generator calls per
+point (``uniform`` from the spectra stream, then two ``standard_normal``
+calls from the Gaussian stream), which ``hpd_core.random_pd_in_ball``
+must reproduce bit for bit with its two calls per stack.  Condition (C) forms each right-hand side with
 ``map_oracle.rhs``, kernel by kernel and independent of the package's
 ``_rhs``, and reads its eigenvalues only, as the package does: those LAPACK
 computes without eigenvectors may differ in the last bits from those of
@@ -27,16 +29,19 @@ from tfp.matrix_solver import CONDITION_TOL, TYPE1, TYPE2, ConditionReport, Cond
 
 
 def random_pd_in_ball(n, radius, seed, shape=()):
-    """``hpd_core.random_pd_in_ball`` drawn with three generator calls per
-    point, as it was first written."""
-    rng = np.random.default_rng(seed)
+    """``hpd_core.random_pd_in_ball`` drawn point by point with three
+    generator calls each: ``uniform`` from the spectra stream, then two
+    ``standard_normal`` from the Gaussian stream.  ``seed`` is a
+    ``(spectra, gauss)`` pair of generators, or an int or a generator that
+    is both streams: the recipe as it was first written."""
+    spectra, gauss = seed if isinstance(seed, tuple) else (np.random.default_rng(seed),) * 2
     count = math.prod(shape)
     t = np.empty((count, n))
     re, im = np.empty((2, count, n, n))
     for k in range(count):
-        t[k] = rng.uniform(-radius, radius, size=n)
-        rng.standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
+        t[k] = spectra.uniform(-radius, radius, size=n)
+        gauss.standard_normal(out=re[k])
+        gauss.standard_normal(out=im[k])
     u = _haar_unitaries((re + 1j * im) / math.sqrt(2))
     lam = np.exp(t)
     order = np.argsort(t, axis=-1)
@@ -94,10 +99,10 @@ def check_conditions_type1(problem, samples=200, seed=0):
     w_q1q2, w_q2q1 = _ratios(problem.Q1, problem.Q2)
     d_q = ratio_distance(w_q1q2, w_q2q1)
 
-    rng = np.random.default_rng(seed)
+    streams = tuple(np.random.default_rng(seed).spawn(2))
     for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, rng)
-        y = random_pd_in_ball(problem.n, radius, rng)
+        x = random_pd_in_ball(problem.n, radius, streams)
+        y = random_pd_in_ball(problem.n, radius, streams)
         w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = ratio_distance(w_fg, w_gf)
         w_xy, w_yx = _ratios(x, y)
@@ -129,10 +134,10 @@ def check_conditions_type2(problem, samples=200, seed=0):
     exp_ra = math.exp(problem.r * problem.a)
     m = problem.m
 
-    rng = np.random.default_rng(seed)
+    streams = tuple(np.random.default_rng(seed).spawn(2))
     for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, rng)
-        y = random_pd_in_ball(problem.n, radius, rng)
+        x = random_pd_in_ball(problem.n, radius, streams)
+        y = random_pd_in_ball(problem.n, radius, streams)
         lam_f = apply_F(problem.F, x).dec.eigenvalues
         lam_g = apply_F(problem.G, x).dec.eigenvalues
         max_f, inv_f = float(lam_f[-1]), float(1.0 / lam_f[0])

@@ -22,9 +22,9 @@
 import ast
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from helpers import DRAWS
 from tfp import hpd_core
 
 PACKAGE = Path(hpd_core.__file__).resolve().parent
@@ -91,8 +91,6 @@ def json_writes(source: str) -> list:
     return references(source, {"json.dump", "json.dumps"}.__contains__)
 
 
-# Draw methods of numpy's Generator (``random``, ``standard_normal``, ...)
-DRAWS = frozenset(name for name in dir(np.random.Generator) if not name.startswith("_")) - {"bit_generator", "spawn"}
 GLOBAL_GENERATORS = ("numpy.random", "random")
 
 

@@ -1,8 +1,9 @@
 """Work counters of the alternating step, counted while ``iterate_pair``
 runs inside ``solve``: eigensolve calls per map application, and the
 Python calls made inside the package per iteration; and of a condition
-check: witness literals, eigensolves and matrix powers per block.  The
-counts repeat exactly from run to run, unlike wall time."""
+check: witness literals, eigensolves, matrix powers and generator draw
+calls per block.  The counts repeat exactly from run to run, unlike wall
+time."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import known_answer_files
+from helpers import CountingGenerator, known_answer_files
 from tfp import cli, hpd_core, matrix_solver
 from tfp.fixtures import fixture_path
 
@@ -109,12 +110,13 @@ def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_i
 # decompose, and EigenDecomposition.powered calls.  A type2 block reads F's
 # and G's spectra without forming F(X) or G(X), so it powers nothing; a
 # type1 block with power F and G forms F(X), and G(Y) and G(X) in one
-# call on the pair stack.
+# call on the pair stack.  Each block draws its points with two generator
+# calls, one per stream.
 CHECK_WORK = {
     "check_fail_power": (5, 4, 800, 2),
     "check_pass_constant": (5, 3, 600, 0),
-    "example_4_1": (5, 7, 1084, 2),
-    "example_4_2": (3, 2, 267, 0),
+    "example_4_1": (5, 7, 1086, 2),
+    "example_4_2": (3, 2, 276, 0),
     "quadratic_pass": (5, 4, 800, 2),
     "known-type1": (5, 5, 41, 2),
     "known-type2": (3, 1, 20, 0),
@@ -123,8 +125,9 @@ CHECK_WORK = {
 
 @pytest.fixture
 def check_work(monkeypatch):
-    work = dict(literals=0, eig=0, matrices=0, powered=0)
+    work = dict(literals=0, eig=0, matrices=0, powered=0, draws=0)
     literal, eig, powered = matrix_solver.matrix_to_literal, hpd_core.eig_hermitian, hpd_core.EigenDecomposition.powered
+    sampler = matrix_solver.random_pd_in_ball
 
     def counting_literal(*args, **kwargs):
         work["literals"] += 1
@@ -139,7 +142,17 @@ def check_work(monkeypatch):
         work["powered"] += 1
         return powered(*args, **kwargs)
 
+    def counting_sampler(n, radius, streams, shape):
+        # counting generators on the check's own bit generators draw its
+        # streams, so the check's samples do not change
+        counting = tuple(CountingGenerator(stream.bit_generator) for stream in streams)
+        try:
+            return sampler(n, radius, counting, shape)
+        finally:
+            work["draws"] += sum(stream.calls for stream in counting)
+
     monkeypatch.setattr(matrix_solver, "matrix_to_literal", counting_literal)
+    monkeypatch.setattr(matrix_solver, "random_pd_in_ball", counting_sampler)
     monkeypatch.setattr(hpd_core, "eig_hermitian", counting_eig)
     monkeypatch.setattr(hpd_core.EigenDecomposition, "powered", counting_powered)
     return work
@@ -158,12 +171,23 @@ def checks(tmp_path):
 
 
 def test_condition_check_work(check_work, tmp_path):
-    seen = set()
+    # every check's counts are compared at once, so a failure shows them all
+    got, draws = [], []
     for label, problem, samples, seed in checks(tmp_path):
         assert samples <= matrix_solver._block_size(problem.n)
-        check_work.update(literals=0, eig=0, matrices=0, powered=0)
+        check_work.update(literals=0, eig=0, matrices=0, powered=0, draws=0)
         matrix_solver.check_conditions(problem, samples, seed)
-        counts = (check_work["literals"], check_work["eig"], check_work["matrices"], check_work["powered"])
-        assert counts == CHECK_WORK[label], label
-        seen.add(label)
-    assert seen == set(CHECK_WORK)
+        got.append((label, (check_work["literals"], check_work["eig"], check_work["matrices"], check_work["powered"])))
+        draws.append((label, check_work["draws"]))
+    assert got == [(label, CHECK_WORK[label]) for label, _ in got]
+    assert draws == [(label, 2) for label, _ in got]
+    assert {label for label, _ in got} == set(CHECK_WORK)
+
+
+def test_two_draw_calls_per_block(check_work, tmp_path, monkeypatch):
+    # blocks of 7 samples: a fixture's 200 samples take 29 blocks
+    for label, problem, samples, seed in checks(tmp_path):
+        monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 7 * problem.n**2)
+        check_work["draws"] = 0
+        matrix_solver.check_conditions(problem, samples, seed)
+        assert check_work["draws"] == 2 * math.ceil(samples / 7), label
