@@ -391,17 +391,17 @@ def read_trace_csv(path) -> list[tuple]:
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
-    json's indented encoder is pure Python, with a generator per
-    container and a type dispatch per value; this writer appends the same
-    text to one list, and writes a nested list of floats of one shape,
-    such as a matrix literal, array-at-a-time (``_json_array``).  It takes
-    what the CLI writes: dicts with str keys, lists, str, int, bool, None
-    and floats (``np.float64`` too, NaN and infinities spelt as json
-    spells them).
+    One rule lays out every list and object (``_json_container``): its
+    items one per line, two spaces deeper than the container, or bare
+    brackets when it is empty.  ``_json_value`` walks the document with it
+    and returns each value's text.  A non-empty nested list of floats of
+    one shape, such as a matrix literal, is instead one ``float.__repr__``
+    pass and one ``join`` into a template that the same rule lays out once
+    per shape and indent (``_json_array``).  It takes what the CLI writes:
+    dicts with str keys, lists, tuples, str, int, bool, None and floats
+    (``np.float64`` too, NaN and infinities spelt as json spells them).
     """
-    out = []
-    _json_append(doc, out, "\n")
-    return "".join(out)
+    return _json_value(doc, "\n")
 
 
 def _json_spelling(text: str) -> str:
@@ -412,32 +412,49 @@ def _json_spelling(text: str) -> str:
     return text
 
 
+def _json_container(brackets: str, items: list, inner: str) -> str:
+    """A json list or object (``brackets`` "[]" or "{}") of the item texts
+    ``items``, each on a line of its own that starts with ``inner``, two
+    spaces deeper than the container's own line; bare brackets if none."""
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def _json_value(value, newline: str) -> str:
+    """The json text of ``value`` on a line that starts with ``newline``."""
+    if isinstance(value, float):
+        return _json_spelling(float.__repr__(value))
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        return _json_array(value, newline) or _json_container("[]", [_json_value(item, inner) for item in value], inner)
+    if isinstance(value, dict):
+        inner = newline + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json_value(item, inner) for key, item in sorted(value.items())]
+        return _json_container("{}", items, inner)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 @functools.lru_cache(maxsize=64)
 def _array_template(shape: tuple, newline: str) -> tuple:
     """The text json writes for a nested list of floats of this shape at
-    this indent, with None in each float's place (the odd places): the
-    opening, then after each float, in C order, a comma, or the closing of
-    the lists that end there and the opening of the next ones, or the
-    closing of all of them."""
-    depth = len(shape)
-    pads = [newline + "  " * level for level in range(depth + 1)]
-
-    def closing(j: int) -> str:  # of the j innermost lists
-        return "".join(pad + "]" for pad in reversed(pads[depth - j : depth]))
-
-    def opening(j: int) -> str:  # of j nested lists
-        return "".join("[" + pad for pad in pads[depth - j + 1 :])
-
-    # joints[j]: the text after a float where the j innermost lists end
-    joints = [closing(j) + "," + pads[depth - j] + opening(j) for j in range(depth)] + [closing(depth)]
-    after = [joints[0]] * math.prod(shape)
-    stride = 1
-    for j, side in enumerate(reversed(shape), 1):
-        stride *= side
-        after[stride - 1 :: stride] = [joints[j]] * (len(after) // stride)
-    template = [None] * (2 * len(after) + 1)
-    template[0] = opening(depth)
-    template[2::2] = after
+    this indent, laid out by ``_json_container`` from the innermost lists
+    out, with None in each float's place (the odd places)."""
+    text = "\0"  # a float's place
+    for depth in reversed(range(len(shape))):
+        text = _json_container("[]", [text] * shape[depth], newline + "  " * (depth + 1))
+    template = [None] * (2 * text.count("\0") + 1)
+    template[::2] = text.split("\0")
     return tuple(template)
 
 
@@ -459,50 +476,6 @@ def _json_array(value, newline: str) -> str | None:
     except TypeError:  # a value that is not a float
         return None
     return _json_spelling("".join(parts))
-
-
-def _json_append(value, out: list, newline: str) -> None:
-    if isinstance(value, float):
-        out.append(_json_spelling(float.__repr__(value)))
-    elif isinstance(value, (list, tuple)):
-        text = _json_array(value, newline)
-        if text is not None:
-            out.append(text)
-            return
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[" + inner)
-        for i, item in enumerate(value):
-            if i:
-                out.append("," + inner)
-            _json_append(item, out, inner)
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{" + inner)
-        for i, (key, item) in enumerate(sorted(value.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            out.append(("," + inner if i else "") + encode_basestring_ascii(key) + ": ")
-            _json_append(item, out, inner)
-        out.append(newline + "}")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def write_solution_json(path, problem, result, seed, converged: bool) -> None:

@@ -1,10 +1,13 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The kernels
-(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``,
-``frobenius_norm``) also take stacks of shape ``(..., n, n)`` and work
-matrix by matrix: a single matrix is the same code with no leading axis,
-and a matrix of a stack comes out with the bits it would have on its own.
+(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``)
+also take stacks of shape ``(..., n, n)`` and work matrix by matrix: a
+single matrix is the same code with no leading axis, and a matrix of a
+stack comes out with the bits it would have on its own.
+``frobenius_norm`` gives a stack's norms with those bits too, but by a
+path of its own, one stacked BLAS dot, beside ``np.linalg.norm`` for one
+matrix, which costs about a third as much on a 3 x 3 matrix.
 Input is validated once, where it comes in: ``pd_point`` checks a matrix's
 shape, then the Hermitian tolerance and the positive-definiteness floor,
 and what it returns, a ``PDPoint``, is trusted from then on.  The kernels

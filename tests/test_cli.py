@@ -1128,7 +1128,7 @@ class TestJsonWriter:
     """The solution and report writer reproduces ``json.dumps(doc,
     indent=2, sort_keys=True)`` byte for byte."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(JSON_DOCUMENTS)
     def test_matches_json_dumps(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
@@ -1140,22 +1140,22 @@ class TestJsonWriter:
         }
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(in_a_document(float_arrays()))
     def test_float_arrays_match_json_dumps(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(float_arrays())
     def test_float_arrays_take_the_array_path(self, value):
         assert cli._json_array(value, "\n") == json.dumps(value, indent=2)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(in_a_document(almost_float_arrays()))
     def test_other_nested_lists_match_json_dumps(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(almost_float_arrays())
     def test_other_nested_lists_fall_back(self, value):
         assert cli._json_array(value, "\n") is None
@@ -1172,6 +1172,45 @@ class TestJsonWriter:
     def test_unserializable_value_is_a_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_text({"x": {1, 2}})
+
+    @staticmethod
+    def count_walked_values(monkeypatch):
+        """The values ``cli._json_value`` is called on from now on."""
+        walked, walk = [], cli._json_value
+
+        def counted(value, newline):
+            walked.append(value)
+            return walk(value, newline)
+
+        monkeypatch.setattr(cli, "_json_value", counted)
+        return walked
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_a_solution_is_walked_once_per_key(self, tmp_path, monkeypatch, n):
+        """A solution's literal is one template fill, not a walk over its
+        2 n^2 floats: one call for the document and one per key, at any n."""
+        [problem] = known_answer_files(tmp_path, n, 1, 7)
+        walked = self.count_walked_values(monkeypatch)
+        assert cli.main(["solve", str(problem), "--force", "--out", str(tmp_path / "trace.csv")]) == 0
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert len(doc["solution"]) == n
+        assert len(walked) == 1 + len(doc) + len(doc["metadata"]) == 12
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_a_report_is_walked_once_per_key(self, tmp_path, monkeypatch, name):
+        """Every witness matrix of a report is one template fill: one call
+        for the document and one per key of any of its objects."""
+        walked = self.count_walked_values(monkeypatch)
+        cli.main(["check", str(fixture_path(name)), "--out", str(tmp_path / "report.json")])
+        doc = json.loads((tmp_path / "report.json").read_text())
+
+        def objects(value):
+            if isinstance(value, dict):
+                yield value
+                for item in value.values():
+                    yield from objects(item)
+
+        assert len(walked) == 1 + sum(map(len, objects(doc)))
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_written_files_are_json_dumps_output(self, tmp_path, name):

@@ -98,7 +98,7 @@ class TestErrorBound:
     def test_direct_formula(self):
         assert error_bound(0.5, 0.5, 3) == pytest.approx(0.25)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         alpha=st.floats(min_value=1e-6, max_value=0.99),
         d01=st.floats(min_value=0.0, max_value=1e6),
@@ -234,7 +234,7 @@ class TestBlockedGaps:
         assert trace.gaps == gaps
         assert trace.stop_reason == stop
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         r1=st.floats(min_value=0.01, max_value=1.5),
         r2=st.floats(min_value=0.01, max_value=1.5),

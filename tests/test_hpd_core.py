@@ -242,7 +242,7 @@ class TestMatrixPower:
             back = power(power(p, 1 / 3), 3)
             assert np.abs(back - p).max() <= 1e-9
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         p=st.floats(min_value=-1.5, max_value=1.5).filter(lambda v: abs(v) > 0.05),
         q=st.floats(min_value=-1.5, max_value=1.5).filter(lambda v: abs(v) > 0.05),

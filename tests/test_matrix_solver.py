@@ -174,7 +174,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=re.escape(f"ball radius a must be finite, got {a}")):
             build(**args)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(type2_exponents_at_the_bound())
     @example(ALPHA_ROUNDS_TO_ONE)
     def test_type2_accepts_only_a_computed_alpha_below_one(self, exponents):

@@ -107,13 +107,13 @@ class TestMembership:
         with pytest.raises(ValueError):
             psi_family.validate_membership(psi_family.scaled_first(0.5), grid_size=1)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(alpha=st.floats(min_value=0.0, max_value=0.999))
     def test_scaled_kinds_members_for_any_alpha(self, alpha):
         assert psi_family.validate_membership(psi_family.scaled_first(alpha), grid_size=16)
         assert psi_family.validate_membership(psi_family.scaled_max(alpha), grid_size=16)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         m=st.floats(min_value=0.0, max_value=0.9),
         n=st.floats(min_value=0.0, max_value=0.9),

@@ -197,7 +197,7 @@ class TestGaps:
     """``gaps`` of a sequence: one stacked call, each gap with the bits
     ``distance`` gives its pair."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         n=st.integers(min_value=1, max_value=8),
         radius=st.floats(min_value=0.0, max_value=KAPPA_1E6_RADIUS),
@@ -268,7 +268,7 @@ class TestSpectralDistance:
     at most d(A, B) (Weyl's inequality), and equal to it on commuting
     pairs whose eigenvalues are ordered alike."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         n=st.integers(min_value=1, max_value=8),
         radius=st.floats(min_value=0.0, max_value=3.0),
@@ -281,7 +281,7 @@ class TestSpectralDistance:
         assert thompson.spectral_distance(a, b) <= thompson.distance(a, b) + tol
         assert thompson.spectral_distance(b, a) <= thompson.distance(b, a) + tol
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(
         n=st.integers(min_value=1, max_value=8),
         radius=st.floats(min_value=0.0, max_value=3.0),

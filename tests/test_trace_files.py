@@ -200,7 +200,7 @@ ROWS = st.lists(
 EXTREMES = [(1, -0.0, 5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308), (2, 0.0, 1e-300, 0.1, 1e16, 2.5)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(ROWS, st.booleans())
 @example(EXTREMES, False)
 @example(EXTREMES, True)
