@@ -1,13 +1,11 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The kernels
-(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``)
-also take stacks of shape ``(..., n, n)`` and work matrix by matrix: a
-single matrix is the same code with no leading axis, and a matrix of a
-stack comes out with the bits it would have on its own.
-``frobenius_norm`` gives a stack's norms with those bits too, but by a
-path of its own, one stacked BLAS dot, beside ``np.linalg.norm`` for one
-matrix, which costs about a third as much on a 3 x 3 matrix.
+(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``,
+``frobenius_norm``, the floor check of ``_pd_eig``) also take stacks of
+shape ``(..., n, n)`` and work matrix by matrix: a single matrix is the
+same code with no leading axis, and a matrix of a stack comes out with
+the bits it would have on its own.
 Input is validated once, where it comes in: ``pd_point`` checks a matrix's
 shape, then the Hermitian tolerance and the positive-definiteness floor,
 and what it returns, a ``PDPoint``, is trusted from then on.  The kernels
@@ -148,45 +146,36 @@ def _require_finite(arr: ComplexMatrix, name: str) -> ComplexMatrix:
     return arr
 
 
+# a sum of squares that overflows is rescaled, so numpy's warning is noise
+@np.errstate(over="ignore")
 def frobenius_norm(m):
-    """Frobenius norm of a matrix: numpy's, unless its sum of squares
-    overflows (norms above about 1e154); a finite matrix is then scaled by
-    its largest real or imaginary part first.
+    """Frobenius norm of a matrix, as a float, or of each matrix of a stack,
+    as an array.
 
-    A stack gets one norm per matrix, as an array, from one stacked
-    (1 x N) @ (N x 1) product of the real parts and one of the imaginary
-    parts: the BLAS dot that numpy's norm of one matrix calls, on each
-    matrix's entries in its memory order, so a matrix of a stack gets the
-    bits it gets on its own.  (numpy's norm over the last two axes of a
-    stack sums in another order.)  A matrix whose norm overflows is
-    rescaled on its own.
+    One BLAS dot of the real parts and one of the imaginary parts over each
+    matrix's entries in its memory order: the dot and the order of numpy's
+    norm of one matrix, so a matrix of a stack gets the bits it gets on its
+    own.  A finite matrix whose sum of squares overflows (a norm above
+    about 1e154) is scaled by its largest real or imaginary part first.
     """
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim > 2:
-        if abs(arr.strides[-1]) > abs(arr.strides[-2]):
-            arr = arr.swapaxes(-1, -2)  # numpy's norm reads a matrix in memory order
-        flat = arr.reshape(-1, 1, arr.shape[-2] * arr.shape[-1])
-        re, im = flat.real, flat.imag
-        # a sum of squares that overflows is rescaled, so the warning is noise
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
-            for i in np.flatnonzero(np.isinf(norms)):
-                norms[i] = frobenius_norm(flat[i, 0])
-        return norms.reshape(arr.shape[:-2])
-    norm = float(np.linalg.norm(arr))
-    if math.isinf(norm) and np.isfinite(arr).all():
-        scale = float(np.maximum(np.abs(arr.real), np.abs(arr.imag)).max())
-        norm = scale * float(np.linalg.norm(arr / scale))
-    return norm
+    if abs(arr.strides[-1]) > abs(arr.strides[-2]):
+        arr = arr.swapaxes(-1, -2)  # numpy's norm reads a matrix in memory order
+    flat = arr.reshape(math.prod(arr.shape[:-2]), arr.shape[-2] * arr.shape[-1])
+    norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    big = np.isinf(norms)
+    if big.any():
+        big &= np.isfinite(flat).all(axis=-1)
+        scale = np.maximum(abs(flat.real[big]), abs(flat.imag[big])).max(axis=-1)
+        flat = flat[big] / scale[:, None]
+        norms[big] = scale * np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return float(norms[0]) if arr.ndim == 2 else norms.reshape(arr.shape[:-2])
 
 
 def hermitian_tolerance(m) -> float:
     """Symmetry tolerance: 1e-12 * max(1, ||M||_F), scaled before the norm,
     so it is finite for every finite M."""
-    # frobenius_norm rescales a sum of squares that overflows, so numpy's
-    # overflow warning would be noise; it runs once per validated matrix
-    with np.errstate(over="ignore"):
-        return max(1e-12, frobenius_norm(1e-12 * np.asarray(m, dtype=np.complex128)))
+    return max(1e-12, frobenius_norm(1e-12 * np.asarray(m, dtype=np.complex128)))
 
 
 def symmetrize(m) -> ComplexMatrix:
@@ -300,17 +289,13 @@ def _pd_eig(arr: ComplexMatrix, name: str = "matrix", *, vectors: bool = True) -
     ``name`` labels the matrix in the non-finite and the floor errors; on
     a stack they report the first matrix that fails."""
     dec = eig_hermitian(arr, name, vectors=vectors)
-    lam = dec.eigenvalues
-    if lam.ndim > 1:  # a stack: its first spectrum below the floor, if any
-        below = np.flatnonzero(lam[..., 0] <= pd_floor(lam))
-        if not below.size:
-            return dec
-        lam = lam.reshape(-1, lam.shape[-1])[below[0]]
-    # one spectrum: the product and the comparison of pd_floor, in numpy scalars
-    lam_min, floor = lam[0], lam.shape[0] * _EPS * lam[-1]
-    if lam_min <= floor:
+    lam = dec.eigenvalues.reshape(-1, dec.eigenvalues.shape[-1])
+    floor = lam.shape[1] * _EPS * lam[:, -1]  # pd_floor written out: no Python call per map step
+    below = (lam[:, 0] <= floor).tolist()
+    if True in below:
+        i = below.index(True)  # the first in C order
         raise NotPositiveDefinite(
-            f"{name} must be positive definite (min eigenvalue {lam_min:.3e}, floor {max(floor, 0.0):.3e})"
+            f"{name} must be positive definite (min eigenvalue {lam[i, 0]:.3e}, floor {max(floor[i], 0.0):.3e})"
         )
     return dec
 

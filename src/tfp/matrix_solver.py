@@ -77,7 +77,6 @@ from .hpd_core import (
     ComplexMatrix,
     EigenDecomposition,
     PDPoint,
-    _congruence,
     _pd_eig,
     _require_finite,
     as_square_matrix,
@@ -87,6 +86,7 @@ from .hpd_core import (
     matrix_to_literal,
     pd_point,
     random_pd_in_ball,
+    symmetrize,
 )
 
 TYPE1 = "type1"
@@ -205,7 +205,7 @@ def _validate_coefficients(a_list, F, G, n: int) -> tuple[ComplexMatrix, ...]:
 
 
 def _require_nonsingular(a_i: ComplexMatrix, name: str) -> None:
-    gram = eig_hermitian(_congruence(a_i, identity(a_i.shape[0])), f"{name}* {name}", vectors=False)
+    gram = eig_hermitian(symmetrize(a_i.conj().T @ a_i), f"{name}* {name}", vectors=False)
     sq_floor = (a_i.shape[0] * np.finfo(float).eps) ** 2 * max(gram.eigenvalues[-1], 0.0)
     if gram.eigenvalues[0] <= sq_floor:
         raise ValueError(f"{name} is singular to working precision")

@@ -4,6 +4,9 @@
   ``hpd_core.eig_hermitian``, so no other module names a ``numpy.linalg``
   ``eig*`` function, whatever alias it imports numpy, ``numpy.linalg`` or
   the function under.
+- One norm path: every Frobenius norm is ``hpd_core.frobenius_norm``'s,
+  so no module names ``numpy.linalg.norm``, whatever alias it imports
+  numpy, ``numpy.linalg`` or the function under.
 - One output writer: every output goes through ``cli._write_output``, so
   no module names a ``write_text`` or ``write_bytes`` attribute.
 - One JSON writer: every report and solution goes through
@@ -87,6 +90,10 @@ def eig_uses(source: str) -> list:
     return references(source, _is_eig)
 
 
+def norm_uses(source: str) -> list:
+    return references(source, {"numpy.linalg.norm"}.__contains__)
+
+
 def json_writes(source: str) -> list:
     return references(source, {"json.dump", "json.dumps"}.__contains__)
 
@@ -151,6 +158,30 @@ def test_the_rule_sees_every_alias(source, name):
 def test_the_rule_leaves_other_calls_alone():
     source = "import numpy as np\nfrom . import hpd_core\nnp.linalg.norm(m)\nhpd_core.eig_hermitian(m)\neigh = 1\neigh"
     assert eig_uses(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_norms_only_through_frobenius_norm(path):
+    assert norm_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nnp.linalg.norm(m)",
+        "import numpy\nnumpy.linalg.norm(m)",
+        "from numpy.linalg import norm as nrm\nnrm(m)",
+        "import numpy.linalg as la\nla.norm(m)",
+        "from numpy import linalg\nsize = linalg.norm",
+    ],
+)
+def test_the_norm_rule_sees_every_alias(source):
+    assert {dotted for _, dotted in norm_uses(source)} == {"numpy.linalg.norm"}
+
+
+def test_the_norm_rule_leaves_other_calls_alone():
+    source = "import numpy as np\nfrom . import hpd_core\nhpd_core.frobenius_norm(m)\nnp.vecdot(a, a)\nnorm = 1\nnorm"
+    assert norm_uses(source) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

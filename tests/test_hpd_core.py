@@ -168,8 +168,8 @@ class TestPositiveDefinite:
             hpd_core.pd_point(m)
 
     def test_floor_is_inclusive_for_a_matrix_and_a_stack(self):
-        # a single matrix decides the floor with numpy scalars, a stack with
-        # arrays: the same product n * eps * lambda_max and comparison
+        # a matrix is a stack of one spectrum: the same product
+        # n * eps * lambda_max and comparison, on arrays
         floor = 2 * np.finfo(float).eps
         at, above = np.diag([floor, 1.0]), np.diag([np.nextafter(floor, 1.0), 1.0])
         message = re.escape("X must be positive definite (min eigenvalue 4.441e-16, floor 4.441e-16)")
@@ -179,6 +179,24 @@ class TestPositiveDefinite:
             hpd_core._pd_eig(np.stack([above, at, at]).astype(complex), "X")
         hpd_core._pd_eig(above.astype(complex), "X")
         hpd_core._pd_eig(np.stack([above, above]).astype(complex), "X")
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_stack_names_its_first_failing_matrix_in_c_order(self, n):
+        # spectra below the floor at [1, 0] and [1, 2] of a (2, 3) stack
+        lam = np.tile(np.linspace(1.0, 2.0, n), (2, 3, 1))
+        lam[1, 0, 0], lam[1, 2, 0] = -3.0, 0.0
+        u = random_unitary(n, n)
+        stack = hpd_core.symmetrize((u * lam[..., None, :]) @ u.conj().T)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            hpd_core._pd_eig(stack[1, 0], "X")
+        for vectors in (True, False):
+            with pytest.raises(NotPositiveDefinite) as stacked:
+                hpd_core._pd_eig(stack, "X", vectors=vectors)
+            assert str(stacked.value) == str(alone.value)
+            assert "min eigenvalue -3.000e+00" in str(stacked.value)
+        lam[1, 0, 0] = lam[1, 2, 0] = 0.5
+        passing = hpd_core.symmetrize((u * lam[..., None, :]) @ u.conj().T)
+        assert hpd_core._pd_eig(passing, "X").eigenvalues.shape == (2, 3, n)
 
     def test_point_keeps_matrix_and_ascending_decomposition(self):
         rng = np.random.default_rng(40)
@@ -287,7 +305,8 @@ class TestCongruence:
 
 class TestElementwiseOps:
     def test_frobenius_norm_identity(self):
-        assert hpd_core.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
+        norm = hpd_core.frobenius_norm(np.eye(3))
+        assert type(norm) is float and norm == pytest.approx(np.sqrt(3))
 
 
 def _complex_stack(rng, count, n, exponents):
@@ -339,6 +358,29 @@ class TestStackedFrobeniusNorm:
             assert norms[1] == hpd_core.frobenius_norm(stack[1])
         for i in (0, 2, 3):
             assert norms[i] == np.linalg.norm(stack[i])
+
+    @pytest.mark.parametrize("layout", ["C", "column-major"])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_overflowing_and_infinite_matrices_keep_numpys_bits(self, n, layout):
+        # two matrices whose sum of squares overflows and one with an inf
+        # entry: each norm is numpy's, of the matrix scaled by its largest
+        # part when it is finite and numpy's norm overflows
+        stack = _complex_stack(np.random.default_rng([n, 5]), 5, n, [0.0, 170.0, -120.0, 155.0, 3.0])
+        stack[4, 0, n - 1] = complex(np.inf, 1.0)
+        if layout == "column-major":
+            stack = stack.swapaxes(-1, -2)
+        norms = hpd_core.frobenius_norm(stack)  # and no overflow warning
+        expected = []
+        with np.errstate(over="ignore"):
+            for m in stack:
+                norm = np.linalg.norm(m)
+                if math.isinf(norm) and np.isfinite(m).all():
+                    scale = float(np.maximum(np.abs(m.real), np.abs(m.imag)).max())
+                    norm = scale * np.linalg.norm(m / scale)
+                expected.append(float(norm))
+        assert norms.tolist() == expected
+        assert math.isfinite(expected[1]) and math.isfinite(expected[3]) and expected[4] == math.inf
+        assert [hpd_core.frobenius_norm(m) for m in stack] == expected
 
 
 class TestRandomUnitary:
