@@ -1,16 +1,16 @@
 """Dense complex Hermitian / positive definite matrix algebra.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The kernels
-(``symmetrize``, ``_congruence``, ``eig_hermitian``, ``PDPoint.powered``,
-``frobenius_norm``, the floor check of ``_pd_eig``) also take stacks of
-shape ``(..., n, n)`` and work matrix by matrix: a single matrix is the
-same code with no leading axis, and a matrix of a stack comes out with
-the bits it would have on its own.
+(``symmetrize``, ``eig_hermitian``, ``PDPoint.powered``, ``frobenius_norm``,
+the floor check of ``_pd_eig``) also take stacks of shape ``(..., n, n)``
+and work matrix by matrix: a single matrix is the same code with no
+leading axis, and a matrix of a stack comes out with the bits it would
+have on its own.
 Input is validated once, where it comes in: ``pd_point`` checks a matrix's
 shape, then the Hermitian tolerance and the positive-definiteness floor,
 and what it returns, a ``PDPoint``, is trusted from then on.  The kernels
-that work on validated or computed operands (``eig_hermitian``,
-``_congruence`` and ``PDPoint.powered``) do not check symmetry again.  Outputs are
+that work on validated or computed operands (``eig_hermitian`` and
+``PDPoint.powered``) do not check symmetry again.  Outputs are
 re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
 into a symmetry defect across long iteration runs; the result is exactly
 Hermitian, so ``eig_hermitian`` decomposes it as it is.
@@ -298,16 +298,6 @@ def _pd_eig(arr: ComplexMatrix, name: str = "matrix", *, vectors: bool = True) -
             f"{name} must be positive definite (min eigenvalue {lam[i, 0]:.3e}, floor {max(floor[i], 0.0):.3e})"
         )
     return dec
-
-
-def _congruence(a: ComplexMatrix, m: ComplexMatrix) -> ComplexMatrix:
-    """The congruence A* M A, re-symmetrized, of a square factor and a
-    Hermitian argument of the same size, either of them a stack; neither
-    is validated.
-
-    Preserves positive definiteness whenever A is nonsingular.
-    """
-    return symmetrize(a.conj().swapaxes(-1, -2) @ m @ a)
 
 
 def matrix_from_literal(obj, name: str = "matrix") -> ComplexMatrix:

@@ -613,6 +613,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         for name, minimum in (("gap_tol", 0), ("residual_tol", 0), ("max_iter", 1), ("samples", 1), ("seed", 0)):
             value = getattr(self, name)
+            if name in ("max_iter", "samples", "seed") and (isinstance(value, bool) or not hasattr(value, "__index__")):
+                raise ValueError(f"{name} must be an integer, got {value}")
             if not value >= minimum:  # NaN too
                 raise ValueError(f"{name} must be at least {minimum}, got {value}")
 

@@ -83,51 +83,37 @@ def _ratio_spectrum(lam, vectors, m) -> np.ndarray:
     same spectrum).  A pencil whose entries overflow, as between points far
     apart on a wide ball, is a ``NonHermitianInput`` naming it."""
     factor = vectors * (lam**-0.5)[..., None, :]
-    pencil = hpd_core._congruence(factor, m)
+    pencil = hpd_core.symmetrize(factor.conj().swapaxes(-1, -2) @ m @ factor)
     return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
-
-
-def _choose(mask, count: int, x: tuple, y: tuple) -> tuple:
-    """Per sample, the arrays of ``x`` where ``mask`` holds and those of
-    ``y`` elsewhere, given the ``count`` of samples where it holds; no copy
-    when all samples choose the same side."""
-    if count == 0:
-        return y
-    if count == mask.size:
-        return x
-    return tuple(
-        np.where(mask.reshape(mask.shape + (1,) * (np.ndim(u) - mask.ndim)), u, v) for u, v in zip(x, y)
-    )
 
 
 def _ratios(a: PDPoint, b: PDPoint) -> tuple:
     """(W(A/B), W(B/A)) from one eigensolve, or two on a very wide pencil.
 
-    Two points, or two stacks of points of one shape, sample by sample;
-    the ratios have the stacks' leading shape (numpy scalars for two
-    points).  Equal matrices have both ratios exactly 1, and a pair whose
-    samples are all equal costs no eigensolve.  The second eigensolve runs
-    on the wide pencils only.
+    Two points give two numpy floats (0-d arrays if equal), two stacks of
+    points two arrays of their leading shape, sample by sample.  Equal
+    matrices have both ratios exactly 1; a pair whose samples are all equal
+    costs no eigensolve, and only the wide pencils take the second.
     """
     equal = np.logical_and.reduce(a.matrix == b.matrix, axis=(-2, -1))
-    n_equal = np.count_nonzero(equal)
-    if n_equal == equal.size:
+    if equal.all():
         return np.ones(equal.shape), np.ones(equal.shape)
     (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
     swap = lam_b[..., -1] / lam_b[..., 0] < lam_a[..., -1] / lam_a[..., 0]
-    n_swap = np.count_nonzero(swap)
-    base_lam, base_vec, other = _choose(swap, n_swap, (lam_b, vec_b, a.matrix), (lam_a, vec_a, b.matrix))
-    mu = _ratio_spectrum(base_lam, base_vec, other)
+    on_lam, on_vec = swap[..., None], swap[..., None, None]
+    mu = _ratio_spectrum(
+        np.where(on_lam, lam_b, lam_a), np.where(on_vec, vec_b, vec_a), np.where(on_vec, a.matrix, b.matrix)
+    )
     w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
     wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]
-    if np.count_nonzero(wide):
-        other_lam, other_vec, base = _choose(swap, n_swap, (lam_a, vec_a, b.matrix), (lam_b, vec_b, a.matrix))
+    if wide.any():
         w_base = np.array(w_base)
-        w_base[wide] = _ratio_spectrum(other_lam[wide], other_vec[wide], base[wide])[..., -1]
-    w_ab, w_ba = _choose(swap, n_swap, (w_other, w_base), (w_base, w_other))
-    if n_equal:
-        w_ab, w_ba = np.where(equal, 1.0, w_ab), np.where(equal, 1.0, w_ba)
-    return w_ab, w_ba
+        w_base[wide] = _ratio_spectrum(
+            np.where(on_lam[wide], lam_a[wide], lam_b[wide]),
+            np.where(on_vec[wide], vec_a[wide], vec_b[wide]),
+            np.where(on_vec[wide], b.matrix[wide], a.matrix[wide]),
+        )[..., -1]
+    return tuple(np.where(equal, 1.0, np.where(swap, (w_other, w_base), (w_base, w_other))))
 
 
 def distance(a, b) -> float:

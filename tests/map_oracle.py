@@ -16,8 +16,17 @@ for message.
 
 import numpy as np
 
-from tfp.hpd_core import PDPoint, _congruence, _pd_eig, frobenius_norm, symmetrize
+from tfp.hpd_core import PDPoint, _pd_eig, frobenius_norm, symmetrize
 from tfp.matrix_solver import apply_F
+
+
+def _congruence(a, m):
+    """The congruence A* M A, re-symmetrized, of a square factor and a
+    Hermitian argument of the same size, either of them a stack.
+
+    Preserves positive definiteness whenever A is nonsingular.
+    """
+    return symmetrize(a.conj().swapaxes(-1, -2) @ m @ a)
 
 
 def sum_congruences(a_list, value):

@@ -1,7 +1,8 @@
 """Outputs of small problems do not depend on the BLAS thread count.
 
 The trace CSV, the solution JSON and the SVG are byte-deterministic for
-one BLAS build and thread count.  Up to n = 64 they are also the same
+one BLAS build and thread count: each setting repeats its own bytes from
+one interpreter to the next.  Up to n = 64 they are also the same
 under one OpenBLAS thread and under two; at n = 128 they are not (see the
 README).  The package never sets the thread count: that is process-wide
 state its callers own, so each setting runs in its own interpreter.
@@ -44,7 +45,7 @@ def test_one_and_two_threads_write_the_same_bytes(tmp_path):
     for i, problem in enumerate(problems):
         commands.append(["solve", str(problem), "--force", "--out", f"{i}.csv"])
         commands.append(["plot", f"{i}.csv", *SERIES, "--out", f"{i}.svg"])
-    one = outputs(commands, tmp_path / "one", 1)
-    two = outputs(commands, tmp_path / "two", 2)
-    assert len(one[2]) == 3 * len(problems)
-    assert one == two
+    one, two = ([outputs(commands, tmp_path / f"{threads}-{run}", threads) for run in (1, 2)] for threads in (1, 2))
+    assert len(one[0][2]) == 3 * len(problems)
+    assert one[0] == one[1] and two[0] == two[1]  # each setting repeats its own bytes
+    assert one[0] == two[0]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import literal_oracle
 from helpers import known_answer, random_hermitian, random_nonsingular, random_pd, random_unitary
 from jacobi import jacobi_eig
+from map_oracle import _congruence
 from tfp import hpd_core, thompson
 from tfp.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, NotPositiveDefinite
 from tfp.fixtures import fixture_path
@@ -279,19 +280,21 @@ class TestMatrixPower:
 
 
 class TestCongruence:
+    """The congruence kernel of the map oracle, `tests/map_oracle.py`."""
+
     def test_identity_factor(self):
         rng = np.random.default_rng(1)
         m = random_hermitian(rng, 3)
-        np.testing.assert_allclose(hpd_core._congruence(np.eye(3), m), m, atol=1e-14)
+        np.testing.assert_allclose(_congruence(np.eye(3), m), m, atol=1e-14)
 
     def test_unitary_on_scalar(self):
         u = random_unitary(4, 7)
-        out = hpd_core._congruence(u, 2.5 * np.eye(4))
+        out = _congruence(u, 2.5 * np.eye(4))
         np.testing.assert_allclose(out, 2.5 * np.eye(4), atol=1e-12)
 
     def test_hand_expansion(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        out = hpd_core._congruence(a, np.eye(2))
+        out = _congruence(a, np.eye(2))
         np.testing.assert_allclose(out, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
     def test_preserves_positive_definiteness(self):
@@ -300,7 +303,7 @@ class TestCongruence:
             a = random_nonsingular(rng, n)
             p = random_pd(rng, n)
             # pd_point raises NotPositiveDefinite below the relative floor
-            assert hpd_core.pd_point(hpd_core._congruence(a, p)).dec.eigenvalues[0] > 0
+            assert hpd_core.pd_point(_congruence(a, p)).dec.eigenvalues[0] > 0
 
 
 class TestElementwiseOps:

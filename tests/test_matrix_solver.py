@@ -730,6 +730,32 @@ class TestSolve:
             matrix_solver.SolveOptions(**{name: value})
         assert getattr(matrix_solver.SolveOptions(**{name: minimum}), name) == minimum
 
+    @pytest.mark.parametrize("name", ["max_iter", "samples", "seed"])
+    @pytest.mark.parametrize("value", [10.5, math.inf, True, np.int64(3)], ids=["10.5", "inf", "True", "int64"])
+    def test_a_count_must_be_an_integer(self, monkeypatch, name, value):
+        # not a bare TypeError from the engine, the sampler or numpy's
+        # SeedSequence, and not a run with no budget for an infinite
+        # max_iter; a numpy integer is a count like the int it equals
+        problem, x0, options = load("quadratic_pass.json")
+
+        def outcome(count):
+            try:
+                result = matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, **{name: count}))
+            except MaxIterationsExceeded as exc:
+                result = exc.result
+            return result.trace.gaps, result.residual1, result.residual2, result.report.to_jsonable()
+
+        if isinstance(value, np.integer):
+            assert getattr(matrix_solver.SolveOptions(**{name: value}), name) is value
+            assert outcome(value) == outcome(3)
+            return
+        monkeypatch.setattr(matrix_solver, "check_conditions", lambda *args: pytest.fail("sampled"))
+        message = f"^{name} must be an integer, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, **{name: value}))
+        with pytest.raises(ValueError, match=message):
+            matrix_solver.SolveOptions(**{name: value})
+
     def test_constant_problem_two_iterations(self):
         problem, x0, options = load("check_pass_constant.json")
         result = matrix_solver.solve(problem, x0=x0, options=fewer_samples(options))

@@ -254,6 +254,74 @@ class TestGaps:
         assert bits(thompson.gaps([inverse, other])) == bits([thompson.distance(copy, other)])
 
 
+def condition(point):
+    """lambda_max / lambda_min of a point, or of each point of a stack."""
+    lam = point.dec.eigenvalues
+    return lam[..., -1] / lam[..., 0]
+
+
+def pencil_condition(a, b):
+    """mu_max / mu_min of B^{-1/2} A B^{-1/2}, in plain numpy."""
+    lam, vectors = np.linalg.eigh(b.matrix)
+    b_inv_half = (vectors * lam**-0.5) @ vectors.conj().T
+    mu = np.linalg.eigvalsh(b_inv_half @ a.matrix @ b_inv_half)
+    return mu[-1] / mu[0]
+
+
+class TestSelectionRule:
+    """``_ratios`` picks each pair's base, runs the wide-pencil solve and
+    turns the ratios back sample by sample: a pair of a stack gets the bits
+    it gets alone, whichever pairs share its stack, and swapped arguments
+    get the same bits swapped unless the condition numbers tie."""
+
+    N = 4
+    # ten times the mu_max / mu_min above which a pencil takes the second
+    # eigensolve (n * eps * mu_max > _ONE_SOLVE_REL_TOL * mu_min): the
+    # margin covers the error of the numpy pencil below
+    WIDE = 10 * thompson._ONE_SOLVE_REL_TOL / (N * np.finfo(np.float64).eps)
+
+    @staticmethod
+    def strided(pairs):
+        """The two sides of an (S, 2) stack of the pairs: strided views."""
+        stack = hpd_core.PDPoint.stacked([hpd_core.PDPoint.stacked(pair) for pair in pairs])
+        return stack[:, 0], stack[:, 1]
+
+    def drawn_pairs(self, seed):
+        drawn = hpd_core.random_pd_in_ball(self.N, KAPPA_1E6_RADIUS, seed, shape=(8, 2))
+        return [(drawn[i, 0], drawn[i, 1]) for i in range(8)]
+
+    def assert_pairwise_bits(self, x, y):
+        w_ab, w_ba = thompson._ratios(x, y)
+        alone = [thompson._ratios(x[i], y[i]) for i in range(len(w_ab))]
+        assert bits(w_ab) == bits([w for w, _ in alone]) and bits(w_ba) == bits([w for _, w in alone])
+        turned_ba, turned_ab = thompson._ratios(y, x)
+        differ = condition(x) != condition(y)
+        assert bits(turned_ab[differ]) == bits(w_ab[differ]) and bits(turned_ba[differ]) == bits(w_ba[differ])
+
+    def test_a_mixed_stack(self):
+        pairs = self.drawn_pairs(67)
+        p = pairs[0][0]
+        near = p.powered(1.0001)
+        pairs += [(p, near), (near, p), (p, hpd_core.PDPoint(p.matrix.copy(), p.dec))]
+        x, y = self.strided(pairs)
+        swap = condition(y) < condition(x)
+        width = np.array([pencil_condition(a, b) for a, b in pairs])
+        # unswapped and swapped pairs, each with a wide and a narrow pencil,
+        # and an equal pair
+        for side in (False, True):
+            assert np.any((swap == side) & (width > self.WIDE)) and np.any((swap == side) & (width < 10.0))
+        assert np.array_equal(x.matrix[-1], y.matrix[-1])
+        self.assert_pairwise_bits(x, y)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_a_stack_that_swaps_no_pair_or_every_pair(self, swapped):
+        pairs = [sorted(pair, key=condition, reverse=swapped) for pair in self.drawn_pairs(68)]
+        x, y = self.strided(pairs)
+        assert np.all((condition(y) < condition(x)) == swapped)
+        assert any(pencil_condition(a, b) > self.WIDE for a, b in pairs)
+        self.assert_pairwise_bits(x, y)
+
+
 def log_error(n, *points):
     """A bound on the error of a log-eigenvalue quantity of the points:
     their eigenvalues carry an error of about n * eps * lambda_max, so
