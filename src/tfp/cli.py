@@ -91,14 +91,15 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 @contextlib.contextmanager
-def _prefixed(prefix):
+def _prefixed(prefix=None):
     """Re-raise a ``TfpError`` or ``ValueError`` from the block as a
     ``ProblemFormatError`` whose message starts with ``prefix: ``: the one
-    place where a file, or a key within it, is named."""
+    place where a file, or a key within it, is named.  With no prefix the
+    message is kept, for a flag or a variable that names itself."""
     try:
         yield
     except (TfpError, ValueError) as exc:
-        raise ProblemFormatError(f"{prefix}: {exc}") from exc
+        raise ProblemFormatError(str(exc) if prefix is None else f"{prefix}: {exc}") from exc
 
 
 def _read_text(path: Path) -> str:
@@ -129,47 +130,8 @@ def _reject_unknown(data: dict, known, what: str) -> None:
             raise ProblemFormatError(f"{what} '{key}'")
 
 
-def _as_float(value, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            message = f"{what} must be a finite number, got an integer beyond the float range"
-            raise ProblemFormatError(message) from None
-        if math.isfinite(number):
-            return number
-    raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
-
-
-def _as_tolerance(value, what: str) -> float:
-    number = _as_float(value, what)
-    if number < 0.0:
-        raise ProblemFormatError(f"{what} must be at least 0, got {number}")
-    return number
-
-
-def _as_int(value, what: str, minimum: int = 1) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ProblemFormatError(f"{what} must be at least {minimum}, got {value}")
-    return value
-
-
-def _as_seed(value, what: str) -> int:
-    return _as_int(value, what, minimum=0)
-
-
-def _as_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ProblemFormatError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
 def _number(data: dict, key: str) -> float:
-    return _as_float(_require_key(data, key), f"key '{key}'")
+    return matrix_solver.as_finite(_require_key(data, key), f"key '{key}'")
 
 
 def _matrix(data: dict, key: str):
@@ -215,8 +177,8 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
             raise ProblemFormatError(f"key 'kind' must be 'type1' or 'type2', got {kind!r}")
         _reject_unknown(data, PROBLEM_KEYS[kind], f"unknown {kind} key")
-        n = _as_int(_require_key(data, "n"), "key 'n'")
-        m = _as_int(_require_key(data, "m"), "key 'm'")
+        n = matrix_solver.as_count(_require_key(data, "n"), "key 'n'")
+        m = matrix_solver.as_count(_require_key(data, "m"), "key 'm'")
         a_value = _require_key(data, "A")
         if not isinstance(a_value, list) or len(a_value) != m:
             raise ProblemFormatError(f"key 'A' must list exactly m={m} matrices")
@@ -238,23 +200,15 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         raw_options = data.get("options", {})
         if not isinstance(raw_options, dict):
             raise ProblemFormatError("key 'options' must be an object")
-        known = {
-            "gap_tol": _as_tolerance,
-            "residual_tol": _as_tolerance,
-            "max_iter": _as_int,
-            "seed": _as_seed,
-            "samples": _as_int,
-            "force": _as_bool,
-        }
-        _reject_unknown(raw_options, known, "unknown option")
-        kwargs = {key: known[key](value, f"option '{key}'") for key, value in raw_options.items()}
-    env_seed = os.environ.get("TFP_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ProblemFormatError(f"TFP_SEED must be an integer, got {env_seed!r}") from exc
-        kwargs["seed"] = _as_seed(seed, "TFP_SEED")
+        rules = matrix_solver.OPTION_RULES
+        _reject_unknown(raw_options, rules, "unknown option")
+        kwargs = {key: rules[key](value, f"option '{key}'") for key, value in raw_options.items()}
+    seed = os.environ.get("TFP_SEED")
+    if seed is not None:
+        with contextlib.suppress(ValueError):  # text that is no integer is refused as such below
+            seed = int(seed)
+        with _prefixed():
+            kwargs["seed"] = matrix_solver.as_seed(seed, "TFP_SEED")
     return problem, x0, matrix_solver.SolveOptions(**kwargs)
 
 
@@ -599,8 +553,9 @@ def cmd_check(args) -> int:
     out_path = Path(args.out) if args.out else Path.cwd() / (Path(args.problem).stem + ".check.json")
     _refuse_overwriting_inputs([out_path], [args.problem])
     problem, _, options = load_problem(args.problem)
-    samples = options.samples if args.samples is None else _as_int(args.samples, "--samples")
-    seed = options.seed if args.seed is None else _as_seed(args.seed, "--seed")
+    with _prefixed():
+        samples = options.samples if args.samples is None else matrix_solver.as_count(args.samples, "--samples")
+        seed = options.seed if args.seed is None else matrix_solver.as_seed(args.seed, "--seed")
     report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
     _write_output(out_path, _json_text(report.to_jsonable()) + "\n")
 

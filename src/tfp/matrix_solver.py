@@ -58,6 +58,7 @@ returns, and raises it attached when the run stalls or is not certified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -103,6 +104,61 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
+# Field rules: a library call, a problem file, a flag and TFP_SEED read each
+# scalar by one of these.  A rule names the field ``what`` in its ValueError
+# and returns the value as it is stored.
+
+
+def as_finite(value, what: str) -> float:
+    """A real number, not a bool, finite as a float."""
+    got = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            got = "an integer beyond the float range"
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{what} must be a finite number, got {got or repr(value)}")
+
+
+def _at_least(value, minimum: int, what: str):
+    if value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def as_tolerance(value, what: str) -> float:
+    return _at_least(as_finite(value, what), 0, what)
+
+
+def as_count(value, what: str, minimum: int = 1) -> int:
+    """An integer: an integral float reads as its int, a numpy integer is kept."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return _at_least(value, minimum, what)
+
+
+def as_seed(value, what: str) -> int:
+    return as_count(value, what, minimum=0)
+
+
+def as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+# The rule of each ``SolveOptions`` field, which a problem file's options obey.
+OPTION_RULES = dict(
+    gap_tol=as_tolerance, residual_tol=as_tolerance, max_iter=as_count, samples=as_count, seed=as_seed, force=as_bool
+)
+
+
+# ---------------------------------------------------------------------------
 # Matrix function specs
 
 
@@ -117,7 +173,7 @@ class MatrixFunctionSpec:
 
 def power(exponent: float) -> MatrixFunctionSpec:
     """The map X -> X**exponent with exponent in [-1, 1] \\ {0}."""
-    exponent = float(exponent)
+    exponent = as_finite(exponent, "exponent")
     if exponent == 0.0 or not -1.0 <= exponent <= 1.0:
         raise ValueError(f"power exponent must be in [-1, 1] and nonzero, got {exponent}")
     return MatrixFunctionSpec("power", exponent=exponent)
@@ -218,45 +274,31 @@ def _require_unitary(a_i: ComplexMatrix, name: str) -> None:
 
 
 def _require_radius(a: float) -> None:
-    if not math.isfinite(a):
-        raise ValueError(f"ball radius a must be finite, got {a}")
     if a < 0.0:
         raise ValueError(f"ball radius must be nonnegative, got {a}")
 
 
 def problem_type1(n, A, Q1, Q2, s, F, G, a, l) -> ProblemSpec:
     """Validated type1 problem: nonsingular coefficients, PD constants, l < s."""
+    n, s, a, l = as_count(n, "n"), as_finite(s, "s"), as_finite(a, "a"), as_finite(l, "l")
     mats = _validate_coefficients(A, F, G, n)
     for i, a_i in enumerate(mats):
         _require_nonsingular(a_i, f"A[{i}]")
-    s, a, l = float(s), float(a), float(l)
     if s <= 1.0:
         raise ValueError(f"s must exceed 1, got {s}")
     _require_radius(a)
     if not 0.0 < l < s:
         raise ValueError(f"contraction exponent must satisfy 0 < l < s, got l={l}, s={s}")
     q1, q2 = pd_point(Q1, "Q1", n), pd_point(Q2, "Q2", n)
-    return ProblemSpec(
-        kind=TYPE1,
-        n=n,
-        m=len(mats),
-        A=mats,
-        Q1=q1,
-        Q2=q2,
-        s=s,
-        F=F,
-        G=G,
-        a=a,
-        l=l,
-    )
+    return ProblemSpec(kind=TYPE1, n=n, m=len(mats), A=mats, Q1=q1, Q2=q2, s=s, F=F, G=G, a=a, l=l)
 
 
 def problem_type2(n, A, r, s, F, G, a, l) -> ProblemSpec:
     """Validated type2 problem: unitary coefficients, 0 < l, alpha_for < 1."""
+    n, r, s, a, l = as_count(n, "n"), as_finite(r, "r"), as_finite(s, "s"), as_finite(a, "a"), as_finite(l, "l")
     mats = _validate_coefficients(A, F, G, n)
     for i, a_i in enumerate(mats):
         _require_unitary(a_i, f"A[{i}]")
-    r, s, a, l = float(r), float(s), float(a), float(l)
     if r <= 1.0 or s <= 1.0:
         raise ValueError(f"r and s must exceed 1, got r={r}, s={s}")
     _require_radius(a)
@@ -574,8 +616,7 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     A check that breaks down with a ``TfpError`` (an overflowing ball, say)
     raises ``ConditionsNotVerified`` with no report and that cause.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples, seed = as_count(samples, "samples"), as_seed(seed, "seed")
     try:
         block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
         n, radius = problem.n, ball_radius(problem)
@@ -611,12 +652,8 @@ class SolveOptions:
     force: bool = False
 
     def __post_init__(self) -> None:
-        for name, minimum in (("gap_tol", 0), ("residual_tol", 0), ("max_iter", 1), ("samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if name in ("max_iter", "samples", "seed") and (isinstance(value, bool) or not hasattr(value, "__index__")):
-                raise ValueError(f"{name} must be an integer, got {value}")
-            if not value >= minimum:  # NaN too
-                raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        for name, rule in OPTION_RULES.items():
+            object.__setattr__(self, name, rule(getattr(self, name), name))
 
 
 @dataclass(eq=False)

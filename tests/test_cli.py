@@ -455,6 +455,86 @@ class TestProblemFiles:
                 cli.load_problem(fixture_path("quadratic_pass.json"))
 
 
+
+# Every value of a field, as the scalar values a caller might pass.
+FIELD_VALUES = [3, 3.0, 3.5, math.inf, math.nan, -1, True, "3", None, np.int64(3), np.float64(3.0)]
+
+
+def _rebuilt(problem, **changes):
+    """The library builder called on a loaded problem's fields, changed."""
+    args = dict(n=problem.n, A=problem.A, s=problem.s, F=problem.F, G=problem.G, a=problem.a, l=problem.l)
+    if problem.kind == matrix_solver.TYPE1:
+        return matrix_solver.problem_type1(**{**args, "Q1": problem.Q1, "Q2": problem.Q2, **changes})
+    return matrix_solver.problem_type2(**{**args, "r": problem.r, **changes})
+
+
+def _field_cases():
+    """(field, fixture, its place in the file, what the file's messages call
+    it, the value the file stores, the library calls that take it and give
+    the value they store).  Each fixture is varied with s = 4, so that 3 is
+    a valid n, a, l, s and r."""
+    for field in ("n", "a", "l", "s"):
+        yield (
+            field, "example_4_1.json", (field,), f"key '{field}'", lambda loaded, options, f=field: getattr(loaded, f),
+            [lambda p, v, f=field: getattr(_rebuilt(p, **{f: v}), f)],
+        )
+    yield (
+        "r", "example_4_2.json", ("r",), "key 'r'", lambda loaded, options: loaded.r,
+        [lambda p, v: _rebuilt(p, r=v).r],
+    )
+    yield (
+        "exponent", "example_4_1.json", ("G", "exponent"), "key 'exponent'", lambda loaded, options: loaded.G.exponent,
+        [lambda p, v: matrix_solver.power(v).exponent],
+    )
+    for field in matrix_solver.OPTION_RULES:
+        calls = [lambda p, v, f=field: getattr(matrix_solver.SolveOptions(**{f: v}), f)]
+        if field in ("samples", "seed"):
+            calls.append(lambda p, v, f=field: getattr(matrix_solver.check_conditions(p, **{"samples": 1, f: v}), f))
+        stored = lambda loaded, options, f=field: getattr(options, f)  # noqa: E731
+        yield field, "example_4_1.json", ("options", field), f"option '{field}'", stored, calls
+
+
+FIELD_CASES = list(_field_cases())
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=[case[0] for case in FIELD_CASES])
+@pytest.mark.parametrize("value", FIELD_VALUES, ids=repr)
+def test_a_file_and_a_library_call_read_a_field_alike(tmp_path, monkeypatch, case, value):
+    # one table of field rules: a value is accepted by both entry points and
+    # stored alike, or refused by both in the same rule's words, naming the
+    # field (its key or option in the file, its bare name in the library);
+    # a builder's own range check runs once, after the rule, and gives both
+    # the same message.  Not a bare TypeError or OverflowError.
+    field, fixture, location, file_name, stored, calls = case
+    monkeypatch.delenv("TFP_SEED", raising=False)
+    doc = with_fault(fixture, ("s",), 4)
+    problem, _, _ = cli.load_problem(write_problem(tmp_path, doc))
+    # numpy scalars, inf and nan take their JSON spellings: 3, 3.0, Infinity, NaN
+    target = doc
+    for key in location[:-1]:
+        target = target[key]
+    target[location[-1]] = value.item() if isinstance(value, np.generic) else value
+    path = write_problem(tmp_path, doc)
+    try:
+        from_file = (True, stored(*cli.load_problem(path)[::2]))
+    except ProblemFormatError as exc:
+        from_file = (False, str(exc).removeprefix(f"{path}: ").removeprefix("key 'G': "))
+    for call in calls:
+        try:
+            from_library = (True, call(problem, value))
+        except ValueError as exc:
+            from_library = (False, str(exc))
+        assert from_file[0] == from_library[0], (from_file, from_library)
+        if from_file[0]:
+            assert from_file[1] == from_library[1]
+            continue
+        file_message, library_message = from_file[1], from_library[1]
+        if isinstance(value, np.generic):  # shown as np.int64(3) in the library, 3 in the file
+            file_message, library_message = file_message.partition(", got ")[0], library_message.partition(", got ")[0]
+        named = library_message.startswith(f"{field} ") and file_message == file_name + library_message[len(field):]
+        assert named or file_message == library_message, (file_message, library_message)
+
+
 class TestCheckCommand:
     def test_passing_fixture_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"

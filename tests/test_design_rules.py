@@ -17,9 +17,11 @@
   of a random generator, whatever name it holds the generator or the
   method under.
 - One home per message: "has shape" (``hpd_core.as_square_matrix``'s shape
-  rule) and "condition check broke down:" (``check_conditions``'s
-  breakdown) each occur in one string constant of ``src/tfp``, counting
-  an f-string's literal parts, however the source spells them.
+  rule), "condition check broke down:" (``check_conditions``'s
+  breakdown), "must be a finite number" and "must be true or false"
+  (``matrix_solver``'s field rules) each occur in one string constant of
+  ``src/tfp``, counting an f-string's literal parts, however the source
+  spells them.
 """
 
 import ast
@@ -267,7 +269,7 @@ def test_the_draw_rule_leaves_other_calls_alone():
 
 # Messages that name a rule with one home; CI's grep steps count them in
 # the source text, which a spelling such as "has\x20shape" hides.
-SINGLE_HOME = ("has shape", "condition check broke down:")
+SINGLE_HOME = ("has shape", "condition check broke down:", "must be a finite number", "must be true or false")
 
 
 def string_constants(source: str) -> list:

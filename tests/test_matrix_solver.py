@@ -77,6 +77,12 @@ class TestMatrixFunctionSpec:
             matrix_solver.power(1.5)
         matrix_solver.power(-1.0)
 
+    @pytest.mark.parametrize("exponent", ["0.5", True])
+    def test_power_exponent_is_a_finite_number(self, exponent):
+        # as a problem file's exponent is: not read through float()
+        with pytest.raises(ValueError, match=f"^exponent must be a finite number, got {re.escape(repr(exponent))}$"):
+            matrix_solver.power(exponent)
+
     def test_constant_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             matrix_solver.constant(np.diag([1.0, -1.0]))
@@ -124,12 +130,23 @@ class TestProblemValidation:
             )
 
     def test_type1_rejects_dimension_zero(self):
+        # n is a count, read by the rule a file's key 'n' obeys
         empty = np.zeros((0, 0))
-        with pytest.raises(DimensionMismatch, match=re.escape("A[0] has shape (0, 0), expected (n, n) with n >= 1")):
+        with pytest.raises(ValueError, match=re.escape("n must be at least 1, got 0")):
             matrix_solver.problem_type1(
                 n=0, A=[empty], Q1=empty, Q2=empty, s=2,
                 F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.5,
             )
+
+    @pytest.mark.parametrize(
+        "build", [matrix_solver.problem_type1, matrix_solver.problem_type2], ids=["type1", "type2"]
+    )
+    def test_an_integral_float_n_is_stored_as_an_int(self, build):
+        # 2.0 is a count, as a problem file's "n": 2.0 is
+        args = dict(n=2.0, A=[np.eye(2)], s=3, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=0.1)
+        args.update(dict(Q1=np.eye(2), Q2=np.eye(2)) if build is matrix_solver.problem_type1 else dict(r=2))
+        n = build(**args).n
+        assert type(n) is int and n == 2
 
     def test_type2_rejects_an_exponent_not_above_one(self):
         # alpha = 3l(1/r + 1/s) = 0.045 < 1: only the exponent check rejects it
@@ -171,7 +188,7 @@ class TestProblemValidation:
     def test_rejects_a_non_finite_ball_radius(self, build, a):
         args = dict(n=2, A=[np.eye(2)], s=3, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=a, l=0.1)
         args.update(dict(Q1=np.eye(2), Q2=np.eye(2)) if build is matrix_solver.problem_type1 else dict(r=2))
-        with pytest.raises(ValueError, match=re.escape(f"ball radius a must be finite, got {a}")):
+        with pytest.raises(ValueError, match=re.escape(f"a must be a finite number, got {a}")):
             build(**args)
 
     @settings(max_examples=300)
@@ -510,11 +527,24 @@ class TestConditionChecker:
         assert report.passed
 
     @pytest.mark.parametrize("name, kind", [("check_pass_constant.json", "type1"), ("example_4_2.json", "type2")])
-    def test_fewer_than_one_sample_rejected(self, name, kind):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("samples", 0, "samples must be at least 1, got 0"),
+            ("samples", 2.5, "samples must be an integer, got 2.5"),
+            ("samples", True, "samples must be an integer, got True"),
+            ("seed", -1, "seed must be at least 0, got -1"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_fewer_than_one_sample_rejected(self, monkeypatch, name, kind, field, value, message):
+        # a sample count or seed is refused by its field rule before any
+        # draw, not by numpy's SeedSequence or as one sample for True
         problem, _, _ = load(name)
         assert problem.kind == kind
-        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
-            matrix_solver.check_conditions(problem, samples=0)
+        monkeypatch.setattr(matrix_solver, "random_pd_in_ball", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_solver.check_conditions(problem, **{field: value})
 
     @pytest.mark.parametrize(
         "a, cause",
@@ -705,13 +735,15 @@ class TestConditionRecorder:
 
 class TestSolve:
     @pytest.mark.parametrize("name", ["gap_tol", "residual_tol"])
-    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
     def test_negative_or_nan_tolerance_is_rejected(self, name, value):
-        # not a "likely inconsistent" verdict on a residual of 2.4e-13
+        # not a "likely inconsistent" verdict on a residual of 2.4e-13; a
+        # tolerance is a finite number, as in a problem file
         problem, x0, options = load("quadratic_pass.json")
-        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got {value}$"):
+        message = f"^{name} must be {'at least 0' if value < 0 else 'a finite number'}, got {value}$"
+        with pytest.raises(ValueError, match=message):
             matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, **{name: value}))
-        with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
+        with pytest.raises(ValueError, match=message):
             matrix_solver.SolveOptions(**{name: value})
         assert getattr(matrix_solver.SolveOptions(**{name: 0.0}), name) == 0.0
 
