@@ -50,7 +50,7 @@ from .errors import (
     TfpError,
     X0DomainError,
 )
-from .hpd_core import PDPoint, matrix_from_literal, matrix_to_literal, require_hermitian
+from .hpd_core import PDPoint, as_count, as_finite, as_seed, matrix_from_literal, matrix_to_literal, require_hermitian
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -131,7 +131,7 @@ def _reject_unknown(data: dict, known, what: str) -> None:
 
 
 def _number(data: dict, key: str) -> float:
-    return matrix_solver.as_finite(_require_key(data, key), f"key '{key}'")
+    return as_finite(_require_key(data, key), f"key '{key}'")
 
 
 def _matrix(data: dict, key: str):
@@ -177,8 +177,8 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         if kind not in (matrix_solver.TYPE1, matrix_solver.TYPE2):
             raise ProblemFormatError(f"key 'kind' must be 'type1' or 'type2', got {kind!r}")
         _reject_unknown(data, PROBLEM_KEYS[kind], f"unknown {kind} key")
-        n = matrix_solver.as_count(_require_key(data, "n"), "key 'n'")
-        m = matrix_solver.as_count(_require_key(data, "m"), "key 'm'")
+        n = as_count(_require_key(data, "n"), "key 'n'")
+        m = as_count(_require_key(data, "m"), "key 'm'")
         a_value = _require_key(data, "A")
         if not isinstance(a_value, list) or len(a_value) != m:
             raise ProblemFormatError(f"key 'A' must list exactly m={m} matrices")
@@ -208,7 +208,7 @@ def load_problem(path) -> tuple[matrix_solver.ProblemSpec, object, matrix_solver
         with contextlib.suppress(ValueError):  # text that is no integer is refused as such below
             seed = int(seed)
         with _prefixed():
-            kwargs["seed"] = matrix_solver.as_seed(seed, "TFP_SEED")
+            kwargs["seed"] = as_seed(seed, "TFP_SEED")
     return problem, x0, matrix_solver.SolveOptions(**kwargs)
 
 
@@ -554,8 +554,8 @@ def cmd_check(args) -> int:
     _refuse_overwriting_inputs([out_path], [args.problem])
     problem, _, options = load_problem(args.problem)
     with _prefixed():
-        samples = options.samples if args.samples is None else matrix_solver.as_count(args.samples, "--samples")
-        seed = options.seed if args.seed is None else matrix_solver.as_seed(args.seed, "--seed")
+        samples = options.samples if args.samples is None else as_count(args.samples, "--samples")
+        seed = options.seed if args.seed is None else as_seed(args.seed, "--seed")
     report = matrix_solver.check_conditions(problem, samples=samples, seed=seed)
     _write_output(out_path, _json_text(report.to_jsonable()) + "\n")
 

@@ -12,18 +12,21 @@ sees alpha, and ``error_bound`` gives the bound to a caller that knows
 it (``matrix_solver.alpha_for``).  A metric space is given by ``gaps``,
 the distances of the consecutive points of a list, and ``bound``, a
 lower bound on the distance of two points; the engine validates no
-point.  A step whose bound exceeds the gap tolerance cannot stop the run,
-so its gap waits until a step's bound does not: the pending gaps are then
-taken in one ``gaps`` call.  A run returns its trace, whose
-``stop_reason`` says if the gap tolerance was met or the budget ran out;
-the trace, and any error it raises, are those of a run that takes each
-gap as soon as its step is made, whatever the bound.
+point, and reads ``gap_tol`` and ``max_iter`` by the field rules of
+``hpd_core``.  A step whose bound exceeds the gap tolerance cannot stop
+the run, so its gap waits until a step's bound does not: the pending
+gaps are then taken in one ``gaps`` call.  A run returns its trace,
+whose ``stop_reason`` says if the gap tolerance was met or the budget
+ran out; the trace, and any error it raises, are those of a run that
+takes each gap as soon as its step is made, whatever the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, TypeVar
+
+from .hpd_core import as_count, as_tolerance
 
 T = TypeVar("T")
 
@@ -55,9 +58,9 @@ def error_bound(alpha: float, d01: float, n: int) -> float:
     """A-priori bound alpha**(n-1) * d01 / (1 - alpha) for iterate n >= 1."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if d01 < 0.0:
+    if not d01 >= 0.0:
         raise ValueError(f"d01 must be nonnegative, got {d01}")
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be at least 1, got {n}")
     return alpha ** (n - 1) * d01 / (1.0 - alpha)
 
@@ -98,8 +101,7 @@ def iterate_pair(
     run, so a run raises what, and where, a run taking one gap per step
     raises.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    gap_tol, max_iter = as_tolerance(gap_tol, "gap_tol"), as_count(max_iter, "max_iter")
 
     trace: IterationTrace[T] = IterationTrace(points=[u0])
     while (done := trace.iterations) < max_iter:

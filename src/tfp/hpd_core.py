@@ -8,12 +8,16 @@ leading axis, and a matrix of a stack comes out with the bits it would
 have on its own.
 Input is validated once, where it comes in: ``pd_point`` checks a matrix's
 shape, then the Hermitian tolerance and the positive-definiteness floor,
-and what it returns, a ``PDPoint``, is trusted from then on.  The kernels
-that work on validated or computed operands (``eig_hermitian`` and
-``PDPoint.powered``) do not check symmetry again.  Outputs are
-re-symmetrized with ``(M + M*) / 2`` so that round-off never accumulates
-into a symmetry defect across long iteration runs; the result is exactly
-Hermitian, so ``eig_hermitian`` decomposes it as it is.
+and what it returns, a ``PDPoint``, is trusted from then on.  A scalar is
+read by a field rule (``as_finite``, ``as_tolerance``, ``as_count``,
+``as_seed``, ``as_bool``), which names the field ``what`` in its
+ValueError and returns the value as stored; the solver, the CLI, the
+engine and the sampler share them.  The kernels that work on validated
+or computed operands (``eig_hermitian`` and ``PDPoint.powered``) do not
+check symmetry again.  Outputs are re-symmetrized with ``(M + M*) / 2``
+so that round-off never accumulates into a symmetry defect across long
+iteration runs; the result is exactly Hermitian, so ``eig_hermitian``
+decomposes it as it is.
 
 A ``PDPoint`` is a positive definite matrix carried with its
 eigendecomposition.  ``pd_point`` decomposes a matrix once; powers, ratio
@@ -38,6 +42,7 @@ against an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -126,6 +131,49 @@ class PDPoint:
 def identity(n: int) -> ComplexMatrix:
     """The n-by-n identity as a complex matrix."""
     return np.eye(n, dtype=np.complex128)
+
+
+def as_finite(value, what: str) -> float:
+    """A real number, not a bool, finite as a float."""
+    got = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            got = "an integer beyond the float range"
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{what} must be a finite number, got {got or repr(value)}")
+
+
+def _at_least(value, minimum: int, what: str):
+    if value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def as_tolerance(value, what: str) -> float:
+    return _at_least(as_finite(value, what), 0, what)
+
+
+def as_count(value, what: str, minimum: int = 1) -> int:
+    """An integer: an integral float reads as its int, a numpy integer is kept."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return _at_least(value, minimum, what)
+
+
+def as_seed(value, what: str) -> int:
+    return as_count(value, what, minimum=0)
+
+
+def as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def as_square_matrix(m, name: str = "matrix", n: int | None = None) -> ComplexMatrix:
@@ -409,8 +457,7 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     overflows, infinity included, is a ``NonHermitianInput``, raised
     before drawing: the points would have infinite eigenvalues.
     """
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {n}")
+    n = as_count(n, "n")
     radius = float(radius)
     if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")

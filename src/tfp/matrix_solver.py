@@ -58,7 +58,6 @@ returns, and raises it attached when the run stalls or is not certified.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,7 +79,12 @@ from .hpd_core import (
     PDPoint,
     _pd_eig,
     _require_finite,
+    as_bool,
+    as_count,
+    as_finite,
+    as_seed,
     as_square_matrix,
+    as_tolerance,
     eig_hermitian,
     frobenius_norm,
     identity,
@@ -101,55 +105,6 @@ UNITARY_TOL = 1e-10
 
 # Matrix entries per stacked array of a sampling block: 1 MiB of complex128.
 _BLOCK_ENTRIES = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# Field rules: a library call, a problem file, a flag and TFP_SEED read each
-# scalar by one of these.  A rule names the field ``what`` in its ValueError
-# and returns the value as it is stored.
-
-
-def as_finite(value, what: str) -> float:
-    """A real number, not a bool, finite as a float."""
-    got = None
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            got = "an integer beyond the float range"
-        else:
-            if math.isfinite(number):
-                return number
-    raise ValueError(f"{what} must be a finite number, got {got or repr(value)}")
-
-
-def _at_least(value, minimum: int, what: str):
-    if value < minimum:
-        raise ValueError(f"{what} must be at least {minimum}, got {value}")
-    return value
-
-
-def as_tolerance(value, what: str) -> float:
-    return _at_least(as_finite(value, what), 0, what)
-
-
-def as_count(value, what: str, minimum: int = 1) -> int:
-    """An integer: an integral float reads as its int, a numpy integer is kept."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return _at_least(value, minimum, what)
-
-
-def as_seed(value, what: str) -> int:
-    return as_count(value, what, minimum=0)
-
-
-def as_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be true or false, got {value!r}")
-    return value
 
 
 # The rule of each ``SolveOptions`` field, which a problem file's options obey.

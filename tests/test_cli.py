@@ -22,7 +22,7 @@ from helpers import known_answer_files
 from tfp import cli, matrix_solver, thompson
 from tfp.hpd_core import PDPoint, matrix_to_literal
 from tfp.errors import MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
-from tfp.fixpoint_engine import error_bound
+from tfp.fixpoint_engine import error_bound, iterate_pair
 from tfp.fixtures import fixture_path
 
 EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -468,11 +468,22 @@ def _rebuilt(problem, **changes):
     return matrix_solver.problem_type2(**{**args, "r": problem.r, **changes})
 
 
+def _halving_run(field, value):
+    """The trace of ``iterate_pair`` given ``field=value`` on x -> x/2 from
+    6.5, whose gaps 3.25, 1.625, ... tell a tolerance of 3 from one of 3.5;
+    a contraction, so no value runs it forever."""
+    gaps = lambda points: [abs(x - y) for x, y in zip(points, points[1:])]  # noqa: E731
+    halve = lambda x: x / 2  # noqa: E731
+    return iterate_pair(gaps, halve, halve, 6.5, bound=lambda x, y: abs(x - y), **{field: value})
+
+
 def _field_cases():
     """(field, fixture, its place in the file, what the file's messages call
     it, the value the file stores, the library calls that take it and give
     the value they store).  Each fixture is varied with s = 4, so that 3 is
-    a valid n, a, l, s and r."""
+    a valid n, a, l, s and r.  The engine stores no option: for ``gap_tol``
+    and ``max_iter``, every stored value is read as the trace of a run given
+    it, and ``iterate_pair`` given the value itself must run that trace."""
     for field in ("n", "a", "l", "s"):
         yield (
             field, "example_4_1.json", (field,), f"key '{field}'", lambda loaded, options, f=field: getattr(loaded, f),
@@ -491,6 +502,10 @@ def _field_cases():
         if field in ("samples", "seed"):
             calls.append(lambda p, v, f=field: getattr(matrix_solver.check_conditions(p, **{"samples": 1, f: v}), f))
         stored = lambda loaded, options, f=field: getattr(options, f)  # noqa: E731
+        if field in ("gap_tol", "max_iter"):
+            calls = [lambda p, v, f=field, c=call: _halving_run(f, c(p, v)) for call in calls]
+            calls.append(lambda p, v, f=field: _halving_run(f, v))
+            stored = lambda loaded, options, f=field: _halving_run(f, getattr(options, f))  # noqa: E731
         yield field, "example_4_1.json", ("options", field), f"option '{field}'", stored, calls
 
 

@@ -16,10 +16,14 @@
   ``hpd_core.random_pd_in_ball``, so no other module names a draw method
   of a random generator, whatever name it holds the generator or the
   method under.
+- One home for the rules of a value from outside: the field rules
+  (``as_finite``, ``as_tolerance``, ``as_count``, ``as_seed``,
+  ``as_bool``) are defined in ``hpd_core`` alone, next to the shape rule,
+  so the engine, the sampler, the solver and the CLI all import them.
 - One home per message: "has shape" (``hpd_core.as_square_matrix``'s shape
   rule), "condition check broke down:" (``check_conditions``'s
   breakdown), "must be a finite number" and "must be true or false"
-  (``matrix_solver``'s field rules) each occur in one string constant of
+  (``hpd_core``'s field rules) each occur in one string constant of
   ``src/tfp``, counting an f-string's literal parts, however the source
   spells them.
 """
@@ -265,6 +269,20 @@ def test_the_draw_rule_leaves_other_calls_alone():
         "matrix_solver.power(0.5)\nnumpy.random.default_rng(0)\nrandom = 1\n"
     )
     assert generator_draws(source) == []
+
+
+FIELD_RULES = {"as_finite", "as_tolerance", "as_count", "as_seed", "as_bool"}
+
+
+def function_defs(source: str) -> set:
+    """The name of each function a module's source defines, at any depth."""
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_field_rules_defined_only_in_hpd_core(path):
+    defined = function_defs(path.read_text()) & FIELD_RULES
+    assert defined == (FIELD_RULES if path.name == "hpd_core.py" else set())
 
 
 # Messages that name a rule with one home; CI's grep steps count them in

@@ -110,10 +110,12 @@ class TestErrorBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             error_bound(1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            error_bound(0.5, -1.0, 1)
-        with pytest.raises(ValueError):
-            error_bound(0.5, 1.0, 0)
+        for d01 in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="d01 must be nonnegative"):
+                error_bound(0.5, d01, 1)
+        for n in (0, math.nan):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                error_bound(0.5, 1.0, n)
 
 
 class TestIteratePair:

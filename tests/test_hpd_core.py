@@ -401,8 +401,17 @@ class TestRandomUnitary:
 
 class TestRandomPdInBall:
     def test_rejects_a_dimension_below_one(self):
-        with pytest.raises(DimensionMismatch, match="dimension must be positive, got 0"):
+        # n is a count, read by the field rule a problem file's n obeys
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             hpd_core.random_pd_in_ball(0, 1.0, 3)
+        with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+            hpd_core.random_pd_in_ball(True, 1.0, 3)
+
+    def test_an_integral_float_dimension_reads_as_its_int(self):
+        x, y = hpd_core.random_pd_in_ball(2.0, 1.0, 3, (2,)), hpd_core.random_pd_in_ball(2, 1.0, 3, (2,))
+        assert x.matrix.shape == (2, 2, 2)
+        assert np.array_equal(x.matrix, y.matrix)
+        assert all(np.array_equal(a, b) for a, b in zip(x.dec, y.dec))
 
     def test_zero_radius_is_identity(self):
         np.testing.assert_allclose(hpd_core.random_pd_in_ball(3, 0.0, 1), np.eye(3), atol=1e-12)
