@@ -55,13 +55,13 @@ class IterationTrace(Generic[T]):
 
 
 def error_bound(alpha: float, d01: float, n: int) -> float:
-    """A-priori bound alpha**(n-1) * d01 / (1 - alpha) for iterate n >= 1."""
+    """A-priori bound alpha**(n-1) * d01 / (1 - alpha) for iterate n >= 1,
+    ``n`` a count by ``hpd_core.as_count``."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not d01 >= 0.0:
         raise ValueError(f"d01 must be nonnegative, got {d01}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = as_count(n, "n")
     return alpha ** (n - 1) * d01 / (1.0 - alpha)
 
 

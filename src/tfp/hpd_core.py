@@ -37,6 +37,12 @@ point; the Thompson pencils, the Gram check of a type1 coefficient and
 condition (C) read eigenvalues only (condition (C) through
 ``_pd_eig(..., vectors=False)``).  The tests cross-check the solver
 against an independent cyclic Jacobi solver kept in ``tests/jacobi.py``.
+
+The condition check's samples come from ``sample_ball_pairs``: a block
+of pairs (X, Y) of a Thompson ball, as a ``BallPairs`` that keeps each
+pair in X's eigenbasis (two spectra and the unitary W between the
+eigenbases) and draws X's eigenvectors, or forms X and Y, only where
+they are read.
 """
 
 from __future__ import annotations
@@ -423,42 +429,29 @@ def matrix_to_literal(m) -> list:
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def _haar_unitaries(z: ComplexMatrix) -> ComplexMatrix:
-    """Haar-distributed unitaries from a stack of complex Gaussian draws:
-    one stacked QR, with the diagonal phases of each R fixed to one."""
-    q, r = np.linalg.qr(z)
+def _haar_unitaries(z) -> ComplexMatrix:
+    """Haar-distributed unitaries from a stack ``(..., 2, n, n)`` of real
+    Gaussian draws, the real and the imaginary parts of each complex
+    Gaussian matrix: one stacked QR, with the diagonal phases of each R
+    fixed to one."""
+    q, r = np.linalg.qr((z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
     return np.ascontiguousarray(q * (d / np.abs(d))[..., None, :])
 
 
-def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) -> PDPoint:
-    """Seeded random positive definite point within a log-eigenvalue bound.
-
-    Returns X = U diag(exp(t_1), ..., exp(t_n)) U* with each t_i uniform in
-    [-radius, radius] and U a seeded random unitary, so every eigenvalue of
-    X lies in [exp(-radius), exp(radius)] by construction.  The point keeps
-    that construction, sorted, as its decomposition: no eigensolve.
-
-    With a ``shape``, the result is a stack of points of that shape, in C
-    order, whose unitaries come from one stacked QR.  ``seed`` is an int, a
-    generator, or a ``(spectra, gauss)`` tuple of two generators; one
-    generator is both.  A stack costs two generator calls, whatever its
-    size: ``spectra.random`` gives the n unit doubles u_i of each point,
-    then ``gauss.standard_normal`` the real and the imaginary parts of each
-    point's Gaussian matrix.  Each t_i is low + (high - low) * u_i with
-    (low, high) = (-radius, radius), the arithmetic of
-    ``Generator.uniform``.  Each stream is consumed in point order, so a
-    stack drawn from a pair has the bits of its points drawn one at a time
-    from it, and a single point drawn from one generator has the bits of
-    one ``uniform`` and two ``standard_normal`` calls.
-
-    A NaN or negative radius is a ``ValueError``.  A radius whose exp
-    overflows, infinity included, is a ``NonHermitianInput``, raised
-    before drawing: the points would have infinite eigenvalues.
-    """
-    n = as_count(n, "n")
-    radius = float(radius)
+def _sampling_radius(radius) -> float:
+    """A ball's radius as a float: a real number, not a bool, at least 0,
+    whose exp is finite.  A str or a bool, NaN or a negative radius is a
+    ``ValueError``; a radius whose exp overflows, infinity included (and
+    an integer beyond the float range, read as infinity), is a
+    ``NonHermitianInput``: the points would have infinite eigenvalues."""
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+        raise ValueError(f"radius must be a real number, got {radius!r}")
+    try:
+        radius = float(radius)
+    except OverflowError:
+        radius = math.inf if radius > 0 else -math.inf
     if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     try:
@@ -466,22 +459,99 @@ def random_pd_in_ball(n: int, radius: float, seed, shape: tuple[int, ...] = ()) 
     except OverflowError:
         wide = True
     if wide:
-        message = f"ball of radius {radius:g} is too wide to sample: exp({radius:g}) overflows"
-        raise NonHermitianInput(message)
-    spectra, gauss = seed if isinstance(seed, tuple) else (np.random.default_rng(seed),) * 2
-    count = math.prod(shape)
-    unit = spectra.random((count, n))
-    z = gauss.standard_normal((count, 2, n, n))
+        raise NonHermitianInput(f"ball of radius {radius:g} is too wide to sample: exp({radius:g}) overflows")
+    return radius
+
+
+class BallPairs:
+    """A block of pairs (X, Y) drawn from a Thompson ball about I, kept in
+    X's eigenbasis: X = U diag(lam_x) U* and Y = V diag(lam_y) V* with
+    V = U W.
+
+    ``lam_x`` and ``lam_y`` are the ascending spectra, ``(S, n)`` each, and
+    ``w`` the Haar unitaries W = U* V, ``(S, n, n)``.  The Thompson metric
+    is unitarily invariant, so d(X, Y), and d(F(X), G(Y)) for powers F
+    and G, read ``lam_x``, ``lam_y`` and ``w`` alone
+    (``thompson._frame_ratios``).  U is drawn only where it is read:
+    ``x_dec`` and ``y_dec`` draw it for every pair of the block, from the
+    stream ``gauss``, and build it with W in one stacked QR.  A block
+    whose U is never read is a block of pairs known up to one unitary
+    change of basis, and ``matrices`` gives its pairs in X's eigenbasis,
+    U = I.
+    """
+
+    __slots__ = ("lam_x", "lam_y", "_draws", "_gauss", "_w", "_u", "_formed")
+
+    def __init__(self, lam_x, lam_y, draws, gauss) -> None:
+        self.lam_x, self.lam_y = lam_x, lam_y
+        self._draws, self._gauss = draws, gauss  # draws: W's, then room for U's
+        self._w, self._u, self._formed = None, None, {}
+
+    def __len__(self) -> int:
+        return len(self.lam_x)
+
+    @property
+    def w(self) -> ComplexMatrix:
+        if self._w is None:
+            self._w = _haar_unitaries(self._draws[0])
+        return self._w
+
+    def _unitaries(self) -> ComplexMatrix:
+        if self._u is None:
+            self._gauss.standard_normal(out=self._draws[1])
+            if self._w is None:
+                self._w, self._u = _haar_unitaries(self._draws)
+            else:
+                self._u = _haar_unitaries(self._draws[1])
+        return self._u
+
+    def x_dec(self) -> EigenDecomposition:
+        """X = U diag(lam_x) U* of every pair."""
+        return EigenDecomposition(self.lam_x, self._unitaries())
+
+    def y_dec(self) -> EigenDecomposition:
+        """Y = V diag(lam_y) V* of every pair, V = U W."""
+        return EigenDecomposition(self.lam_y, self._unitaries() @ self.w)
+
+    def matrices(self, i: int) -> tuple[ComplexMatrix, ComplexMatrix]:
+        """The matrices X and Y of pair ``i``, re-symmetrized, formed once
+        (two conditions' witnesses may share a pair); with U = I unless
+        the block's U was read."""
+        if i not in self._formed:
+            u = self._u[i] if self._u is not None else identity(self.lam_x.shape[-1])
+            vectors, lam = np.stack((u, u @ self.w[i])), np.stack((self.lam_x[i], self.lam_y[i]))
+            self._formed[i] = tuple(symmetrize((vectors * lam[:, None, :]) @ vectors.conj().swapaxes(-1, -2)))
+        return self._formed[i]
+
+
+def sample_ball_pairs(n: int, radius: float, streams, count: int) -> BallPairs:
+    """``count`` seeded pairs (X, Y) from the Thompson ball of ``radius``
+    about I: X's and Y's spectra, then W, in two generator calls, and U's
+    Gaussian draws in a third where U is read.
+
+    ``streams`` is a ``(spectra, gauss, frame)`` triple of generators.
+    ``spectra.random`` gives each pair's 2n unit doubles u_i, X's n then
+    Y's, and each log-eigenvalue is t_i = low + (high - low) * u_i with
+    (low, high) = (-radius, radius), the arithmetic of
+    ``Generator.uniform``; each point's spectrum is exp of its sorted t_i,
+    so it lies in [exp(-radius), exp(radius)].  ``frame.standard_normal``
+    then gives the real and the imaginary parts of each pair's complex
+    Gaussian matrix for W, and ``gauss.standard_normal``, when the block's
+    U is first read, those for U.  W and U are Haar and independent, so X
+    and Y are independent, each U diag(exp(t)) U* with U Haar.  Each
+    stream is consumed in pair order, so for a caller that reads U in
+    every block or in none, the pairs of consecutive blocks are those of
+    one block with their counts summed.
+
+    ``n`` and ``count`` are counts (``as_count``) and ``radius`` is read by
+    ``_sampling_radius``, before drawing.
+    """
+    n, count = as_count(n, "n"), as_count(count, "count")
+    radius = _sampling_radius(radius)
+    spectra, gauss, frame = streams
     low, high = -radius, radius
-    t = low + (high - low) * unit
-    u = _haar_unitaries((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))
-    lam = np.exp(t)
-    order = np.argsort(t, axis=-1)
-    matrix = symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))
-    points = np.arange(count)[:, None]
-    lam, u = lam[points, order], u[points[:, None], np.arange(n)[:, None], order[:, None, :]]
-    shape = tuple(shape)
-    return PDPoint(
-        matrix.reshape(shape + (n, n)),
-        EigenDecomposition(lam.reshape(shape + (n,)), u.reshape(shape + (n, n))),
-    )
+    t = low + (high - low) * spectra.random((count, 2, n))
+    draws = np.empty((2, count, 2, n, n))
+    frame.standard_normal(out=draws[0])
+    lam = np.exp(np.sort(t, axis=-1))
+    return BallPairs(np.ascontiguousarray(lam[:, 0]), np.ascontiguousarray(lam[:, 1]), draws, gauss)

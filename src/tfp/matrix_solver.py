@@ -34,8 +34,12 @@ the one entry point and the one sampling loop; a family only lists, per
 block of samples, each condition's terms (label, lhs, rhs).  The samples
 are drawn and evaluated in stacked blocks of at most ``_BLOCK_ENTRIES``
 entries per stack: one ``(S, n, n)`` stack per quantity, so a block costs
-two generator calls, one call of each kernel and one eigensolve call per
-decomposition step, whatever its size.  For type1,
+two or three generator calls, one call of each kernel and one eigensolve
+call per decomposition step, whatever its size.  A pair is drawn in X's
+eigenbasis, as two spectra and the unitary W between the eigenbases, and
+its Thompson pencils are one product each, of W scaled by rows and
+columns; X's eigenvectors are drawn only where a term reads them, and X
+and Y themselves are formed only for a witness.  For type1,
 conditions (A) and (B) are judged in their metric (proof-level) form
 
     (A)  d(Q1, Q2) <= d(F(X), G(Y))
@@ -74,6 +78,7 @@ from .errors import (
 )
 from .fixpoint_engine import STOP_MAX_ITER, IterationTrace, iterate_pair
 from .hpd_core import (
+    BallPairs,
     ComplexMatrix,
     EigenDecomposition,
     PDPoint,
@@ -90,7 +95,7 @@ from .hpd_core import (
     identity,
     matrix_to_literal,
     pd_point,
-    random_pd_in_ball,
+    sample_ball_pairs,
     symmetrize,
 )
 
@@ -146,21 +151,32 @@ def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
     if spec.kind == "power":
         return pd_point(x).powered(spec.exponent)
     if spec.kind == "constant":
-        batch = np.shape(x)[:-2]
-        (lam, vectors), matrix = spec.value.dec, spec.value.matrix
-        lam, vectors = np.broadcast_to(lam, batch + lam.shape), np.broadcast_to(vectors, batch + vectors.shape)
-        return PDPoint(np.broadcast_to(matrix, batch + matrix.shape), EigenDecomposition(lam, vectors))
+        return _repeated(spec.value, np.shape(x)[:-2])
     raise ValueError(f"unknown matrix function kind {spec.kind!r}")
 
 
-def _spectrum(spec: MatrixFunctionSpec, x: PDPoint):
-    """The eigenvalues of F(X), ascending, one spectrum per point of a
-    stack: those of ``apply_F(spec, x)``, with no matrix formed for a
-    power, in ``EigenDecomposition.powered``'s arithmetic: lambda ** p,
-    reversed and copied contiguous for p < 0."""
+def _repeated(point: PDPoint, batch: tuple) -> PDPoint:
+    """A point repeated along the leading axes ``batch``, as a view."""
+    (lam, vectors), matrix = point.dec, point.matrix
+    lam, vectors = np.broadcast_to(lam, batch + lam.shape), np.broadcast_to(vectors, batch + vectors.shape)
+    return PDPoint(np.broadcast_to(matrix, batch + matrix.shape), EigenDecomposition(lam, vectors))
+
+
+def _sampled(spec: MatrixFunctionSpec, dec: Callable[[], EigenDecomposition], batch: tuple) -> PDPoint:
+    """F(X) of each point of a stack of ``batch`` points known by their
+    decomposition ``dec()``: a power forms the matrices from it, and a
+    constant is repeated without calling it."""
+    return dec().powered(spec.exponent) if spec.kind == "power" else _repeated(spec.value, batch)
+
+
+def _spectrum(spec: MatrixFunctionSpec, lam):
+    """The eigenvalues of F(X), ascending, for X of ascending eigenvalues
+    ``lam``, one spectrum per point of a stack: those of ``apply_F``, with
+    no matrix formed, in ``EigenDecomposition.powered``'s arithmetic:
+    lambda ** p, reversed and copied contiguous for p < 0."""
     if spec.kind != "power":
-        return apply_F(spec, x).dec.eigenvalues
-    mu = x.dec.eigenvalues**spec.exponent
+        return _repeated(spec.value, lam.shape[:-1]).dec.eigenvalues
+    mu = lam**spec.exponent
     return np.ascontiguousarray(mu[..., ::-1]) if spec.exponent < 0.0 else mu
 
 
@@ -391,23 +407,24 @@ class ConditionStat:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, first: int, terms, x: PDPoint, y: PDPoint | None = None) -> None:
-        """Count a block of samples ``first``, ``first + 1``, ... of the
-        stacks ``x`` (and ``y``).  ``terms`` lists the condition's
-        inequalities lhs <= rhs as (label, lhs, rhs), each side one value
-        per sample or one for all; a sample counts its term of largest
-        margin lhs - rhs, the first in ``terms`` order on a tie.  The
-        block's worst sample is the first of its largest margin, and
+    def record(self, samples: range, terms, witness: Callable[[int], dict]) -> None:
+        """Count a block of the samples ``samples``.  ``terms`` lists the
+        condition's inequalities lhs <= rhs as (label, lhs, rhs), each side
+        one value per sample or one for all; a sample counts its term of
+        largest margin lhs - rhs, the first in ``terms`` order on a tie.
+        The block's worst sample is the first of its largest margin, and
         replaces the witness only when it is strictly worse, as over the
-        samples one by one.  A later term replaces a sample's margin
-        only when it is larger or NaN: the first NaN (inf - inf on a very
-        wide ball) wins, as in ``np.argmax``."""
+        samples one by one; ``witness(i)`` gives the matrices, by name, of
+        the block's sample ``i``, and is called for that sample only.  A
+        later term replaces a sample's margin only when it is larger or
+        NaN: the first NaN (inf - inf on a very wide ball) wins, as in
+        ``np.argmax``."""
         margins = [lhs - rhs for _, lhs, rhs in terms]
         margin = margins[0]
         for later in margins[1:]:
             margin = np.where((later > margin) | np.isnan(later), later, margin)
         if not np.ndim(margin):  # every side is one value for all samples
-            margin = np.full(len(x.matrix), margin)
+            margin = np.full(len(samples), margin)
         self.checked += margin.size
         self.failures += int(np.count_nonzero(margin > CONDITION_TOL))
         i = int(np.argmax(margin))
@@ -415,14 +432,12 @@ class ConditionStat:
             label, lhs, rhs = next(term for term, m in zip(terms, margins) if _at(m, i) == margin[i])
             self.worst_margin = float(margin[i])
             self.worst = {
-                "sample": first + i,
+                "sample": samples[i],
                 "inequality": label,
                 "lhs": float(_at(lhs, i)),
                 "rhs": float(_at(rhs, i)),
-                "X": matrix_to_literal(x.matrix[i]),
             }
-            if y is not None:
-                self.worst["Y"] = matrix_to_literal(y.matrix[i])
+            self.worst.update((name, matrix_to_literal(m)) for name, m in witness(i).items())
 
     def to_jsonable(self) -> dict:
         out = {
@@ -482,29 +497,48 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     ratio form of the same condition, counted as ``literal_failures``.
     d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/s)| needs the
     eigenvalues of the right-hand side only, so its eigensolve computes no
-    eigenvectors; a right-hand side that overflows or is not positive
-    definite raises what T_j raises, with the same message.  G is applied
-    once per block, to the pair stack, for G(Y) and G(X).
+    eigenvectors, one call for both maps' right-hand sides; one that
+    overflows or is not positive definite raises what T_j raises, with the
+    same message, T1's first.
+
+    A block's pairs are read in X's eigenbasis (``hpd_core.BallPairs``):
+    d(X, Y), and d(F(X), G(Y)) for power F and G, come from the spectra
+    and W alone (``thompson._frame_ratios``, one call for both), so with
+    power F and G a block forms only F(X) and G(X), for (C), and G(X)
+    is F(X) when the powers are equal.  A constant F or G forms from U
+    and W only what its terms read: G(Y) for a power G beside a constant
+    F, and no matrix, and no U, when both are constant.
     """
     l, a, root, factors = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
+    F, G = problem.F, problem.G
+    powers = F.kind == G.kind == "power"
+    same = powers and F.exponent == G.exponent  # G(X) is F(X)
     (w_q1q2,), (w_q2q1,) = thompson._ratios(problem.Q1[None], problem.Q2[None])
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
-    def map_distance(q: PDPoint, f_x: PDPoint):
-        lam = _pd_eig(_rhs(q, factors, f_x.matrix), "map right-hand side", vectors=False).eigenvalues
+    def map_distances(f_x: PDPoint, g_x: PDPoint):
+        rhs = np.stack((_rhs(problem.Q1, factors, f_x.matrix), _rhs(problem.Q2, factors, g_x.matrix)))
+        lam = _pd_eig(rhs, "map right-hand side", vectors=False).eigenvalues
         return thompson._identity_distance(lam**root)
 
-    def block(x: PDPoint, y: PDPoint, pairs: PDPoint) -> dict:
-        f_x, g = apply_F(problem.F, x), apply_F(problem.G, pairs)
-        w_fg, w_gf = thompson._ratios(f_x, g[:, 1])
+    def block(pairs: BallPairs) -> dict:
+        batch = (len(pairs),)
+        f_x = _sampled(F, pairs.x_dec, batch)
+        g_x = f_x if same else _sampled(G, pairs.x_dec, batch)
+        if powers:  # both distances' pencils share W: one stack of them
+            lam_a = np.stack((pairs.lam_x**F.exponent, pairs.lam_x))
+            lam_b = np.stack((pairs.lam_y**G.exponent, pairs.lam_y))
+            (w_fg, w_xy), (w_gf, w_yx) = thompson._frame_ratios(lam_a, lam_b, pairs.w)
+        else:
+            w_fg, w_gf = thompson._ratios(f_x, _sampled(G, pairs.y_dec, batch))
+            w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
         d_fg = thompson._ratio_distances(w_fg, w_gf)
-        w_xy, w_yx = thompson._ratios(x, y)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
         literal_a = (w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL)
         literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
             w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-        d1, d2 = map_distance(problem.Q1, f_x), map_distance(problem.Q2, g[:, 0])
+        d1, d2 = map_distances(f_x, g_x)
         return {
             "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
             "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),
@@ -528,15 +562,19 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
     coincident ones where w(X/Y) approaches 1; reports on problems whose
     functions genuinely vary are expected to fail (B) and are useful as
     regression fixtures rather than truth assertions.
+
+    Every term reads X's spectrum or d(X, Y), so a block forms no matrix:
+    F's and G's spectra come from X's (``_spectrum``), and the ratios of
+    X and Y from the spectra and W (``thompson._frame_ratios``).
     """
     exp_ra = math.exp(ball_radius(problem))
     m, l = problem.m, problem.l
 
-    def block(x: PDPoint, y: PDPoint, pairs: PDPoint) -> dict:
-        lam_f, lam_g = _spectrum(problem.F, x), _spectrum(problem.G, x)
+    def block(pairs: BallPairs) -> dict:
+        lam_f, lam_g = _spectrum(problem.F, pairs.lam_x), _spectrum(problem.G, pairs.lam_x)
         max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
         max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
-        w_xy, w_yx = thompson._ratios(x, y)
+        w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
         w_xy_l, w_yx_l = thompson._ratio_powers(w_xy, l), thompson._ratio_powers(w_yx, l)
         terms_a = [
             ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
@@ -555,37 +593,50 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
     return block
 
 
+def _witness(pairs: BallPairs, with_y: bool) -> Callable[[int], dict]:
+    """A condition's witness of a block's pair ``i``: X, and Y if shown."""
+
+    def witness(i: int) -> dict:
+        x, y = pairs.matrices(i)
+        return {"X": x, "Y": y} if with_y else {"X": x}
+
+    return witness
+
+
 def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the sufficiency conditions of the problem's kind, ``samples``
     pairs drawn with ``seed``: the one entry point of condition checking.
 
-    The pairs are drawn from the ball of ``ball_radius``, X then Y for
-    sample 0, 1, ..., in blocks of at most ``_BLOCK_ENTRIES`` entries per
-    stack, from two streams spawned once per check from ``seed``: one for
-    the points' log-eigenvalues and one for their Gaussian matrices.  Each
-    stream is consumed in sample order, so the report does not depend on
-    how the samples fall into blocks.  The problem's family gives, per
-    block (the stacks X and Y, and the (S, 2) stack of pairs they are
-    views of), each condition's terms, whether its witness shows Y, and
-    its per-pair literal violations (None when it has no literal form).
-    A check that breaks down with a ``TfpError`` (an overflowing ball, say)
+    The pairs (X, Y) are drawn from the ball of ``ball_radius``, sample
+    0, 1, ..., in blocks of at most ``_BLOCK_ENTRIES`` entries per stack,
+    by ``hpd_core.sample_ball_pairs`` from three streams spawned once per
+    check from ``seed``: one for the spectra, one for the Gaussian draws
+    of X's eigenvectors U and one for those of W = U* V, V being Y's.
+    Each stream is consumed in sample order, and U is drawn in every block
+    of a family whose terms read it and in none of another, so the report
+    does not depend on how the samples fall into blocks.  The problem's
+    family gives, per block of pairs, each condition's terms, whether its
+    witness shows Y, and its per-pair literal violations (None when it has
+    no literal form); a witness's X and Y are formed for its sample only,
+    in X's eigenbasis (X diagonal) when no term reads U: every term is
+    then the same for the pair in any common basis.  A check
+    that breaks down with a ``TfpError`` (an overflowing ball, say)
     raises ``ConditionsNotVerified`` with no report and that cause.
     """
     samples, seed = as_count(samples, "samples"), as_seed(seed, "seed")
     try:
         block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
         n, radius = problem.n, ball_radius(problem)
-        block, streams = _block_size(n), tuple(np.random.default_rng(seed).spawn(2))
+        block, streams = _block_size(n), tuple(np.random.default_rng(seed).spawn(3))
         stats = {}
         # an overflowing sample is reported by the named breakdown below
         with np.errstate(all="ignore"):
             for first in range(0, samples, block):
-                pairs = random_pd_in_ball(n, radius, streams, (min(block, samples - first), 2))
-                x, y = pairs[:, 0], pairs[:, 1]
-                for name, (terms, with_y, literal) in block_terms(x, y, pairs).items():
+                pairs = sample_ball_pairs(n, radius, streams, min(block, samples - first))
+                for name, (terms, with_y, literal) in block_terms(pairs).items():
                     failures = None if literal is None else 0
                     stat = stats.setdefault(name, ConditionStat(name, literal_failures=failures))
-                    stat.record(first, terms, x, y if with_y else None)
+                    stat.record(range(first, first + len(pairs)), terms, _witness(pairs, with_y))
                     if literal is not None:
                         stat.literal_failures += int(np.count_nonzero(literal))
     except TfpError as exc:

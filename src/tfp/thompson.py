@@ -22,7 +22,10 @@ stacked call, one eigensolve call for all its pencils (and one for the
 wide ones): the iteration's gaps, up to a step ``spectral_distance``
 (a lower bound read off two spectra) cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
-decide every choice above sample by sample.  Each quantity has one rule,
+decide every choice above sample by sample; ``_frame_ratios`` makes the
+same choices for pairs known only by their spectra and the unitary W
+between their eigenbases (the condition check's samples), whose pencils
+are one product K K* each, K being W scaled by rows and columns.  Each quantity has one rule,
 for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
 (inf for a power that overflows) take the C math library's ``log`` and
 ``pow``, as ``math.log`` and ``math.pow`` compute them, element by element
@@ -114,6 +117,43 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple:
             np.where(on_vec[wide], b.matrix[wide], a.matrix[wide]),
         )[..., -1]
     return tuple(np.where(equal, 1.0, np.where(swap, (w_other, w_base), (w_base, w_other))))
+
+
+def _frame_ratios(lam_a, lam_b, w) -> tuple:
+    """(W(A/B), W(B/A)) of A = U diag(lam_a) U* and B = U W diag(lam_b) W* U*,
+    for any unitary U, by the rules of ``_ratios``: each pair of a stack
+    of spectra ``(..., n)`` and unitaries W, whose stack broadcasts to
+    theirs, with no matrix A or B.
+
+    Each spectrum is paired with its columns of U or U W, and is ascending
+    or descending (a negative power of an ascending one), so its condition
+    number is the larger ratio of its ends.  In A's eigenbasis B is
+    W diag(lam_b) W*, so the pencil on A's base is K K* with
+    K = diag(lam_a)^-1/2 W diag(lam_b)^1/2; the pencil on B's base,
+    K* K for K = diag(lam_a)^1/2 W diag(lam_b)^-1/2, has the spectrum of
+    K K*.  Either is one product of W scaled by rows and columns.  A
+    pencil whose entries overflow, as between points far apart on a wide
+    ball, is a ``NonHermitianInput`` naming it."""
+
+    def spectrum(on_b, rows):  # the pencils of pairs ``rows``, on B's base where ``on_b``
+        on_lam = on_b[..., None]
+        a, b = lam_a[rows], lam_b[rows]
+        k = w[rows] * np.where(on_lam, a**0.5, a**-0.5)[..., :, None] * np.where(on_lam, b**-0.5, b**0.5)[..., None, :]
+        pencil = hpd_core.symmetrize(k @ k.conj().swapaxes(-1, -2))
+        return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
+
+    def condition(lam):
+        return np.maximum(lam[..., -1] / lam[..., 0], lam[..., 0] / lam[..., -1])
+
+    w = np.broadcast_to(w, lam_a.shape[:-1] + w.shape[-2:])
+    swap = np.asarray(condition(lam_b) < condition(lam_a))
+    mu = spectrum(swap, ...)
+    w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
+    wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]
+    if wide.any():
+        w_base = np.array(w_base)
+        w_base[wide] = spectrum(~swap[wide], wide)[..., -1]
+    return tuple(np.where(swap, (w_other, w_base), (w_base, w_other)))
 
 
 def distance(a, b) -> float:

@@ -43,9 +43,44 @@ def random_hermitian(rng, n, scale=3.0):
     return hpd_core.symmetrize(scale * z)
 
 
+def random_pd_in_ball(n, radius, seed, shape=()):
+    """Seeded random positive definite point within a log-eigenvalue bound.
+
+    X = U diag(exp(t_1), ..., exp(t_n)) U* with each t_i uniform in
+    [-radius, radius] and U a seeded Haar unitary, so every eigenvalue of
+    X lies in [exp(-radius), exp(radius)] by construction; the point keeps
+    that construction, sorted, as its decomposition: no eigensolve.  With
+    a ``shape``, a stack of points of that shape, in C order.  ``seed`` is
+    an int, a generator, or a ``(spectra, gauss)`` tuple of two
+    generators; one generator is both.  A stack costs two generator calls:
+    ``spectra.random`` gives the n unit doubles of each point, then
+    ``gauss.standard_normal`` the real and imaginary parts of each point's
+    Gaussian matrix.  This is the condition check's sampler as it drew X
+    and Y before it drew pairs in X's eigenbasis (``sample_ball_pairs``),
+    kept as the other side of the distribution tests and as the tests'
+    source of random points.
+    """
+    spectra, gauss = seed if isinstance(seed, tuple) else (np.random.default_rng(seed),) * 2
+    count = math.prod(shape)
+    unit = spectra.random((count, n))
+    z = gauss.standard_normal((count, 2, n, n))
+    low, high = -radius, radius
+    t = low + (high - low) * unit
+    u = hpd_core._haar_unitaries(z)
+    lam = np.exp(t)
+    order = np.argsort(t, axis=-1)
+    matrix = hpd_core.symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    lam, u = np.take_along_axis(lam, order, -1), np.take_along_axis(u, order[:, None, :], -1)
+    shape = tuple(shape)
+    return hpd_core.PDPoint(
+        matrix.reshape(shape + (n, n)),
+        hpd_core.EigenDecomposition(lam.reshape(shape + (n,)), u.reshape(shape + (n, n))),
+    )
+
+
 def random_pd(rng, n, radius=1.5):
     """A positive definite matrix (the array of a random ball point)."""
-    return hpd_core.random_pd_in_ball(n, radius, rng).matrix
+    return random_pd_in_ball(n, radius, rng).matrix
 
 
 def random_unitary(n, seed):

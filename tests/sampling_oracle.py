@@ -1,21 +1,30 @@
 """Sequential condition checkers: the test oracle for the stacked sampler.
 
 ``matrix_solver.check_conditions`` draws and evaluates its samples in
-stacked blocks.  The checkers here draw and judge one sample at a time,
-X then Y, from the same two streams (``default_rng(seed).spawn(2)``) and
-in the same order, with the package's kernels on single
-points, Python scalars for the ratios, the scalar distance rule
+stacked blocks.  The checkers here draw and judge one sample at a time
+from the same three streams (``default_rng(seed).spawn(3)``: spectra,
+U's Gaussian draws, W's Gaussian draws) and in the same order, with
+Python control flow and scalars for the ratios, the scalar distance rule
 ``ratio_distance`` (``math.log`` and ``max``) and the original one-sample
 ``record`` rule (a sample counts its term of largest margin, the first on
 a tie, and replaces the witness when that margin is strictly larger).
-They draw through ``random_pd_in_ball`` below, three generator calls per
-point (``uniform`` from the spectra stream, then two ``standard_normal``
-calls from the Gaussian stream), which ``hpd_core.random_pd_in_ball``
-must reproduce bit for bit with its two calls per stack.  Condition (C) forms each right-hand side with
-``map_oracle.rhs``, kernel by kernel and independent of the package's
-``_rhs``, and reads its eigenvalues only, as the package does: those LAPACK
-computes without eigenvectors may differ in the last bits from those of
-the map's root.  Their reports must match the stacked ones byte for byte.
+
+A sample is drawn by ``sample_pair`` with four generator calls
+(``uniform`` for X's spectrum and for Y's from the spectra stream, two
+``standard_normal`` calls for W from the third stream) and, for a
+family whose terms read U (type1 with a power F or G), two more for U
+from the second, which ``hpd_core.sample_ball_pairs`` must reproduce bit
+for bit with its two or three calls per block.  X = U diag(lam_x) U* and
+Y = V diag(lam_y) V* with V = U W, U = I when no term reads it (the
+witnesses of such a family are written in X's eigenbasis), and the
+ratios of a pair known in X's
+eigenbasis are taken by ``frame_ratios``, one base at a time, with an
+``if`` where the package takes ``np.where`` on a stack.  Condition (C)
+forms each right-hand side with ``map_oracle.rhs``, kernel by kernel and
+independent of the package's ``_rhs``, and reads its eigenvalues only, as
+the package does: those LAPACK computes without eigenvectors may differ
+in the last bits from those of the map's root.  Their reports must match
+the stacked ones byte for byte.
 """
 
 import math
@@ -23,35 +32,60 @@ import math
 import numpy as np
 
 from map_oracle import rhs
-from tfp import thompson
-from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, _pd_eig, matrix_to_literal, symmetrize
+from tfp import hpd_core, thompson
+from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, _pd_eig, matrix_to_literal, pd_floor, symmetrize
 from tfp.matrix_solver import CONDITION_TOL, TYPE1, TYPE2, ConditionReport, ConditionStat, apply_F, ball_radius
 
 
-def random_pd_in_ball(n, radius, seed, shape=()):
-    """``hpd_core.random_pd_in_ball`` drawn point by point with three
-    generator calls each: ``uniform`` from the spectra stream, then two
-    ``standard_normal`` from the Gaussian stream.  ``seed`` is a
-    ``(spectra, gauss)`` pair of generators, or an int or a generator that
-    is both streams: the recipe as it was first written."""
-    spectra, gauss = seed if isinstance(seed, tuple) else (np.random.default_rng(seed),) * 2
-    count = math.prod(shape)
-    t = np.empty((count, n))
-    re, im = np.empty((2, count, n, n))
-    for k in range(count):
-        t[k] = spectra.uniform(-radius, radius, size=n)
-        gauss.standard_normal(out=re[k])
-        gauss.standard_normal(out=im[k])
-    u = _haar_unitaries((re + 1j * im) / math.sqrt(2))
-    lam = np.exp(t)
-    order = np.argsort(t, axis=-1)
-    matrix = symmetrize((u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2))
-    lam, u = np.take_along_axis(lam, order, -1), np.take_along_axis(u, order[:, None, :], -1)
-    shape = tuple(shape)
-    return PDPoint(
-        matrix.reshape(shape + (n, n)),
-        EigenDecomposition(lam.reshape(shape + (n,)), u.reshape(shape + (n, n))),
-    )
+def _haar(rng, n):
+    """One Haar unitary from two ``standard_normal`` calls of ``rng``."""
+    z = np.empty((2, n, n))
+    rng.standard_normal(out=z[0])
+    rng.standard_normal(out=z[1])
+    return _haar_unitaries(z)
+
+
+def sample_pair(n, radius, streams, with_u=True):
+    """(lam_x, lam_y, W, U) of one sample drawn from the ``(spectra, gauss,
+    frame)`` streams: X's and Y's ascending spectra, the unitary W between
+    their eigenbases and X's eigenvectors U, or I without ``with_u``."""
+    spectra, gauss, frame = streams
+    lam_x, lam_y = (np.exp(np.sort(spectra.uniform(-radius, radius, size=n))) for _ in range(2))
+    w = _haar(frame, n)
+    return lam_x, lam_y, w, _haar(gauss, n) if with_u else np.eye(n, dtype=complex)
+
+
+def pair_points(lam_x, lam_y, w, u):
+    """The points X and Y of a sample, each with the decomposition it was
+    built from."""
+    v = u @ w
+    x = PDPoint(symmetrize((u * lam_x) @ u.conj().T), EigenDecomposition(lam_x, u))
+    y = PDPoint(symmetrize((v * lam_y) @ v.conj().T), EigenDecomposition(lam_y, v))
+    return x, y
+
+
+def frame_ratios(lam_a, lam_b, w):
+    """(W(A/B), W(B/A)) of A = U diag(lam_a) U* and B = U W diag(lam_b) W* U*:
+    the pencil on the better-conditioned base, B's when it is strictly
+    better, and a second eigensolve from the other base when the first is
+    too wide for 1/mu_min."""
+
+    def spectrum(on_b):
+        # K K* for K = D_a^-1/2 W D_b^1/2 on A's base; on B's, K* K for
+        # K = D_a^1/2 W D_b^-1/2, whose spectrum is that of K K*
+        if on_b:
+            k = w * (lam_a**0.5)[:, None] * (lam_b**-0.5)[None, :]
+        else:
+            k = w * (lam_a**-0.5)[:, None] * (lam_b**0.5)[None, :]
+        pencil = symmetrize(k @ k.conj().T)
+        return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
+
+    swap = lam_b.max() / lam_b.min() < lam_a.max() / lam_a.min()
+    mu = spectrum(swap)
+    w_other, w_base = float(mu[-1]), float(1.0 / mu[0])
+    if pd_floor(mu) > thompson._ONE_SOLVE_REL_TOL * mu[0]:
+        w_base = float(spectrum(not swap)[-1])
+    return (w_other, w_base) if swap else (w_base, w_other)
 
 
 def _record(stat, sample, inequality, lhs, rhs, x, y=None):
@@ -67,10 +101,10 @@ def _record(stat, sample, inequality, lhs, rhs, x, y=None):
             "inequality": inequality,
             "lhs": float(lhs),
             "rhs": float(rhs),
-            "X": matrix_to_literal(x),
+            "X": matrix_to_literal(x.matrix),
         }
         if y is not None:
-            stat.worst["Y"] = matrix_to_literal(y)
+            stat.worst["Y"] = matrix_to_literal(y.matrix)
 
 
 def ratio_distance(w_ab, w_ba):
@@ -98,14 +132,19 @@ def check_conditions_type1(problem, samples=200, seed=0):
 
     w_q1q2, w_q2q1 = _ratios(problem.Q1, problem.Q2)
     d_q = ratio_distance(w_q1q2, w_q2q1)
+    powers = problem.F.kind == problem.G.kind == "power"
 
-    streams = tuple(np.random.default_rng(seed).spawn(2))
+    reads_u = problem.F.kind == "power" or problem.G.kind == "power"
+    streams = tuple(np.random.default_rng(seed).spawn(3))
     for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, streams)
-        y = random_pd_in_ball(problem.n, radius, streams)
-        w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
+        lam_x, lam_y, w, u = sample_pair(problem.n, radius, streams, reads_u)
+        x, y = pair_points(lam_x, lam_y, w, u)
+        if powers:
+            w_fg, w_gf = frame_ratios(lam_x**problem.F.exponent, lam_y**problem.G.exponent, w)
+        else:
+            w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = ratio_distance(w_fg, w_gf)
-        w_xy, w_yx = _ratios(x, y)
+        w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
         d_xy = ratio_distance(w_xy, w_yx)
 
         _record(stat_a, i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
@@ -134,10 +173,10 @@ def check_conditions_type2(problem, samples=200, seed=0):
     exp_ra = math.exp(problem.r * problem.a)
     m = problem.m
 
-    streams = tuple(np.random.default_rng(seed).spawn(2))
+    streams = tuple(np.random.default_rng(seed).spawn(3))
     for i in range(samples):
-        x = random_pd_in_ball(problem.n, radius, streams)
-        y = random_pd_in_ball(problem.n, radius, streams)
+        lam_x, lam_y, w, u = sample_pair(problem.n, radius, streams, with_u=False)
+        x, y = pair_points(lam_x, lam_y, w, u)
         lam_f = apply_F(problem.F, x).dec.eigenvalues
         lam_g = apply_F(problem.G, x).dec.eigenvalues
         max_f, inv_f = float(lam_f[-1]), float(1.0 / lam_f[0])
@@ -151,7 +190,7 @@ def check_conditions_type2(problem, samples=200, seed=0):
         ]
         _record(stat_a, i, *max(terms_a, key=lambda item: item[1] - item[2]), x)
 
-        w_xy, w_yx = _ratios(x, y)
+        w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
         terms_b = [
             ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
             ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_nonsingular, random_pd
+from helpers import random_nonsingular, random_pd, random_pd_in_ball
 from tfp import cli, hpd_core, matrix_solver, psi_family, thompson
 from tfp.errors import MaxIterationsExceeded
 from tfp.fixpoint_engine import error_bound, iterate_pair
@@ -57,7 +57,7 @@ def test_criterion_1_first_example_reproduction():
     problem, _, options = load("example_4_1.json")
     result, converged = solve_collecting_partial(problem, None, options)
     second, _ = solve_collecting_partial(
-        problem, hpd_core.random_pd_in_ball(3, 2.0, 202), options
+        problem, random_pd_in_ball(3, 2.0, 202), options
     )
     worst_residual = max(result.residual1, result.residual2)
     entry_err = float(np.abs(result.solution - REFERENCE_SOLUTION_4_1).max())
@@ -97,7 +97,7 @@ def test_criterion_2_second_example_reproduction():
     checks = []
     starts = [
         ("diag(e, 1, 1/e)", file_x0),
-        ("seeded ball point of radius 4", hpd_core.random_pd_in_ball(3, 4.0, 77)),
+        ("seeded ball point of radius 4", random_pd_in_ball(3, 4.0, 77)),
     ]
     for label, start in starts:
         result = matrix_solver.solve(problem, x0=start, options=options)
@@ -249,8 +249,8 @@ def test_criterion_5_type1_map_contraction_on_passing_reports():
         ratio = problem.l / problem.s
         worst = float("-inf")
         for _ in range(20):
-            x = hpd_core.random_pd_in_ball(problem.n, problem.a, rng)
-            y = hpd_core.random_pd_in_ball(problem.n, problem.a, rng)
+            x = random_pd_in_ball(problem.n, problem.a, rng)
+            y = random_pd_in_ball(problem.n, problem.a, rng)
             worst = max(
                 worst,
                 thompson.distance(t1(x), t2(y)) - ratio * thompson.distance(x, y),

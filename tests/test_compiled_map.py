@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import map_oracle
-from helpers import known_answer_files
+from helpers import known_answer_files, random_pd_in_ball
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.errors import NonHermitianInput, NotPositiveDefinite, TfpError
 from tfp.fixpoint_engine import iterate_pair
@@ -68,7 +68,7 @@ def test_solve_traces_match_the_oracle(tmp_path):
 def test_a_map_of_a_stack_is_the_map_of_each_point(tmp_path):
     for problem, x0, options in problems(tmp_path)[:8]:
         points = oracle_trace(problem, x0, dataclasses.replace(options, max_iter=6)).points
-        points += [hpd_core.random_pd_in_ball(problem.n, 0.5, seed) for seed in range(3)]
+        points += [random_pd_in_ball(problem.n, 0.5, seed) for seed in range(3)]
         stack = hpd_core.PDPoint.stacked(points)
         for t, oracle in zip(matrix_solver.maps_for(problem), map_oracle.maps_for(problem)):
             mapped = t(stack)
@@ -80,7 +80,7 @@ def test_a_map_of_a_stack_is_the_map_of_each_point(tmp_path):
 
 def test_a_map_of_a_matrix_is_the_map_of_its_point():
     problem, _, _ = cli.load_problem(fixture_path("example_4_2.json"))
-    x = hpd_core.random_pd_in_ball(problem.n, 0.5, 2)
+    x = random_pd_in_ball(problem.n, 0.5, 2)
     for t in matrix_solver.maps_for(problem):
         assert_same_points(t(x.matrix), t(hpd_core.pd_point(x.matrix)))
 
@@ -89,7 +89,7 @@ def test_residuals_match_the_oracle(tmp_path):
     # the certificate of a map's fixed point does not share its right-hand side
     for problem, x0, options in problems(tmp_path):
         points = oracle_trace(problem, x0, options).points[-4:]
-        points += [hpd_core.random_pd_in_ball(problem.n, 0.5, seed) for seed in range(3)]
+        points += [random_pd_in_ball(problem.n, 0.5, seed) for seed in range(3)]
         stacked = matrix_solver.residuals(problem, hpd_core.PDPoint.stacked(points))
         for i, point in enumerate(points):
             want = map_oracle.residuals(problem, point)
@@ -110,8 +110,8 @@ def test_right_hand_side_errors_keep_their_names_and_messages():
     # right-hand side's smallest eigenvalue falls below the floor
     problem = matrix_solver.problem_type1(n=3, A=[eye], Q1=eye, Q2=eye, **power_one)
     (t, _), (oracle, _) = matrix_solver.maps_for(problem), map_oracle.maps_for(problem)
-    for x in [hpd_core.random_pd_in_ball(3, 300, seed) for seed in range(3)] + [
-        hpd_core.random_pd_in_ball(3, 300, 0, (3,))
+    for x in [random_pd_in_ball(3, 300, seed) for seed in range(3)] + [
+        random_pd_in_ball(3, 300, 0, (3,))
     ]:
         error, message = raised(t, x)
         assert error is NotPositiveDefinite

@@ -12,8 +12,8 @@
 - One JSON writer: every report and solution goes through
   ``cli._json_text``, so no module names ``json.dump`` or ``json.dumps``,
   whatever alias it imports them under.
-- One sampler path: every sampled point is drawn by
-  ``hpd_core.random_pd_in_ball``, so no other module names a draw method
+- One sampler path: every sampled pair is drawn by
+  ``hpd_core.sample_ball_pairs``, so no other module names a draw method
   of a random generator, whatever name it holds the generator or the
   method under.
 - One home for the rules of a value from outside: the field rules

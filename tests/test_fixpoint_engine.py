@@ -3,6 +3,7 @@ oracle, and against a run that takes one gap per step, on the toys, the
 fixtures and known-answer problems."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,9 +114,18 @@ class TestErrorBound:
         for d01 in (-1.0, math.nan):
             with pytest.raises(ValueError, match="d01 must be nonnegative"):
                 error_bound(0.5, d01, 1)
-        for n in (0, math.nan):
-            with pytest.raises(ValueError, match="n must be at least 1"):
-                error_bound(0.5, 1.0, n)
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            error_bound(0.5, 1.0, 0)
+
+    @pytest.mark.parametrize("n", [2.5, True, math.nan, "2"])
+    def test_iterate_number_is_a_count(self, n):
+        # read by the field rule of every count: no alpha**1.5 for 2.5,
+        # and no bound of iterate 1 for True
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            error_bound(0.5, 1.0, n)
+
+    def test_an_integral_float_iterate_number_reads_as_its_int(self):
+        assert error_bound(0.5, 1.0, 3.0) == error_bound(0.5, 1.0, 3) == 0.5
 
 
 class TestIteratePair:

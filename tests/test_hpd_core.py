@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import literal_oracle
-from helpers import known_answer, random_hermitian, random_nonsingular, random_pd, random_unitary
+from helpers import known_answer, random_hermitian, random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from jacobi import jacobi_eig
 from map_oracle import _congruence
 from tfp import hpd_core, thompson
@@ -399,61 +399,118 @@ class TestRandomUnitary:
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-10
 
 
-class TestRandomPdInBall:
+def ball_streams(seed):
+    """The (spectra, gauss, frame) streams a check with ``seed`` draws from."""
+    return tuple(np.random.default_rng(seed).spawn(3))
+
+
+class TestSampleBallPairs:
     def test_rejects_a_dimension_below_one(self):
         # n is a count, read by the field rule a problem file's n obeys
         with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
-            hpd_core.random_pd_in_ball(0, 1.0, 3)
+            hpd_core.sample_ball_pairs(0, 1.0, ball_streams(3), 2)
         with pytest.raises(ValueError, match="^n must be an integer, got True$"):
-            hpd_core.random_pd_in_ball(True, 1.0, 3)
+            hpd_core.sample_ball_pairs(True, 1.0, ball_streams(3), 2)
 
     def test_an_integral_float_dimension_reads_as_its_int(self):
-        x, y = hpd_core.random_pd_in_ball(2.0, 1.0, 3, (2,)), hpd_core.random_pd_in_ball(2, 1.0, 3, (2,))
-        assert x.matrix.shape == (2, 2, 2)
-        assert np.array_equal(x.matrix, y.matrix)
-        assert all(np.array_equal(a, b) for a, b in zip(x.dec, y.dec))
+        x = hpd_core.sample_ball_pairs(2.0, 1.0, ball_streams(3), 2)
+        y = hpd_core.sample_ball_pairs(2, 1.0, ball_streams(3), 2)
+        assert x.w.shape == (2, 2, 2)
+        for got, want in [(x.lam_x, y.lam_x), (x.lam_y, y.lam_y), (x.w, y.w), (x.x_dec().vectors, y.x_dec().vectors)]:
+            assert np.array_equal(got, want)
 
     def test_zero_radius_is_identity(self):
-        np.testing.assert_allclose(hpd_core.random_pd_in_ball(3, 0.0, 1), np.eye(3), atol=1e-12)
+        pairs = hpd_core.sample_ball_pairs(3, 0.0, ball_streams(1), 4)
+        assert np.array_equal(pairs.lam_x, np.ones((4, 3))) and np.array_equal(pairs.lam_y, np.ones((4, 3)))
+        for i in range(4):
+            for m in pairs.matrices(i):
+                np.testing.assert_allclose(m, np.eye(3), atol=1e-12)
 
     def test_containment(self):
-        rng = np.random.default_rng(21)
         for i in range(25):
             radius = 0.25 * (1 + i % 8)
-            x = hpd_core.random_pd_in_ball(2 + i % 3, radius, rng)
-            assert thompson.distance(x, np.eye(x.matrix.shape[0])) <= radius + 1e-9
+            n = 2 + i % 3
+            pairs = hpd_core.sample_ball_pairs(n, radius, ball_streams(21 + i), 2)
+            for x in (m for j in range(2) for m in pairs.matrices(j)):
+                assert thompson.distance(x, np.eye(n)) <= radius + 1e-9
 
     def test_eigenvalue_range(self):
-        x = hpd_core.random_pd_in_ball(2, 1.0, 77)
-        lam = np.linalg.eigvalsh(x)
-        assert lam.min() >= np.exp(-1) - 1e-12
-        assert lam.max() <= np.exp(1) + 1e-12
+        pairs = hpd_core.sample_ball_pairs(2, 1.0, ball_streams(77), 5)
+        for lam in (pairs.lam_x, pairs.lam_y):
+            assert lam.min() >= np.exp(-1) and lam.max() <= np.exp(1)
+        for m in pairs.matrices(3):
+            lam = np.linalg.eigvalsh(m)
+            assert lam.min() >= np.exp(-1) - 1e-12
+            assert lam.max() <= np.exp(1) + 1e-12
 
     def test_deterministic(self):
-        assert np.array_equal(
-            hpd_core.random_pd_in_ball(3, 2.0, 5), hpd_core.random_pd_in_ball(3, 2.0, 5)
-        )
+        x, y = (hpd_core.sample_ball_pairs(3, 2.0, ball_streams(5), 3) for _ in range(2))
+        assert all(np.array_equal(a, b) for a, b in zip(x.matrices(2), y.matrices(2)))
 
-    def test_point_keeps_its_construction_sorted(self):
-        # the same draws and matrix bytes as U diag(exp(t)) U*, with exp(t)
-        # ascending and U's columns in the same order as the decomposition
-        x = hpd_core.random_pd_in_ball(5, 2.0, 11)
-        rng = np.random.default_rng(11)
-        t = rng.uniform(-2.0, 2.0, size=5)
-        u = random_unitary(5, rng)
-        assert np.array_equal(x.matrix, hpd_core.symmetrize((u * np.exp(t)) @ u.conj().T))
-        order = np.argsort(t)
-        assert np.array_equal(x.dec.eigenvalues, np.exp(t)[order])
-        assert np.array_equal(x.dec.vectors, u[:, order])
+    def test_pairs_keep_their_construction(self):
+        # the three calls' draws: X's then Y's sorted spectra, W, then U; X
+        # is U diag(lam_x) U* and Y is V diag(lam_y) V* with V = U W
+        n, radius = 5, 2.0
+        pairs = hpd_core.sample_ball_pairs(n, radius, ball_streams(11), 4)
+        spectra, gauss, frame = ball_streams(11)
+        t = np.sort(spectra.uniform(-radius, radius, size=(4, 2, n)), axis=-1)
+        w = hpd_core._haar_unitaries(frame.standard_normal((4, 2, n, n)))
+        u = hpd_core._haar_unitaries(gauss.standard_normal((4, 2, n, n)))
+        assert np.array_equal(pairs.lam_x, np.exp(t[:, 0])) and np.array_equal(pairs.lam_y, np.exp(t[:, 1]))
+        assert np.array_equal(pairs.w, w)
+        assert np.array_equal(pairs.x_dec().vectors, u) and np.array_equal(pairs.y_dec().vectors, u @ w)
+        eye = np.broadcast_to(np.eye(n), (4, n, n))
+        np.testing.assert_allclose(w @ w.conj().swapaxes(-1, -2), eye, atol=1e-12)
+        np.testing.assert_allclose(u @ u.conj().swapaxes(-1, -2), eye, atol=1e-12)
+        for i in range(4):
+            x, y = pairs.matrices(i)
+            assert np.array_equal(x, hpd_core.symmetrize((u[i] * pairs.lam_x[i]) @ u[i].conj().T))
+            v = u[i] @ w[i]
+            assert np.array_equal(y, hpd_core.symmetrize((v * pairs.lam_y[i]) @ v.conj().T))
 
+    def test_a_block_whose_u_is_not_read_gives_its_pairs_in_xs_eigenbasis(self):
+        # X = diag(lam_x) and Y = W diag(lam_y) W*, with no draw for U
+        pairs = hpd_core.sample_ball_pairs(4, 1.5, ball_streams(12), 3)
+        gauss = pairs._gauss.bit_generator.state
+        for i in range(3):
+            x, y = pairs.matrices(i)
+            assert np.array_equal(x, np.diag(pairs.lam_x[i]).astype(complex))
+            w = pairs.w[i]
+            assert np.array_equal(y, hpd_core.symmetrize((w * pairs.lam_y[i]) @ w.conj().T))
+        assert pairs._gauss.bit_generator.state == gauss
+
+    @pytest.mark.parametrize("radius", ["0.5", True, False, None, 1j])
+    def test_a_radius_that_is_no_real_number_is_rejected(self, radius):
+        with pytest.raises(ValueError, match=f"^radius must be a real number, got {re.escape(repr(radius))}$"):
+            hpd_core.sample_ball_pairs(3, radius, ball_streams(1), 2)
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="radius must be nonnegative, got nan"):
-            hpd_core.random_pd_in_ball(3, math.nan, 1)
+            hpd_core.sample_ball_pairs(3, math.nan, ball_streams(1), 2)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="^radius must be nonnegative, got -0.5$"):
+            hpd_core.sample_ball_pairs(3, -0.5, ball_streams(1), 2)
+        with pytest.raises(ValueError, match="^radius must be nonnegative, got -inf$"):
+            hpd_core.sample_ball_pairs(3, -(10**400), ball_streams(1), 2)
 
     def test_infinite_radius_too_wide_to_sample(self):
-        with pytest.raises(NonHermitianInput, match=r"ball of radius inf is too wide to sample"):
-            hpd_core.random_pd_in_ball(3, math.inf, 1)
+        message = r"^ball of radius inf is too wide to sample: exp\(inf\) overflows$"
+        with pytest.raises(NonHermitianInput, match=message):
+            hpd_core.sample_ball_pairs(3, math.inf, ball_streams(1), 2)
+
+    @pytest.mark.parametrize("radius, shown", [(710.0, "710"), (1000, "1000"), (10**400, "inf")])
+    def test_a_radius_whose_exp_overflows_is_too_wide_to_sample(self, radius, shown):
+        # raised before drawing: the points would have infinite eigenvalues
+        streams = ball_streams(1)
+        states = [s.bit_generator.state for s in streams]
+        with pytest.raises(NonHermitianInput, match=rf"^ball of radius {shown} is too wide to sample"):
+            hpd_core.sample_ball_pairs(3, radius, streams, 2)
+        assert [s.bit_generator.state for s in streams] == states
+
+    def test_the_widest_finite_ball_is_sampled(self):
+        pairs = hpd_core.sample_ball_pairs(3, 709.0, ball_streams(1), 2)
+        assert np.isfinite(pairs.lam_x).all() and np.isfinite(pairs.lam_y).all()
 
 
 def _literals(doc):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nonsingular, random_pd, random_unitary
+from helpers import random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.errors import (
     ConditionsNotVerified,
@@ -318,7 +318,7 @@ class TestEigensolveBudget:
     def test_maps_build_without_eigensolves_and_residuals_decompose_a_matrix_once(self, eig_calls, name):
         # every term of both residuals reads X's spectrum
         problem, _, _ = load(name)
-        x = hpd_core.random_pd_in_ball(problem.n, 0.5, 4)
+        x = random_pd_in_ball(problem.n, 0.5, 4)
         eig_calls.clear()  # problem validation decomposes Q1, Q2 and A* A
         matrix_solver.maps_for(problem)
         assert len(eig_calls) == 0
@@ -542,7 +542,7 @@ class TestConditionChecker:
         # draw, not by numpy's SeedSequence or as one sample for True
         problem, _, _ = load(name)
         assert problem.kind == kind
-        monkeypatch.setattr(matrix_solver, "random_pd_in_ball", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(matrix_solver, "sample_ball_pairs", lambda *args: pytest.fail("drew"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             matrix_solver.check_conditions(problem, **{field: value})
 
@@ -631,13 +631,19 @@ class TestConditionRecorder:
 
     @staticmethod
     def points(count, seed=0):
-        return hpd_core.random_pd_in_ball(2, 1.0, seed, (count,))
+        return random_pd_in_ball(2, 1.0, seed, (count,))
+
+    @staticmethod
+    def witness(x, y=None):
+        """The witness of a block of stacks X (and Y): their matrices of sample i."""
+        return lambda i: {"X": x.matrix[i]} if y is None else {"X": x.matrix[i], "Y": y.matrix[i]}
 
     def test_tie_between_terms_reports_the_first_label(self):
         x = self.points(2)
         stat = matrix_solver.ConditionStat("T")
         # sample 0: both terms have margin 1; sample 1: only the second fails
-        stat.record(0, [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([3.0, 1.5]), 2.0)], x)
+        terms = [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([3.0, 1.5]), 2.0)]
+        stat.record(range(2), terms, self.witness(x))
         assert (stat.checked, stat.failures, stat.worst_margin) == (2, 1, 1.0)
         assert stat.worst == {
             "sample": 0, "inequality": "first", "lhs": 2.0, "rhs": 1.0, "X": hpd_core.matrix_to_literal(x.matrix[0]),
@@ -645,15 +651,16 @@ class TestConditionRecorder:
 
     def test_a_sample_failing_several_terms_counts_once(self):
         stat = matrix_solver.ConditionStat("T")
-        stat.record(0, [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([5.0, 0.0]), 1.0)], self.points(2))
+        terms = [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([5.0, 0.0]), 1.0)]
+        stat.record(range(2), terms, self.witness(self.points(2)))
         assert (stat.checked, stat.failures) == (2, 1)
         assert (stat.worst["inequality"], stat.worst["lhs"]) == ("second", 5.0)
 
     def test_later_block_with_equal_worst_margin_keeps_the_earlier_witness(self):
         x, y = self.points(2, seed=1), self.points(2, seed=2)
         stat = matrix_solver.ConditionStat("T")
-        stat.record(0, [("t", np.array([0.5, 1.0]), 0.0)], x, y)
-        stat.record(2, [("u", np.array([1.0, 0.25]), 0.0)], y, x)
+        stat.record(range(2), [("t", np.array([0.5, 1.0]), 0.0)], self.witness(x, y))
+        stat.record(range(2, 4), [("u", np.array([1.0, 0.25]), 0.0)], self.witness(y, x))
         assert (stat.checked, stat.failures, stat.worst_margin) == (4, 4, 1.0)
         assert (stat.worst["sample"], stat.worst["inequality"]) == (1, "t")
         assert stat.worst["X"] == hpd_core.matrix_to_literal(x.matrix[1])
@@ -664,7 +671,7 @@ class TestConditionRecorder:
         x, y = self.points(4, seed=3), self.points(4, seed=4)
         lhs = np.array([0.1, 0.7, 0.7, -0.2])
         stat = matrix_solver.ConditionStat("T", literal_failures=0)
-        stat.record(10, [("lhs <= rhs", lhs, 0.2)], x, y)
+        stat.record(range(10, 14), [("lhs <= rhs", lhs, 0.2)], self.witness(x, y))
         assert (stat.checked, stat.failures, stat.worst_margin) == (4, 2, 0.7 - 0.2)
         assert stat.worst == {
             "sample": 11,
@@ -716,7 +723,7 @@ class TestConditionRecorder:
             for first in (0, 5, 10):
                 terms = [(f"t{k}", side(), side()) for k in range(rng.integers(1, 5))]
                 with np.errstate(invalid="ignore"):
-                    stats[0].record(first, terms, x, y)
+                    stats[0].record(range(first, first + 5), terms, self.witness(x, y))
                     self.stacked_record(stats[1], first, terms, x, y)
                 got, want = (json.dumps(stat.to_jsonable()) for stat in stats)
                 assert got == want
@@ -725,8 +732,8 @@ class TestConditionRecorder:
         # Q1 = Q2 and F = G, so d(T1(X), I) and d(T2(X), I) are equal
         # bit for bit, and condition (C) names T1
         problem, _, options = load("check_pass_constant.json")
-        pairs = hpd_core.random_pd_in_ball(problem.n, problem.a, 5, (20, 2))
-        terms, _, _ = matrix_solver._type1_terms(problem)(pairs[:, 0], pairs[:, 1], pairs)["C"]
+        pairs = hpd_core.sample_ball_pairs(problem.n, problem.a, np.random.default_rng(5).spawn(3), 20)
+        terms, _, _ = matrix_solver._type1_terms(problem)(pairs)["C"]
         (_, d1, _), (_, d2, _) = terms
         assert np.array_equal(d1, d2)
         report = matrix_solver.check_conditions(problem, samples=options.samples, seed=options.seed)
@@ -910,8 +917,8 @@ class TestSolverInvariants:
             t1, t2 = matrix_solver.maps_for(problem)
             ratio = problem.l / problem.s
             for _ in range(20):
-                x = hpd_core.random_pd_in_ball(problem.n, problem.a, rng)
-                y = hpd_core.random_pd_in_ball(problem.n, problem.a, rng)
+                x = random_pd_in_ball(problem.n, problem.a, rng)
+                y = random_pd_in_ball(problem.n, problem.a, rng)
                 lhs = thompson.distance(t1(x), t2(y))
                 assert lhs <= ratio * thompson.distance(x, y) + 1e-9
 
@@ -920,14 +927,14 @@ class TestSolverInvariants:
         problem, _, _ = load("quadratic_pass.json")  # condition (C) passes
         t1, t2 = matrix_solver.maps_for(problem)
         for _ in range(15):
-            x = hpd_core.random_pd_in_ball(problem.n, problem.a, rng)
+            x = random_pd_in_ball(problem.n, problem.a, rng)
             assert thompson.distance_to_identity(t1(x)) <= problem.a + 1e-9
             assert thompson.distance_to_identity(t2(x)) <= problem.a + 1e-9
         problem2, _, _ = load("example_4_2.json")  # condition (A) passes
         radius = matrix_solver.ball_radius(problem2)
         t1, t2 = matrix_solver.maps_for(problem2)
         for _ in range(10):
-            x = hpd_core.random_pd_in_ball(problem2.n, radius, rng)
+            x = random_pd_in_ball(problem2.n, radius, rng)
             assert thompson.distance_to_identity(t1(x)) <= radius + 1e-9
             assert thompson.distance_to_identity(t2(x)) <= radius + 1e-9
 
@@ -935,7 +942,7 @@ class TestSolverInvariants:
         problem, x0, options = load("example_4_2.json")
         res_a = matrix_solver.solve(problem, x0=x0, options=options)
         res_b = matrix_solver.solve(
-            problem, x0=hpd_core.random_pd_in_ball(3, 4.0, 123), options=options
+            problem, x0=random_pd_in_ball(3, 4.0, 123), options=options
         )
         assert thompson.distance(res_a.solution, res_b.solution) <= 1e-8
 

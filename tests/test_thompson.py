@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nonsingular, random_pd, random_unitary
+from helpers import random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from jacobi import jacobi_eig
 from sampling_oracle import ratio_distance
 from tfp import hpd_core, thompson
@@ -112,7 +112,7 @@ class TestOneEigensolveDistance:
 
     def test_costs_one_eigensolve_on_points(self, monkeypatch):
         rng = np.random.default_rng(61)
-        a, b = (hpd_core.random_pd_in_ball(4, 1.0, rng) for _ in range(2))
+        a, b = (random_pd_in_ball(4, 1.0, rng) for _ in range(2))
         calls = []
         eig = hpd_core.eig_hermitian
         monkeypatch.setattr(
@@ -125,7 +125,7 @@ class TestOneEigensolveDistance:
     def test_symmetric(self):
         rng = np.random.default_rng(62)
         for _ in range(20):
-            a, b = (hpd_core.random_pd_in_ball(3, 2.0, rng) for _ in range(2))
+            a, b = (random_pd_in_ball(3, 2.0, rng) for _ in range(2))
             assert thompson.distance(a, b) == thompson.distance(b, a)
             w_ab, w_ba = thompson._ratios(a, b)
             assert thompson._ratios(b, a) == (w_ba, w_ab)
@@ -140,7 +140,7 @@ class TestOneEigensolveDistance:
         # W(A/B) W(B/A) = lambda_max / lambda_min of one pencil
         rng = np.random.default_rng(63)
         for i in range(20):
-            a, b = (hpd_core.random_pd_in_ball(2 + i % 3, 1.5, rng) for _ in range(2))
+            a, b = (random_pd_in_ball(2 + i % 3, 1.5, rng) for _ in range(2))
             w_ab, w_ba = thompson._ratios(a, b)
             assert w_ab * w_ba >= 1.0
             assert w_ab == pytest.approx(top_ratio(a.matrix, b.matrix), rel=1e-12)
@@ -209,11 +209,11 @@ class TestGaps:
         # it (a gap of exactly 0), its square root (a near point) or its
         # inverse, whose decomposition powered() reverses
         rng = np.random.default_rng(seed)
-        points = [hpd_core.random_pd_in_ball(n, radius, rng)]
+        points = [random_pd_in_ball(n, radius, rng)]
         for step in plan:
             last = points[-1]
             if step == "draw":
-                points.append(hpd_core.random_pd_in_ball(n, radius, rng))
+                points.append(random_pd_in_ball(n, radius, rng))
             elif step == "copy":
                 points.append(hpd_core.PDPoint(last.matrix.copy(), last.dec))
             else:
@@ -223,7 +223,7 @@ class TestGaps:
 
     def test_one_stacked_eigensolve_and_one_for_the_wide_pencils(self, monkeypatch):
         rng = np.random.default_rng(64)
-        a, b, c = (hpd_core.random_pd_in_ball(4, KAPPA_1E6_RADIUS, rng) for _ in range(3))
+        a, b, c = (random_pd_in_ball(4, KAPPA_1E6_RADIUS, rng) for _ in range(3))
         points = [a, a, b, c, c.powered(0.5)]
         expected = [thompson.distance(u, v) for u, v in zip(points, points[1:])]
         calls = []
@@ -245,8 +245,8 @@ class TestGaps:
     def test_inverse_has_the_bits_of_its_contiguous_copy(self):
         # a reversed view of the inverse's spectrum took numpy's strided
         # pow loop and gave 1.5588671185559553 here, not 1.558867118555955
-        inverse = hpd_core.random_pd_in_ball(2, 1.0, 1).powered(-1)
-        other = hpd_core.random_pd_in_ball(2, 1.0, 1000001)
+        inverse = random_pd_in_ball(2, 1.0, 1).powered(-1)
+        other = random_pd_in_ball(2, 1.0, 1000001)
         lam, vectors = inverse.dec
         assert lam.flags.c_contiguous
         copy = hpd_core.PDPoint(inverse.matrix, hpd_core.EigenDecomposition(lam.copy(), vectors.copy()))
@@ -287,7 +287,7 @@ class TestSelectionRule:
         return stack[:, 0], stack[:, 1]
 
     def drawn_pairs(self, seed):
-        drawn = hpd_core.random_pd_in_ball(self.N, KAPPA_1E6_RADIUS, seed, shape=(8, 2))
+        drawn = random_pd_in_ball(self.N, KAPPA_1E6_RADIUS, seed, shape=(8, 2))
         return [(drawn[i, 0], drawn[i, 1]) for i in range(8)]
 
     def assert_pairwise_bits(self, x, y):
@@ -344,7 +344,7 @@ class TestSpectralDistance:
     )
     def test_at_most_the_distance(self, n, radius, seed):
         rng = np.random.default_rng(seed)
-        a, b = (hpd_core.random_pd_in_ball(n, radius, rng) for _ in range(2))
+        a, b = (random_pd_in_ball(n, radius, rng) for _ in range(2))
         tol = log_error(n, a, b)
         assert thompson.spectral_distance(a, b) <= thompson.distance(a, b) + tol
         assert thompson.spectral_distance(b, a) <= thompson.distance(b, a) + tol
@@ -375,7 +375,7 @@ class TestSpectralDistance:
 
     def test_costs_no_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(66)
-        a, b = (hpd_core.random_pd_in_ball(4, 1.0, rng) for _ in range(2))
+        a, b = (random_pd_in_ball(4, 1.0, rng) for _ in range(2))
         monkeypatch.setattr(hpd_core, "eig_hermitian", None)
         assert thompson.spectral_distance(a, b) > 0.0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import CountingGenerator, known_answer_files
+from helpers import CountingGenerator, known_answer_files, random_pd_in_ball
 from tfp import cli, hpd_core, matrix_solver
 from tfp.fixtures import fixture_path
 
@@ -85,7 +85,7 @@ def test_eigensolves_per_iteration(step_work, tmp_path):
 @pytest.mark.parametrize("name", ["example_4_1", "example_4_2"])
 def test_a_map_makes_one_eigensolve(monkeypatch, name):
     problem, _, _ = cli.load_problem(fixture_path(f"{name}.json"))
-    point = hpd_core.random_pd_in_ball(problem.n, 0.5, 3)
+    point = random_pd_in_ball(problem.n, 0.5, 3)
     calls, eig = [], hpd_core.eig_hermitian
     monkeypatch.setattr(hpd_core, "eig_hermitian", lambda *args, **kwargs: calls.append(args) or eig(*args, **kwargs))
     for t in matrix_solver.maps_for(problem):
@@ -107,27 +107,35 @@ def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_i
 # Work of one check_conditions run, each a single block of samples:
 # matrix_to_literal calls (a witness's X, and Y for a pair condition, built
 # for the worst sample only), eig_hermitian calls and the matrices they
-# decompose, and EigenDecomposition.powered calls.  A type2 block reads F's
-# and G's spectra without forming F(X) or G(X), so it powers nothing; a
-# type1 block with power F and G forms F(X), and G(Y) and G(X) in one
-# call on the pair stack.  Each block draws its points with two generator
-# calls, one per stream.
+# decompose, EigenDecomposition.powered calls and generator draw calls.  A
+# type2 block reads F's and G's spectra without forming F(X) or G(X), so
+# it powers nothing; a type1 block with power F and G forms F(X) and G(X),
+# for condition (C), one matrix when the powers are equal, and no G(Y):
+# the pencils of d(F(X), G(Y)) and d(X, Y) read the pairs' spectra and W,
+# and are decomposed in one call, as are the right-hand sides of T1(X) and
+# T2(X).  A block draws its spectra and W in two generator calls, and U
+# in a third where a term reads it (type1 with a power F or G).  The
+# matrices per sample are as many as when X and Y were drawn each with
+# its own unitary (4 per type1 sample, 1 per type2 sample, plus the wide
+# pencils' second eigensolves); example_4_1 and example_4_2 decompose 1097
+# and 285 matrices (1086 and 276 before): their wide balls (radius 10 and
+# r*a = 4) give other samples, and so another count of wide pencils.
 CHECK_WORK = {
-    "check_fail_power": (5, 4, 800, 2),
-    "check_pass_constant": (5, 3, 600, 0),
-    "example_4_1": (5, 7, 1086, 2),
-    "example_4_2": (3, 2, 276, 0),
-    "quadratic_pass": (5, 4, 800, 2),
-    "known-type1": (5, 5, 41, 2),
-    "known-type2": (3, 1, 20, 0),
+    "check_fail_power": (5, 2, 800, 1, 3),
+    "check_pass_constant": (5, 2, 600, 0, 2),
+    "example_4_1": (5, 4, 1097, 2, 3),
+    "example_4_2": (3, 2, 285, 0, 2),
+    "quadratic_pass": (5, 2, 800, 1, 3),
+    "known-type1": (5, 3, 41, 2, 3),
+    "known-type2": (3, 1, 20, 0, 2),
 }
 
 
 @pytest.fixture
 def check_work(monkeypatch):
-    work = dict(literals=0, eig=0, matrices=0, powered=0, draws=0)
+    work = dict(literals=0, eig=0, matrices=0, powered=0, generators=[])
     literal, eig, powered = matrix_solver.matrix_to_literal, hpd_core.eig_hermitian, hpd_core.EigenDecomposition.powered
-    sampler = matrix_solver.random_pd_in_ball
+    sampler = matrix_solver.sample_ball_pairs
 
     def counting_literal(*args, **kwargs):
         work["literals"] += 1
@@ -142,20 +150,23 @@ def check_work(monkeypatch):
         work["powered"] += 1
         return powered(*args, **kwargs)
 
-    def counting_sampler(n, radius, streams, shape):
+    def counting_sampler(n, radius, streams, count):
         # counting generators on the check's own bit generators draw its
-        # streams, so the check's samples do not change
+        # streams, so the check's samples do not change; a block draws U
+        # after it is returned, so its generators are counted at the end
         counting = tuple(CountingGenerator(stream.bit_generator) for stream in streams)
-        try:
-            return sampler(n, radius, counting, shape)
-        finally:
-            work["draws"] += sum(stream.calls for stream in counting)
+        work["generators"] += counting
+        return sampler(n, radius, counting, count)
 
     monkeypatch.setattr(matrix_solver, "matrix_to_literal", counting_literal)
-    monkeypatch.setattr(matrix_solver, "random_pd_in_ball", counting_sampler)
+    monkeypatch.setattr(matrix_solver, "sample_ball_pairs", counting_sampler)
     monkeypatch.setattr(hpd_core, "eig_hermitian", counting_eig)
     monkeypatch.setattr(hpd_core.EigenDecomposition, "powered", counting_powered)
     return work
+
+
+def draw_calls(work):
+    return sum(generator.calls for generator in work["generators"])
 
 
 def checks(tmp_path):
@@ -172,22 +183,21 @@ def checks(tmp_path):
 
 def test_condition_check_work(check_work, tmp_path):
     # every check's counts are compared at once, so a failure shows them all
-    got, draws = [], []
+    got = []
     for label, problem, samples, seed in checks(tmp_path):
         assert samples <= matrix_solver._block_size(problem.n)
-        check_work.update(literals=0, eig=0, matrices=0, powered=0, draws=0)
+        check_work.update(literals=0, eig=0, matrices=0, powered=0, generators=[])
         matrix_solver.check_conditions(problem, samples, seed)
-        got.append((label, (check_work["literals"], check_work["eig"], check_work["matrices"], check_work["powered"])))
-        draws.append((label, check_work["draws"]))
+        counts = tuple(check_work[key] for key in ("literals", "eig", "matrices", "powered"))
+        got.append((label, (*counts, draw_calls(check_work))))
     assert got == [(label, CHECK_WORK[label]) for label, _ in got]
-    assert draws == [(label, 2) for label, _ in got]
     assert {label for label, _ in got} == set(CHECK_WORK)
 
 
-def test_two_draw_calls_per_block(check_work, tmp_path, monkeypatch):
+def test_draw_calls_per_block(check_work, tmp_path, monkeypatch):
     # blocks of 7 samples: a fixture's 200 samples take 29 blocks
     for label, problem, samples, seed in checks(tmp_path):
         monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 7 * problem.n**2)
-        check_work["draws"] = 0
+        check_work["generators"] = []
         matrix_solver.check_conditions(problem, samples, seed)
-        assert check_work["draws"] == 2 * math.ceil(samples / 7), label
+        assert draw_calls(check_work) == CHECK_WORK[label][-1] * math.ceil(samples / 7), label
