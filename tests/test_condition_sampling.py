@@ -9,8 +9,8 @@ files) must be byte-identical between the two, whatever the block size,
 and the stacked checker must decompose exactly the matrices the oracle
 decomposes, in a number of ``eig_hermitian`` calls that does not grow
 with the sample count.  The sampled pairs themselves must be the
-oracle's seven-call draws, bit for bit, from three generator calls per
-block.  A pair is drawn in X's eigenbasis; the oracle shares that recipe,
+oracle's draws of one pair at a time, bit for bit, from two generator
+calls per block, and a third for U where it is read.  A pair is drawn in X's eigenbasis; the oracle shares that recipe,
 so the witnesses are checked against distances recomputed from their
 matrices, and the margins against those of the pairs drawn as matrices,
 X and Y each from its own Haar unitary, as the sampler drew them before.
