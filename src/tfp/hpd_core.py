@@ -20,13 +20,17 @@ iteration runs; the result is exactly Hermitian, so ``eig_hermitian``
 decomposes it as it is.
 
 A ``PDPoint`` is a positive definite matrix carried with its
-eigendecomposition.  ``pd_point`` decomposes a matrix once; powers, ratio
-spectra and distances then read the known spectrum.  X**p is the point
+eigendecomposition.  ``pd_point`` decomposes a matrix once; powers,
+right-hand sides, ratio pencils and distances then read the known
+eigenvalues and eigenvectors.  X**p is the point
 ``pd_point(x).powered(p)``, with X's eigenvectors and eigenvalues
 lambda_i**p; a decomposition's ``powered`` gives the same point with no
-point for X.  A point converts to its matrix wherever numpy expects an
-array.  A stack of points is one ``PDPoint`` whose fields carry the
-leading axes; indexing it selects points.
+point for X.  A point built from a decomposition alone, as a power or an
+iteration map's root is, forms its matrix V diag(lambda) V*
+(``_spectral_matrix``) only when something reads it, and a point
+converts to its matrix wherever numpy expects an array.  A stack of
+points is one ``PDPoint`` whose fields carry the leading axes; indexing
+it selects points.
 
 Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
 LAPACK ``eigh`` (``numpy.linalg.eigh``), or over ``eigvalsh`` when the
@@ -82,19 +86,24 @@ class EigenDecomposition(NamedTuple):
     vectors: ComplexMatrix | None
 
     def powered(self, p: float) -> "PDPoint":
-        """M**p = V diag(lambda_i ** p) V*, re-symmetrized, as a point; for a
-        negative p the decomposition is reversed back to ascending order.
+        """M**p as a point with eigenvalues lambda_i ** p, its matrix formed
+        when it is first read; for a negative p the decomposition is
+        reversed back to ascending order.
 
-        The reversed eigenvalues are copied contiguous: numpy's ``pow`` and
-        ``log`` take another loop on a reversed view, which can round
-        differently.  The reversed eigenvectors stay a view; they reach only
-        elementwise products, ``conj`` and stacking, which copy them."""
+        The reversed eigenvalues and eigenvectors are copied contiguous:
+        numpy's ``pow`` and ``log`` take another loop on a reversed view,
+        which can round differently, and ``matmul`` another kernel."""
         lam, vectors = self
         mu = lam**p
-        matrix = symmetrize((vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
         if p < 0.0:
-            mu, vectors = np.ascontiguousarray(mu[..., ::-1]), vectors[..., ::-1]
-        return PDPoint(matrix, EigenDecomposition(mu, vectors))
+            mu, vectors = np.ascontiguousarray(mu[..., ::-1]), np.ascontiguousarray(vectors[..., ::-1])
+        return PDPoint(None, EigenDecomposition(mu, vectors))
+
+
+def _spectral_matrix(lam, vectors) -> ComplexMatrix:
+    """V diag(lam) V*, re-symmetrized, of each decomposition of a stack: a
+    point's matrix formed from its decomposition."""
+    return symmetrize((vectors * lam[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
 
 
 class PDPoint:
@@ -103,31 +112,45 @@ class PDPoint:
     ``matrix`` is the Hermitian array and ``dec`` its spectral
     factorization, eigenvalues ascending and above the relative floor.
     Build one with ``pd_point`` (one eigensolve) or as a power of another
-    point (none).  Treat both fields as read-only: the decomposition
-    describes the matrix only while neither changes.  A stack of points
-    has leading axes on every field, and ``point[index]`` selects along
-    them.
+    point (none).  A point built without its matrix (``None``) forms it
+    from ``dec`` by ``_spectral_matrix`` when it is first read; a stack
+    from ``stacked`` forms it then from its points' matrices, and a point
+    of such a stack from the stack's.  The distances, the maps and the
+    residuals read the decomposition alone.  Treat both fields as
+    read-only: the decomposition describes the matrix only while neither
+    changes.  A stack of points has leading axes on every field, and
+    ``point[index]`` selects along them.
     """
 
-    __slots__ = ("matrix", "dec")
+    __slots__ = ("_matrix", "dec")
 
-    def __init__(self, matrix: ComplexMatrix, dec: EigenDecomposition) -> None:
-        self.matrix = matrix
+    def __init__(self, matrix, dec: EigenDecomposition) -> None:
+        self._matrix = matrix  # an array, None or a function that forms it
         self.dec = dec
+
+    @property
+    def matrix(self) -> ComplexMatrix:
+        if not isinstance(self._matrix, np.ndarray):
+            self._matrix = _spectral_matrix(*self.dec) if self._matrix is None else self._matrix()
+        return self._matrix
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype) if copy else np.asarray(self.matrix, dtype=dtype)
 
     def __getitem__(self, index) -> "PDPoint":
         lam, vectors = self.dec
-        return PDPoint(self.matrix[index], EigenDecomposition(lam[index], vectors[index]))
+        matrix = self._matrix
+        if matrix is not None:
+            matrix = matrix[index] if isinstance(matrix, np.ndarray) else lambda: self.matrix[index]
+        return PDPoint(matrix, EigenDecomposition(lam[index], vectors[index]))
 
     @staticmethod
     def stacked(points) -> "PDPoint":
-        """One stack of a sequence of points of one shape, in order."""
+        """One stack of a sequence of points of one shape, in order; its
+        matrix, the points' matrices, is formed when it is first read."""
         lam = np.array([p.dec.eigenvalues for p in points])
         vectors = np.array([p.dec.vectors for p in points])
-        return PDPoint(np.array([p.matrix for p in points]), EigenDecomposition(lam, vectors))
+        return PDPoint(lambda: np.array([p.matrix for p in points]), EigenDecomposition(lam, vectors))
 
     def powered(self, p: float) -> "PDPoint":
         """X**p as a point, from X's decomposition alone."""
@@ -330,7 +353,7 @@ def pd_point(m, name: str = "matrix", n: int | None = None) -> PDPoint:
     ``name``.  A ``PDPoint``, or a stack, passes unless its matrices are not
     n-by-n.  The point keeps M and the decomposition of (M + M*) / 2.
     """
-    if isinstance(m, PDPoint) and (n is None or m.matrix.shape[-2:] == (n, n)):
+    if isinstance(m, PDPoint) and (n is None or m.dec.vectors.shape[-2:] == (n, n)):
         return m
     arr = require_hermitian(m, name, n)
     return PDPoint(arr, _pd_eig(symmetrize(arr), name))
@@ -520,7 +543,7 @@ class BallPairs:
         if i not in self._formed:
             u = self._u[i] if self._u is not None else identity(self.lam_x.shape[-1])
             vectors, lam = np.stack((u, u @ self.w[i])), np.stack((self.lam_x[i], self.lam_y[i]))
-            self._formed[i] = tuple(symmetrize((vectors * lam[:, None, :]) @ vectors.conj().swapaxes(-1, -2)))
+            self._formed[i] = tuple(_spectral_matrix(lam, vectors))
         return self._formed[i]
 
 

@@ -12,8 +12,10 @@ Both families share the form X**e_j = Q_j + sum_i A_i* F_j(X) A_i with
 F_1 = F and F_2 = G: type1 has e_1 = e_2 = s, type2 has (e_1, e_2) = (r, s)
 and no Q_j.  ``ProblemSpec.equations`` lists (e_j, Q_j or None, F_j), and
 one function, ``_rhs``, forms the right-hand side Q_j + sum_i A_i* F A_i
-for the maps, condition (C) and the residuals alike.  Each pair is solved
-by the alternating fixed-point engine with the maps
+for the maps, condition (C) and the residuals alike, from F's
+decomposition F = V diag(mu) V* as Q_j + sum_i B_i diag(mu) B_i* with
+B_i = A_i* V: no matrix F(X) or G(X) is formed.  Each pair is solved by
+the alternating fixed-point engine with the maps
 
     T_j(X) = (Q_j + sum_i A_i* F_j(X) A_i) ** (1/e_j)
 
@@ -21,10 +23,13 @@ on the Thompson ball {X : d(X, I) <= a} (radius r*a for type2), with the
 contraction constant alpha = l/s (type1) or alpha = 3l(1/r + 1/s) (type2).
 The iterates are ``PDPoint``s: F_j(X), X**e_j and d(X, I) read the known
 spectrum, and T_j's one eigensolve, of its right-hand side, decomposes
-the new point.  That root, ``pd_point`` and the certificate of a solution
-are the only eigensolves that compute eigenvectors: the Gram check of a
-type1 coefficient, the Thompson distances and condition (C), d(T_j(X), I),
-read eigenvalues only.
+the new point, whose matrix is formed only where it is read: a step is
+one eigensolve and a few products, and the only iterate matrix the
+package reads is the solution's, for its certificate.  That root,
+``pd_point`` and the certificate of a solution are the only eigensolves
+that compute eigenvectors: the Gram check of a type1 coefficient, the
+Thompson distances and condition (C), d(T_j(X), I), read eigenvalues
+only.
 ``residuals`` takes a stack of points too, which gives the trace rows of
 a solve in a few calls.
 
@@ -144,17 +149,6 @@ def constant(value) -> MatrixFunctionSpec:
     return MatrixFunctionSpec("constant", value=pd_point(value, "constant function value"))
 
 
-def apply_F(spec: MatrixFunctionSpec, x) -> PDPoint:
-    """F(X) as a point, or one per point of a stack; a power reads X's
-    spectrum (a matrix X costs one eigensolve, a ``PDPoint`` none), and a
-    constant is repeated along X's leading axes."""
-    if spec.kind == "power":
-        return pd_point(x).powered(spec.exponent)
-    if spec.kind == "constant":
-        return _repeated(spec.value, np.shape(x)[:-2])
-    raise ValueError(f"unknown matrix function kind {spec.kind!r}")
-
-
 def _repeated(point: PDPoint, batch: tuple) -> PDPoint:
     """A point repeated along the leading axes ``batch``, as a view."""
     (lam, vectors), matrix = point.dec, point.matrix
@@ -164,16 +158,16 @@ def _repeated(point: PDPoint, batch: tuple) -> PDPoint:
 
 def _sampled(spec: MatrixFunctionSpec, dec: Callable[[], EigenDecomposition], batch: tuple) -> PDPoint:
     """F(X) of each point of a stack of ``batch`` points known by their
-    decomposition ``dec()``: a power forms the matrices from it, and a
+    decomposition ``dec()``: a power is its point, no matrix formed, and a
     constant is repeated without calling it."""
     return dec().powered(spec.exponent) if spec.kind == "power" else _repeated(spec.value, batch)
 
 
 def _spectrum(spec: MatrixFunctionSpec, lam):
     """The eigenvalues of F(X), ascending, for X of ascending eigenvalues
-    ``lam``, one spectrum per point of a stack: those of ``apply_F``, with
-    no matrix formed, in ``EigenDecomposition.powered``'s arithmetic:
-    lambda ** p, reversed and copied contiguous for p < 0."""
+    ``lam``, one spectrum per point of a stack, in
+    ``EigenDecomposition.powered``'s arithmetic: lambda ** p, reversed and
+    copied contiguous for p < 0."""
     if spec.kind != "power":
         return _repeated(spec.value, lam.shape[:-1]).dec.eigenvalues
     mu = lam**spec.exponent
@@ -299,56 +293,59 @@ def alpha_for(problem: ProblemSpec) -> float:
 
 
 def _factors(a_list) -> tuple:
-    """(A_i*, A_i) of each coefficient, each A_i* taken once, here."""
-    return tuple((a_i.conj().swapaxes(-1, -2), a_i) for a_i in a_list)
+    """A_i* of each coefficient, taken once, here."""
+    return tuple(a_i.conj().swapaxes(-1, -2) for a_i in a_list)
 
 
-def _rhs(q: PDPoint | None, factors, f: ComplexMatrix) -> ComplexMatrix:
-    """Q + sum_i A_i* F A_i, or one per matrix of a stack F; no Q when
-    ``q`` is None.  ``factors`` are the (A_i*, A_i) of ``_factors``.
+def _rhs(q: ComplexMatrix | None, a_stars, mu, vectors) -> ComplexMatrix:
+    """Q + sum_i A_i* F A_i for F = V diag(mu) V*, or one per decomposition
+    (``mu``, ``vectors``) of a stack; ``q`` is Q's matrix, or None for no
+    Q.  ``a_stars`` are the A_i* of ``_factors``.
 
-    Every equation's right-hand side is formed here: the maps', condition
-    (C)'s and the residuals'.  In the Thompson metric the sum is no farther
-    from sum_i A_i* G A_i than F is from G, which is what makes the maps
-    contract.  The operands come from a validated problem and a matrix
-    function of a validated point, and are not checked.  Each congruence
-    and the sum with Q is re-symmetrized, halved before the sum as in
+    Every equation's right-hand side is formed here, from F's
+    decomposition: the maps', condition (C)'s and the residuals'.  Each
+    term is B_i diag(mu) B_i* with B_i = A_i* V, so no matrix F is formed;
+    the stacks of ``q``, ``mu`` and ``vectors`` broadcast, and a B_i is
+    taken once for every ``mu`` it meets.  In the Thompson metric the sum
+    is no farther from sum_i A_i* G A_i than F is from G, which is what
+    makes the maps contract.  The operands come from a validated problem
+    and the decomposition of a validated point, and are not checked.  The
+    sum, Q first, is re-symmetrized once, halved before the sum as in
     ``symmetrize``, so the result is exactly Hermitian.
     """
-    rhs = None
-    for a_star, a_i in factors:
-        half = 0.5 * (a_star @ f @ a_i)
-        term = half + half.conj().swapaxes(-1, -2)
+    rhs = q
+    for a_star in a_stars:
+        b = a_star @ vectors
+        term = (b * mu[..., None, :]) @ b.conj().swapaxes(-1, -2)
         rhs = term if rhs is None else rhs + term
-    if q is not None:
-        half = 0.5 * (q.matrix + rhs)
-        rhs = half + half.conj().swapaxes(-1, -2)
-    return rhs
+    half = 0.5 * rhs
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callable:
     """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent); no Q when ``q`` is None.
 
     Maps points, or stacks of points, to points with one eigensolve call,
-    of the right-hand side; the root's decomposition is that one's with
-    eigenvalues ** (1/exponent).  Each A_i* is taken once, here.  A power
-    F(X) is formed from X's spectrum with no point for it, in the
-    arithmetic of ``apply_F``, and the right-hand side by ``_rhs``.  The
+    of the right-hand side; the root is that decomposition with
+    eigenvalues ** (1/exponent), its matrix formed only when it is read.
+    Each A_i* is taken once, here, and a constant F's right-hand side is
+    formed once, here, and repeated along X's leading axes.  A power F(X)
+    reaches ``_rhs`` as X's eigenvectors and eigenvalues ** p.  The
     operands come from a validated problem and are not checked again, but
-    a right-hand side that overflows raises ``NonHermitianInput`` naming it.
+    a right-hand side that overflows raises ``NonHermitianInput`` naming
+    it.
     """
-    root = 1.0 / exponent
-    factors = _factors(a_list)
+    root, a_stars, q = 1.0 / exponent, _factors(a_list), None if q is None else q.matrix
     p = f_spec.exponent if f_spec.kind == "power" else None
+    fixed = _rhs(q, a_stars, *f_spec.value.dec) if p is None else None
 
     def t(x: PDPoint) -> PDPoint:
+        lam, vectors = (x if isinstance(x, PDPoint) else pd_point(x)).dec
         if p is None:
-            f = apply_F(f_spec, x).matrix
+            rhs = np.broadcast_to(fixed, lam.shape[:-1] + fixed.shape)
         else:
-            lam, vectors = (x if isinstance(x, PDPoint) else pd_point(x)).dec
-            half = 0.5 * ((vectors * (lam**p)[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
-            f = half + half.conj().swapaxes(-1, -2)
-        return _pd_eig(_rhs(q, factors, f), "map right-hand side").powered(root)
+            rhs = _rhs(q, a_stars, lam**p, vectors)
+        return _pd_eig(rhs, "map right-hand side").powered(root)
 
     return t
 
@@ -370,14 +367,16 @@ def residuals(problem: ProblemSpec, x) -> tuple:
     NaN residuals.
     """
     x = pd_point(x, "candidate solution", problem.n)
-    factors, powers = _factors(problem.A), {}
+    a_stars, powers = _factors(problem.A), {}
     for e in {e for e, _, _ in problem.equations}:
         power = _require_finite(x.powered(e).matrix, f"candidate solution ** {e:g}")
         powers[e] = power, np.maximum(1.0, frobenius_norm(power))
+    lam, vectors = x.dec
     out = []
     for e, q, f_spec in problem.equations:
         lhs, scale = powers[e]
-        rhs = _rhs(q, factors, apply_F(f_spec, x).matrix)
+        f_dec = (lam**f_spec.exponent, vectors) if f_spec.kind == "power" else f_spec.value.dec
+        rhs = _rhs(None if q is None else q.matrix, a_stars, *f_dec)
         out.append(frobenius_norm(lhs - rhs) / scale)
     return tuple(out)
 
@@ -497,40 +496,49 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     ratio form of the same condition, counted as ``literal_failures``.
     d(T_j(X), I) = max_i |log lambda_i(RHS_j(X)) ** (1/s)| needs the
     eigenvalues of the right-hand side only, so its eigensolve computes no
-    eigenvectors, one call for both maps' right-hand sides; one that
-    overflows or is not positive definite raises what T_j raises, with the
-    same message, T1's first.
+    eigenvectors; one that overflows or is not positive definite raises
+    what T_j raises, with the same message.  A constant map's right-hand
+    side is formed and decomposed once, when the check starts (T1's
+    first), and its distance is one value for all samples; the power maps'
+    right-hand sides of a block are one ``_rhs`` call, T1's before T2's,
+    from X = U diag(lam_x) U*, whose B_i = A_i* U serve both maps, and one
+    eigensolve call.
 
     A block's pairs are read in X's eigenbasis (``hpd_core.BallPairs``):
     d(X, Y), and d(F(X), G(Y)) for power F and G, come from the spectra
     and W alone (``thompson._frame_ratios``, one call for both), so with
-    power F and G a block forms only F(X) and G(X), for (C), and G(X)
-    is F(X) when the powers are equal.  A constant F or G forms from U
-    and W only what its terms read: G(Y) for a power G beside a constant
-    F, and no matrix, and no U, when both are constant.
+    power F and G a block forms no matrix but the right-hand sides.  A
+    constant F or G forms from U and W only what its terms read: G(Y)'s
+    decomposition for a power G beside a constant F, and nothing, and no
+    U, when both are constant.
     """
-    l, a, root, factors = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
+    l, a, root, a_stars = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     F, G = problem.F, problem.G
     powers = F.kind == G.kind == "power"
-    same = powers and F.exponent == G.exponent  # G(X) is F(X)
     (w_q1q2,), (w_q2q1,) = thompson._ratios(problem.Q1[None], problem.Q2[None])
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
-    def map_distances(f_x: PDPoint, g_x: PDPoint):
-        rhs = np.stack((_rhs(problem.Q1, factors, f_x.matrix), _rhs(problem.Q2, factors, g_x.matrix)))
+    def map_distances(rhs):
         lam = _pd_eig(rhs, "map right-hand side", vectors=False).eigenvalues
         return thompson._identity_distance(lam**root)
 
+    fixed = [
+        map_distances(_rhs(q.matrix, a_stars, *f.value.dec)) if f.kind == "constant" else None
+        for _, q, f in problem.equations
+    ]
+    varying = [j for j, d in enumerate(fixed) if d is None]  # the power maps, T1 first
+    if varying:  # their Q_j as one stack (k, 1, n, n), broadcast over a block
+        q_stack = np.array([problem.equations[j][1].matrix for j in varying])[:, None]
+        exponents = [problem.equations[j][2].exponent for j in varying]
+
     def block(pairs: BallPairs) -> dict:
         batch = (len(pairs),)
-        f_x = _sampled(F, pairs.x_dec, batch)
-        g_x = f_x if same else _sampled(G, pairs.x_dec, batch)
         if powers:  # both distances' pencils share W: one stack of them
             lam_a = np.stack((pairs.lam_x**F.exponent, pairs.lam_x))
             lam_b = np.stack((pairs.lam_y**G.exponent, pairs.lam_y))
             (w_fg, w_xy), (w_gf, w_yx) = thompson._frame_ratios(lam_a, lam_b, pairs.w)
         else:
-            w_fg, w_gf = thompson._ratios(f_x, _sampled(G, pairs.y_dec, batch))
+            w_fg, w_gf = thompson._ratios(_sampled(F, pairs.x_dec, batch), _sampled(G, pairs.y_dec, batch))
             w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
         d_fg = thompson._ratio_distances(w_fg, w_gf)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
@@ -538,7 +546,13 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
             w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
         )
-        d1, d2 = map_distances(f_x, g_x)
+        d_maps = list(fixed)
+        if varying:
+            lam = pairs.lam_x
+            mu = lam ** exponents[0] if len(set(exponents)) == 1 else np.stack([lam**e for e in exponents])
+            for j, d in zip(varying, map_distances(_rhs(q_stack, a_stars, mu, pairs.x_dec().vectors))):
+                d_maps[j] = d
+        d1, d2 = d_maps
         return {
             "A": ([("d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg)], True, literal_a),
             "B": ([("d(F(X),G(Y)) <= l*d(X,Y)", d_fg, l * d_xy)], True, literal_b),

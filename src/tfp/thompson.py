@@ -2,17 +2,24 @@
 
 d(A, B) = max(log W(A/B), log W(B/A)), where the order-ratio functional
 W(B/A) is the largest eigenvalue mu_max of A^{-1/2} B A^{-1/2}, and
-W(A/B) = 1/mu_min of the same pencil.  A^{-1/2} comes from A's known
-spectrum, so a distance between two points costs one eigensolve.  As
-mu_min carries an absolute error of about n * eps * mu_max, a pencil too
-wide for 1/mu_min to hold ``_ONE_SOLVE_REL_TOL`` (far-apart points, as on
-a wide sampling ball) takes W(A/B) from a second eigensolve, the top of
-B^{-1/2} A B^{-1/2}.  The pencil is taken relative to the
-better-conditioned point, so swapped arguments take the same path unless
-the condition numbers tie.
+W(A/B) = 1/mu_min of the same pencil.  The metric is invariant under
+unitary congruence, so the pencil is taken in A's eigenbasis: for
+A = U diag(lam_a) U* and B = V diag(lam_b) V* it is K K* with
+K = diag(lam_a)^-1/2 W diag(lam_b)^1/2 and W = U* V, and a distance
+costs one eigensolve, read off the two decompositions with no matrix A
+or B.  As mu_min carries an absolute error of about n * eps * mu_max, a
+pencil too wide for 1/mu_min to hold ``_ONE_SOLVE_REL_TOL`` (far-apart
+points, as on a wide sampling ball) takes W(A/B) from a second
+eigensolve, the top of the pencil on B's base.  The pencil is taken
+relative to the better-conditioned point, so swapped arguments take the
+same path unless the condition numbers tie.
 
-The pencils are decomposed without eigenvectors: only their extreme
-eigenvalues are read.
+The pencil has one rule, ``_frame_ratios``, which takes pairs known by
+their spectra and the unitary W between their eigenbases (the condition
+check's samples) and decomposes the pencils without eigenvectors: only
+their extreme eigenvalues are read.  ``_ratios`` takes pairs of points,
+or of stacks of points, there: it chooses each pair's base and forms
+W = V_base* V_other.
 
 ``gaps``, ``distance`` (its two-point case) and ``distance_to_identity``
 take matrices or points: a matrix is validated by ``pd_point`` and a
@@ -22,10 +29,7 @@ stacked call, one eigensolve call for all its pencils (and one for the
 wide ones): the iteration's gaps, up to a step ``spectral_distance``
 (a lower bound read off two spectra) cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
-decide every choice above sample by sample; ``_frame_ratios`` makes the
-same choices for pairs known only by their spectra and the unitary W
-between their eigenbases (the condition check's samples), whose pencils
-are one product K K* each, K being W scaled by rows and columns.  Each quantity has one rule,
+decide every choice above sample by sample.  Each quantity has one rule,
 for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
 (inf for a power that overflows) take the C math library's ``log`` and
 ``pow``, as ``math.log`` and ``math.pow`` compute them, element by element
@@ -79,61 +83,54 @@ def _ratio_powers(w, exponent: float) -> np.ndarray:
         return np.asarray(_POWERS(w, exponent), dtype=np.float64)
 
 
-def _ratio_spectrum(lam, vectors, m) -> np.ndarray:
-    """Eigenvalues, ascending, of base^{-1/2} M base^{-1/2} for a base with
-    spectrum ``lam`` and eigenvectors ``vectors``: one eigensolve without
-    eigenvectors (of the congruence in base's eigenbasis, which has the
-    same spectrum).  A pencil whose entries overflow, as between points far
-    apart on a wide ball, is a ``NonHermitianInput`` naming it."""
-    factor = vectors * (lam**-0.5)[..., None, :]
-    pencil = hpd_core.symmetrize(factor.conj().swapaxes(-1, -2) @ m @ factor)
-    return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
+def _condition(lam):
+    """lambda_max / lambda_min of an ascending or a descending spectrum, one
+    per spectrum of a stack: the larger ratio of its ends."""
+    return np.maximum(lam[..., -1] / lam[..., 0], lam[..., 0] / lam[..., -1])
 
 
 def _ratios(a: PDPoint, b: PDPoint) -> tuple:
-    """(W(A/B), W(B/A)) from one eigensolve, or two on a very wide pencil.
+    """(W(A/B), W(B/A)) of two points, or of each pair of two stacks of
+    points, from their decompositions alone.
 
-    Two points give two numpy floats (0-d arrays if equal), two stacks of
-    points two arrays of their leading shape, sample by sample.  Equal
-    matrices have both ratios exactly 1; a pair whose samples are all equal
-    costs no eigensolve, and only the wide pencils take the second.
+    Each pair's base, the better-conditioned point (B where it is strictly
+    better), is chosen here, and the pair goes to ``_frame_ratios`` in the
+    base's eigenbasis, with W = V_base* V_other: swapped arguments take the
+    same arrays, so they get the same bits swapped unless the condition
+    numbers tie.  Two points give two numpy floats (0-d arrays if equal),
+    two stacks of points two arrays of their leading shape, sample by
+    sample.  Points of one decomposition have both ratios exactly 1; a
+    pair whose samples all are costs no eigensolve.
     """
-    equal = np.logical_and.reduce(a.matrix == b.matrix, axis=(-2, -1))
+    (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
+    equal = np.logical_and(
+        np.logical_and.reduce(lam_a == lam_b, axis=-1), np.logical_and.reduce(vec_a == vec_b, axis=(-2, -1))
+    )
     if equal.all():
         return np.ones(equal.shape), np.ones(equal.shape)
-    (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
-    swap = lam_b[..., -1] / lam_b[..., 0] < lam_a[..., -1] / lam_a[..., 0]
+    swap = _condition(lam_b) < _condition(lam_a)
     on_lam, on_vec = swap[..., None], swap[..., None, None]
-    mu = _ratio_spectrum(
-        np.where(on_lam, lam_b, lam_a), np.where(on_vec, vec_b, vec_a), np.where(on_vec, a.matrix, b.matrix)
-    )
-    w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
-    wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]
-    if wide.any():
-        w_base = np.array(w_base)
-        w_base[wide] = _ratio_spectrum(
-            np.where(on_lam[wide], lam_a[wide], lam_b[wide]),
-            np.where(on_vec[wide], vec_a[wide], vec_b[wide]),
-            np.where(on_vec[wide], b.matrix[wide], a.matrix[wide]),
-        )[..., -1]
-    return tuple(np.where(equal, 1.0, np.where(swap, (w_other, w_base), (w_base, w_other))))
+    w = np.where(on_vec, vec_b, vec_a).conj().swapaxes(-1, -2) @ np.where(on_vec, vec_a, vec_b)
+    w_bo, w_ob = _frame_ratios(np.where(on_lam, lam_b, lam_a), np.where(on_lam, lam_a, lam_b), w)
+    return tuple(np.where(equal, 1.0, np.where(swap, (w_ob, w_bo), (w_bo, w_ob))))
 
 
 def _frame_ratios(lam_a, lam_b, w) -> tuple:
     """(W(A/B), W(B/A)) of A = U diag(lam_a) U* and B = U W diag(lam_b) W* U*,
-    for any unitary U, by the rules of ``_ratios``: each pair of a stack
-    of spectra ``(..., n)`` and unitaries W, whose stack broadcasts to
-    theirs, with no matrix A or B.
+    for any unitary U: each pair of a stack of spectra ``(..., n)`` and
+    unitaries W, whose stack broadcasts to theirs, with no matrix A or B.
+    Every Thompson pencil of the package is taken here.
 
     Each spectrum is paired with its columns of U or U W, and is ascending
-    or descending (a negative power of an ascending one), so its condition
-    number is the larger ratio of its ends.  In A's eigenbasis B is
-    W diag(lam_b) W*, so the pencil on A's base is K K* with
-    K = diag(lam_a)^-1/2 W diag(lam_b)^1/2; the pencil on B's base,
-    K* K for K = diag(lam_a)^1/2 W diag(lam_b)^-1/2, has the spectrum of
-    K K*.  Either is one product of W scaled by rows and columns.  A
-    pencil whose entries overflow, as between points far apart on a wide
-    ball, is a ``NonHermitianInput`` naming it."""
+    or descending (a negative power of an ascending one).  The pencil is
+    taken on the better-conditioned base, B's when it is strictly better.
+    In A's eigenbasis B is W diag(lam_b) W*, so the pencil on A's base is
+    K K* with K = diag(lam_a)^-1/2 W diag(lam_b)^1/2; the pencil on B's
+    base, K* K for K = diag(lam_a)^1/2 W diag(lam_b)^-1/2, has the
+    spectrum of K K*.  Either is one product of W scaled by rows and
+    columns, decomposed without eigenvectors.  A pencil whose entries
+    overflow, as between points far apart on a wide ball, is a
+    ``NonHermitianInput`` naming it."""
 
     def spectrum(on_b, rows):  # the pencils of pairs ``rows``, on B's base where ``on_b``
         on_lam = on_b[..., None]
@@ -142,11 +139,8 @@ def _frame_ratios(lam_a, lam_b, w) -> tuple:
         pencil = hpd_core.symmetrize(k @ k.conj().swapaxes(-1, -2))
         return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
 
-    def condition(lam):
-        return np.maximum(lam[..., -1] / lam[..., 0], lam[..., 0] / lam[..., -1])
-
     w = np.broadcast_to(w, lam_a.shape[:-1] + w.shape[-2:])
-    swap = np.asarray(condition(lam_b) < condition(lam_a))
+    swap = np.asarray(_condition(lam_b) < _condition(lam_a))
     mu = spectrum(swap, ...)
     w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
     wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]
@@ -168,8 +162,8 @@ def gaps(points) -> list[float]:
     alone.  Fewer than two points have no gap."""
     points = [p if isinstance(p, PDPoint) else hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
     for a, b in zip(points, points[1:]):
-        if a.matrix.shape != b.matrix.shape:
-            raise DimensionMismatch(f"distance shapes differ: {a.matrix.shape} vs {b.matrix.shape}")
+        if a.dec.vectors.shape != b.dec.vectors.shape:
+            raise DimensionMismatch(f"distance shapes differ: {a.dec.vectors.shape} vs {b.dec.vectors.shape}")
     if len(points) < 2:
         return []
     stack = PDPoint.stacked(points)

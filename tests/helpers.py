@@ -1,5 +1,5 @@
-"""Seeded random matrix generators and the benchmark's known-answer
-problems, shared by the test modules."""
+"""Seeded random matrix generators, the matrix functions F(X) as points
+and the benchmark's known-answer problems, shared by the test modules."""
 
 import importlib.util
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tfp import hpd_core
+from tfp import hpd_core, matrix_solver
 
 
 # Draw methods of numpy's Generator (``random``, ``standard_normal``, ...)
@@ -36,6 +36,15 @@ def _counted(name):
 
 for _name in DRAWS:
     setattr(CountingGenerator, _name, _counted(_name))
+
+
+def apply_F(spec, x):
+    """F(X) as a point, or one per point of a stack; a power reads X's
+    spectrum (a matrix X costs one eigensolve, a ``PDPoint`` none), and a
+    constant is repeated along X's leading axes."""
+    if spec.kind == "power":
+        return hpd_core.pd_point(x).powered(spec.exponent)
+    return matrix_solver._repeated(spec.value, np.shape(x)[:-2])
 
 
 def random_hermitian(rng, n, scale=3.0):

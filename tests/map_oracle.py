@@ -1,54 +1,54 @@
-"""The iteration maps and the residuals as a composition of the package's
-kernels: the test oracle for ``matrix_solver.build_map``, condition (C)
-and ``matrix_solver.residuals``.
+"""The iteration maps and the residuals written out step by step: the test
+oracle for ``matrix_solver.build_map``, condition (C) and
+``matrix_solver.residuals``.
 
 The package forms every right-hand side Q + sum_i A_i* F(X) A_i in one
-function, ``matrix_solver._rhs``, from conjugates taken once.  The
-right-hand side here sums ``_congruence`` kernels, each taking its own
-conjugate, and symmetrizes Q's sum with ``symmetrize``; a map builds F(X)
-as a point with ``apply_F`` and takes the root of the right-hand side's
-point.  So it shares none of the package's right-hand side: a fault there
-cannot leave a map's fixed point and its residual certificate wrong and
-still in agreement.  Its points must match the package's bit for bit,
-eigenvectors included, its residuals bit for bit, and its errors message
-for message.
+function, ``matrix_solver._rhs``, from F(X)'s decomposition (mu, V) and
+conjugates taken once, when a problem's maps are built.  The right-hand
+side here follows the same recipe with code of its own: it takes each
+A_i's conjugate transpose itself, adds B_i diag(mu) B_i* with
+B_i = A_i* V to Q in a loop over i, and symmetrizes the sum with
+``symmetrize``; F(X)'s decomposition is X's eigenvectors with
+eigenvalues ** p for a power, and a constant's own, repeated along X's
+leading axes, for a constant.  So it shares none of the package's
+right-hand side: a fault there cannot leave a map's fixed point and its
+residual certificate wrong and still in agreement.  Its points must
+match the package's bit for bit, eigenvectors included, its residuals
+bit for bit, and its errors message for message.
 """
 
 import numpy as np
 
 from tfp.hpd_core import PDPoint, _pd_eig, frobenius_norm, symmetrize
-from tfp.matrix_solver import apply_F
 
 
-def _congruence(a, m):
-    """The congruence A* M A, re-symmetrized, of a square factor and a
-    Hermitian argument of the same size, either of them a stack.
-
-    Preserves positive definiteness whenever A is nonsingular.
-    """
-    return symmetrize(a.conj().swapaxes(-1, -2) @ m @ a)
-
-
-def sum_congruences(a_list, value):
-    """sum_i A_i* M A_i, each congruence symmetrized, for a matrix or a stack."""
-    acc = _congruence(a_list[0], value)
-    for a_i in a_list[1:]:
-        acc = acc + _congruence(a_i, value)
-    return acc
+def f_decomposition(f_spec, x):
+    """(mu, V) of F(X) = V diag(mu) V* at the point, or each point of a
+    stack, ``x``."""
+    if f_spec.kind == "power":
+        lam, vectors = x.dec
+        return lam**f_spec.exponent, vectors
+    lam, vectors = f_spec.value.dec
+    batch = x.dec.eigenvalues.shape[:-1]
+    return np.broadcast_to(lam, batch + lam.shape), np.broadcast_to(vectors, batch + vectors.shape)
 
 
-def rhs(q, a_list, f_value):
-    """Q + sum_i A_i* F(X) A_i from the point F(X); no Q when ``q`` is None."""
-    acc = sum_congruences(a_list, f_value.matrix)
-    return acc if q is None else symmetrize(q.matrix + acc)
+def rhs(q, a_list, mu, vectors):
+    """Q + sum_i A_i* V diag(mu) V* A_i; no Q when ``q`` is None."""
+    acc = None if q is None else q.matrix
+    for a in a_list:
+        b = a.conj().T @ vectors
+        term = (b * mu[..., None, :]) @ b.conj().swapaxes(-1, -2)
+        acc = term if acc is None else acc + term
+    return symmetrize(acc)
 
 
 def build_map(q, a_list, f_spec, exponent):
-    """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent), kernel by kernel."""
+    """X -> (Q + sum_i A_i* F(X) A_i) ** (1/exponent), step by step."""
     root = 1.0 / exponent
 
     def t(x):
-        value = rhs(q, a_list, apply_F(f_spec, x))
+        value = rhs(q, a_list, *f_decomposition(f_spec, x))
         return PDPoint(value, _pd_eig(value, "map right-hand side")).powered(root)
 
     return t
@@ -65,6 +65,6 @@ def residuals(problem, x):
     out = []
     for e, q, f_spec in problem.equations:
         power = x.powered(e).matrix
-        difference = power - rhs(q, problem.A, apply_F(f_spec, x))
+        difference = power - rhs(q, problem.A, *f_decomposition(f_spec, x))
         out.append(frobenius_norm(difference) / np.maximum(1.0, frobenius_norm(power)))
     return tuple(out)

@@ -19,22 +19,26 @@ Y = V diag(lam_y) V* with V = U W, U = I when no term reads it (the
 witnesses of such a family are written in X's eigenbasis), and the
 ratios of a pair known in X's
 eigenbasis are taken by ``frame_ratios``, one base at a time, with an
-``if`` where the package takes ``np.where`` on a stack.  Condition (C)
-forms each right-hand side with ``map_oracle.rhs``, kernel by kernel and
-independent of the package's ``_rhs``, and reads its eigenvalues only, as
-the package does: those LAPACK computes without eigenvectors may differ
-in the last bits from those of the map's root.  Their reports must match
-the stacked ones byte for byte.
+``if`` where the package takes ``np.where`` on a stack; two points go
+there in the better-conditioned one's eigenbasis (``point_ratios``).
+Condition (C) forms each right-hand side with ``map_oracle.rhs``,
+independent of the package's ``_rhs``, from X's eigenvalues ** p and U
+for a power map, and once per check, before the first sample, for a
+constant one; it reads its eigenvalues only, as the package does: those
+LAPACK computes without eigenvectors may differ in the last bits from
+those of the map's root.  Their reports must match the stacked ones byte
+for byte.
 """
 
 import math
 
 import numpy as np
 
+from helpers import apply_F
 from map_oracle import rhs
 from tfp import hpd_core, thompson
 from tfp.hpd_core import EigenDecomposition, PDPoint, _haar_unitaries, _pd_eig, matrix_to_literal, pd_floor, symmetrize
-from tfp.matrix_solver import CONDITION_TOL, TYPE1, TYPE2, ConditionReport, ConditionStat, apply_F, ball_radius
+from tfp.matrix_solver import CONDITION_TOL, TYPE1, TYPE2, ConditionReport, ConditionStat, ball_radius
 
 
 def _haar(rng, n):
@@ -112,14 +116,24 @@ def ratio_distance(w_ab, w_ba):
     return max(math.log(w_ab), math.log(w_ba), 0.0)
 
 
-def _ratios(a, b):
-    return tuple(float(w) for w in thompson._ratios(a, b))
+def point_ratios(a, b):
+    """(W(A/B), W(B/A)) of two points: both 1 for points of one
+    decomposition, else ``frame_ratios`` in the eigenbasis of the
+    better-conditioned point, B's when it is strictly better."""
+    (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
+    if np.array_equal(lam_a, lam_b) and np.array_equal(vec_a, vec_b):
+        return 1.0, 1.0
+    if lam_b.max() / lam_b.min() < lam_a.max() / lam_a.min():
+        w_ba, w_ab = frame_ratios(lam_b, lam_a, vec_b.conj().T @ vec_a)
+        return w_ab, w_ba
+    return frame_ratios(lam_a, lam_b, vec_a.conj().T @ vec_b)
 
 
-def map_distance_to_identity(e, q, a_list, f_value):
-    """d(T(X), I) for T(X) = (Q + sum_i A_i* F(X) A_i) ** (1/e), from the
-    eigenvalues of the right-hand side alone."""
-    lam = _pd_eig(rhs(q, a_list, f_value), "map right-hand side", vectors=False).eigenvalues
+def map_distance_to_identity(e, q, a_list, mu, vectors):
+    """d(T(X), I) for T(X) = (Q + sum_i A_i* F(X) A_i) ** (1/e) with
+    F(X) = V diag(mu) V*, from the eigenvalues of the right-hand side
+    alone."""
+    lam = _pd_eig(rhs(q, a_list, mu, vectors), "map right-hand side", vectors=False).eigenvalues
     return float(thompson._identity_distance(lam ** (1.0 / e)))
 
 
@@ -130,11 +144,17 @@ def check_conditions_type1(problem, samples=200, seed=0):
     stat_b = ConditionStat("B", literal_failures=0)
     stat_c = ConditionStat("C")
 
-    w_q1q2, w_q2q1 = _ratios(problem.Q1, problem.Q2)
+    w_q1q2, w_q2q1 = point_ratios(problem.Q1, problem.Q2)
     d_q = ratio_distance(w_q1q2, w_q2q1)
     powers = problem.F.kind == problem.G.kind == "power"
 
     reads_u = problem.F.kind == "power" or problem.G.kind == "power"
+    # a constant map's distance, one for all samples, T1's first
+    fixed = {
+        j: map_distance_to_identity(e, q, problem.A, *f_spec.value.dec)
+        for j, (e, q, f_spec) in enumerate(problem.equations)
+        if f_spec.kind == "constant"
+    }
     streams = tuple(np.random.default_rng(seed).spawn(3))
     for i in range(samples):
         lam_x, lam_y, w, u = sample_pair(problem.n, radius, streams, reads_u)
@@ -142,7 +162,7 @@ def check_conditions_type1(problem, samples=200, seed=0):
         if powers:
             w_fg, w_gf = frame_ratios(lam_x**problem.F.exponent, lam_y**problem.G.exponent, w)
         else:
-            w_fg, w_gf = _ratios(apply_F(problem.F, x), apply_F(problem.G, y))
+            w_fg, w_gf = point_ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = ratio_distance(w_fg, w_gf)
         w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
         d_xy = ratio_distance(w_xy, w_yx)
@@ -156,7 +176,8 @@ def check_conditions_type1(problem, samples=200, seed=0):
             stat_b.literal_failures += 1
 
         d1, d2 = (
-            map_distance_to_identity(e, q, problem.A, apply_F(f_spec, x)) for e, q, f_spec in problem.equations
+            fixed[j] if j in fixed else map_distance_to_identity(e, q, problem.A, lam_x**f_spec.exponent, u)
+            for j, (e, q, f_spec) in enumerate(problem.equations)
         )
         terms_c = [("d(T1(X),I) <= a", d1, problem.a), ("d(T2(X),I) <= a", d2, problem.a)]
         _record(stat_c, i, *max(terms_c, key=lambda item: item[1] - item[2]), x)

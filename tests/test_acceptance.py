@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_nonsingular, random_pd, random_pd_in_ball
+from helpers import apply_F, random_nonsingular, random_pd, random_pd_in_ball
 from tfp import cli, hpd_core, matrix_solver, psi_family, thompson
 from tfp.errors import MaxIterationsExceeded
 from tfp.fixpoint_engine import error_bound, iterate_pair
@@ -285,7 +285,7 @@ def test_criterion_6_condition_checker_correctness(tmp_path):
     x = hpd_core.matrix_from_literal(worst["X"])
     y = hpd_core.matrix_from_literal(worst["Y"])
     lhs = thompson.distance(
-        matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, y)
+        apply_F(problem.F, x), apply_F(problem.G, y)
     )
     rhs = problem.l * thompson.distance(x, y)
     checks.append(

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import sampling_oracle
-from helpers import CountingGenerator, known_answer_files, random_pd_in_ball
+from helpers import CountingGenerator, apply_F, known_answer_files, random_pd_in_ball
 from test_thompson import log_error
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.fixtures import fixture_path
@@ -96,7 +96,7 @@ def matrix_margins(problem, x, y):
     def distance(a, b):
         return thompson._ratio_distances(*thompson._ratios(a, b))
 
-    f_x, g_x = matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, x)
+    f_x, g_x = apply_F(problem.F, x), apply_F(problem.G, x)
     w_xy, w_yx = thompson._ratios(x, y)
     if problem.kind == matrix_solver.TYPE2:
         m, exp_ra = problem.m, math.exp(matrix_solver.ball_radius(problem))
@@ -118,7 +118,7 @@ def matrix_margins(problem, x, y):
         )
         return {"A": a, "B": b}
     d_q = distance(problem.Q1, problem.Q2)
-    d_fg = distance(f_x, matrix_solver.apply_F(problem.G, y))
+    d_fg = distance(f_x, apply_F(problem.G, y))
     d_c = [thompson.distance_to_identity(t(x)) - problem.a for t in matrix_solver.maps_for(problem)]
     return {"A": d_q - d_fg, "B": d_fg - problem.l * thompson._ratio_distances(w_xy, w_yx), "C": np.maximum(*d_c)}
 
@@ -214,7 +214,7 @@ class TestWitnessesAreWhatWasMeasured:
         for condition in ("A", "B"):
             worst = report.conditions[condition].worst
             x, y = (hpd_core.pd_point(hpd_core.matrix_from_literal(worst[side])) for side in "XY")
-            f_x, g_y = matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, y)
+            f_x, g_y = apply_F(problem.F, x), apply_F(problem.G, y)
             d_fg, d_xy = thompson.distance(f_x, g_y), thompson.distance(x, y)
             tol = log_error(problem.n, x, y, f_x, g_y)
             if condition == "A":
@@ -237,7 +237,7 @@ class TestWitnessesAreWhatWasMeasured:
         w_xy, w_yx = (float(w) for w in thompson._ratios(x, y))
         assert thompson.distance(x, y) == pytest.approx(max(math.log(w_xy), math.log(w_yx)), abs=tol)
         m, l = problem.m, problem.l
-        lam_f, lam_g = (matrix_solver.apply_F(spec, x).dec.eigenvalues for spec in (problem.F, problem.G))
+        lam_f, lam_g = (apply_F(spec, x).dec.eigenvalues for spec in (problem.F, problem.G))
         lhs, rhs = {
             "lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)": (lam_f[-1], w_xy**l / (m * 2.0**problem.r)),
             "lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)": (lam_g[-1], w_xy**l / (m * 2.0**problem.s)),

@@ -23,9 +23,10 @@
 - One home per message: "has shape" (``hpd_core.as_square_matrix``'s shape
   rule), "condition check broke down:" (``check_conditions``'s
   breakdown), "must be a finite number" and "must be true or false"
-  (``hpd_core``'s field rules) each occur in one string constant of
-  ``src/tfp``, counting an f-string's literal parts, however the source
-  spells them.
+  (``hpd_core``'s field rules) and "Thompson ratio pencil"
+  (``thompson._frame_ratios``, the one pencil rule) each occur in one
+  string constant of ``src/tfp``, counting an f-string's literal parts,
+  however the source spells them.
 """
 
 import ast
@@ -287,7 +288,13 @@ def test_field_rules_defined_only_in_hpd_core(path):
 
 # Messages that name a rule with one home; CI's grep steps count them in
 # the source text, which a spelling such as "has\x20shape" hides.
-SINGLE_HOME = ("has shape", "condition check broke down:", "must be a finite number", "must be true or false")
+SINGLE_HOME = (
+    "has shape",
+    "condition check broke down:",
+    "must be a finite number",
+    "must be true or false",
+    "Thompson ratio pencil",
+)
 
 
 def string_constants(source: str) -> list:

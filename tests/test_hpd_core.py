@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import literal_oracle
+import map_oracle
 from helpers import known_answer, random_hermitian, random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from jacobi import jacobi_eig
-from map_oracle import _congruence
 from tfp import hpd_core, thompson
 from tfp.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, NotPositiveDefinite
 from tfp.fixtures import fixture_path
@@ -279,8 +279,15 @@ class TestMatrixPower:
             power(np.diag([1.0, -1.0]), 0.5)
 
 
+def _congruence(a, m):
+    """A* M A by the map oracle's right-hand side, `tests/map_oracle.py`,
+    from M's eigendecomposition."""
+    lam, vectors = np.linalg.eigh(m)
+    return map_oracle.rhs(None, [a], lam, vectors)
+
+
 class TestCongruence:
-    """The congruence kernel of the map oracle, `tests/map_oracle.py`."""
+    """The congruence A* M A of the map oracle's right-hand side."""
 
     def test_identity_factor(self):
         rng = np.random.default_rng(1)

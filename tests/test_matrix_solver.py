@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nonsingular, random_pd, random_pd_in_ball, random_unitary
+from helpers import apply_F, random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.errors import (
     ConditionsNotVerified,
@@ -59,16 +59,16 @@ def type2_exponents_at_the_bound(draw):
 class TestMatrixFunctionSpec:
     def test_power_identity_map(self):
         x = random_pd(np.random.default_rng(0), 3)
-        np.testing.assert_allclose(matrix_solver.apply_F(matrix_solver.power(1), x), x, atol=1e-12)
+        np.testing.assert_allclose(apply_F(matrix_solver.power(1), x), x, atol=1e-12)
 
     def test_power_sqrt(self):
-        out = matrix_solver.apply_F(matrix_solver.power(0.5), np.diag([4.0, 9.0]))
+        out = apply_F(matrix_solver.power(0.5), np.diag([4.0, 9.0]))
         np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_constant_map(self):
         spec = matrix_solver.constant(np.eye(2))
         x = random_pd(np.random.default_rng(1), 2)
-        np.testing.assert_allclose(matrix_solver.apply_F(spec, x), np.eye(2))
+        np.testing.assert_allclose(apply_F(spec, x), np.eye(2))
 
     def test_power_exponent_range(self):
         with pytest.raises(ValueError):
@@ -257,6 +257,45 @@ class TestMaps:
             None, [np.eye(2), np.eye(2)], matrix_solver.constant(np.eye(2)), 3.0
         )
         np.testing.assert_allclose(t(np.eye(2)), 2 ** (1 / 3) * np.eye(2), atol=1e-12)
+
+
+class TestRightHandSide:
+    """``_rhs`` from F's decomposition against the matrix it stands for."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=1, max_value=3),
+        count=st.integers(min_value=1, max_value=4),
+        with_q=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_the_sum_of_congruences(self, n, m, count, with_q, seed):
+        # Each of the three products of length-n sums behind a term, in
+        # either order of evaluation, is off by at most n * eps times the
+        # product of its operands' Frobenius norms; with V unitary those
+        # come to sqrt(n) * ||A_i||_F^2 * max(mu) per product, so a term is
+        # off by at most 3 * n**1.5 * eps * ||A_i||_F^2 * max(mu) each way,
+        # and the sums and the halving add eps * ||RHS||_F: 8 * n**1.5 * eps
+        # times the scale below bounds the difference.
+        rng = np.random.default_rng(seed)
+        x = random_pd_in_ball(n, 2.0, rng, shape=(count,))
+        a_list = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(m)]
+        q = random_pd_in_ball(n, 2.0, rng).matrix if with_q else None
+        mu, vectors = x.dec
+        got = matrix_solver._rhs(q, matrix_solver._factors(a_list), mu, vectors)
+
+        f = (vectors * mu[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+        want = sum(a.conj().T @ f @ a for a in a_list) + (0 if q is None else q)
+        scale = sum(hpd_core.frobenius_norm(a) ** 2 for a in a_list) * mu.max(axis=-1)
+        scale = scale + (0.0 if q is None else hpd_core.frobenius_norm(q))
+        assert np.all(hpd_core.frobenius_norm(got - want) <= 8 * n**1.5 * self.EPS * scale)
+        assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+        for i in range(count):
+            alone = matrix_solver._rhs(q, matrix_solver._factors(a_list), mu[i], vectors[i])
+            assert alone.tobytes() == got[i].tobytes()
 
 
 class TestResiduals:
@@ -514,7 +553,7 @@ class TestConditionChecker:
         x = hpd_core.matrix_from_literal(worst["X"])
         y = hpd_core.matrix_from_literal(worst["Y"])
         lhs = thompson.distance(
-            matrix_solver.apply_F(problem.F, x), matrix_solver.apply_F(problem.G, y)
+            apply_F(problem.F, x), apply_F(problem.G, y)
         )
         rhs = problem.l * thompson.distance(x, y)
         assert lhs > rhs
@@ -893,10 +932,10 @@ class TestSolverInvariants:
         for _ in range(8):
             n = 3
             factors = matrix_solver._factors([random_nonsingular(rng, n) for _ in range(3)])
-            m_val, n_val = random_pd(rng, n), random_pd(rng, n)
+            m_val, n_val = random_pd_in_ball(n, 1.5, rng), random_pd_in_ball(n, 1.5, rng)
             lhs = thompson.distance(
-                matrix_solver._rhs(None, factors, m_val),
-                matrix_solver._rhs(None, factors, n_val),
+                matrix_solver._rhs(None, factors, *m_val.dec),
+                matrix_solver._rhs(None, factors, *n_val.dec),
             )
             assert lhs <= thompson.distance(m_val, n_val) + 1e-9
 

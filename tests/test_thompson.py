@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from jacobi import jacobi_eig
-from sampling_oracle import ratio_distance
+from sampling_oracle import point_ratios, ratio_distance
 from tfp import hpd_core, thompson
 from tfp.errors import DimensionMismatch, NotPositiveDefinite
 
@@ -312,6 +312,32 @@ class TestSelectionRule:
             assert np.any((swap == side) & (width > self.WIDE)) and np.any((swap == side) & (width < 10.0))
         assert np.array_equal(x.matrix[-1], y.matrix[-1])
         self.assert_pairwise_bits(x, y)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        radius=st.floats(min_value=0.0, max_value=KAPPA_1E6_RADIUS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        order=st.lists(st.booleans(), min_size=2, max_size=6),
+    )
+    def test_swapped_arguments_keep_their_bits(self, n, radius, seed, order):
+        # each pair in drawn order or swapped, so a stack mixes both; every
+        # pair's ratios and distance agree with the scalar oracle's, which
+        # takes one pair at a time
+        drawn = random_pd_in_ball(n, radius, seed, shape=(len(order), 2))
+        pairs = [(drawn[i, 1], drawn[i, 0]) if flip else (drawn[i, 0], drawn[i, 1]) for i, flip in enumerate(order)]
+        x, y = self.strided(pairs)
+        w_ab, w_ba = thompson._ratios(x, y)
+        turned_ba, turned_ab = thompson._ratios(y, x)
+        differ = condition(x) != condition(y)
+        assert bits(turned_ab[differ]) == bits(w_ab[differ]) and bits(turned_ba[differ]) == bits(w_ba[differ])
+        distances = thompson._ratio_distances(w_ab, w_ba)
+        for i, (a, b) in enumerate(pairs):
+            tol = log_error(n, a, b)
+            want_ab, want_ba = point_ratios(a, b)
+            assert math.log(w_ab[i]) == pytest.approx(math.log(want_ab), abs=tol)
+            assert math.log(w_ba[i]) == pytest.approx(math.log(want_ba), abs=tol)
+            assert distances[i] == pytest.approx(ratio_distance(want_ab, want_ba), abs=tol)
 
     @pytest.mark.parametrize("swapped", [False, True])
     def test_a_stack_that_swaps_no_pair_or_every_pair(self, swapped):

@@ -1,9 +1,9 @@
 """Work counters of the alternating step, counted while ``iterate_pair``
-runs inside ``solve``: eigensolve calls per map application, and the
-Python calls made inside the package per iteration; and of a condition
-check: witness literals, eigensolves, matrix powers and generator draw
-calls per block.  The counts repeat exactly from run to run, unlike wall
-time."""
+runs inside ``solve``: eigensolve calls per map application, the points'
+matrices formed, and the Python calls made inside the package per
+iteration; and of a condition check: witness literals, eigensolves,
+point powers and generator draw calls per block.  The counts repeat
+exactly from run to run, unlike wall time."""
 
 import contextlib
 import io
@@ -25,15 +25,21 @@ FIXTURES = ["check_fail_power", "check_pass_constant", "example_4_1", "example_4
 @pytest.fixture
 def step_work(monkeypatch):
     """Counts, over the iterations of every solve: ``eig`` calls of
-    ``eig_hermitian``, ``maps`` applied, ``calls`` of Python functions
-    defined in the package and ``iterations`` in the traces."""
-    work = dict(eig=0, maps=0, calls=0, iterations=0)
+    ``eig_hermitian``, ``maps`` applied, point matrices ``formed`` from
+    their decompositions, ``calls`` of Python functions defined in the
+    package and ``iterations`` in the traces."""
+    work = dict(eig=0, maps=0, formed=0, calls=0, iterations=0)
     inside = [False]
     eig, iterate, maps_for = hpd_core.eig_hermitian, matrix_solver.iterate_pair, matrix_solver.maps_for
+    spectral_matrix = hpd_core._spectral_matrix
 
     def counting_eig(*args, **kwargs):
         work["eig"] += inside[0]
         return eig(*args, **kwargs)
+
+    def counting_spectral_matrix(*args):
+        work["formed"] += inside[0]
+        return spectral_matrix(*args)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
@@ -58,6 +64,7 @@ def step_work(monkeypatch):
         return step
 
     monkeypatch.setattr(hpd_core, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(hpd_core, "_spectral_matrix", counting_spectral_matrix)
     monkeypatch.setattr(matrix_solver, "iterate_pair", counting_iterate)
     monkeypatch.setattr(matrix_solver, "maps_for", lambda problem: tuple(map(counted, maps_for(problem))))
     return work
@@ -72,13 +79,15 @@ def solve_files(paths, out):
 
 def test_eigensolves_per_iteration(step_work, tmp_path):
     # one call per map, for its root, and one stacked call for the pending
-    # gaps at each step whose spectra cannot rule it out as the stop
+    # gaps at each step whose spectra cannot rule it out as the stop; the
+    # maps and the gaps read the points' decompositions, so the iteration
+    # forms no point's matrix
     solve_files(known_answer_files(tmp_path, 16, 4, 1), tmp_path / "trace.csv")
-    assert (step_work["eig"], step_work["maps"]) == (55, 50)
+    assert (step_work["eig"], step_work["maps"], step_work["formed"]) == (55, 50, 0)
     assert round(step_work["eig"] / step_work["maps"], 2) == 1.1
     step_work.update(eig=0, maps=0)
     solve_files([fixture_path(f"{name}.json") for name in FIXTURES], tmp_path / "trace.csv")
-    assert (step_work["eig"], step_work["maps"]) == (254, 237)
+    assert (step_work["eig"], step_work["maps"], step_work["formed"]) == (254, 237, 0)
     assert round(step_work["eig"] / step_work["maps"], 2) == 1.07
 
 
@@ -94,10 +103,10 @@ def test_a_map_makes_one_eigensolve(monkeypatch, name):
         assert len(calls) == 1
 
 
-# Python calls inside the package per iteration, capped at today's counts;
-# with maps built kernel by kernel, as in tests/map_oracle.py, they read
-# 20.2 and 18.7
-@pytest.mark.parametrize("name, iterations, per_iteration", [("example_4_1", 200, 11.16), ("example_4_2", 16, 10.69)])
+# Python calls inside the package per iteration, capped at today's counts
+# (1919 and 158 calls); with maps built kernel by kernel they read 20.2
+# and 18.7
+@pytest.mark.parametrize("name, iterations, per_iteration", [("example_4_1", 200, 9.6), ("example_4_2", 16, 9.875)])
 def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_iteration):
     solve_files([fixture_path(f"{name}.json")], tmp_path / "trace.csv")
     assert step_work["iterations"] == iterations
@@ -108,25 +117,28 @@ def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_i
 # matrix_to_literal calls (a witness's X, and Y for a pair condition, built
 # for the worst sample only), eig_hermitian calls and the matrices they
 # decompose, EigenDecomposition.powered calls and generator draw calls.  A
-# type2 block reads F's and G's spectra without forming F(X) or G(X), so
-# it powers nothing; a type1 block with power F and G forms F(X) and G(X),
-# for condition (C), one matrix when the powers are equal, and no G(Y):
-# the pencils of d(F(X), G(Y)) and d(X, Y) read the pairs' spectra and W,
-# and are decomposed in one call, as are the right-hand sides of T1(X) and
-# T2(X).  A block draws its spectra and W in two generator calls, and U
-# in a third where a term reads it (type1 with a power F or G).  The
-# matrices per sample are as many as when X and Y were drawn each with
-# its own unitary (4 per type1 sample, 1 per type2 sample, plus the wide
-# pencils' second eigensolves); example_4_1 and example_4_2 decompose 1097
-# and 285 matrices (1086 and 276 before): their wide balls (radius 10 and
+# type2 block reads F's and G's spectra, so it powers no point; a type1
+# block with power F and G powers none either: the pencils of
+# d(F(X), G(Y)) and d(X, Y) read the pairs' spectra and W, and are
+# decomposed in one call, and the right-hand sides of T1(X) and T2(X),
+# for condition (C), are formed from X's eigenvalues ** p and U and
+# decomposed in one call.  A constant map's right-hand side is decomposed
+# once per check, so check_pass_constant decomposes 202 matrices (600
+# when each sample formed both), in one call per map and one for d(X, Y).
+# A block draws its spectra and W in two generator calls, and U in a
+# third where a term reads it (type1 with a power F or G).  The matrices
+# per sample are as many as when X and Y were drawn each with its own
+# unitary (4 per type1 sample, 1 per type2 sample, plus the wide pencils'
+# second eigensolves); example_4_1 and example_4_2 decompose 1097 and 285
+# matrices (1086 and 276 before): their wide balls (radius 10 and
 # r*a = 4) give other samples, and so another count of wide pencils.
 CHECK_WORK = {
-    "check_fail_power": (5, 2, 800, 1, 3),
-    "check_pass_constant": (5, 2, 600, 0, 2),
-    "example_4_1": (5, 4, 1097, 2, 3),
+    "check_fail_power": (5, 2, 800, 0, 3),
+    "check_pass_constant": (5, 3, 202, 0, 2),
+    "example_4_1": (5, 4, 1097, 0, 3),
     "example_4_2": (3, 2, 285, 0, 2),
-    "quadratic_pass": (5, 2, 800, 1, 3),
-    "known-type1": (5, 3, 41, 2, 3),
+    "quadratic_pass": (5, 2, 800, 0, 3),
+    "known-type1": (5, 3, 41, 0, 3),
     "known-type2": (3, 1, 20, 0, 2),
 }
 
