@@ -25,12 +25,12 @@ right-hand sides, ratio pencils and distances then read the known
 eigenvalues and eigenvectors.  X**p is the point
 ``pd_point(x).powered(p)``, with X's eigenvectors and eigenvalues
 lambda_i**p; a decomposition's ``powered`` gives the same point with no
-point for X.  A point built from a decomposition alone, as a power or an
-iteration map's root is, forms its matrix V diag(lambda) V*
-(``_spectral_matrix``) only when something reads it, and a point
-converts to its matrix wherever numpy expects an array.  A stack of
-points is one ``PDPoint`` whose fields carry the leading axes; indexing
-it selects points.
+point for X.  A point built from a decomposition alone, as a power, an
+iteration map's root or a stack of points is, forms its matrix
+V diag(lambda) V* (``_spectral_matrix``) only when something reads it,
+and a point converts to its matrix wherever numpy expects an array.  A
+stack of points is one ``PDPoint`` whose fields carry the leading axes;
+indexing it selects points.
 
 Every eigensolve is a call to ``eig_hermitian``, a thin wrapper over
 LAPACK ``eigh`` (``numpy.linalg.eigh``), or over ``eigvalsh`` when the
@@ -112,26 +112,26 @@ class PDPoint:
     ``matrix`` is the Hermitian array and ``dec`` its spectral
     factorization, eigenvalues ascending and above the relative floor.
     Build one with ``pd_point`` (one eigensolve) or as a power of another
-    point (none).  A point built without its matrix (``None``) forms it
-    from ``dec`` by ``_spectral_matrix`` when it is first read; a stack
-    from ``stacked`` forms it then from its points' matrices, and a point
-    of such a stack from the stack's.  The distances, the maps and the
-    residuals read the decomposition alone.  Treat both fields as
-    read-only: the decomposition describes the matrix only while neither
-    changes.  A stack of points has leading axes on every field, and
-    ``point[index]`` selects along them.
+    point (none).  A point built without its matrix (``None``), a power, a
+    map's root or a stack from ``stacked``, forms it from ``dec`` by
+    ``_spectral_matrix`` when it is first read; a point of a stack takes
+    the stack's matrix if it was formed, and forms its own otherwise.  The
+    distances, the maps and the residuals read the decomposition alone.
+    Treat both fields as read-only: the decomposition describes the matrix
+    only while neither changes.  A stack of points has leading axes on
+    every field, and ``point[index]`` selects along them.
     """
 
     __slots__ = ("_matrix", "dec")
 
-    def __init__(self, matrix, dec: EigenDecomposition) -> None:
-        self._matrix = matrix  # an array, None or a function that forms it
+    def __init__(self, matrix: ComplexMatrix | None, dec: EigenDecomposition) -> None:
+        self._matrix = matrix
         self.dec = dec
 
     @property
     def matrix(self) -> ComplexMatrix:
-        if not isinstance(self._matrix, np.ndarray):
-            self._matrix = _spectral_matrix(*self.dec) if self._matrix is None else self._matrix()
+        if self._matrix is None:
+            self._matrix = _spectral_matrix(*self.dec)
         return self._matrix
 
     def __array__(self, dtype=None, copy=None):
@@ -139,18 +139,16 @@ class PDPoint:
 
     def __getitem__(self, index) -> "PDPoint":
         lam, vectors = self.dec
-        matrix = self._matrix
-        if matrix is not None:
-            matrix = matrix[index] if isinstance(matrix, np.ndarray) else lambda: self.matrix[index]
+        matrix = None if self._matrix is None else self._matrix[index]
         return PDPoint(matrix, EigenDecomposition(lam[index], vectors[index]))
 
     @staticmethod
     def stacked(points) -> "PDPoint":
-        """One stack of a sequence of points of one shape, in order; its
-        matrix, the points' matrices, is formed when it is first read."""
+        """One stack of a sequence of points of one shape, in order: their
+        decompositions, the matrix formed from them when it is read."""
         lam = np.array([p.dec.eigenvalues for p in points])
         vectors = np.array([p.dec.vectors for p in points])
-        return PDPoint(lambda: np.array([p.matrix for p in points]), EigenDecomposition(lam, vectors))
+        return PDPoint(None, EigenDecomposition(lam, vectors))
 
     def powered(self, p: float) -> "PDPoint":
         """X**p as a point, from X's decomposition alone."""
@@ -187,8 +185,9 @@ def as_tolerance(value, what: str) -> float:
 
 
 def as_count(value, what: str, minimum: int = 1) -> int:
-    """An integer: an integral float reads as its int, a numpy integer is kept."""
-    if isinstance(value, float) and value.is_integer():
+    """An integer: an integral float, a numpy float of any width too, reads
+    as its int, and a numpy integer is kept."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -492,40 +491,29 @@ class BallPairs:
     V = U W.
 
     ``lam_x`` and ``lam_y`` are the ascending spectra, ``(S, n)`` each, and
-    ``w`` the Haar unitaries W = U* V, ``(S, n, n)``.  The Thompson metric
-    is unitarily invariant, so d(X, Y), and d(F(X), G(Y)) for powers F
-    and G, read ``lam_x``, ``lam_y`` and ``w`` alone
-    (``thompson._frame_ratios``).  U is drawn only where it is read:
+    ``w`` the Haar unitaries W = U* V, ``(S, n, n)``, built with the block.
+    The Thompson metric is unitarily invariant, so d(X, Y), and
+    d(F(X), G(Y)) for powers F and G, read ``lam_x``, ``lam_y`` and ``w``
+    alone (``thompson._frame_ratios``).  U is drawn only where it is read:
     ``x_dec`` and ``y_dec`` draw it for every pair of the block, from the
-    stream ``gauss``, and build it with W in one stacked QR.  A block
-    whose U is never read is a block of pairs known up to one unitary
-    change of basis, and ``matrices`` gives its pairs in X's eigenbasis,
-    U = I.
+    stream ``gauss``, when one of them is first called.  A block whose U
+    is never read is a block of pairs known up to one unitary change of
+    basis, and ``matrices`` gives its pairs in X's eigenbasis, U = I.
     """
 
-    __slots__ = ("lam_x", "lam_y", "_draws", "_gauss", "_w", "_u", "_formed")
+    __slots__ = ("lam_x", "lam_y", "w", "_gauss", "_u", "_formed")
 
-    def __init__(self, lam_x, lam_y, draws, gauss) -> None:
-        self.lam_x, self.lam_y = lam_x, lam_y
-        self._draws, self._gauss = draws, gauss  # draws: W's, then room for U's
-        self._w, self._u, self._formed = None, None, {}
+    def __init__(self, lam_x, lam_y, w, gauss) -> None:
+        self.lam_x, self.lam_y, self.w = lam_x, lam_y, w
+        self._gauss, self._u, self._formed = gauss, None, {}
 
     def __len__(self) -> int:
         return len(self.lam_x)
 
-    @property
-    def w(self) -> ComplexMatrix:
-        if self._w is None:
-            self._w = _haar_unitaries(self._draws[0])
-        return self._w
-
     def _unitaries(self) -> ComplexMatrix:
         if self._u is None:
-            self._gauss.standard_normal(out=self._draws[1])
-            if self._w is None:
-                self._w, self._u = _haar_unitaries(self._draws)
-            else:
-                self._u = _haar_unitaries(self._draws[1])
+            count, n = self.lam_x.shape
+            self._u = _haar_unitaries(self._gauss.standard_normal((count, 2, n, n)))
         return self._u
 
     def x_dec(self) -> EigenDecomposition:
@@ -559,9 +547,10 @@ def sample_ball_pairs(n: int, radius: float, streams, count: int) -> BallPairs:
     ``Generator.uniform``; each point's spectrum is exp of its sorted t_i,
     so it lies in [exp(-radius), exp(radius)].  ``frame.standard_normal``
     then gives the real and the imaginary parts of each pair's complex
-    Gaussian matrix for W, and ``gauss.standard_normal``, when the block's
-    U is first read, those for U.  W and U are Haar and independent, so X
-    and Y are independent, each U diag(exp(t)) U* with U Haar.  Each
+    Gaussian matrix for W, built here in one stacked QR, as every family
+    reads it, and ``gauss.standard_normal``, when the block's U is first
+    read, those for U, in a second QR.  W and U are Haar and independent,
+    so X and Y are independent, each U diag(exp(t)) U* with U Haar.  Each
     stream is consumed in pair order, so for a caller that reads U in
     every block or in none, the pairs of consecutive blocks are those of
     one block with their counts summed.
@@ -574,7 +563,6 @@ def sample_ball_pairs(n: int, radius: float, streams, count: int) -> BallPairs:
     spectra, gauss, frame = streams
     low, high = -radius, radius
     t = low + (high - low) * spectra.random((count, 2, n))
-    draws = np.empty((2, count, 2, n, n))
-    frame.standard_normal(out=draws[0])
+    w = _haar_unitaries(frame.standard_normal((count, 2, n, n)))
     lam = np.exp(np.sort(t, axis=-1))
-    return BallPairs(np.ascontiguousarray(lam[:, 0]), np.ascontiguousarray(lam[:, 1]), draws, gauss)
+    return BallPairs(np.ascontiguousarray(lam[:, 0]), np.ascontiguousarray(lam[:, 1]), w, gauss)

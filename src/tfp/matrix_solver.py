@@ -149,27 +149,21 @@ def constant(value) -> MatrixFunctionSpec:
     return MatrixFunctionSpec("constant", value=pd_point(value, "constant function value"))
 
 
-def _repeated(point: PDPoint, batch: tuple) -> PDPoint:
-    """A point repeated along the leading axes ``batch``, as a view."""
-    (lam, vectors), matrix = point.dec, point.matrix
-    lam, vectors = np.broadcast_to(lam, batch + lam.shape), np.broadcast_to(vectors, batch + vectors.shape)
-    return PDPoint(np.broadcast_to(matrix, batch + matrix.shape), EigenDecomposition(lam, vectors))
-
-
-def _sampled(spec: MatrixFunctionSpec, dec: Callable[[], EigenDecomposition], batch: tuple) -> PDPoint:
-    """F(X) of each point of a stack of ``batch`` points known by their
-    decomposition ``dec()``: a power is its point, no matrix formed, and a
-    constant is repeated without calling it."""
-    return dec().powered(spec.exponent) if spec.kind == "power" else _repeated(spec.value, batch)
+def _sampled(spec: MatrixFunctionSpec, dec: Callable[[], EigenDecomposition]) -> PDPoint:
+    """F(X) of each point of a stack known by its decomposition ``dec()``:
+    a power is its point, no matrix formed, and a constant its own single
+    point, which numpy broadcasts over the stack, without calling ``dec``."""
+    return dec().powered(spec.exponent) if spec.kind == "power" else spec.value
 
 
 def _spectrum(spec: MatrixFunctionSpec, lam):
     """The eigenvalues of F(X), ascending, for X of ascending eigenvalues
     ``lam``, one spectrum per point of a stack, in
     ``EigenDecomposition.powered``'s arithmetic: lambda ** p, reversed and
-    copied contiguous for p < 0."""
+    copied contiguous for p < 0; a constant's is its own single spectrum,
+    which numpy broadcasts over the stack."""
     if spec.kind != "power":
-        return _repeated(spec.value, lam.shape[:-1]).dec.eigenvalues
+        return spec.value.dec.eigenvalues
     mu = lam**spec.exponent
     return np.ascontiguousarray(mu[..., ::-1]) if spec.exponent < 0.0 else mu
 
@@ -508,14 +502,16 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     d(X, Y), and d(F(X), G(Y)) for power F and G, come from the spectra
     and W alone (``thompson._frame_ratios``, one call for both), so with
     power F and G a block forms no matrix but the right-hand sides.  A
-    constant F or G forms from U and W only what its terms read: G(Y)'s
+    constant F or G is its own single point, which numpy broadcasts over
+    the block, and U and W form only what its terms read: G(Y)'s
     decomposition for a power G beside a constant F, and nothing, and no
-    U, when both are constant.
+    U, when both are constant: their d(F(X), G(Y)) is one pencil, taken
+    when the check starts, and one value for all samples.
     """
     l, a, root, a_stars = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     F, G = problem.F, problem.G
     powers = F.kind == G.kind == "power"
-    (w_q1q2,), (w_q2q1,) = thompson._ratios(problem.Q1[None], problem.Q2[None])
+    w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
     def map_distances(rhs):
@@ -527,18 +523,18 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         for _, q, f in problem.equations
     ]
     varying = [j for j, d in enumerate(fixed) if d is None]  # the power maps, T1 first
+    fixed_fg = thompson._ratios(F.value, G.value) if F.kind == G.kind == "constant" else None
     if varying:  # their Q_j as one stack (k, 1, n, n), broadcast over a block
         q_stack = np.array([problem.equations[j][1].matrix for j in varying])[:, None]
         exponents = [problem.equations[j][2].exponent for j in varying]
 
     def block(pairs: BallPairs) -> dict:
-        batch = (len(pairs),)
         if powers:  # both distances' pencils share W: one stack of them
             lam_a = np.stack((pairs.lam_x**F.exponent, pairs.lam_x))
             lam_b = np.stack((pairs.lam_y**G.exponent, pairs.lam_y))
             (w_fg, w_xy), (w_gf, w_yx) = thompson._frame_ratios(lam_a, lam_b, pairs.w)
         else:
-            w_fg, w_gf = thompson._ratios(_sampled(F, pairs.x_dec, batch), _sampled(G, pairs.y_dec, batch))
+            w_fg, w_gf = fixed_fg or thompson._ratios(_sampled(F, pairs.x_dec), _sampled(G, pairs.y_dec))
             w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
         d_fg = thompson._ratio_distances(w_fg, w_gf)
         d_xy = thompson._ratio_distances(w_xy, w_yx)
@@ -651,8 +647,9 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
                     failures = None if literal is None else 0
                     stat = stats.setdefault(name, ConditionStat(name, literal_failures=failures))
                     stat.record(range(first, first + len(pairs)), terms, _witness(pairs, with_y))
-                    if literal is not None:
-                        stat.literal_failures += int(np.count_nonzero(literal))
+                    if literal is not None:  # one value for all samples counts for each
+                        found = int(np.count_nonzero(literal))
+                        stat.literal_failures += found * len(pairs) if literal.ndim == 0 else found
     except TfpError as exc:
         raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
     return ConditionReport(problem.kind, samples, seed, radius, stats)

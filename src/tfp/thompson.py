@@ -18,8 +18,10 @@ The pencil has one rule, ``_frame_ratios``, which takes pairs known by
 their spectra and the unitary W between their eigenbases (the condition
 check's samples) and decomposes the pencils without eigenvectors: only
 their extreme eigenvalues are read.  ``_ratios`` takes pairs of points,
-or of stacks of points, there: it chooses each pair's base and forms
-W = V_base* V_other.
+or of stacks of points, there: it chooses each pair's base, once, forms
+W = V_base* V_other and hands the rule its choice.  A single point,
+such as a constant F beside the samples' G(Y), broadcasts against a
+stack.
 
 ``gaps``, ``distance`` (its two-point case) and ``distance_to_identity``
 take matrices or points: a matrix is validated by ``pd_point`` and a
@@ -94,13 +96,14 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple:
     points, from their decompositions alone.
 
     Each pair's base, the better-conditioned point (B where it is strictly
-    better), is chosen here, and the pair goes to ``_frame_ratios`` in the
-    base's eigenbasis, with W = V_base* V_other: swapped arguments take the
-    same arrays, so they get the same bits swapped unless the condition
-    numbers tie.  Two points give two numpy floats (0-d arrays if equal),
-    two stacks of points two arrays of their leading shape, sample by
-    sample.  Points of one decomposition have both ratios exactly 1; a
-    pair whose samples all are costs no eigensolve.
+    better), is chosen here, before W = V_base* V_other is formed, and the
+    pair goes to ``_frame_ratios`` base first, in the base's eigenbasis,
+    with that choice: swapped arguments take the same arrays, so they get
+    the same bits swapped unless the condition numbers tie.  Two points
+    give two numpy floats (0-d arrays if equal), two stacks of points, or
+    a point and a stack, which broadcast, two arrays of their leading
+    shape, sample by sample.  Points of one decomposition have both ratios
+    exactly 1; a pair whose samples all are costs no eigensolve.
     """
     (lam_a, vec_a), (lam_b, vec_b) = a.dec, b.dec
     equal = np.logical_and(
@@ -111,11 +114,12 @@ def _ratios(a: PDPoint, b: PDPoint) -> tuple:
     swap = _condition(lam_b) < _condition(lam_a)
     on_lam, on_vec = swap[..., None], swap[..., None, None]
     w = np.where(on_vec, vec_b, vec_a).conj().swapaxes(-1, -2) @ np.where(on_vec, vec_a, vec_b)
-    w_bo, w_ob = _frame_ratios(np.where(on_lam, lam_b, lam_a), np.where(on_lam, lam_a, lam_b), w)
+    lam_base, lam_other = np.where(on_lam, lam_b, lam_a), np.where(on_lam, lam_a, lam_b)
+    w_bo, w_ob = _frame_ratios(lam_base, lam_other, w, np.zeros(swap.shape, bool))
     return tuple(np.where(equal, 1.0, np.where(swap, (w_ob, w_bo), (w_bo, w_ob))))
 
 
-def _frame_ratios(lam_a, lam_b, w) -> tuple:
+def _frame_ratios(lam_a, lam_b, w, swap=None) -> tuple:
     """(W(A/B), W(B/A)) of A = U diag(lam_a) U* and B = U W diag(lam_b) W* U*,
     for any unitary U: each pair of a stack of spectra ``(..., n)`` and
     unitaries W, whose stack broadcasts to theirs, with no matrix A or B.
@@ -123,11 +127,13 @@ def _frame_ratios(lam_a, lam_b, w) -> tuple:
 
     Each spectrum is paired with its columns of U or U W, and is ascending
     or descending (a negative power of an ascending one).  The pencil is
-    taken on the better-conditioned base, B's when it is strictly better.
-    In A's eigenbasis B is W diag(lam_b) W*, so the pencil on A's base is
-    K K* with K = diag(lam_a)^-1/2 W diag(lam_b)^1/2; the pencil on B's
-    base, K* K for K = diag(lam_a)^1/2 W diag(lam_b)^-1/2, has the
-    spectrum of K K*.  Either is one product of W scaled by rows and
+    taken on the better-conditioned base, B's when it is strictly better,
+    unless the caller has chosen: ``swap``, of the pairs' shape, is true
+    where it is taken on B's base (``_ratios`` passes its pairs base
+    first, and ``swap`` all false).  In A's eigenbasis B is
+    W diag(lam_b) W*, so the pencil on A's base is K K* with
+    K = diag(lam_a)^-1/2 W diag(lam_b)^1/2; the pencil on B's base, K* K
+    for K = diag(lam_a)^1/2 W diag(lam_b)^-1/2, has the spectrum of K K*.  Either is one product of W scaled by rows and
     columns, decomposed without eigenvectors.  A pencil whose entries
     overflow, as between points far apart on a wide ball, is a
     ``NonHermitianInput`` naming it."""
@@ -140,7 +146,8 @@ def _frame_ratios(lam_a, lam_b, w) -> tuple:
         return hpd_core.eig_hermitian(pencil, "Thompson ratio pencil", vectors=False).eigenvalues
 
     w = np.broadcast_to(w, lam_a.shape[:-1] + w.shape[-2:])
-    swap = np.asarray(_condition(lam_b) < _condition(lam_a))
+    if swap is None:
+        swap = np.asarray(_condition(lam_b) < _condition(lam_a))
     mu = spectrum(swap, ...)
     w_other, w_base = mu[..., -1], 1.0 / mu[..., 0]
     wide = hpd_core.pd_floor(mu) > _ONE_SOLVE_REL_TOL * mu[..., 0]

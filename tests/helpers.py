@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tfp import hpd_core, matrix_solver
+from tfp import hpd_core
+from tfp.fixtures import fixture_path
 
 
 # Draw methods of numpy's Generator (``random``, ``standard_normal``, ...)
@@ -41,10 +42,10 @@ for _name in DRAWS:
 def apply_F(spec, x):
     """F(X) as a point, or one per point of a stack; a power reads X's
     spectrum (a matrix X costs one eigensolve, a ``PDPoint`` none), and a
-    constant is repeated along X's leading axes."""
+    constant is its own single point, whatever X."""
     if spec.kind == "power":
         return hpd_core.pd_point(x).powered(spec.exponent)
-    return matrix_solver._repeated(spec.value, np.shape(x)[:-2])
+    return spec.value
 
 
 def random_hermitian(rng, n, scale=3.0):
@@ -128,3 +129,35 @@ def known_answer_files(tmp_path, n, count, seed):
         path.write_text(json.dumps(doc))
         paths.append(path)
     return paths
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+# Fixtures whose F or G is made a constant, beside a power (in both orders,
+# the power's exponent negative) or another constant: the problems whose
+# d(F(X), G(Y)) is a pencil between two points, not one read off X's and
+# Y's spectra and W
+_TRIDIAGONAL = _constant([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+_TWO_BY_TWO, _DIAGONAL = _constant([[2, 0.5], [0.5, 1]]), _constant([[1.5, 0], [0, 1]])
+_NEGATIVE_POWER = {"kind": "power", "exponent": -0.5}
+GENERAL_BRANCH = {
+    "constant-F": ("example_4_1", dict(F=_TRIDIAGONAL, G=_NEGATIVE_POWER)),
+    "constant-G": ("example_4_1", dict(F=_NEGATIVE_POWER, G=_TRIDIAGONAL)),
+    "two-constants": ("check_pass_constant", dict(F=_TWO_BY_TWO, G=_DIAGONAL)),
+    # d(Q1, Q2) above d(F, G): the literal form of (A) fails on every sample
+    "two-constants-far-Q": ("check_pass_constant", dict(F=_TWO_BY_TWO, G=_DIAGONAL, Q2=[[3, 0], [0, 3]])),
+    "type2-constant-F": ("example_4_2", dict(F=_TRIDIAGONAL)),
+}
+
+
+def general_branch_file(tmp_path, label):
+    """The problem file of ``GENERAL_BRANCH[label]``: its fixture with the
+    keys listed replaced."""
+    name, changes = GENERAL_BRANCH[label]
+    doc = json.loads(fixture_path(f"{name}.json").read_text())
+    doc.update(changes)
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(doc))
+    return path

@@ -23,7 +23,14 @@ import numpy as np
 import pytest
 
 import sampling_oracle
-from helpers import CountingGenerator, apply_F, known_answer_files, random_pd_in_ball
+from helpers import (
+    GENERAL_BRANCH,
+    CountingGenerator,
+    apply_F,
+    general_branch_file,
+    known_answer_files,
+    random_pd_in_ball,
+)
 from test_thompson import log_error
 from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.fixtures import fixture_path
@@ -271,6 +278,19 @@ class TestReportsMatchTheOracle:
             code, _, _, _ = assert_same_as_oracle(tmp_path / f"p{i}", capsys, monkeypatch, argv)
             # condition (B) fails on every known-answer problem
             assert code == 3
+
+    @pytest.mark.parametrize("label", GENERAL_BRANCH)
+    @pytest.mark.parametrize("flags", [[], ["--samples", "30", "--seed", "13"]], ids=["shipped", "flags"])
+    def test_a_constant_beside_a_power_or_another_constant(self, tmp_path, capsys, monkeypatch, label, flags):
+        # d(F(X), G(Y)) is a pencil between two points: the constant's own
+        # point against a power's, one per sample, or against another
+        # constant's, one for all samples
+        argv = ["check", str(general_branch_file(tmp_path, label)), *flags]
+        code, out, _, files = assert_same_as_oracle(tmp_path, capsys, monkeypatch, argv)
+        assert code == 3 and "condition A" in out
+        if label == "two-constants-far-Q":  # one literal violation for all samples counts for each
+            report = json.loads(files["report.json"])
+            assert report["conditions"]["A"]["literal_failures"] == report["samples"]
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_sample_counts_at_the_block_boundary(self, tmp_path, capsys, monkeypatch, offset):

@@ -4,6 +4,9 @@
   ``hpd_core.eig_hermitian``, so no other module names a ``numpy.linalg``
   ``eig*`` function, whatever alias it imports numpy, ``numpy.linalg`` or
   the function under.
+- One unitary path: every Haar unitary is ``hpd_core._haar_unitaries``'s,
+  one stacked QR, so no other module names ``numpy.linalg.qr``, whatever
+  alias it imports numpy, ``numpy.linalg`` or the function under.
 - One norm path: every Frobenius norm is ``hpd_core.frobenius_norm``'s,
   so no module names ``numpy.linalg.norm``, whatever alias it imports
   numpy, ``numpy.linalg`` or the function under.
@@ -97,6 +100,10 @@ def eig_uses(source: str) -> list:
     return references(source, _is_eig)
 
 
+def qr_uses(source: str) -> list:
+    return references(source, {"numpy.linalg.qr"}.__contains__)
+
+
 def norm_uses(source: str) -> list:
     return references(source, {"numpy.linalg.norm"}.__contains__)
 
@@ -165,6 +172,35 @@ def test_the_rule_sees_every_alias(source, name):
 def test_the_rule_leaves_other_calls_alone():
     source = "import numpy as np\nfrom . import hpd_core\nnp.linalg.norm(m)\nhpd_core.eig_hermitian(m)\neigh = 1\neigh"
     assert eig_uses(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_unitaries_only_in_hpd_core(path):
+    uses = qr_uses(path.read_text())
+    if path.name == "hpd_core.py":
+        assert {name for _, name in uses} == {"numpy.linalg.qr"}
+    else:
+        assert uses == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nnp.linalg.qr(m)",
+        "import numpy\nnumpy.linalg.qr(m)",
+        "from numpy.linalg import qr as factor\nfactor(m)",
+        "import numpy.linalg as la\nla.qr(m)",
+        "from numpy import linalg as L\nL.qr(m)",
+        "import numpy as np\ndecompose = np.linalg.qr",
+    ],
+)
+def test_the_unitary_rule_sees_every_alias(source):
+    assert {dotted for _, dotted in qr_uses(source)} == {"numpy.linalg.qr"}
+
+
+def test_the_unitary_rule_leaves_other_calls_alone():
+    source = "import numpy as np\nfrom . import hpd_core\nhpd_core._haar_unitaries(z)\nnp.linalg.eigh(m)\nqr = 1\nqr"
+    assert qr_uses(source) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

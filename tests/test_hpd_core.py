@@ -406,6 +406,27 @@ class TestRandomUnitary:
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-10
 
 
+class TestAsCount:
+    """An integral float counts as an integer everywhere, a numpy float of
+    any width as well as a Python float."""
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32, np.float16, np.longdouble])
+    def test_an_integral_float_reads_as_its_int(self, kind):
+        count = hpd_core.as_count(kind(3.0), "n")
+        assert type(count) is int and count == 3
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32, np.float16, np.longdouble])
+    def test_a_fractional_float_is_refused(self, kind):
+        value = kind(2.5)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+            hpd_core.as_count(value, "n")
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.longdouble])
+    def test_an_integral_float_below_the_minimum_is_refused_as_its_int(self, kind):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            hpd_core.as_count(kind(0.0), "n")
+
+
 def ball_streams(seed):
     """The (spectra, gauss, frame) streams a check with ``seed`` draws from."""
     return tuple(np.random.default_rng(seed).spawn(3))

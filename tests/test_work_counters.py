@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import CountingGenerator, known_answer_files, random_pd_in_ball
+from helpers import GENERAL_BRANCH, CountingGenerator, general_branch_file, known_answer_files, random_pd_in_ball
 from tfp import cli, hpd_core, matrix_solver
 from tfp.fixtures import fixture_path
 
@@ -116,38 +116,50 @@ def test_python_calls_per_iteration(step_work, tmp_path, name, iterations, per_i
 # Work of one check_conditions run, each a single block of samples:
 # matrix_to_literal calls (a witness's X, and Y for a pair condition, built
 # for the worst sample only), eig_hermitian calls and the matrices they
-# decompose, EigenDecomposition.powered calls and generator draw calls.  A
-# type2 block reads F's and G's spectra, so it powers no point; a type1
-# block with power F and G powers none either: the pencils of
-# d(F(X), G(Y)) and d(X, Y) read the pairs' spectra and W, and are
-# decomposed in one call, and the right-hand sides of T1(X) and T2(X),
-# for condition (C), are formed from X's eigenvalues ** p and U and
+# decompose, EigenDecomposition.powered calls, generator draw calls and
+# _haar_unitaries calls.  A type2 block reads F's and G's spectra, so it
+# powers no point; a type1 block with power F and G powers none either:
+# the pencils of d(F(X), G(Y)) and d(X, Y) read the pairs' spectra and W,
+# and are decomposed in one call, and the right-hand sides of T1(X) and
+# T2(X), for condition (C), are formed from X's eigenvalues ** p and U and
 # decomposed in one call.  A constant map's right-hand side is decomposed
 # once per check, so check_pass_constant decomposes 202 matrices (600
 # when each sample formed both), in one call per map and one for d(X, Y).
+# A constant F or G is its own single point, broadcast over the block:
+# two distinct constants make one pencil per check, so two-constants
+# decomposes 203 matrices, and beside a power one pencil per sample.
 # A block draws its spectra and W in two generator calls, and U in a
-# third where a term reads it (type1 with a power F or G).  The matrices
+# third where a term reads it (type1 with a power F or G); W is built
+# with the block, in one _haar_unitaries call, and U in a second where it
+# is read (constant-F and constant-G read U for G(Y) or F(X) and for the
+# power map).  The matrices
 # per sample are as many as when X and Y were drawn each with its own
 # unitary (4 per type1 sample, 1 per type2 sample, plus the wide pencils'
 # second eigensolves); example_4_1 and example_4_2 decompose 1097 and 285
 # matrices (1086 and 276 before): their wide balls (radius 10 and
 # r*a = 4) give other samples, and so another count of wide pencils.
 CHECK_WORK = {
-    "check_fail_power": (5, 2, 800, 0, 3),
-    "check_pass_constant": (5, 3, 202, 0, 2),
-    "example_4_1": (5, 4, 1097, 0, 3),
-    "example_4_2": (3, 2, 285, 0, 2),
-    "quadratic_pass": (5, 2, 800, 0, 3),
-    "known-type1": (5, 3, 41, 0, 3),
-    "known-type2": (3, 1, 20, 0, 2),
+    "check_fail_power": (5, 2, 800, 0, 3, 2),
+    "check_pass_constant": (5, 3, 202, 0, 2, 1),
+    "example_4_1": (5, 4, 1097, 0, 3, 2),
+    "example_4_2": (3, 2, 285, 0, 2, 1),
+    "quadratic_pass": (5, 2, 800, 0, 3, 2),
+    "known-type1": (5, 3, 41, 0, 3, 2),
+    "known-type2": (3, 1, 20, 0, 2, 1),
+    "constant-F": (5, 7, 857, 1, 3, 2),
+    "constant-G": (5, 7, 849, 1, 3, 2),
+    "two-constants": (5, 4, 203, 0, 2, 1),
+    "two-constants-far-Q": (5, 5, 204, 0, 2, 1),
+    "type2-constant-F": (3, 2, 285, 0, 2, 1),
 }
+DRAWS_COLUMN = 4
 
 
 @pytest.fixture
 def check_work(monkeypatch):
-    work = dict(literals=0, eig=0, matrices=0, powered=0, generators=[])
+    work = dict(literals=0, eig=0, matrices=0, powered=0, generators=[], haar=0)
     literal, eig, powered = matrix_solver.matrix_to_literal, hpd_core.eig_hermitian, hpd_core.EigenDecomposition.powered
-    sampler = matrix_solver.sample_ball_pairs
+    sampler, haar = matrix_solver.sample_ball_pairs, hpd_core._haar_unitaries
 
     def counting_literal(*args, **kwargs):
         work["literals"] += 1
@@ -162,6 +174,10 @@ def check_work(monkeypatch):
         work["powered"] += 1
         return powered(*args, **kwargs)
 
+    def counting_haar(z):
+        work["haar"] += 1
+        return haar(z)
+
     def counting_sampler(n, radius, streams, count):
         # counting generators on the check's own bit generators draw its
         # streams, so the check's samples do not change; a block draws U
@@ -174,6 +190,7 @@ def check_work(monkeypatch):
     monkeypatch.setattr(matrix_solver, "sample_ball_pairs", counting_sampler)
     monkeypatch.setattr(hpd_core, "eig_hermitian", counting_eig)
     monkeypatch.setattr(hpd_core.EigenDecomposition, "powered", counting_powered)
+    monkeypatch.setattr(hpd_core, "_haar_unitaries", counting_haar)
     return work
 
 
@@ -183,14 +200,18 @@ def draw_calls(work):
 
 def checks(tmp_path):
     """(label, problem, samples, seed) of the fixtures at their shipped
-    samples and seeds, and of the check-sampling benchmark's seed-1
-    problems at its samples: 10 per type1 problem, 20 per type2."""
+    samples and seeds, of the check-sampling benchmark's seed-1 problems
+    at its samples (10 per type1 problem, 20 per type2) and of the
+    fixtures with a constant F or G (``GENERAL_BRANCH``)."""
     for name in FIXTURES:
         problem, _, options = cli.load_problem(fixture_path(f"{name}.json"))
         yield name, problem, options.samples, options.seed
     for path in known_answer_files(tmp_path, 8, 4, 1):
         problem, _, _ = cli.load_problem(path)
         yield f"known-{problem.kind}", problem, 10 if problem.kind == matrix_solver.TYPE1 else 20, 1
+    for label in GENERAL_BRANCH:
+        problem, _, options = cli.load_problem(general_branch_file(tmp_path, label))
+        yield label, problem, options.samples, options.seed
 
 
 def test_condition_check_work(check_work, tmp_path):
@@ -198,18 +219,60 @@ def test_condition_check_work(check_work, tmp_path):
     got = []
     for label, problem, samples, seed in checks(tmp_path):
         assert samples <= matrix_solver._block_size(problem.n)
-        check_work.update(literals=0, eig=0, matrices=0, powered=0, generators=[])
+        check_work.update(literals=0, eig=0, matrices=0, powered=0, generators=[], haar=0)
         matrix_solver.check_conditions(problem, samples, seed)
         counts = tuple(check_work[key] for key in ("literals", "eig", "matrices", "powered"))
-        got.append((label, (*counts, draw_calls(check_work))))
+        got.append((label, (*counts, draw_calls(check_work), check_work["haar"])))
     assert got == [(label, CHECK_WORK[label]) for label, _ in got]
     assert {label for label, _ in got} == set(CHECK_WORK)
 
 
 def test_draw_calls_per_block(check_work, tmp_path, monkeypatch):
-    # blocks of 7 samples: a fixture's 200 samples take 29 blocks
+    # blocks of 7 samples: a fixture's 200 samples take 29 blocks; the
+    # matrices decomposed do not depend on the blocks, as what is one value
+    # for all samples (d(Q1, Q2), a constant map's distance, two constants'
+    # d(F(X), G(Y))) is decomposed once per check
     for label, problem, samples, seed in checks(tmp_path):
         monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 7 * problem.n**2)
-        check_work["generators"] = []
+        check_work.update(matrices=0, generators=[])
         matrix_solver.check_conditions(problem, samples, seed)
-        assert draw_calls(check_work) == CHECK_WORK[label][-1] * math.ceil(samples / 7), label
+        assert draw_calls(check_work) == CHECK_WORK[label][DRAWS_COLUMN] * math.ceil(samples / 7), label
+        assert check_work["matrices"] == CHECK_WORK[label][2], label
+
+
+# Python calls inside the package per condition check (sys.setprofile, as
+# test_python_calls_per_iteration counts them), capped at today's counts
+CHECK_CALLS = {
+    "check_fail_power": 507,
+    "check_pass_constant": 508,
+    "example_4_1": 520,
+    "example_4_2": 471,
+    "quadratic_pass": 505,
+    "known-type1": 134,
+    "known-type2": 107,
+    "constant-F": 543,
+    "constant-G": 542,
+    "two-constants": 514,
+    "two-constants-far-Q": 523,
+    "type2-constant-F": 471,
+}
+
+
+def test_python_calls_per_condition_check(tmp_path):
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            calls[0] += 1
+
+    got = []
+    for label, problem, samples, seed in checks(tmp_path):
+        calls[0], previous = 0, sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            matrix_solver.check_conditions(problem, samples, seed)
+        finally:
+            sys.setprofile(previous)
+        got.append((label, calls[0]))
+    assert [(label, count) for label, count in got if count > CHECK_CALLS[label]] == []
+    assert {label for label, _ in got} == set(CHECK_CALLS)
