@@ -66,7 +66,6 @@ returns, and raises it attached when the run stalls or is not certified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -322,24 +321,24 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
     Maps points, or stacks of points, to points with one eigensolve call,
     of the right-hand side; the root is that decomposition with
     eigenvalues ** (1/exponent), its matrix formed only when it is read.
-    Each A_i* is taken once, here, and a constant F's right-hand side is
-    formed once, here, and repeated along X's leading axes.  A power F(X)
-    reaches ``_rhs`` as X's eigenvectors and eigenvalues ** p.  The
+    Each A_i* is taken once, here, and a constant F's map, one point for
+    every X, is formed and decomposed once, here, and broadcast along a
+    stack's leading axes.  A power F(X) reaches ``_rhs`` as X's
+    eigenvectors and eigenvalues ** p.  The
     operands come from a validated problem and are not checked again, but
     a right-hand side that overflows raises ``NonHermitianInput`` naming
     it.
     """
     root, a_stars, q = 1.0 / exponent, _factors(a_list), None if q is None else q.matrix
     p = f_spec.exponent if f_spec.kind == "power" else None
-    fixed = _rhs(q, a_stars, *f_spec.value.dec) if p is None else None
+    if p is None:
+        mu, v = _pd_eig(_rhs(q, a_stars, *f_spec.value.dec), "map right-hand side").powered(root).dec
 
     def t(x: PDPoint) -> PDPoint:
         lam, vectors = (x if isinstance(x, PDPoint) else pd_point(x)).dec
         if p is None:
-            rhs = np.broadcast_to(fixed, lam.shape[:-1] + fixed.shape)
-        else:
-            rhs = _rhs(q, a_stars, lam**p, vectors)
-        return _pd_eig(rhs, "map right-hand side").powered(root)
+            return PDPoint(None, EigenDecomposition(np.broadcast_to(mu, lam.shape), np.broadcast_to(v, vectors.shape)))
+        return _pd_eig(_rhs(q, a_stars, lam**p, vectors), "map right-hand side").powered(root)
 
     return t
 
@@ -500,8 +499,12 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
 
     A block's pairs are read in X's eigenbasis (``hpd_core.BallPairs``):
     d(X, Y), and d(F(X), G(Y)) for power F and G, come from the spectra
-    and W alone (``thompson._frame_ratios``, one call for both), so with
-    power F and G a block forms no matrix but the right-hand sides.  A
+    and W alone (``thompson._frame_ratios``, one call for both, and one
+    ``_ratio_distances`` call), so with power F and G a block forms no
+    matrix but the right-hand sides.  Where F(X) = X and G(Y) = Y the two
+    distances are one pencil, stacked once, and d(F(X), G(Y)) is d(X, Y),
+    ratios and all.  The literal forms raise ratios to the power l with
+    ``np.power``, inf where a power overflows.  A
     constant F or G is its own single point, which numpy broadcasts over
     the block, and U and W form only what its terms read: G(Y)'s
     decomposition for a power G beside a constant F, and nothing, and no
@@ -511,6 +514,9 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     l, a, root, a_stars = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     F, G = problem.F, problem.G
     powers = F.kind == G.kind == "power"
+    # the pencils a block stacks for power F and G: d(X, Y)'s, and
+    # d(F(X), G(Y))'s unless F and G are X -> X**1, whose pencil it is
+    stacked = 1 if F.exponent == G.exponent == 1.0 else 2
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
@@ -529,19 +535,19 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
         exponents = [problem.equations[j][2].exponent for j in varying]
 
     def block(pairs: BallPairs) -> dict:
-        if powers:  # both distances' pencils share W: one stack of them
-            lam_a = np.stack((pairs.lam_x**F.exponent, pairs.lam_x))
-            lam_b = np.stack((pairs.lam_y**G.exponent, pairs.lam_y))
-            (w_fg, w_xy), (w_gf, w_yx) = thompson._frame_ratios(lam_a, lam_b, pairs.w)
+        if powers:  # the distances' pencils share W: one stack of them
+            lam_a = np.stack((pairs.lam_x, pairs.lam_x**F.exponent)[:stacked])
+            lam_b = np.stack((pairs.lam_y, pairs.lam_y**G.exponent)[:stacked])
+            w_ab, w_ba = thompson._frame_ratios(lam_a, lam_b, pairs.w)
+            d = thompson._ratio_distances(w_ab, w_ba)
+            w_xy, w_yx, d_xy, w_fg, w_gf, d_fg = w_ab[0], w_ba[0], d[0], w_ab[-1], w_ba[-1], d[-1]
         else:
             w_fg, w_gf = fixed_fg or thompson._ratios(_sampled(F, pairs.x_dec), _sampled(G, pairs.y_dec))
             w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
-        d_fg = thompson._ratio_distances(w_fg, w_gf)
-        d_xy = thompson._ratio_distances(w_xy, w_yx)
+            d_fg = thompson._ratio_distances(w_fg, w_gf)
+            d_xy = thompson._ratio_distances(w_xy, w_yx)
         literal_a = (w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL)
-        literal_b = (w_gf > thompson._ratio_powers(w_yx, l) + CONDITION_TOL) | (
-            w_fg > thompson._ratio_powers(w_xy, l) + CONDITION_TOL
-        )
+        literal_b = (w_gf > np.power(w_yx, l) + CONDITION_TOL) | (w_fg > np.power(w_xy, l) + CONDITION_TOL)
         d_maps = list(fixed)
         if varying:
             lam = pairs.lam_x
@@ -575,9 +581,12 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
 
     Every term reads X's spectrum or d(X, Y), so a block forms no matrix:
     F's and G's spectra come from X's (``_spectrum``), and the ratios of
-    X and Y from the spectra and W (``thompson._frame_ratios``).
+    X and Y from the spectra and W (``thompson._frame_ratios``).  exp(r*a),
+    2**r, 2**s and the powers w**l are numpy's, inf where they overflow:
+    a ball too wide for exp(r*a) breaks down by name at its first block,
+    and a (B) bound over an infinite 2**r or 2**s is 0.
     """
-    exp_ra = math.exp(ball_radius(problem))
+    exp_ra, two_r, two_s = np.exp(ball_radius(problem)), np.power(2.0, problem.r), np.power(2.0, problem.s)
     m, l = problem.m, problem.l
 
     def block(pairs: BallPairs) -> dict:
@@ -585,7 +594,7 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
         max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
         max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
         w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
-        w_xy_l, w_yx_l = thompson._ratio_powers(w_xy, l), thompson._ratio_powers(w_yx, l)
+        w_xy_l, w_yx_l = np.power(w_xy, l), np.power(w_yx, l)
         terms_a = [
             ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
             ("lambda_max(F(X)^-1) <= m*exp(r*a)", inv_f, m * exp_ra),
@@ -593,8 +602,8 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
             ("lambda_max(G(X)^-1) <= m*exp(r*a)", inv_g, m * exp_ra),
         ]
         terms_b = [
-            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy_l / (m * 2.0**problem.r)),
-            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy_l / (m * 2.0**problem.s)),
+            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy_l / (m * two_r)),
+            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy_l / (m * two_s)),
             ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx_l),
             ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx_l),
         ]
@@ -635,12 +644,13 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     """
     samples, seed = as_count(samples, "samples"), as_seed(seed, "seed")
     try:
-        block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
         n, radius = problem.n, ball_radius(problem)
         block, streams = _block_size(n), tuple(np.random.default_rng(seed).spawn(3))
         stats = {}
-        # an overflowing sample is reported by the named breakdown below
+        # an overflow, in a sample or in what the family computes once per
+        # check, is reported by the named breakdown below
         with np.errstate(all="ignore"):
+            block_terms = (_type1_terms if problem.kind == TYPE1 else _type2_terms)(problem)
             for first in range(0, samples, block):
                 pairs = sample_ball_pairs(n, radius, streams, min(block, samples - first))
                 for name, (terms, with_y, literal) in block_terms(pairs).items():

@@ -32,57 +32,41 @@ wide ones): the iteration's gaps, up to a step ``spectral_distance``
 (a lower bound read off two spectra) cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  Each quantity has one rule,
-for a pair and a stack alike: ``_ratio_distances`` and ``_ratio_powers``
-(inf for a power that overflows) take the C math library's ``log`` and
-``pow``, as ``math.log`` and ``math.pow`` compute them, element by element
-through numpy object ufuncs.  numpy's own vectorized log and pow can round
-differently in the last place, and a sample of a stack must get the bits
-it gets on its own; the scalar distance rule lives on as the tests' oracle.
+for a pair and a stack alike: ``_ratio_distances`` takes numpy's own
+``log``, and the condition checks raise ratios to powers with
+``np.power``.  numpy picks its loop by an array's strides, not by its
+length or an element's place in it, so an element of a 0-d, one-element,
+contiguous or strided array gets the bits it gets alone.  A reversed
+view can take the C library's scalar loop, which rounds another way; the
+ratio arrays are fresh, never reversed.  ``TestNumpyRatioMath`` in
+``tests/test_thompson.py`` pins both on every platform the suite runs
+on.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import hpd_core
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .hpd_core import PDPoint
 
 # Largest relative error accepted in 1/mu_min before W(A/B) is recomputed.
 _ONE_SOLVE_REL_TOL = 1e-12
 
 
-def _pow(w: float, exponent: float) -> float:
-    """w ** exponent, inf where it overflows."""
-    try:
-        return w**exponent
-    except OverflowError:
-        return math.inf
-
-
-_LOG = np.frompyfunc(math.log, 1, 1)
-_POWERS = np.frompyfunc(_pow, 2, 1)
-
-
 def _ratio_distances(w_ab, w_ba) -> np.ndarray:
     """d(A, B) = max(log W(A/B), log W(B/A), 0) of each pair of ratios of
     two arrays.
 
+    A ratio that is not a positive number, such as one that underflowed to
+    0 between points farther apart than the float range, raises
+    ``NotPositiveDefinite``.
     The logs of positive ratios are never NaN or -0.0, so ``np.maximum``
     picks what ``max`` picks."""
-    log_ab = np.asarray(_LOG(w_ab), dtype=np.float64)
-    log_ba = np.asarray(_LOG(w_ba), dtype=np.float64)
-    return np.maximum(np.maximum(log_ab, log_ba), 0.0)
-
-
-def _ratio_powers(w, exponent: float) -> np.ndarray:
-    """``_pow`` of each ratio of an array: what ``**`` computes on floats,
-    unless a power overflows."""
-    # the overflow to inf is the intended value, not a warning
-    with np.errstate(over="ignore"):
-        return np.asarray(_POWERS(w, exponent), dtype=np.float64)
+    if not ((w_ab > 0.0) & (w_ba > 0.0)).all():
+        raise NotPositiveDefinite("Thompson ratio is not a positive number: the distance is beyond the float range")
+    return np.maximum(np.maximum(np.log(w_ab), np.log(w_ba)), 0.0)
 
 
 def _condition(lam):

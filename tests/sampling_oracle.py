@@ -4,8 +4,10 @@
 stacked blocks.  The checkers here draw and judge one sample at a time
 from the same three streams (``default_rng(seed).spawn(3)``: spectra,
 U's Gaussian draws, W's Gaussian draws) and in the same order, with
-Python control flow and scalars for the ratios, the scalar distance rule
-``ratio_distance`` (``math.log`` and ``max``) and the original one-sample
+Python control flow and scalars for the ratios, the scalar distance and
+power rules ``ratio_distance`` and ``ratio_power`` (numpy's ``log`` and
+``power`` on one-element arrays, which give an element of a stack its
+bits) and the original one-sample
 ``record`` rule (a sample counts its term of largest margin, the first on
 a tie, and replaces the witness when that margin is strictly larger).
 
@@ -21,6 +23,7 @@ ratios of a pair known in X's
 eigenbasis are taken by ``frame_ratios``, one base at a time, with an
 ``if`` where the package takes ``np.where`` on a stack; two points go
 there in the better-conditioned one's eigenbasis (``point_ratios``).
+With F and G both X -> X**1, d(F(X), G(Y)) is d(X, Y), one pencil.
 Condition (C) forms each right-hand side with ``map_oracle.rhs``,
 independent of the package's ``_rhs``, from X's eigenvalues ** p and U
 for a power map, and once per check, before the first sample, for a
@@ -29,8 +32,6 @@ LAPACK computes without eigenvectors may differ in the last bits from
 those of the map's root.  Their reports must match the stacked ones byte
 for byte.
 """
-
-import math
 
 import numpy as np
 
@@ -113,7 +114,13 @@ def _record(stat, sample, inequality, lhs, rhs, x, y=None):
 
 def ratio_distance(w_ab, w_ba):
     """d(A, B) = max(log W(A/B), log W(B/A), 0) from one ratio pair."""
-    return max(math.log(w_ab), math.log(w_ba), 0.0)
+    return max(float(np.log(np.array([w_ab]))[0]), float(np.log(np.array([w_ba]))[0]), 0.0)
+
+
+def ratio_power(w, exponent):
+    """w ** exponent of one ratio, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.power(np.array([w]), exponent)[0])
 
 
 def point_ratios(a, b):
@@ -147,6 +154,7 @@ def check_conditions_type1(problem, samples=200, seed=0):
     w_q1q2, w_q2q1 = point_ratios(problem.Q1, problem.Q2)
     d_q = ratio_distance(w_q1q2, w_q2q1)
     powers = problem.F.kind == problem.G.kind == "power"
+    identities = powers and problem.F.exponent == problem.G.exponent == 1.0
 
     reads_u = problem.F.kind == "power" or problem.G.kind == "power"
     # a constant map's distance, one for all samples, T1's first
@@ -159,20 +167,22 @@ def check_conditions_type1(problem, samples=200, seed=0):
     for i in range(samples):
         lam_x, lam_y, w, u = sample_pair(problem.n, radius, streams, reads_u)
         x, y = pair_points(lam_x, lam_y, w, u)
-        if powers:
+        w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
+        d_xy = ratio_distance(w_xy, w_yx)
+        if identities:  # F(X) = X and G(Y) = Y
+            w_fg, w_gf = w_xy, w_yx
+        elif powers:
             w_fg, w_gf = frame_ratios(lam_x**problem.F.exponent, lam_y**problem.G.exponent, w)
         else:
             w_fg, w_gf = point_ratios(apply_F(problem.F, x), apply_F(problem.G, y))
         d_fg = ratio_distance(w_fg, w_gf)
-        w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
-        d_xy = ratio_distance(w_xy, w_yx)
 
         _record(stat_a, i, "d(Q1,Q2) <= d(F(X),G(Y))", d_q, d_fg, x, y)
         if w_q2q1 > w_gf + CONDITION_TOL or w_q1q2 > w_fg + CONDITION_TOL:
             stat_a.literal_failures += 1
 
         _record(stat_b, i, "d(F(X),G(Y)) <= l*d(X,Y)", d_fg, problem.l * d_xy, x, y)
-        if w_gf > w_yx**problem.l + CONDITION_TOL or w_fg > w_xy**problem.l + CONDITION_TOL:
+        if w_gf > ratio_power(w_yx, problem.l) + CONDITION_TOL or w_fg > ratio_power(w_xy, problem.l) + CONDITION_TOL:
             stat_b.literal_failures += 1
 
         d1, d2 = (
@@ -191,7 +201,8 @@ def check_conditions_type2(problem, samples=200, seed=0):
     report = ConditionReport(kind=TYPE2, samples=samples, seed=seed, radius=radius)
     stat_a = ConditionStat("A")
     stat_b = ConditionStat("B")
-    exp_ra = math.exp(problem.r * problem.a)
+    exp_ra = float(np.exp(problem.r * problem.a))
+    two_r, two_s = ratio_power(2.0, problem.r), ratio_power(2.0, problem.s)
     m = problem.m
 
     streams = tuple(np.random.default_rng(seed).spawn(3))
@@ -212,11 +223,12 @@ def check_conditions_type2(problem, samples=200, seed=0):
         _record(stat_a, i, *max(terms_a, key=lambda item: item[1] - item[2]), x)
 
         w_xy, w_yx = frame_ratios(lam_x, lam_y, w)
+        w_xy_l, w_yx_l = ratio_power(w_xy, problem.l), ratio_power(w_yx, problem.l)
         terms_b = [
-            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy**problem.l / (m * 2.0**problem.r)),
-            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy**problem.l / (m * 2.0**problem.s)),
-            ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx**problem.l),
-            ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx**problem.l),
+            ("lambda_max(F(X)) <= w(X/Y)^l/(m*2^r)", max_f, w_xy_l / (m * two_r)),
+            ("lambda_max(G(X)) <= w(X/Y)^l/(m*2^s)", max_g, w_xy_l / (m * two_s)),
+            ("lambda_max(F(X)^-1) <= m*w(Y/X)^l", inv_f, m * w_yx_l),
+            ("lambda_max(G(X)^-1) <= m*w(Y/X)^l", inv_g, m * w_yx_l),
         ]
         _record(stat_b, i, *max(terms_b, key=lambda item: item[1] - item[2]), x, y)
 

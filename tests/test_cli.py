@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import tfp
 from helpers import known_answer_files
 from tfp import cli, matrix_solver, thompson
 from tfp.hpd_core import PDPoint, matrix_to_literal
-from tfp.errors import MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
+from tfp.errors import ConditionsNotVerified, MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
 from tfp.fixpoint_engine import error_bound, iterate_pair
 from tfp.fixtures import fixture_path
 
@@ -619,6 +620,45 @@ class TestCheckCommand:
         result = run_tfp("solve", path, "--out", out)
         assert (result.returncode, result.stderr) == (3, "error: " + message)
         assert not out.exists()
+
+    # Three inputs that each ended in a traceback, exit 1: type2's (B)
+    # bound over 2**s, which overflows at s = 1024; exp(r*a) beyond the
+    # float range, taken before the sampler could name the ball; and
+    # d(Q1, Q2) beyond the float range, whose ratio W(Q2/Q1) underflows
+    @pytest.mark.parametrize(
+        "fixture, changes, cause",
+        [
+            ("example_4_2.json", {"s": 1024}, None),
+            ("example_4_2.json", {"r": 355}, "ball of radius 710 is too wide to sample: exp(710) overflows"),
+            (
+                "check_pass_constant.json",
+                {"Q1": [[1e150, 0], [0, 1e150]], "Q2": [[1e-200, 0], [0, 1e-200]]},
+                "Thompson ratio is not a positive number: the distance is beyond the float range",
+            ),
+        ],
+        ids=["two-to-the-s", "exp-of-r-a", "far-constants"],
+    )
+    def test_out_of_range_input_ends_in_a_named_outcome(self, tmp_path, fixture, changes, cause):
+        doc = json.loads(fixture_path(fixture).read_text())
+        doc.update(changes)
+        path = write_problem(tmp_path, doc)
+        report = tmp_path / "report.json"
+        result = run_tfp("check", path, "--out", report)
+        assert result.returncode == 3
+        if cause is None:  # a failing report, all of it finite
+            assert result.stderr == ""
+            assert "Infinity" not in report.read_text() and "NaN" not in report.read_text()
+        else:
+            assert result.stderr == f"error: condition check broke down: {cause}\n"
+            assert not report.exists()
+        # a library call raises the named breakdown, or reports, with no
+        # numpy warning (the suite runs with RuntimeWarning as an error)
+        problem, _, options = cli.load_problem(path)
+        if cause is None:
+            assert not matrix_solver.check_conditions(problem, options.samples, options.seed).passed
+        else:
+            with pytest.raises(ConditionsNotVerified, match=re.escape(cause)):
+                matrix_solver.check_conditions(problem, options.samples, options.seed)
 
     def test_report_bytes_stable(self, tmp_path):
         out1 = tmp_path / "r1.json"

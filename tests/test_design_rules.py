@@ -10,6 +10,9 @@
 - One norm path: every Frobenius norm is ``hpd_core.frobenius_norm``'s,
   so no module names ``numpy.linalg.norm``, whatever alias it imports
   numpy, ``numpy.linalg`` or the function under.
+- No object ufuncs: the Thompson ratios' logs and powers are numpy's own,
+  one C loop per array, so no module names ``numpy.frompyfunc``, whatever
+  alias it imports numpy or the function under.
 - One output writer: every output goes through ``cli._write_output``, so
   no module names a ``write_text`` or ``write_bytes`` attribute.
 - One JSON writer: every report and solution goes through
@@ -106,6 +109,10 @@ def qr_uses(source: str) -> list:
 
 def norm_uses(source: str) -> list:
     return references(source, {"numpy.linalg.norm"}.__contains__)
+
+
+def object_ufuncs(source: str) -> list:
+    return references(source, {"numpy.frompyfunc"}.__contains__)
 
 
 def json_writes(source: str) -> list:
@@ -225,6 +232,29 @@ def test_the_norm_rule_sees_every_alias(source):
 def test_the_norm_rule_leaves_other_calls_alone():
     source = "import numpy as np\nfrom . import hpd_core\nhpd_core.frobenius_norm(m)\nnp.vecdot(a, a)\nnorm = 1\nnorm"
     assert norm_uses(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_object_ufuncs(path):
+    assert object_ufuncs(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\n_LOG = np.frompyfunc(math.log, 1, 1)",
+        "import numpy\nnumpy.frompyfunc(f, 2, 1)(a, b)",
+        "from numpy import frompyfunc as ufunc\nufunc(f, 1, 1)",
+        "from numpy import frompyfunc\nmake = frompyfunc",
+    ],
+)
+def test_the_object_ufunc_rule_sees_every_alias(source):
+    assert {dotted for _, dotted in object_ufuncs(source)} == {"numpy.frompyfunc"}
+
+
+def test_the_object_ufunc_rule_leaves_numpys_own_ufuncs_alone():
+    source = "import numpy as np\nnp.log(w)\nnp.power(w, l)\nnp.maximum(a, b)\nfrompyfunc = 1\nfrompyfunc"
+    assert object_ufuncs(source) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -397,13 +397,16 @@ class TestEigensolveBudget:
         assert len(rows) == result.trace.iterations
         assert len(eig_calls) == before
 
-    @pytest.mark.parametrize("kind, per_sample", [("type1", 4), ("type2", 1)])
+    @pytest.mark.parametrize("kind, per_sample", [("type1", 4), ("type1-identities", 3), ("type2", 1)])
     def test_condition_sample_costs(self, eig_calls, kind, per_sample):
         # matrices decomposed, in stacks: type1: d(F(X), G(Y)), d(X, Y) and
-        # the roots of T1(X) and T2(X); type2: d(X, Y), with F(X) and G(X)
-        # read from X's spectrum
-        if kind == "type1":
+        # the roots of T1(X) and T2(X), where d(F(X), G(Y)) is d(X, Y) when
+        # F and G are both X -> X**1 (quadratic_pass's); type2: d(X, Y),
+        # with F(X) and G(X) read from X's spectrum
+        if kind == "type1-identities":
             problem = load("quadratic_pass.json")[0]
+        elif kind == "type1":
+            problem = dataclasses.replace(load("quadratic_pass.json")[0], G=matrix_solver.power(0.5))
         else:
             problem = matrix_solver.problem_type2(
                 n=3, A=[random_unitary(3, 5)], r=2, s=3,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import random_nonsingular, random_pd, random_pd_in_ball, random_unitary
 from jacobi import jacobi_eig
-from sampling_oracle import point_ratios, ratio_distance
+from sampling_oracle import point_ratios, ratio_distance, ratio_power
 from tfp import hpd_core, thompson
 from tfp.errors import DimensionMismatch, NotPositiveDefinite
 
@@ -406,18 +406,11 @@ class TestSpectralDistance:
         assert thompson.spectral_distance(a, b) > 0.0
 
 
-def scalar_pow(w, exponent):
-    """``math.pow``, inf where it overflows."""
-    try:
-        return math.pow(w, exponent)
-    except OverflowError:
-        return math.inf
-
-
 class TestElementwiseRatioMath:
     """The ratio rules give, on a pair and on every element of a stack, the
-    bits of the scalar rules: ``math.log`` and ``max`` for distances,
-    ``math.pow`` for powers."""
+    bits of the scalar rules: ``ratio_distance`` for distances and
+    ``ratio_power`` for the powers the checks take with ``np.power``,
+    each numpy's function on a one-element array."""
 
     RATIOS = [1.0, math.nextafter(1.0, 2.0), 1e-300, 1e300]
 
@@ -433,18 +426,77 @@ class TestElementwiseRatioMath:
     # 1e300 ** 2 and 1e-300 ** -1.5 overflow to inf
     @pytest.mark.parametrize("exponent", [0.3, 0.5, -0.7, 2.0, -1.5])
     def test_powers_match_the_scalar_rule(self, exponent):
-        expected = np.array([scalar_pow(w, exponent) for w in self.RATIOS])
-        assert thompson._ratio_powers(np.array(self.RATIOS), exponent).tobytes() == expected.tobytes()
-        for w in self.RATIOS:
-            got = thompson._ratio_powers(np.float64(w), exponent)
-            assert np.float64(got).tobytes() == np.float64(scalar_pow(w, exponent)).tobytes()
+        expected = np.array([ratio_power(w, exponent) for w in self.RATIOS])
+        with np.errstate(over="ignore"):
+            assert np.power(np.array(self.RATIOS), exponent).tobytes() == expected.tobytes()
+            for w in self.RATIOS:
+                got = np.power(np.float64(w), exponent)
+                assert np.float64(got).tobytes() == np.float64(ratio_power(w, exponent)).tobytes()
 
     def test_overflowing_power_is_inf(self):
-        assert thompson._ratio_powers(np.array([2.0, 1e300]), 2.0).tolist() == [4.0, math.inf]
+        with np.errstate(over="ignore"):
+            assert np.power(np.array([2.0, 1e300]), 2.0).tolist() == [4.0, math.inf]
 
     def test_zero_ratio_raises(self):
-        with pytest.raises(ValueError):
-            thompson._ratio_distances(np.array([2.0, 0.0]), np.array([1.0, 1.0]))
+        # a ratio that underflowed, or a NaN, has no distance: a named
+        # error, not -inf or a NaN
+        for ratio in (0.0, math.nan):
+            with pytest.raises(NotPositiveDefinite, match="Thompson ratio is not a positive number"):
+                thompson._ratio_distances(np.array([2.0, 1.0]), np.array([1.0, ratio]))
+
+
+# The contraction exponents l of the shipped fixtures and of the
+# known-answer problems, the exponents r and s of 2**r and 2**s, and
+# negative ones
+EXPONENTS = [0.5, 1.0, 1.5, 0.3, 0.05, 0.1, 2.0, 2.5, 3.0, -0.25, -0.5, -1.0, -1.5]
+
+
+class TestNumpyRatioMath:
+    """numpy's ``log`` and ``power``, which the ratio rules take, give an
+    element of an array the bits it gets alone, in a one-element array:
+    numpy picks its loop by the array's strides, not its length or the
+    element's place.  A 0-d array, a contiguous array and strided views
+    all take the one-element array's bits.  A reversed view may take
+    another loop (on numpy 2.4 with AVX-512, the C library's, which
+    rounds ``power`` another way in about 5 % of elements), so its
+    elements get the bits they get alone in reversed one-element views;
+    the ratio arrays the package passes are never reversed."""
+
+    @settings(max_examples=150)
+    @given(
+        logs=st.lists(st.floats(min_value=-700.0, max_value=700.0), min_size=1, max_size=80),
+        exponent=st.one_of(st.sampled_from(EXPONENTS), st.floats(min_value=-4.0, max_value=4.0)),
+        step=st.integers(min_value=2, max_value=5),
+    )
+    def test_each_element_gets_its_bits_alone(self, logs, exponent, step):
+        x = np.exp(np.array(logs))
+        strided = np.zeros(x.size * step)
+        strided[::step] = x
+        column = np.zeros((x.size, step))
+        column[:, 0] = x
+        with np.errstate(over="ignore"):
+            for rule in (np.log, lambda w: np.power(w, exponent)):
+                alone = [rule(x[i : i + 1])[0] for i in range(x.size)]
+                layouts = {
+                    "0-d": [rule(x[i, ...]) for i in range(x.size)],
+                    "contiguous": rule(x),
+                    "strided": rule(strided[::step]),
+                    "column": rule(column[:, 0]),
+                    "two rows": rule(np.stack((x, x)))[1],
+                }
+                for layout, got in layouts.items():
+                    assert bits(got) == bits(alone), layout
+                reversed_alone = [rule(x[i : i + 1][::-1])[0] for i in range(x.size)]
+                assert bits(rule(x[::-1])[::-1]) == bits(reversed_alone)
+
+    def test_the_ratio_arrays_are_never_reversed(self):
+        streams = tuple(np.random.default_rng(17).spawn(3))
+        pairs = hpd_core.sample_ball_pairs(3, 2.0, streams, 5)
+        lam_a, lam_b = np.stack((pairs.lam_x, pairs.lam_x**0.5)), np.stack((pairs.lam_y, pairs.lam_y**-0.25))
+        points = [random_pd_in_ball(3, 2.0, seed) for seed in range(4)]
+        x, y = hpd_core.PDPoint.stacked(points[:2]), hpd_core.PDPoint.stacked(points[2:])
+        ratios = (*thompson._frame_ratios(lam_a, lam_b, pairs.w), *thompson._ratios(x, y))
+        assert [w.strides for w in ratios if min(w.strides) < 0] == []
 
 
 class TestMetricAxioms:
