@@ -324,10 +324,9 @@ def build_map(q, a_list, f_spec: MatrixFunctionSpec, exponent: float) -> Callabl
     Each A_i* is taken once, here, and a constant F's map, one point for
     every X, is formed and decomposed once, here, and broadcast along a
     stack's leading axes.  A power F(X) reaches ``_rhs`` as X's
-    eigenvectors and eigenvalues ** p.  The
-    operands come from a validated problem and are not checked again, but
-    a right-hand side that overflows raises ``NonHermitianInput`` naming
-    it.
+    eigenvectors and eigenvalues ** p.  The operands come from a
+    validated problem and are not checked again, but a right-hand side
+    that overflows raises ``NonHermitianInput`` naming it.
     """
     root, a_stars, q = 1.0 / exponent, _factors(a_list), None if q is None else q.matrix
     p = f_spec.exponent if f_spec.kind == "power" else None
@@ -501,22 +500,19 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
     d(X, Y), and d(F(X), G(Y)) for power F and G, come from the spectra
     and W alone (``thompson._frame_ratios``, one call for both, and one
     ``_ratio_distances`` call), so with power F and G a block forms no
-    matrix but the right-hand sides.  Where F(X) = X and G(Y) = Y the two
-    distances are one pencil, stacked once, and d(F(X), G(Y)) is d(X, Y),
-    ratios and all.  The literal forms raise ratios to the power l with
-    ``np.power``, inf where a power overflows.  A
-    constant F or G is its own single point, which numpy broadcasts over
-    the block, and U and W form only what its terms read: G(Y)'s
-    decomposition for a power G beside a constant F, and nothing, and no
-    U, when both are constant: their d(F(X), G(Y)) is one pencil, taken
-    when the check starts, and one value for all samples.
+    matrix but the right-hand sides; for F = G = X**1 the call stacks
+    d(X, Y)'s pencil alone, as d(F(X), G(Y))'s.  The literal forms raise
+    ratios to the power l with ``thompson._raised_to``, inf where a power
+    overflows.  A constant F or G is its own single point, which numpy
+    broadcasts over the block, and U and W form only what its terms read:
+    G(Y)'s decomposition for a power G beside a constant F, and nothing,
+    and no U, when both are constant: their d(F(X), G(Y)) is one pencil,
+    taken when the check starts, and one value for all samples.
     """
     l, a, root, a_stars = problem.l, problem.a, 1.0 / problem.s, _factors(problem.A)
     F, G = problem.F, problem.G
     powers = F.kind == G.kind == "power"
-    # the pencils a block stacks for power F and G: d(X, Y)'s, and
-    # d(F(X), G(Y))'s unless F and G are X -> X**1, whose pencil it is
-    stacked = 1 if F.exponent == G.exponent == 1.0 else 2
+    identities = powers and F.exponent == G.exponent == 1.0
     w_q1q2, w_q2q1 = thompson._ratios(problem.Q1, problem.Q2)
     d_q = thompson._ratio_distances(w_q1q2, w_q2q1)
 
@@ -536,8 +532,8 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
 
     def block(pairs: BallPairs) -> dict:
         if powers:  # the distances' pencils share W: one stack of them
-            lam_a = np.stack((pairs.lam_x, pairs.lam_x**F.exponent)[:stacked])
-            lam_b = np.stack((pairs.lam_y, pairs.lam_y**G.exponent)[:stacked])
+            lam_a = np.stack((pairs.lam_x,) if identities else (pairs.lam_x, pairs.lam_x**F.exponent))
+            lam_b = np.stack((pairs.lam_y,) if identities else (pairs.lam_y, pairs.lam_y**G.exponent))
             w_ab, w_ba = thompson._frame_ratios(lam_a, lam_b, pairs.w)
             d = thompson._ratio_distances(w_ab, w_ba)
             w_xy, w_yx, d_xy, w_fg, w_gf, d_fg = w_ab[0], w_ba[0], d[0], w_ab[-1], w_ba[-1], d[-1]
@@ -547,7 +543,8 @@ def _type1_terms(problem: ProblemSpec) -> Callable:
             d_fg = thompson._ratio_distances(w_fg, w_gf)
             d_xy = thompson._ratio_distances(w_xy, w_yx)
         literal_a = (w_q2q1 > w_gf + CONDITION_TOL) | (w_q1q2 > w_fg + CONDITION_TOL)
-        literal_b = (w_gf > np.power(w_yx, l) + CONDITION_TOL) | (w_fg > np.power(w_xy, l) + CONDITION_TOL)
+        w_xy_l, w_yx_l = thompson._raised_to(w_xy, l), thompson._raised_to(w_yx, l)
+        literal_b = (w_gf > w_yx_l + CONDITION_TOL) | (w_fg > w_xy_l + CONDITION_TOL)
         d_maps = list(fixed)
         if varying:
             lam = pairs.lam_x
@@ -594,7 +591,7 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
         max_f, inv_f = lam_f[..., -1], 1.0 / lam_f[..., 0]
         max_g, inv_g = lam_g[..., -1], 1.0 / lam_g[..., 0]
         w_xy, w_yx = thompson._frame_ratios(pairs.lam_x, pairs.lam_y, pairs.w)
-        w_xy_l, w_yx_l = np.power(w_xy, l), np.power(w_yx, l)
+        w_xy_l, w_yx_l = thompson._raised_to(w_xy, l), thompson._raised_to(w_yx, l)
         terms_a = [
             ("lambda_max(F(X)) <= exp(r*a)/m", max_f, exp_ra / m),
             ("lambda_max(F(X)^-1) <= m*exp(r*a)", inv_f, m * exp_ra),

@@ -32,15 +32,13 @@ wide ones): the iteration's gaps, up to a step ``spectral_distance``
 (a lower bound read off two spectra) cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  Each quantity has one rule,
-for a pair and a stack alike: ``_ratio_distances`` takes numpy's own
-``log``, and the condition checks raise ratios to powers with
-``np.power``.  numpy picks its loop by an array's strides, not by its
-length or an element's place in it, so an element of a 0-d, one-element,
-contiguous or strided array gets the bits it gets alone.  A reversed
-view can take the C library's scalar loop, which rounds another way; the
-ratio arrays are fresh, never reversed.  ``TestNumpyRatioMath`` in
-``tests/test_thompson.py`` pins both on every platform the suite runs
-on.
+for a pair and a stack alike: ``_ratio_distances`` takes logs with
+``_logs``, and the condition checks take powers with ``_raised_to``:
+numpy's ``log`` and ``power`` on a C-ordered array, since numpy picks its
+loop by strides and a reversed view can take the C library's scalar
+loop, which rounds another way.  So each element of a 0-d, contiguous,
+strided or reversed array gets the bits it gets alone, as
+``TestNumpyRatioMath`` in ``tests/test_thompson.py`` pins.
 """
 
 from __future__ import annotations
@@ -55,18 +53,28 @@ from .hpd_core import PDPoint
 _ONE_SOLVE_REL_TOL = 1e-12
 
 
+def _logs(w) -> np.ndarray:
+    """np.log of a ratio, or of each ratio of an array, on a C-ordered array."""
+    return np.log(np.asarray(w, order="C"))
+
+
+def _raised_to(w, exponent: float) -> np.ndarray:
+    """np.power of a ratio, or of each ratio of an array, on a C-ordered array."""
+    return np.power(np.asarray(w, order="C"), exponent)
+
+
 def _ratio_distances(w_ab, w_ba) -> np.ndarray:
     """d(A, B) = max(log W(A/B), log W(B/A), 0) of each pair of ratios of
     two arrays.
 
     A ratio that is not a positive number, such as one that underflowed to
     0 between points farther apart than the float range, raises
-    ``NotPositiveDefinite``.
+    ``NotPositiveDefinite``, as does a NaN.
     The logs of positive ratios are never NaN or -0.0, so ``np.maximum``
     picks what ``max`` picks."""
-    if not ((w_ab > 0.0) & (w_ba > 0.0)).all():
+    if not np.minimum(w_ab, w_ba).min() > 0.0:
         raise NotPositiveDefinite("Thompson ratio is not a positive number: the distance is beyond the float range")
-    return np.maximum(np.maximum(np.log(w_ab), np.log(w_ba)), 0.0)
+    return np.maximum(np.maximum(_logs(w_ab), _logs(w_ba)), 0.0)
 
 
 def _condition(lam):

@@ -262,18 +262,18 @@ def test_draw_calls_per_block(check_work, tmp_path, monkeypatch):
 # power per sample through object ufuncs, a 200-sample check made about
 # 400 more (505 on quadratic_pass).
 CHECK_CALLS = {
-    "check_fail_power": 104,
-    "check_pass_constant": 104,
-    "example_4_1": 117,
-    "example_4_2": 69,
-    "quadratic_pass": 102,
-    "known-type1": 111,
-    "known-type2": 65,
-    "constant-F": 141,
-    "constant-G": 140,
-    "two-constants": 112,
-    "two-constants-far-Q": 121,
-    "type2-constant-F": 69,
+    "check_fail_power": 110,
+    "check_pass_constant": 112,
+    "example_4_1": 123,
+    "example_4_2": 71,
+    "quadratic_pass": 108,
+    "known-type1": 117,
+    "known-type2": 67,
+    "constant-F": 149,
+    "constant-G": 148,
+    "two-constants": 120,
+    "two-constants-far-Q": 129,
+    "type2-constant-F": 71,
 }
 
 
