@@ -41,7 +41,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-from . import fixpoint_engine, matrix_solver, thompson
+from . import fixpoint_engine, hpd_core, matrix_solver, thompson
 from .errors import (
     ConditionsNotVerified,
     MaxIterationsExceeded,
@@ -262,21 +262,20 @@ def trace_rows(problem: matrix_solver.ProblemSpec, trace) -> list[tuple]:
     """Expand a trace into CSV rows, tuples of Python numbers in
     ``TRACE_COLUMNS`` order: one per iteration, k starting at 1.
 
-    The points are stacked in blocks of ``matrix_solver._block_size``, and
-    one ``residuals`` and one ``distance_to_identity`` call per block give
-    its rows, reading the points' known spectra: no eigensolve.  Each row
-    has the bits it has when its point is taken alone, and the a-priori
-    bound for its iterate from the problem's alpha and the first gap.
+    The points are stacked in blocks of ``hpd_core._block_size``, and one
+    ``residuals`` and one ``distance_to_identity`` call per block give its
+    rows, reading the points' known spectra: no eigensolve.  Each row has
+    the bits it has when its point is taken alone, and the a-priori bound
+    for its iterate, one ``error_bound`` call giving every row's bound.
     """
-    rows = []
-    block, alpha = matrix_solver._block_size(problem.n), matrix_solver.alpha_for(problem)
-    for first in range(1, len(trace.points), block):
-        points = PDPoint.stacked(trace.points[first : first + block])
+    rows, block, ks = [], hpd_core._block_size(problem.n), range(1, len(trace.points))
+    bounds = fixpoint_engine.error_bound(matrix_solver.alpha_for(problem), trace.gaps[0], ks)
+    for first in range(0, len(ks), block):
+        points = PDPoint.stacked(trace.points[first + 1 : first + 1 + block])
         r1, r2 = matrix_solver.residuals(problem, points)
-        ks = range(first, first + len(r1))
-        bounds = [fixpoint_engine.error_bound(alpha, trace.gaps[0], k) for k in ks]
         dist = thompson.distance_to_identity(points)
-        rows += zip(ks, trace.gaps[first - 1 : first - 1 + block], bounds, r1.tolist(), r2.tolist(), dist.tolist())
+        part = slice(first, first + block)
+        rows += zip(ks[part], trace.gaps[part], bounds[part], r1.tolist(), r2.tolist(), dist.tolist())
     return rows
 
 

@@ -14,8 +14,9 @@ the distances of the consecutive points of a list, and ``bound``, a
 lower bound on the distance of two points; the engine validates no
 point, and reads ``gap_tol`` and ``max_iter`` by the field rules of
 ``hpd_core``.  A step whose bound exceeds the gap tolerance cannot stop
-the run, so its gap waits until a step's bound does not: the pending
-gaps are then taken in one ``gaps`` call.  A run returns its trace,
+the run, so its gap waits until a step's bound does not, a map raises
+or the budget runs out: all the pending gaps are then taken in one
+``gaps`` call, which sizes its own stacks.  A run returns its trace,
 whose ``stop_reason`` says if the gap tolerance was met or the budget
 ran out; the trace, and any error it raises, are those of a run that
 takes each gap as soon as its step is made, whatever the bound.
@@ -32,9 +33,6 @@ T = TypeVar("T")
 
 STOP_GAP_TOL = "gap_tol"
 STOP_MAX_ITER = "max_iter"
-
-# Most pending steps, whose gaps are taken in one call.
-_MAX_BLOCK = 16
 
 
 @dataclass
@@ -54,15 +52,19 @@ class IterationTrace(Generic[T]):
         return len(self.gaps)
 
 
-def error_bound(alpha: float, d01: float, n: int) -> float:
+def error_bound(alpha: float, d01: float, n):
     """A-priori bound alpha**(n-1) * d01 / (1 - alpha) for iterate n >= 1,
-    ``n`` a count by ``hpd_core.as_count``."""
+    ``n`` a count by ``hpd_core.as_count``, or the list of the bounds of a
+    range ``n`` of iterates (a trace's rows), the inputs checked once."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not d01 >= 0.0:
         raise ValueError(f"d01 must be nonnegative, got {d01}")
-    n = as_count(n, "n")
-    return alpha ** (n - 1) * d01 / (1.0 - alpha)
+    block = isinstance(n, range)
+    ks = n if block else [as_count(n, "n")]
+    as_count(min(ks, default=1), "n")
+    bounds = [alpha ** (k - 1) * d01 / (1.0 - alpha) for k in ks]
+    return bounds if block else bounds[0]
 
 
 def _gaps_of(gaps: Callable[[list[T]], list[float]], points: list[T]) -> Iterable[float]:
@@ -94,9 +96,11 @@ def iterate_pair(
     ``gaps(points)`` returns d(points[i], points[i+1]) for each i, and
     ``bound(u, v)`` is at most d(u, v).  The pending gaps are taken in one
     ``gaps`` call at the first step whose bound is <= ``gap_tol``, at a
-    map's error, at ``max_iter`` or after ``_MAX_BLOCK`` steps.  The trace
-    keeps the points and gaps up to the first gap <= ``gap_tol``, so a
-    bound above the distance only applies the maps to points it drops.  An
+    map's error or at ``max_iter``; no cap on the pending steps applies,
+    so a bound above the distance that never reaches ``gap_tol`` runs the
+    maps to ``max_iter`` before any gap is taken.  The trace keeps the
+    points and gaps up to the first gap <= ``gap_tol``, so such a bound
+    only applies the maps to points it drops.  An
     error of a map or of a gap is raised only when no earlier gap stops the
     run, so a run raises what, and where, a run taking one gap per step
     raises.
@@ -104,10 +108,10 @@ def iterate_pair(
     gap_tol, max_iter = as_tolerance(gap_tol, "gap_tol"), as_count(max_iter, "max_iter")
 
     trace: IterationTrace[T] = IterationTrace(points=[u0])
-    while (done := trace.iterations) < max_iter:
+    while (done := len(trace.gaps)) < max_iter:
         steps, failure = [trace.points[-1]], None
         try:
-            for k in range(done + 1, min(done + _MAX_BLOCK, max_iter) + 1):
+            for k in range(done + 1, max_iter + 1):
                 steps.append(t1(steps[-1]) if k % 2 == 1 else t2(steps[-1]))
                 if bound(steps[-2], steps[-1]) <= gap_tol:
                     break

@@ -73,6 +73,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # The exact types of a number in a matrix literal.
 _REAL = frozenset((int, float))
 
+# Matrix entries per stacked array of a kernel call (256 KiB of complex128),
+# and the fewest matrices a stack holds: measured over n = 3-128.
+_BLOCK_ENTRIES, _BLOCK_FLOOR = 1 << 14, 4
+
 
 class EigenDecomposition(NamedTuple):
     """Spectral factorization M = V diag(eigenvalues) V*.
@@ -153,6 +157,12 @@ class PDPoint:
     def powered(self, p: float) -> "PDPoint":
         """X**p as a point, from X's decomposition alone."""
         return self.dec.powered(p)
+
+
+def _block_size(n: int) -> int:
+    """Matrices per stack of a kernel call on n-by-n matrices: as many as
+    ``_BLOCK_ENTRIES`` entries hold, but at least ``_BLOCK_FLOOR``."""
+    return max(_BLOCK_FLOOR, _BLOCK_ENTRIES // (n * n))
 
 
 def identity(n: int) -> ComplexMatrix:

@@ -37,8 +37,8 @@ Sufficiency conditions are verified by seeded sampling, never exhaustively:
 the quantifier ranges over an uncountable ball.  ``check_conditions`` is
 the one entry point and the one sampling loop; a family only lists, per
 block of samples, each condition's terms (label, lhs, rhs).  The samples
-are drawn and evaluated in stacked blocks of at most ``_BLOCK_ENTRIES``
-entries per stack: one ``(S, n, n)`` stack per quantity, so a block costs
+are drawn and evaluated in stacked blocks of ``hpd_core._block_size``
+samples: one ``(S, n, n)`` stack per quantity, so a block costs
 two or three generator calls, one call of each kernel and one eigensolve
 call per decomposition step, whatever its size.  A pair is drawn in X's
 eigenbasis, as two spectra and the unitary W between the eigenbases, and
@@ -86,6 +86,7 @@ from .hpd_core import (
     ComplexMatrix,
     EigenDecomposition,
     PDPoint,
+    _block_size,
     _pd_eig,
     _require_finite,
     as_bool,
@@ -111,9 +112,6 @@ CONDITION_TOL = 1e-9
 
 # Unitarity tolerance for type2 coefficient matrices.
 UNITARY_TOL = 1e-10
-
-# Matrix entries per stacked array of a sampling block: 1 MiB of complex128.
-_BLOCK_ENTRIES = 1 << 16
 
 
 # The rule of each ``SolveOptions`` field, which a problem file's options obey.
@@ -470,12 +468,6 @@ class ConditionReport:
         }
 
 
-def _block_size(n: int) -> int:
-    """Matrices per stack of a block: at most ``_BLOCK_ENTRIES`` entries,
-    and at least one matrix."""
-    return max(1, _BLOCK_ENTRIES // (n * n))
-
-
 def _type1_terms(problem: ProblemSpec) -> Callable:
     """The type1 sufficiency conditions, per pair (X, Y) drawn from the
     radius-a ball:
@@ -624,7 +616,7 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
     pairs drawn with ``seed``: the one entry point of condition checking.
 
     The pairs (X, Y) are drawn from the ball of ``ball_radius``, sample
-    0, 1, ..., in blocks of at most ``_BLOCK_ENTRIES`` entries per stack,
+    0, 1, ..., in blocks of ``hpd_core._block_size`` samples,
     by ``hpd_core.sample_ball_pairs`` from three streams spawned once per
     check from ``seed``: one for the spectra, one for the Gaussian draws
     of X's eigenvectors U and one for those of W = U* V, V being Y's.

@@ -27,9 +27,10 @@ stack.
 take matrices or points: a matrix is validated by ``pd_point`` and a
 point passes through, so the iteration's points go to ``gaps`` directly.
 ``gaps`` gives the distances of a sequence's consecutive pairs from one
-stacked call, one eigensolve call for all its pencils (and one for the
-wide ones): the iteration's gaps, up to a step ``spectral_distance``
-(a lower bound read off two spectra) cannot rule out as the stop.
+stacked call per stack of ``hpd_core._block_size`` pairs, one eigensolve
+call for its pencils (and one for the wide ones): the iteration's gaps,
+up to a step ``spectral_distance`` (a lower bound read off two spectra)
+cannot rule out as the stop.
 ``_ratios`` and ``distance_to_identity`` also take stacks of points and
 decide every choice above sample by sample.  Each quantity has one rule,
 for a pair and a stack alike: ``_ratio_distances`` takes logs with
@@ -157,16 +158,19 @@ def distance(a, b) -> float:
 def gaps(points) -> list[float]:
     """d(points[i], points[i+1]) of each two consecutive points of a
     sequence of matrices or points of one shape, in order: one ``_ratios``
-    call on the stacked pairs, so each gap has the bits its pair gets
-    alone.  Fewer than two points have no gap."""
+    call per stack of at most ``hpd_core._block_size`` pairs, so each gap
+    has the bits its pair gets alone.  Fewer than two points have no gap."""
     points = [p if isinstance(p, PDPoint) else hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
     for a, b in zip(points, points[1:]):
         if a.dec.vectors.shape != b.dec.vectors.shape:
             raise DimensionMismatch(f"distance shapes differ: {a.dec.vectors.shape} vs {b.dec.vectors.shape}")
     if len(points) < 2:
         return []
-    stack = PDPoint.stacked(points)
-    return _ratio_distances(*_ratios(stack[:-1], stack[1:])).tolist()
+    found, block = [], hpd_core._block_size(points[0].dec.vectors.shape[-1])
+    for first in range(0, len(points) - 1, block):
+        stack = PDPoint.stacked(points[first : first + block + 1])
+        found += _ratio_distances(*_ratios(stack[:-1], stack[1:])).tolist()
+    return found
 
 
 def distance_to_identity(a):

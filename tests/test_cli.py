@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import tfp
 from helpers import known_answer_files
-from tfp import cli, matrix_solver, thompson
+from tfp import cli, hpd_core, matrix_solver, thompson
 from tfp.hpd_core import PDPoint, matrix_to_literal
 from tfp.errors import ConditionsNotVerified, MaxIterationsExceeded, ProblemFormatError, ResidualToleranceExceeded
 from tfp.fixpoint_engine import error_bound, iterate_pair
@@ -1173,7 +1173,7 @@ class TestStackedTraceRows:
         # example_4_1 runs to max_iter: 200 rows in blocks of 7 points
         problem, trace = forced_trace(fixture_path("example_4_1.json"))
         assert trace.iterations == 200
-        monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 7 * 3 * 3)
+        monkeypatch.setattr(hpd_core, "_BLOCK_ENTRIES", 7 * 3 * 3)
         calls = []
         residuals = matrix_solver.residuals
         monkeypatch.setattr(matrix_solver, "residuals", lambda *args: calls.append(args) or residuals(*args))

@@ -295,7 +295,7 @@ class TestReportsMatchTheOracle:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_sample_counts_at_the_block_boundary(self, tmp_path, capsys, monkeypatch, offset):
         n = 16
-        block = matrix_solver._BLOCK_ENTRIES // (n * n)
+        block = hpd_core._block_size(n)
         assert block > 2
         for samples in {1, block + offset}:
             for i, path in enumerate(known_answer_files(tmp_path, n, 2, 5)):
@@ -323,8 +323,9 @@ class TestReportsDoNotDependOnTheBlockSize:
         for samples in counts:
             argv = ["check", str(path), "--samples", str(samples)]
             default = cli_outputs(tmp_path, capsys, f"default_{samples}", argv, ("report.json",))
-            monkeypatch.setattr(matrix_solver, "_BLOCK_ENTRIES", 3 * problem.n**2)
-            assert matrix_solver._block_size(problem.n) == 3
+            monkeypatch.setattr(hpd_core, "_BLOCK_ENTRIES", 3 * problem.n**2)
+            monkeypatch.setattr(hpd_core, "_BLOCK_FLOOR", 1)
+            assert hpd_core._block_size(problem.n) == 3
             small = cli_outputs(tmp_path, capsys, f"small_{samples}", argv, ("report.json",))
             monkeypatch.undo()
             assert small == default
@@ -335,10 +336,10 @@ class TestReportsDoNotDependOnTheBlockSize:
         self.assert_same_in_blocks_of_three(tmp_path, capsys, monkeypatch, path, [2, 3, 4, 200])
 
     def test_known_answer_problem_at_n_16(self, tmp_path, capsys, monkeypatch):
-        # 257 samples are one more than a default block at n = 16
+        # 65 samples are one more than a default block at n = 16
         (path,) = known_answer_files(tmp_path, 16, 1, 5)
-        assert matrix_solver._block_size(16) == 256
-        self.assert_same_in_blocks_of_three(tmp_path, capsys, monkeypatch, path, [4, 257])
+        assert hpd_core._block_size(16) == 64
+        self.assert_same_in_blocks_of_three(tmp_path, capsys, monkeypatch, path, [4, 65])
 
 
 class TestMatricesDecomposed:

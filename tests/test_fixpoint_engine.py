@@ -127,6 +127,18 @@ class TestErrorBound:
     def test_an_integral_float_iterate_number_reads_as_its_int(self):
         assert error_bound(0.5, 1.0, 3.0) == error_bound(0.5, 1.0, 3) == 0.5
 
+    @pytest.mark.parametrize("ks", [range(1, 201), range(5, 12), range(3, 3)])
+    def test_a_range_of_iterates_has_each_iterates_bits(self, ks):
+        alpha, d01 = 0.3, 0.7123456789
+        bounds = error_bound(alpha, d01, ks)
+        assert [b.hex() for b in bounds] == [error_bound(alpha, d01, k).hex() for k in ks]
+
+    def test_a_range_of_iterates_is_checked(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            error_bound(0.5, 1.0, range(0, 3))
+        with pytest.raises(ValueError, match="d01 must be nonnegative"):
+            error_bound(0.5, -1.0, range(1, 3))
+
 
 class TestIteratePair:
     def test_constant_maps(self):
@@ -304,10 +316,11 @@ class TestBlockedGaps:
         assert trace.stop_reason == "gap_tol"
         assert len(calls) == trace.iterations
 
-    @pytest.mark.parametrize("gap_tol", [2.0**-10, 0.0])
-    def test_one_gaps_call_per_block(self, gap_tol):
-        # the halving maps' gaps 2**-k exceed gap_tol until the stop, so
-        # their gaps wait for it, but never for more than 16 steps
+    @pytest.mark.parametrize("gap_tol, max_iter", [(2.0**-10, 2000), (0.0, 2000), (0.0, 100)])
+    def test_one_gaps_call_per_run(self, gap_tol, max_iter):
+        # the halving maps' gaps 2**-k exceed gap_tol until the stop (at 0.0,
+        # until they underflow to 0 at step 1076), so every gap waits for the
+        # stop, or for max_iter, and all are taken in one call
         sizes = []
 
         def gaps(points):
@@ -317,10 +330,10 @@ class TestBlockedGaps:
         def halve(x):
             return x / 2
 
-        _, _, stop = stepwise(real_line, halve, halve, 1.0, gap_tol=gap_tol, max_iter=2000)
-        trace = iterate_pair(gaps, halve, halve, 1.0, bound=real_line, gap_tol=gap_tol, max_iter=2000)
-        assert trace.stop_reason == stop == "gap_tol"
-        assert sizes == [16] * (trace.iterations // 16) + [trace.iterations % 16] * (trace.iterations % 16 > 0)
+        _, _, stop = stepwise(real_line, halve, halve, 1.0, gap_tol=gap_tol, max_iter=max_iter)
+        trace = iterate_pair(gaps, halve, halve, 1.0, bound=real_line, gap_tol=gap_tol, max_iter=max_iter)
+        assert trace.stop_reason == stop == ("max_iter" if max_iter == 100 else "gap_tol")
+        assert sizes == [trace.iterations]
 
     @pytest.mark.parametrize("bound", [real_line, never])
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 7, 16, 17, 40, 101])
@@ -378,8 +391,8 @@ class TestBlockedGaps:
     @pytest.mark.parametrize("bad, raised", [(7, True), (11, True), (12, False), (15, False)])
     def test_gap_error_is_raised_only_before_the_stop(self, bad, raised):
         # points are (step, value) with climb's values, which stop at step
-        # 11; under a bound that never decides, steps 1-16 are made before
-        # any gap is taken, and the gap of step ``bad`` fails
+        # 11; under a bound that never decides, all max_iter steps are made
+        # before any gap is taken, and the gap of step ``bad`` fails
         def step(u):
             return u[0] + 1, climb(u[1])
 
@@ -401,3 +414,61 @@ class TestBlockedGaps:
             expected = stepwise(distance, step, step, start)
             trace = iterate_pair(gaps, step, step, start, bound=never)
             assert (trace.points, trace.gaps, trace.stop_reason) == expected
+
+    @pytest.mark.parametrize("bound", [real_line, never])
+    def test_map_error_after_many_pending_steps(self, bound):
+        # gaps of 1 never stop the run, so steps 1-39 are pending when the
+        # map of step 40 raises: their gaps are taken, then the error raised
+        def step_up(x):
+            return x + 1.0
+
+        t1, t2, calls = raising_at(40, step_up, step_up)
+        taken = []
+
+        def distance(x, y):
+            taken.append(real_line(x, y))
+            return taken[-1]
+
+        with pytest.raises(RuntimeError, match="map call 40$"):
+            stepwise(distance, t1, t2, 0.0)
+        expected, taken[:], calls[:] = list(taken), [], []
+
+        def gaps(points):
+            return [distance(x, y) for x, y in zip(points, points[1:])]
+
+        with pytest.raises(RuntimeError, match="map call 40$"):
+            iterate_pair(gaps, t1, t2, 0.0, bound=bound)
+        assert len(calls) == 40
+        assert taken == expected == [1.0] * 39
+
+    @pytest.mark.parametrize("bound", [lambda u, v: real_line(u[1], v[1]), never])
+    def test_gap_error_after_many_pending_steps(self, bound):
+        # points are (step, value), a gap of 1 per step, so no step stops
+        # the run and every step up to max_iter is pending when the gaps are
+        # taken; the gap of step 40 fails after the 39 before it were read
+        def step(u):
+            return u[0] + 1, u[1] + 1.0
+
+        def distance(u, v):
+            if v[0] == 40:
+                raise ArithmeticError("gap 40")
+            return real_line(u[1], v[1])
+
+        read = []
+
+        def reading(u, v):
+            read.append(distance(u, v))
+            return read[-1]
+
+        with pytest.raises(ArithmeticError, match="gap 40"):
+            stepwise(reading, step, step, (0, 0.0))
+        expected, read[:] = list(read), []
+
+        def gaps(points):
+            found = [distance(u, v) for u, v in zip(points, points[1:])]
+            read.extend(found)
+            return found
+
+        with pytest.raises(ArithmeticError, match="gap 40"):
+            iterate_pair(gaps, step, step, (0, 0.0), bound=bound)
+        assert read == expected == [1.0] * 39

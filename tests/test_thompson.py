@@ -194,8 +194,8 @@ class TestGaps:
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
             thompson.distance_to_identity(stack)
 
-    """``gaps`` of a sequence: one stacked call, each gap with the bits
-    ``distance`` gives its pair."""
+    """``gaps`` of a sequence: one stacked call per stack of the stack
+    rule, each gap with the bits ``distance`` gives its pair."""
 
     @settings(max_examples=80)
     @given(
@@ -235,6 +235,25 @@ class TestGaps:
         assert bits(gaps) == bits(expected) and gaps[0] == 0.0
         # all four pencils in one call, then the wide ones in a second
         assert calls[0] == (4, 4, 4) and len(calls) == 2 and 1 <= calls[1][0] < 4
+
+    def test_more_pairs_than_a_stack_holds(self, monkeypatch):
+        # stacks of 3 pencils: 10 pairs take 4 stacks, each gap with the
+        # bits its pair gets alone, and no call decomposes more than 3
+        rng = np.random.default_rng(66)
+        points = [random_pd_in_ball(4, KAPPA_1E6_RADIUS, rng) for _ in range(11)]
+        points[5] = points[4]  # a gap of exactly 0 inside a stack
+        expected = [thompson.distance(u, v) for u, v in zip(points, points[1:])]
+        monkeypatch.setattr(hpd_core, "_BLOCK_ENTRIES", 3 * 4 * 4)
+        monkeypatch.setattr(hpd_core, "_BLOCK_FLOOR", 1)
+        assert hpd_core._block_size(4) == 3
+        calls = []
+        eig = hpd_core.eig_hermitian
+        monkeypatch.setattr(
+            hpd_core, "eig_hermitian", lambda m, *name, **kw: calls.append(np.shape(m)) or eig(m, *name, **kw)
+        )
+        gaps = thompson.gaps(points)
+        assert bits(gaps) == bits(expected) and gaps[4] == 0.0
+        assert calls[0] == (3, 4, 4) and max(int(np.prod(shape[:-2])) for shape in calls) == 3
 
     def test_takes_matrices(self):
         rng = np.random.default_rng(65)
