@@ -353,8 +353,8 @@ def residuals(problem: ProblemSpec, x) -> tuple:
     reads X's spectrum: a ``PDPoint`` costs no eigensolve and a matrix
     one.  Type1's shared exponent s is raised to, and its power's norm
     taken, once.  A point of a stack gets the bits it gets on its own.  A
-    power that overflows raises ``NonHermitianInput`` instead of giving
-    NaN residuals.
+    power that overflows, or a residual that is not finite (a right-hand
+    side that overflows), raises ``NonHermitianInput`` naming it.
     """
     x = pd_point(x, "candidate solution", problem.n)
     a_stars, powers = _factors(problem.A), {}
@@ -363,11 +363,11 @@ def residuals(problem: ProblemSpec, x) -> tuple:
         powers[e] = power, np.maximum(1.0, frobenius_norm(power))
     lam, vectors = x.dec
     out = []
-    for e, q, f_spec in problem.equations:
+    for j, (e, q, f_spec) in enumerate(problem.equations, 1):
         lhs, scale = powers[e]
         f_dec = (lam**f_spec.exponent, vectors) if f_spec.kind == "power" else f_spec.value.dec
         rhs = _rhs(None if q is None else q.matrix, a_stars, *f_dec)
-        out.append(frobenius_norm(lhs - rhs) / scale)
+        out.append(_require_finite(frobenius_norm(lhs - rhs) / scale, f"residual of equation {j}"))
     return tuple(out)
 
 

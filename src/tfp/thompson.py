@@ -23,10 +23,10 @@ W = V_base* V_other and hands the rule its choice.  A single point,
 such as a constant F beside the samples' G(Y), broadcasts against a
 stack.
 
-``gaps``, ``distance`` (its two-point case) and ``distance_to_identity``
-take matrices or points: a matrix is validated by ``pd_point`` and a
-point passes through, so the iteration's points go to ``gaps`` directly.
-``gaps`` gives the distances of a sequence's consecutive pairs from one
+``distance`` and ``distance_to_identity`` take matrices or points: a
+matrix is validated by ``pd_point`` and a point passes through.  ``gaps``
+takes points of one shape as they are, such as the iteration's, and
+gives the distances of a sequence's consecutive pairs from one
 stacked call per stack of ``hpd_core._block_size`` pairs, one eigensolve
 call for its pencils (and one for the wide ones): the iteration's gaps,
 up to a step ``spectral_distance`` (a lower bound read off two spectra)
@@ -151,19 +151,20 @@ def _frame_ratios(lam_a, lam_b, w, swap=None) -> tuple:
 
 
 def distance(a, b) -> float:
-    """Thompson distance of two positive definite matrices or points: ``gaps([a, b])[0]``."""
+    """Thompson distance of two positive definite matrices or points, each
+    validated by ``pd_point`` (``point 0``, ``point 1``): ``gaps([a, b])[0]``."""
+    a, b = hpd_core.pd_point(a, "point 0"), hpd_core.pd_point(b, "point 1")
+    if a.dec.vectors.shape != b.dec.vectors.shape:
+        raise DimensionMismatch(f"distance shapes differ: {a.dec.vectors.shape} vs {b.dec.vectors.shape}")
     return gaps([a, b])[0]
 
 
 def gaps(points) -> list[float]:
     """d(points[i], points[i+1]) of each two consecutive points of a
-    sequence of matrices or points of one shape, in order: one ``_ratios``
-    call per stack of at most ``hpd_core._block_size`` pairs, so each gap
-    has the bits its pair gets alone.  Fewer than two points have no gap."""
-    points = [p if isinstance(p, PDPoint) else hpd_core.pd_point(p, f"point {i}") for i, p in enumerate(points)]
-    for a, b in zip(points, points[1:]):
-        if a.dec.vectors.shape != b.dec.vectors.shape:
-            raise DimensionMismatch(f"distance shapes differ: {a.dec.vectors.shape} vs {b.dec.vectors.shape}")
+    sequence of points of one shape, taken as they are, in order: one
+    ``_ratios`` call per stack of at most ``hpd_core._block_size`` pairs, so
+    each gap has the bits its pair gets alone.  Fewer than two points have
+    no gap."""
     if len(points) < 2:
         return []
     found, block = [], hpd_core._block_size(points[0].dec.vectors.shape[-1])

@@ -801,6 +801,19 @@ class TestSolveCommand:
         assert result.stdout == ""
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    def test_non_finite_residual_exit_four_naming_it(self, tmp_path, capsys):
+        # X_1 = (3I + A* A)^(1/2), about 1e150 I, is finite, but A* X_1 A,
+        # about 1e450 I, is not: the first equation's residual was NaN and
+        # went into both files
+        doc = json.loads(fixture_path("quadratic_pass.json").read_text())
+        doc["A"], doc["options"] = [[[1e150, 0], [0, 1e150]]], {"max_iter": 1}
+        out = tmp_path / "t.csv"
+        assert cli.main(["solve", str(write_problem(tmp_path, doc)), "--force", "--out", str(out)]) == 4
+        stdout, stderr = capsys.readouterr()
+        assert stderr == "error: iteration broke down: residual of equation 1 contains non-finite entries\n"
+        assert stdout == "" and "nan" not in stderr.lower()
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_force_flag_overrides(self, tmp_path):
         out = tmp_path / "t.csv"
         code = cli.main(["solve", str(fixture_path("check_fail_power.json")), "--force", "--out", str(out)])

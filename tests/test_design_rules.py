@@ -1,4 +1,6 @@
-"""Design rules of ``src/tfp``, read from each module's syntax tree.
+"""Design rules of ``src/tfp``, read from the syntax tree of every module
+under it, ``fixtures/__init__.py`` included.  These tests are each rule's
+one check: no CI step greps the source for them.
 
 - One eigensolver path: every eigensolve goes through
   ``hpd_core.eig_hermitian``, so no other module names a ``numpy.linalg``
@@ -44,7 +46,10 @@ from helpers import DRAWS
 from tfp import hpd_core
 
 PACKAGE = Path(hpd_core.__file__).resolve().parent
-MODULES = sorted(PACKAGE.glob("*.py"))
+# every module of the package, subpackages included, each named by its path
+# in the package: two of them are ``__init__.py``
+MODULES = sorted(PACKAGE.rglob("*.py"))
+MODULE_IDS = [path.relative_to(PACKAGE).as_posix() for path in MODULES]
 
 
 def _aliases(tree) -> dict:
@@ -152,7 +157,7 @@ def file_writes(source: str) -> list:
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_eigensolves_only_in_hpd_core(path):
     uses = eig_uses(path.read_text())
     if path.name == "hpd_core.py":
@@ -181,7 +186,7 @@ def test_the_rule_leaves_other_calls_alone():
     assert eig_uses(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_unitaries_only_in_hpd_core(path):
     uses = qr_uses(path.read_text())
     if path.name == "hpd_core.py":
@@ -210,7 +215,7 @@ def test_the_unitary_rule_leaves_other_calls_alone():
     assert qr_uses(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_norms_only_through_frobenius_norm(path):
     assert norm_uses(path.read_text()) == []
 
@@ -234,7 +239,7 @@ def test_the_norm_rule_leaves_other_calls_alone():
     assert norm_uses(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_no_object_ufuncs(path):
     assert object_ufuncs(path.read_text()) == []
 
@@ -257,12 +262,12 @@ def test_the_object_ufunc_rule_leaves_numpys_own_ufuncs_alone():
     assert object_ufuncs(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_outputs_only_through_write_output(path):
     assert file_writes(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_json_only_through_json_text(path):
     assert json_writes(path.read_text()) == []
 
@@ -303,7 +308,7 @@ def test_the_output_and_json_rules_leave_other_calls_alone():
     assert json_writes(source) == [] and file_writes(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_generator_draws_only_in_hpd_core(path):
     draws = generator_draws(path.read_text())
     if path.name == "hpd_core.py":
@@ -346,14 +351,14 @@ def function_defs(source: str) -> set:
     return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_field_rules_defined_only_in_hpd_core(path):
     defined = function_defs(path.read_text()) & FIELD_RULES
     assert defined == (FIELD_RULES if path.name == "hpd_core.py" else set())
 
 
-# Messages that name a rule with one home; CI's grep steps count them in
-# the source text, which a spelling such as "has\x20shape" hides.
+# Messages that name a rule with one home, counted in the strings Python
+# reads, so a spelling such as "has\x20shape" hides no copy.
 SINGLE_HOME = (
     "has shape",
     "condition check broke down:",
@@ -376,8 +381,8 @@ def string_constants(source: str) -> list:
 @pytest.mark.parametrize("message", SINGLE_HOME)
 def test_single_home_messages_occur_once(message):
     found = [
-        (path.name, text)
-        for path in sorted(PACKAGE.rglob("*.py"))
+        (name, text)
+        for name, path in zip(MODULE_IDS, MODULES)
         for text in string_constants(path.read_text())
         for _ in range(text.count(message))
     ]

@@ -80,6 +80,23 @@ class TestDistance:
             direct = thompson.distance_to_identity(a)
             assert direct == pytest.approx(thompson.distance(a, np.eye(n)), abs=1e-10)
 
+    def test_points_of_different_shapes_name_both(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("distance shapes differ: (2, 2) vs (3, 3)")):
+            thompson.distance(2 * np.eye(2), np.eye(3))
+
+    def test_a_matrix_that_is_not_a_point_is_named_by_its_place(self):
+        with pytest.raises(NotPositiveDefinite, match="point 0 must be positive definite"):
+            thompson.distance(-np.eye(2), np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="point 1 must be positive definite"):
+            thompson.distance(np.eye(2), -np.eye(2))
+
+    def test_takes_matrices(self):
+        # each matrix is validated into a point, then the pair goes to gaps
+        rng = np.random.default_rng(65)
+        a, b = random_pd(rng, 3), random_pd(rng, 3)
+        expected = thompson.gaps([hpd_core.pd_point(a), hpd_core.pd_point(b)])
+        assert bits([thompson.distance(a, b)]) == bits(expected)
+
 
 def jacobi_distance(a, b):
     """d(A, B) = max |log lambda(B^{-1/2} A B^{-1/2})| from the Jacobi oracle alone."""
@@ -177,17 +194,6 @@ class TestGaps:
     def test_fewer_than_two_points_have_no_gap(self):
         assert thompson.gaps([]) == [] and thompson.gaps([np.eye(2)]) == []
 
-    def test_points_of_different_shapes_name_both(self):
-        points = [np.eye(2), 2 * np.eye(2), np.eye(3)]
-        with pytest.raises(DimensionMismatch, match=re.escape("distance shapes differ: (2, 2) vs (3, 3)")):
-            thompson.gaps(points)
-
-    def test_a_matrix_that_is_not_a_point_is_named_by_its_place(self):
-        with pytest.raises(NotPositiveDefinite, match="point 1 must be positive definite"):
-            thompson.distance(np.eye(2), -np.eye(2))
-        with pytest.raises(NotPositiveDefinite, match="point 2 must be positive definite"):
-            thompson.gaps([np.eye(2), np.eye(2), -np.eye(2)])
-
     def test_a_stack_of_matrices_is_not_one_point(self):
         stack = np.stack([np.eye(2), np.eye(2)])
         message = "distance_to_identity argument has shape (2, 2, 2), expected (2, 2)"
@@ -254,12 +260,6 @@ class TestGaps:
         gaps = thompson.gaps(points)
         assert bits(gaps) == bits(expected) and gaps[4] == 0.0
         assert calls[0] == (3, 4, 4) and max(int(np.prod(shape[:-2])) for shape in calls) == 3
-
-    def test_takes_matrices(self):
-        rng = np.random.default_rng(65)
-        matrices = [random_pd(rng, 3) for _ in range(3)]
-        expected = [thompson.distance(a, b) for a, b in zip(matrices, matrices[1:])]
-        assert bits(thompson.gaps(matrices)) == bits(expected)
 
     def test_inverse_has_the_bits_of_its_contiguous_copy(self):
         # a reversed view of the inverse's spectrum took numpy's strided
