@@ -396,37 +396,45 @@ class ConditionStat:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, samples: range, terms, witness: Callable[[int], dict]) -> None:
-        """Count a block of the samples ``samples``.  ``terms`` lists the
-        condition's inequalities lhs <= rhs as (label, lhs, rhs), each side
-        one value per sample or one for all; a sample counts its term of
-        largest margin lhs - rhs, the first in ``terms`` order on a tie.
-        The block's worst sample is the first of its largest margin, and
-        replaces the witness only when it is strictly worse, as over the
-        samples one by one; ``witness(i)`` gives the matrices, by name, of
-        the block's sample ``i``, and is called for that sample only.  A
-        later term replaces a sample's margin only when it is larger or
-        NaN: the first NaN (inf - inf on a very wide ball) wins, as in
-        ``np.argmax``."""
+    def record(self, first: int, pairs: BallPairs, terms, with_y: bool, literal) -> None:
+        """Count the block ``pairs`` of the samples first, first + 1, ....
+        ``terms`` lists the condition's inequalities lhs <= rhs as (label,
+        lhs, rhs), each side one value per sample or one for all; a sample
+        counts its term of largest margin lhs - rhs, the first in ``terms``
+        order on a tie.  The block's worst sample is the first of its
+        largest margin, and replaces the witness only when it is strictly
+        worse, as over the samples one by one; the witness is that pair's
+        X, and Y when ``with_y``, formed for that sample only.  A later
+        term replaces a sample's margin only when it is larger or NaN: the
+        first NaN (inf - inf on a very wide ball) wins, as in
+        ``np.argmax``.  ``literal`` flags the block's violations of the
+        condition's literal form, per pair or one value that counts for
+        each, or is None when it has no literal form."""
         margins = [lhs - rhs for _, lhs, rhs in terms]
         margin = margins[0]
         for later in margins[1:]:
             margin = np.where((later > margin) | np.isnan(later), later, margin)
         if not np.ndim(margin):  # every side is one value for all samples
-            margin = np.full(len(samples), margin)
+            margin = np.full(len(pairs), margin)
         self.checked += margin.size
         self.failures += int(np.count_nonzero(margin > CONDITION_TOL))
         i = int(np.argmax(margin))
         if margin[i] > self.worst_margin:
             label, lhs, rhs = next(term for term, m in zip(terms, margins) if _at(m, i) == margin[i])
+            x, y = pairs.matrices(i)
             self.worst_margin = float(margin[i])
             self.worst = {
-                "sample": samples[i],
+                "sample": first + i,
                 "inequality": label,
                 "lhs": float(_at(lhs, i)),
                 "rhs": float(_at(rhs, i)),
+                "X": matrix_to_literal(x),
             }
-            self.worst.update((name, matrix_to_literal(m)) for name, m in witness(i).items())
+            if with_y:
+                self.worst["Y"] = matrix_to_literal(y)
+        if literal is not None:
+            found = int(np.count_nonzero(literal))
+            self.literal_failures += found * len(pairs) if literal.ndim == 0 else found
 
     def to_jsonable(self) -> dict:
         out = {
@@ -601,16 +609,6 @@ def _type2_terms(problem: ProblemSpec) -> Callable:
     return block
 
 
-def _witness(pairs: BallPairs, with_y: bool) -> Callable[[int], dict]:
-    """A condition's witness of a block's pair ``i``: X, and Y if shown."""
-
-    def witness(i: int) -> dict:
-        x, y = pairs.matrices(i)
-        return {"X": x, "Y": y} if with_y else {"X": x}
-
-    return witness
-
-
 def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) -> ConditionReport:
     """Sample the sufficiency conditions of the problem's kind, ``samples``
     pairs drawn with ``seed``: the one entry point of condition checking.
@@ -643,12 +641,9 @@ def check_conditions(problem: ProblemSpec, samples: int = 200, seed: int = 0) ->
             for first in range(0, samples, block):
                 pairs = sample_ball_pairs(n, radius, streams, min(block, samples - first))
                 for name, (terms, with_y, literal) in block_terms(pairs).items():
-                    failures = None if literal is None else 0
-                    stat = stats.setdefault(name, ConditionStat(name, literal_failures=failures))
-                    stat.record(range(first, first + len(pairs)), terms, _witness(pairs, with_y))
-                    if literal is not None:  # one value for all samples counts for each
-                        found = int(np.count_nonzero(literal))
-                        stat.literal_failures += found * len(pairs) if literal.ndim == 0 else found
+                    if name not in stats:
+                        stats[name] = ConditionStat(name, literal_failures=None if literal is None else 0)
+                    stats[name].record(first, pairs, terms, with_y, literal)
     except TfpError as exc:
         raise ConditionsNotVerified(f"condition check broke down: {exc}") from exc
     return ConditionReport(problem.kind, samples, seed, radius, stats)

@@ -5,10 +5,9 @@ stacked blocks, from three streams spawned from its seed.
 ``sampling_oracle`` draws and checks the same samples one at a time from
 the same streams.  Every CLI output that depends on the check (the
 report, the stdout of ``check`` and of an unforced ``solve``, the solve's
-files) must be byte-identical between the two, whatever the block size,
-and the stacked checker must decompose exactly the matrices the oracle
-decomposes, in a number of ``eig_hermitian`` calls that does not grow
-with the sample count.  The sampled pairs themselves must be the
+files) must be byte-identical between the two, whatever the block size (the
+matrices each decomposes are compared in ``test_work_counters``).  The
+sampled pairs themselves must be the
 oracle's draws of one pair at a time, bit for bit, from two generator
 calls per block, and a third for U where it is read.  A pair is drawn in X's eigenbasis; the oracle shares that recipe,
 so the witnesses are checked against distances recomputed from their
@@ -340,47 +339,3 @@ class TestReportsDoNotDependOnTheBlockSize:
         (path,) = known_answer_files(tmp_path, 16, 1, 5)
         assert hpd_core._block_size(16) == 64
         self.assert_same_in_blocks_of_three(tmp_path, capsys, monkeypatch, path, [4, 65])
-
-
-class TestMatricesDecomposed:
-    """``eig_hermitian`` decomposes one matrix or one stack per call;
-    ``eig_calls`` lists the leading (stack) shape of each call and whether
-    it asked for eigenvectors."""
-
-    @pytest.fixture
-    def eig_calls(self, monkeypatch):
-        calls = []
-        eig = hpd_core.eig_hermitian
-
-        def counting(m, *args, **kwargs):
-            calls.append((np.shape(m)[:-2], kwargs.get("vectors", True)))
-            return eig(m, *args, **kwargs)
-
-        monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
-        monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
-        return calls
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_stacked_checker_decomposes_the_oracles_matrices(self, eig_calls, name):
-        problem, _, options = cli.load_problem(fixture_path(name))
-        matrices = []
-        for check in (matrix_solver.check_conditions, sampling_oracle.check_conditions):
-            eig_calls.clear()
-            check(problem, options.samples, options.seed)
-            matrices.append(sum(math.prod(shape) for shape, _ in eig_calls))
-            # every sampled quantity reads eigenvalues only
-            assert not any(vectors for _, vectors in eig_calls)
-        assert matrices[0] == matrices[1]
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_calls_per_check_do_not_grow_with_samples(self, eig_calls, name):
-        # type1: d(Q1, Q2), d(F(X), G(Y)) and d(X, Y) (one call for both
-        # when F and G are powers), each with a second eigensolve on its
-        # wide pencils, and the roots of T1(X) and T2(X) in one call;
-        # type2: d(X, Y) and its wide pencils
-        problem, _, options = cli.load_problem(fixture_path(name))
-        per_check = 8 if problem.kind == matrix_solver.TYPE1 else 2
-        for samples in (20, 1000):
-            eig_calls.clear()
-            matrix_solver.check_conditions(problem, samples, options.seed)
-            assert len(eig_calls) <= per_check

@@ -325,182 +325,6 @@ class TestResiduals:
             with pytest.raises(TfpError, match=r"candidate solution \*\* 2 contains non-finite"):
                 matrix_solver.residuals(problem, 1e200 * eye)
 
-
-    def test_rejects_a_stack_of_matrices_and_a_wrong_size(self):
-        problem, _, _ = load("quadratic_pass.json")
-        eye = np.eye(2)
-        for x, shape in ((np.stack([eye, 2 * eye]), "(2, 2, 2)"), (np.eye(3), "(3, 3)")):
-            message = f"candidate solution has shape {shape}, expected (2, 2)"
-            with pytest.raises(DimensionMismatch, match=re.escape(message)):
-                matrix_solver.residuals(problem, x)
-
-
-class TestEigensolveBudget:
-    """Every eigensolve is a call to ``hpd_core.eig_hermitian``; ``eig_calls``
-    lists (argument, whether eigenvectors were asked for), one matrix or
-    one stack per call."""
-
-    @pytest.fixture
-    def eig_calls(self, monkeypatch):
-        calls = []
-        eig = hpd_core.eig_hermitian
-
-        def counting(m, *args, **kwargs):
-            calls.append((m, kwargs.get("vectors", True)))
-            return eig(m, *args, **kwargs)
-
-        monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
-        monkeypatch.setattr(matrix_solver, "eig_hermitian", counting)
-        return calls
-
-    @pytest.mark.parametrize("name", ["example_4_1.json", "example_4_2.json"])
-    def test_maps_build_without_eigensolves_and_residuals_decompose_a_matrix_once(self, eig_calls, name):
-        # every term of both residuals reads X's spectrum
-        problem, _, _ = load(name)
-        x = random_pd_in_ball(problem.n, 0.5, 4)
-        eig_calls.clear()  # problem validation decomposes Q1, Q2 and A* A
-        matrix_solver.maps_for(problem)
-        assert len(eig_calls) == 0
-        matrix_solver.residuals(problem, x.matrix)
-        assert len(eig_calls) == 1
-        matrix_solver.residuals(problem, x)
-        assert len(eig_calls) == 1
-
-    @pytest.mark.parametrize("name, max_iter", [("example_4_1.json", 20), ("example_4_2.json", 200)])
-    def test_two_eigensolves_per_iteration(self, eig_calls, name, max_iter):
-        # matrices decomposed: one for the map's root and one for the gap
-        # per iteration, plus x0 and the certificate of the solution; the
-        # gaps of a block of steps are decomposed in one stacked call
-        problem, x0, options = load(name)
-        options = dataclasses.replace(options, force=True, max_iter=max_iter)
-        eig_calls.clear()
-        try:
-            result = matrix_solver.solve(problem, x0=x0, options=options)
-        except MaxIterationsExceeded as exc:
-            result = exc.result
-        iterations = result.trace.iterations
-        assert iterations > 1
-        sizes = [math.prod(np.shape(m)[:-2]) for m, _ in eig_calls]
-        # the identity start is known without an eigensolve
-        start = 0 if x0 is None else 1
-        assert sum(sizes) == 2 * iterations + 1 + start
-        # eigenvectors for the map's root only, and for x0 and the certificate
-        assert sum(size for size, (_, vectors) in zip(sizes, eig_calls) if vectors) == iterations + 1 + start
-        if name == "example_4_1.json":
-            assert len(eig_calls) < 2 * iterations + 2
-
-    def test_trace_rows_decompose_nothing(self, eig_calls):
-        problem, x0, options = load("example_4_2.json")
-        result = matrix_solver.solve(problem, x0=x0, options=options)
-        before = len(eig_calls)
-        rows = cli.trace_rows(problem, result.trace)
-        assert len(rows) == result.trace.iterations
-        assert len(eig_calls) == before
-
-    @pytest.mark.parametrize("kind, per_sample", [("type1", 4), ("type1-identities", 3), ("type2", 1)])
-    def test_condition_sample_costs(self, eig_calls, kind, per_sample):
-        # matrices decomposed, in stacks: type1: d(F(X), G(Y)), d(X, Y) and
-        # the roots of T1(X) and T2(X), where d(F(X), G(Y)) is d(X, Y) when
-        # F and G are both X -> X**1 (quadratic_pass's); type2: d(X, Y),
-        # with F(X) and G(X) read from X's spectrum
-        if kind == "type1-identities":
-            problem = load("quadratic_pass.json")[0]
-        elif kind == "type1":
-            problem = dataclasses.replace(load("quadratic_pass.json")[0], G=matrix_solver.power(0.5))
-        else:
-            problem = matrix_solver.problem_type2(
-                n=3, A=[random_unitary(3, 5)], r=2, s=3,
-                F=matrix_solver.power(0.5), G=matrix_solver.power(-0.25), a=0.5, l=0.3,
-            )
-        counts = []
-        for samples in (15, 30):
-            eig_calls.clear()
-            matrix_solver.check_conditions(problem, samples=samples, seed=8)
-            counts.append(sum(math.prod(np.shape(m)[:-2]) for m, _ in eig_calls))
-            assert not any(vectors for _, vectors in eig_calls)
-        assert counts[1] - counts[0] == per_sample * 15
-
-    def test_gram_check_computes_no_eigenvectors(self, eig_calls):
-        # one Gram matrix A_i* A_i per coefficient, eigenvalues only; Q1 and
-        # Q2 become points, with eigenvectors
-        rng = np.random.default_rng(12)
-        matrix_solver.problem_type1(
-            n=3, A=[random_nonsingular(rng, 3) for _ in range(2)], Q1=random_pd(rng, 3), Q2=random_pd(rng, 3),
-            s=2, F=matrix_solver.power(0.5), G=matrix_solver.power(0.5), a=1, l=1,
-        )
-        assert [vectors for _, vectors in eig_calls] == [False, False, True, True]
-
-
-class TestValidationBudget:
-    """Matrices are checked against the Hermitian tolerance where they come
-    in, not again inside the iteration or the sampling loop."""
-
-    @pytest.fixture
-    def hermitian_checks(self, monkeypatch):
-        calls = []
-        check = hpd_core.require_hermitian
-
-        def counting(m, name="matrix", n=None):
-            calls.append(name)
-            return check(m, name, n)
-
-        monkeypatch.setattr(hpd_core, "require_hermitian", counting)
-        return calls
-
-    def test_forced_solve_checks_do_not_grow_with_iterations(self, hermitian_checks):
-        problem, x0, options = load("example_4_1.json")
-        counts = []
-        for max_iter in (10, 20):
-            hermitian_checks.clear()
-            with pytest.raises(MaxIterationsExceeded):
-                matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True, max_iter=max_iter))
-            counts.append(len(hermitian_checks))
-        assert counts[0] == counts[1]
-
-    def test_condition_check_checks_do_not_grow_with_samples(self, hermitian_checks):
-        problem = load("quadratic_pass.json")[0]
-        counts = []
-        for samples in (15, 30):
-            hermitian_checks.clear()
-            matrix_solver.check_conditions(problem, samples=samples, seed=8)
-            counts.append(len(hermitian_checks))
-        assert counts[0] == counts[1]
-
-    def test_certificate_does_not_check_the_solution_again(self, hermitian_checks):
-        # the map's root made the returned matrix exactly Hermitian, so
-        # only the start, which comes in from outside (a file x0), is checked
-        problem, x0, options = load("example_4_2.json")
-        assert x0 is not None
-        hermitian_checks.clear()
-        matrix_solver.solve(problem, x0=x0, options=dataclasses.replace(options, force=True))
-        assert hermitian_checks == ["starting point"]
-
-    def test_identity_start_is_neither_checked_nor_decomposed(self, hermitian_checks, monkeypatch):
-        problem, x0, options = load("quadratic_pass.json")
-        assert x0 is None
-        eig_calls = []
-        eig = hpd_core.eig_hermitian
-
-        def counting(m, *args, **kwargs):
-            eig_calls.append(m)
-            return eig(m, *args, **kwargs)
-
-        class Started(Exception):
-            pass
-
-        def started(gaps, t1, t2, u0, **kwargs):
-            raise Started(u0)
-
-        monkeypatch.setattr(hpd_core, "eig_hermitian", counting)
-        monkeypatch.setattr(matrix_solver, "iterate_pair", started)
-        hermitian_checks.clear()
-        with pytest.raises(Started) as info:
-            matrix_solver.solve(problem, options=dataclasses.replace(options, force=True))
-        assert hermitian_checks == [] and eig_calls == []
-        start = info.value.args[0]
-        np.testing.assert_array_equal(start.matrix, np.eye(problem.n))
-        np.testing.assert_array_equal(start.dec.eigenvalues, np.ones(problem.n))
-
     def test_overflowing_right_hand_side_is_a_named_error(self):
         # Q1 + A* F(X) A overflows to inf; eigh alone would return NaN
         # eigenvalues for it without an error
@@ -514,29 +338,13 @@ class TestValidationBudget:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TfpError, match="non-finite"):
             t1(hpd_core.pd_point(big))
 
-
-class TestWitnessBudget:
-    """A condition's witness, with X and Y as matrix literals, is built when
-    a sample becomes its worst, not for every sample."""
-
-    @pytest.fixture
-    def literal_builds(self, monkeypatch):
-        calls = []
-        build = matrix_solver.matrix_to_literal
-
-        def counting(m):
-            calls.append(m)
-            return build(m)
-
-        monkeypatch.setattr(matrix_solver, "matrix_to_literal", counting)
-        return calls
-
-    @pytest.mark.parametrize("name", ["check_fail_power.json", "example_4_1.json", "example_4_2.json"])
-    def test_literals_built_for_new_worst_samples_only(self, literal_builds, name):
-        problem, _, options = load(name)
-        report = matrix_solver.check_conditions(problem, samples=200, seed=options.seed)
-        assert all(stat.worst is not None for stat in report.conditions.values())
-        assert len(literal_builds) <= 50
+    def test_rejects_a_stack_of_matrices_and_a_wrong_size(self):
+        problem, _, _ = load("quadratic_pass.json")
+        eye = np.eye(2)
+        for x, shape in ((np.stack([eye, 2 * eye]), "(2, 2, 2)"), (np.eye(3), "(3, 3)")):
+            message = f"candidate solution has shape {shape}, expected (2, 2)"
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                matrix_solver.residuals(problem, x)
 
 
 class TestConditionChecker:
@@ -672,65 +480,65 @@ class TestConditionRecorder:
     a tie, and the witness by the first sample of the largest margin."""
 
     @staticmethod
-    def points(count, seed=0):
-        return random_pd_in_ball(2, 1.0, seed, (count,))
+    def pairs(count, seed=0):
+        return hpd_core.sample_ball_pairs(2, 1.0, np.random.default_rng(seed).spawn(3), count)
 
     @staticmethod
-    def witness(x, y=None):
-        """The witness of a block of stacks X (and Y): their matrices of sample i."""
-        return lambda i: {"X": x.matrix[i]} if y is None else {"X": x.matrix[i], "Y": y.matrix[i]}
+    def witness(pairs, i):
+        """The literals of pair ``i``'s X and Y."""
+        return tuple(map(hpd_core.matrix_to_literal, pairs.matrices(i)))
 
     def test_tie_between_terms_reports_the_first_label(self):
-        x = self.points(2)
+        pairs = self.pairs(2)
         stat = matrix_solver.ConditionStat("T")
         # sample 0: both terms have margin 1; sample 1: only the second fails
         terms = [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([3.0, 1.5]), 2.0)]
-        stat.record(range(2), terms, self.witness(x))
+        stat.record(0, pairs, terms, False, None)
         assert (stat.checked, stat.failures, stat.worst_margin) == (2, 1, 1.0)
-        assert stat.worst == {
-            "sample": 0, "inequality": "first", "lhs": 2.0, "rhs": 1.0, "X": hpd_core.matrix_to_literal(x.matrix[0]),
-        }
+        x, _ = self.witness(pairs, 0)
+        assert stat.worst == {"sample": 0, "inequality": "first", "lhs": 2.0, "rhs": 1.0, "X": x}
 
     def test_a_sample_failing_several_terms_counts_once(self):
         stat = matrix_solver.ConditionStat("T")
         terms = [("first", np.array([2.0, 0.0]), 1.0), ("second", np.array([5.0, 0.0]), 1.0)]
-        stat.record(range(2), terms, self.witness(self.points(2)))
+        stat.record(0, self.pairs(2), terms, False, None)
         assert (stat.checked, stat.failures) == (2, 1)
         assert (stat.worst["inequality"], stat.worst["lhs"]) == ("second", 5.0)
 
     def test_later_block_with_equal_worst_margin_keeps_the_earlier_witness(self):
-        x, y = self.points(2, seed=1), self.points(2, seed=2)
+        earlier, later = self.pairs(2, seed=1), self.pairs(2, seed=2)
         stat = matrix_solver.ConditionStat("T")
-        stat.record(range(2), [("t", np.array([0.5, 1.0]), 0.0)], self.witness(x, y))
-        stat.record(range(2, 4), [("u", np.array([1.0, 0.25]), 0.0)], self.witness(y, x))
+        stat.record(0, earlier, [("t", np.array([0.5, 1.0]), 0.0)], True, None)
+        stat.record(2, later, [("u", np.array([1.0, 0.25]), 0.0)], True, None)
         assert (stat.checked, stat.failures, stat.worst_margin) == (4, 4, 1.0)
         assert (stat.worst["sample"], stat.worst["inequality"]) == (1, "t")
-        assert stat.worst["X"] == hpd_core.matrix_to_literal(x.matrix[1])
-        assert stat.worst["Y"] == hpd_core.matrix_to_literal(y.matrix[1])
+        assert (stat.worst["X"], stat.worst["Y"]) == self.witness(earlier, 1)
 
     def test_one_term_counts_as_a_single_inequality(self):
         # lhs per sample against a shared rhs: margins -0.1, 0.5, 0.5, -0.4
-        x, y = self.points(4, seed=3), self.points(4, seed=4)
+        pairs = self.pairs(4, seed=3)
         lhs = np.array([0.1, 0.7, 0.7, -0.2])
         stat = matrix_solver.ConditionStat("T", literal_failures=0)
-        stat.record(range(10, 14), [("lhs <= rhs", lhs, 0.2)], self.witness(x, y))
+        stat.record(10, pairs, [("lhs <= rhs", lhs, 0.2)], True, None)
         assert (stat.checked, stat.failures, stat.worst_margin) == (4, 2, 0.7 - 0.2)
-        assert stat.worst == {
-            "sample": 11,
-            "inequality": "lhs <= rhs",
-            "lhs": 0.7,
-            "rhs": 0.2,
-            "X": hpd_core.matrix_to_literal(x.matrix[1]),
-            "Y": hpd_core.matrix_to_literal(y.matrix[1]),
-        }
+        x, y = self.witness(pairs, 1)
+        assert stat.worst == {"sample": 11, "inequality": "lhs <= rhs", "lhs": 0.7, "rhs": 0.2, "X": x, "Y": y}
         assert stat.literal_failures == 0
 
-    @staticmethod
-    def stacked_record(stat, first, terms, x, y=None):
+    def test_literal_violations_count_per_pair_and_one_value_for_each(self):
+        pairs = self.pairs(4, seed=5)
+        stat = matrix_solver.ConditionStat("T", literal_failures=0)
+        stat.record(0, pairs, [("t", np.zeros(4), 1.0)], False, np.array([False, True, True, False]))
+        assert stat.literal_failures == 2
+        stat.record(4, pairs, [("t", np.zeros(4), 1.0)], False, np.array(True))
+        assert stat.literal_failures == 6
+
+    @classmethod
+    def stacked_record(cls, stat, first, terms, pairs):
         """The recorder as first stacked: each sample's term by ``np.argmax``
         over the stacked margins, so the first NaN margin wins too."""
         labels, lhs, rhs = zip(*terms)
-        batch = x.matrix.shape[:1]
+        batch = (len(pairs),)
         lhs, rhs = (np.stack([np.broadcast_to(side, batch) for side in sides]) for sides in (lhs, rhs))
         term, samples = np.argmax(lhs - rhs, axis=0), np.arange(batch[0])
         lhs, rhs = lhs[term, samples], rhs[term, samples]
@@ -740,22 +548,16 @@ class TestConditionRecorder:
         i = int(np.argmax(margin))
         if margin[i] > stat.worst_margin:
             stat.worst_margin = float(margin[i])
-            stat.worst = {
-                "sample": first + i,
-                "inequality": labels[term[i]],
-                "lhs": float(lhs[i]),
-                "rhs": float(rhs[i]),
-                "X": hpd_core.matrix_to_literal(x.matrix[i]),
-            }
-            if y is not None:
-                stat.worst["Y"] = hpd_core.matrix_to_literal(y.matrix[i])
+            x, y = cls.witness(pairs, i)
+            label, lhs, rhs = labels[term[i]], float(lhs[i]), float(rhs[i])
+            stat.worst = {"sample": first + i, "inequality": label, "lhs": lhs, "rhs": rhs, "X": x, "Y": y}
 
     def test_running_maximum_keeps_the_argmax_rules(self):
         # ties, infinities and NaN margins (inf - inf on a very wide ball):
         # the first of equal margins and the first NaN win, as in argmax
         rng = np.random.default_rng(11)
         pool = np.array([0.0, 1.0, 2.0, 1e-9, 3e-9, -1.0, math.inf, -math.inf, math.nan])
-        x, y = self.points(5, seed=6), self.points(5, seed=7)
+        pairs = self.pairs(5, seed=6)
 
         def side():
             return float(rng.choice(pool)) if rng.random() < 0.3 else rng.choice(pool, 5)
@@ -765,8 +567,8 @@ class TestConditionRecorder:
             for first in (0, 5, 10):
                 terms = [(f"t{k}", side(), side()) for k in range(rng.integers(1, 5))]
                 with np.errstate(invalid="ignore"):
-                    stats[0].record(range(first, first + 5), terms, self.witness(x, y))
-                    self.stacked_record(stats[1], first, terms, x, y)
+                    stats[0].record(first, pairs, terms, True, None)
+                    self.stacked_record(stats[1], first, terms, pairs)
                 got, want = (json.dumps(stat.to_jsonable()) for stat in stats)
                 assert got == want
 
