@@ -179,14 +179,9 @@ def test_eigensolves_per_iteration(work, tmp_path):
     # gaps at each step whose spectra cannot rule it out as the stop; the
     # maps and the gaps read the points' decompositions, so the iteration
     # forms no point's matrix; a constant map's point is decomposed when the
-    # map is built, so check_pass_constant's map steps make no eigensolve.
-    # A trace row reads its point's known spectrum: one row per iteration,
-    # and no eigensolve
+    # map is built, so check_pass_constant's map steps make no eigensolve
     def counts():
         eig, maps = work.of("eig_hermitian", "iterate_pair"), work.of("map", "iterate_pair")
-        rows = [len(table) for table in work.returned["trace_rows"]]
-        assert rows == [trace.iterations for trace in work.returned["iterate_pair"]]
-        assert work.of("eig_hermitian", "trace_rows") == []
         return len(eig), len(maps), len(work.of("_spectral_matrix", "iterate_pair"))
 
     solve_files(known_answer_files(tmp_path, 16, 4, 1), tmp_path / "trace.csv")
@@ -198,7 +193,22 @@ def test_eigensolves_per_iteration(work, tmp_path):
     eig, maps, formed = counts()
     assert (eig, maps, formed) == (239, 237, 0)
     assert round(eig / maps, 2) == 1.01
-    assert len(work.returned["trace_rows"]) == 4  # check_fail_power's solve stops at its check
+
+
+def test_trace_rows_decompose_nothing(work, tmp_path):
+    # a trace row reads its point's known spectrum: one row per iteration,
+    # and no eigensolve, over the solves of test_eigensolves_per_iteration
+    def rows():
+        tables = [len(table) for table in work.returned["trace_rows"]]
+        assert tables == [trace.iterations for trace in work.returned["iterate_pair"]]
+        assert work.of("eig_hermitian", "trace_rows") == []
+        return len(tables)
+
+    solve_files(known_answer_files(tmp_path, 16, 4, 1), tmp_path / "trace.csv")
+    assert rows() == 4
+    work.clear()
+    solve_files([fixture_path(f"{name}.json") for name in FIXTURES], tmp_path / "trace.csv")
+    assert rows() == 4  # check_fail_power's solve stops at its check
 
 
 def test_a_constant_map_makes_no_eigensolve(work, tmp_path):
@@ -213,22 +223,27 @@ def test_a_constant_map_makes_no_eigensolve(work, tmp_path):
 
 @pytest.mark.parametrize("name", ["example_4_1", "example_4_2"])
 def test_maps_build_without_eigensolves_and_residuals_decompose_a_matrix_once(work, name):
-    # a map applied makes one eigensolve, of its right-hand side; every
-    # term of both residuals reads X's spectrum
+    # every term of both residuals reads X's spectrum
     problem, _, _ = load(name)
     x = random_pd_in_ball(problem.n, 0.5, 4)
     work.clear()  # problem validation decomposes Q1, Q2 and A* A
-    maps = matrix_solver.maps_for(problem)
+    matrix_solver.maps_for(problem)
     assert len(work.of("eig_hermitian")) == 0
-    for t in maps:
-        work.clear()
-        t(x)
-        assert len(work.of("eig_hermitian")) == 1
-    work.clear()
     matrix_solver.residuals(problem, x.matrix)
     assert len(work.of("eig_hermitian")) == 1
     matrix_solver.residuals(problem, x)
     assert len(work.of("eig_hermitian")) == 1
+
+
+@pytest.mark.parametrize("name", ["example_4_1", "example_4_2"])
+def test_a_map_makes_one_eigensolve(work, name):
+    # a map applied makes one eigensolve, of its right-hand side
+    problem, _, _ = load(name)
+    x = random_pd_in_ball(problem.n, 0.5, 4)
+    for t in matrix_solver.maps_for(problem):
+        work.clear()
+        t(x)
+        assert len(work.of("eig_hermitian")) == 1
 
 
 @pytest.mark.parametrize("name, max_iter", [("example_4_1", 20), ("example_4_2", 200)])
